@@ -17,7 +17,7 @@ def main() -> None:
         for row in rows:
             chain = link_to_standard(row.pair)
             print(f"  {row.label:>4}  {str(row.pair):32}  {chain}")
-        for c in extension_corrections(side):
+        for c in extension_corrections(side, rows):
             print(f"  correction: {c}")
         print()
 

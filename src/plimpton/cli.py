@@ -97,6 +97,11 @@ def _cell_text(cell) -> str:
     return str(cell)
 
 
+# Trial division names a non-regular input's smallest prime factor only
+# below this bound, so a large prime cofactor cannot stall the error path.
+_FACTOR_BOUND = 10_000
+
+
 def _parse_regular_arg(text: str):
     v = parse_sex(text)
     r = is_regular(v)
@@ -105,7 +110,11 @@ def _parse_regular_arg(text: str):
         for p in (2, 3, 5):
             while n % p == 0:
                 n //= p
-        factor = next(f for f in range(2, n + 1) if n % f == 0)
+        factor = next((f for f in range(7, min(n, _FACTOR_BOUND) + 1)
+                       if n % f == 0), None)
+        if factor is None:
+            raise DataError(f"not regular: cofactor {n} has no prime factor "
+                            f"below {_FACTOR_BOUND}")
         raise DataError(f"not regular: factor {factor}")
     return r
 
@@ -224,7 +233,7 @@ def cmd_tablet(args) -> int:
 def cmd_extend(args) -> int:
     extension = hypotheses.extend_phillips(args.side)
     rows = [_pair_row(row.label, row.pair) for row in extension]
-    corrections = hypotheses.extension_corrections(args.side)
+    corrections = hypotheses.extension_corrections(args.side, extension)
     _emit(args.format, "extend", rows, ["label", "T", "Tbar"], corrections)
     return EXIT_OK
 

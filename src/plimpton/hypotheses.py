@@ -3,14 +3,17 @@
 Each hypothesis produces an ordered list of row candidates; all of them are
 parameterized either by coprime regular integer pairs (P, Q) or directly by
 reciprocal pairs.  Also here: the predicted extension tables above and below
-the attested fifteen rows, and the search linking any regular pair to the
-standard reciprocal table by doubling/tripling/quintupling steps.
+the attested fifteen rows, and the minimal chain linking any regular pair
+to the standard reciprocal table by doubling/tripling/quintupling steps.
+Links are computed in closed form on the exponent lattice (see
+:func:`link_to_standard`), in bounded time at any chain depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .pairs import (
@@ -24,6 +27,7 @@ from .pairs import (
 )
 from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
 from .sexagesimal import (
+    RegularNumber,
     SexValue,
     cmp_quadratic,
     factor_2_3_5,
@@ -299,12 +303,16 @@ def _padded_digits(v: SexValue) -> tuple[int, ...]:
     return tuple(digits + [0] * (4 - len(digits)))
 
 
-def extension_corrections(side: str) -> list[Correction]:
-    """Printed-vs-computed digit log for one extension table."""
+def extension_corrections(side: str,
+                          rows: list[ExtensionRow] | None = None) -> list[Correction]:
+    """Printed-vs-computed digit log for one extension table.  ``rows`` is
+    the table ``extend_phillips(side)`` returned, if the caller has it."""
+    if rows is None:
+        rows = extend_phillips(side)
     out = []
     table = f"extension-{side}"
     for (label, t_printed, tbar_printed), row in zip(
-            _extension_printed(side), extend_phillips(side)):
+            _extension_printed(side), rows):
         for column, printed, value in (
                 ("T", t_printed, row.pair.T.value),
                 ("Tbar", tbar_printed, row.pair.Tbar.value)):
@@ -314,17 +322,10 @@ def extension_corrections(side: str) -> list[Correction]:
                     " ".join(str(d) for d in printed),
                     render_sex(value, pad_to=4)))
     if side == "lower":
+        minus17 = next(row.pair.T.value for row in rows if row.label == "-17")
         out.append(Correction("extension-lower(variant)", "-17", "T",
-                              MINUS_17_VARIANT_PRINTED,
-                              render_sex(_minus17_computed())))
+                              MINUS_17_VARIANT_PRINTED, render_sex(minus17)))
     return out
-
-
-def _minus17_computed() -> SexValue:
-    for row in extend_phillips("lower"):
-        if row.label == "-17":
-            return row.pair.T.value
-    raise AssertionError("row -17 missing")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ class LinkChain:
         m *= num
         while m % den:
             m *= 60
-        return ReciprocalPair.from_T_mantissa(_strip60(m // den))
+        return ReciprocalPair.from_T_mantissa(m // den)
 
     def __str__(self) -> str:
         if self.in_table:
@@ -376,18 +377,6 @@ class LinkChain:
         f = self.factor_fraction
         inv = 1 / f
         return f"{self.start} × ({f}, {inv})"
-
-
-def _strip60(m: int) -> int:
-    while m % 60 == 0:
-        m //= 60
-    return m
-
-
-def _recip_mantissa(m: int) -> int:
-    a, b, c = factor_2_3_5(m)
-    k = max((a + 1) // 2, b, c)
-    return _strip60(60**k // m)
 
 
 def standard_table() -> list[ReciprocalPair]:
@@ -401,70 +390,47 @@ def standard_table() -> list[ReciprocalPair]:
     return pairs
 
 
-def _standard_keys() -> frozenset[int]:
-    return frozenset(min(p.T.mantissa, p.Tbar.mantissa)
-                     for p in standard_table())
+def _lattice_class(r: RegularNumber) -> tuple[int, int]:
+    # Multiplying by 60 adds (2, 1, 1) to the exponents and keeps
+    # (alpha - 2 gamma, beta - gamma): the value up to powers of 60.
+    return r.alpha - 2 * r.gamma, r.beta - r.gamma
 
 
-_NEIGHBOR_STEPS = [(2, (1, 0, 0)), (3, (0, 1, 0)), (5, (0, 0, 1))]
+@cache
+def _start_classes() -> dict[tuple[int, int], int]:
+    """Lattice class -> mantissa of every member of a standard-table pair;
+    a member's reciprocal has the opposite class."""
+    return {_lattice_class(r): r.mantissa
+            for p in standard_table() for r in (p.T, p.Tbar)}
 
 
-def _neighbors(m: int):
-    for prime, unit in _NEIGHBOR_STEPS:
-        yield _strip60(m * prime), unit, 1
-        mm = m
-        while mm % prime:
-            mm *= 60
-        yield _strip60(mm // prime), unit, -1
-
-
-def link_to_standard(p: ReciprocalPair, max_steps: int = 32) -> LinkChain:
+def link_to_standard(p: ReciprocalPair) -> LinkChain:
     """Minimal-step chain of simultaneous (x, 1/x) multiplications, x in
     {2, 3, 5}, from a standard-table pair to p.
+
+    Closed form on the exponent lattice: from a start of class s, the
+    factors reaching p's class t are (d1 + 2j, d2 + j, j) for d = t - s and
+    any integer j, at |d1 + 2j| + |d2 + j| + |j| steps.  That sum is convex
+    in j, so every minimum lies between its breakpoints -d1/2, -d2 and 0,
+    and the work is bounded at any chain depth.
 
     Ties at minimal length prefer the chain using the smaller primes
     (doubling over tripling over quintupling), then the lexicographically
     largest exponent triple, then the smallest start mantissa.
     """
-    std = _standard_keys()
-
-    def key(m: int) -> int:
-        return min(m, _recip_mantissa(m))
-
-    def chain_for(state: int, vec: tuple[int, int, int],
-                  member: str) -> LinkChain:
-        # state * 2^-vec == the walked member of p (floating)
-        if member == "T":
-            start_m, factor = state, tuple(-e for e in vec)
-        else:
-            start_m, factor = _recip_mantissa(state), vec
-        return LinkChain(ReciprocalPair.from_T_mantissa(start_m), factor)
-
-    if key(p.T.mantissa) in std:
+    t1, t2 = _lattice_class(p.T)
+    starts = _start_classes()
+    if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))
-
-    frontier = [(p.T.mantissa, (0, 0, 0), "T"),
-                (p.Tbar.mantissa, (0, 0, 0), "Tbar")]
-    seen = {key(p.T.mantissa)}
-    for depth in range(1, max_steps + 1):
-        nxt = []
-        hits = []
-        for state, vec, member in frontier:
-            for nb, unit, sign in _neighbors(state):
-                k = key(nb)
-                if k in seen:
-                    continue
-                nvec = tuple(v + sign * u for v, u in zip(vec, unit))
-                if k in std:
-                    hits.append(chain_for(nb, nvec, member))
-                else:
-                    nxt.append((nb, nvec, member))
-        if hits:
-            return min(hits, key=lambda c: (
-                tuple(-abs(e) for e in c.factor),
-                tuple(-e for e in c.factor),
-                c.start.T.mantissa))
-        for state, _, _ in nxt:
-            seen.add(key(state))
-        frontier = nxt
-    raise AssertionError("no chain within the termination bound")
+    fewest, ties = None, []
+    for (s1, s2), m in starts.items():
+        d1, d2 = t1 - s1, t2 - s2
+        for j in range(min(0, -d2, -d1 // 2), max(0, -d2, -(d1 // 2)) + 1):
+            steps = abs(d1 + 2 * j) + abs(d2 + j) + abs(j)
+            if fewest is None or steps < fewest:
+                fewest, ties = steps, []
+            if steps == fewest:
+                ties.append(((d1 + 2 * j, d2 + j, j), m))
+    factor, m = min(ties, key=lambda c: (
+        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1]))
+    return LinkChain(ReciprocalPair.from_T_mantissa(m), factor)

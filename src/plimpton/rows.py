@@ -110,6 +110,9 @@ def pair_from_pq(pq: PQPair) -> ReciprocalPair:
         if factor_2_3_5(n) is None:
             raise SexagesimalError(f"{n} is not regular")
     t = mul(SexValue(pq.p), reciprocal(regular_from_int(pq.q)).value)
+    if t.mantissa == 1:
+        raise SexagesimalError(
+            f"{pq.p}/{pq.q} is a power of 60: the pair (1, 1) generates no triple")
     return ReciprocalPair.from_T_mantissa(t.mantissa)
 
 

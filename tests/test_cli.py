@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plimpton
 from plimpton.cli import main
 from plimpton.sexagesimal import parse_sex
 
@@ -12,6 +17,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Inputs that could hang run in a child process under this budget, so a
+# regression fails the test instead of stalling the suite.
+TIME_BUDGET_S = 20
+
+
+def run_bounded(*argv):
+    package_root = str(Path(plimpton.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "plimpton.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=TIME_BUDGET_S)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestRecip:
@@ -28,6 +48,13 @@ class TestRecip:
         code, _, err = run(capsys, "recip", "7")
         assert code == 2
         assert "not regular: factor 7" in err
+
+    def test_large_prime_cofactor_is_reported_in_bounded_time(self):
+        # 2**61 - 1 is prime: no factor is found below the trial bound
+        code, out, err = run_bounded("recip", "3 48 48 23 38 07 58 50 03 52 31")
+        assert (code, out) == (2, "")
+        assert f"not regular: cofactor {2**61 - 1}" in err
+        assert "Traceback" not in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "recip", "2 05", "--format", "json")
@@ -160,6 +187,15 @@ class TestExtendAndLink:
         code, _, err = run(capsys, "link", "49")
         assert code == 2
         assert "factor 7" in err
+
+    def test_link_at_depth_17_finishes(self):
+        # 2**23: the deepest chain among four-place values
+        code, out, _ = run_bounded("link", "38 50 10 08")
+        assert (code, out.strip()) == (0, "(1 04, 56 15) × (131072, 1/131072)")
+        code, out, _ = run_bounded("link", "38 50 10 08", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["steps"], doc["factor"]) == (17, [17, 0, 0])
 
 
 class TestExitCodes:

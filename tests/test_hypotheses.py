@@ -17,7 +17,8 @@ from plimpton.hypotheses import (
     plimpton_pair_corrections,
     standard_table,
 )
-from plimpton.pairs import ReciprocalPair, full_mult10_list
+from plimpton.hypotheses import LinkChain
+from plimpton.pairs import ReciprocalPair, full_mult10_list, regular_mantissas
 from plimpton.sexagesimal import factor_2_3_5, render_sex
 
 
@@ -246,3 +247,125 @@ class TestStandardTableAndLinks:
             if chain.in_table:
                 continue
             assert key in states
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations of the link search, kept as oracles for the
+# closed form in ``link_to_standard``.
+
+def _strip60(m):
+    while m % 60 == 0:
+        m //= 60
+    return m
+
+
+def _recip_mantissa(m):
+    a, b, c = factor_2_3_5(m)
+    k = max((a + 1) // 2, b, c)
+    return _strip60(60**k // m)
+
+
+_NEIGHBOR_STEPS = [(2, (1, 0, 0)), (3, (0, 1, 0)), (5, (0, 0, 1))]
+
+
+def _neighbors(m):
+    for prime, unit in _NEIGHBOR_STEPS:
+        yield _strip60(m * prime), unit, 1
+        mm = m
+        while mm % prime:
+            mm *= 60
+        yield _strip60(mm // prime), unit, -1
+
+
+def bfs_link(p):
+    """Breadth-first search over mantissas from both members of p, with
+    the documented tie-break; exponential in the chain depth."""
+    std = frozenset(min(q.T.mantissa, q.Tbar.mantissa)
+                    for q in standard_table())
+
+    def key(m):
+        return min(m, _recip_mantissa(m))
+
+    def chain_for(state, vec, member):
+        # state * 2^-vec == the walked member of p (floating)
+        if member == "T":
+            start_m, factor = state, tuple(-e for e in vec)
+        else:
+            start_m, factor = _recip_mantissa(state), vec
+        return LinkChain(ReciprocalPair.from_T_mantissa(start_m), factor)
+
+    if key(p.T.mantissa) in std:
+        return LinkChain(p, (0, 0, 0))
+    frontier = [(p.T.mantissa, (0, 0, 0), "T"),
+                (p.Tbar.mantissa, (0, 0, 0), "Tbar")]
+    seen = {key(p.T.mantissa)}
+    while frontier:
+        nxt = []
+        hits = []
+        for state, vec, member in frontier:
+            for nb, unit, sign in _neighbors(state):
+                k = key(nb)
+                if k in seen:
+                    continue
+                nvec = tuple(v + sign * u for v, u in zip(vec, unit))
+                if k in std:
+                    hits.append(chain_for(nb, nvec, member))
+                else:
+                    nxt.append((nb, nvec, member))
+        if hits:
+            return min(hits, key=lambda c: (
+                tuple(-abs(e) for e in c.factor),
+                tuple(-e for e in c.factor),
+                c.start.T.mantissa))
+        for state, _, _ in nxt:
+            seen.add(key(state))
+        frontier = nxt
+    raise AssertionError("the search space is exhausted")
+
+
+def _lattice_class(m):
+    a, b, c = factor_2_3_5(m)
+    return a - 2 * c, b - c
+
+
+def _lattice_depths(radius=60):
+    """Fewest steps from a standard-table member to every lattice class
+    within ``radius``, by breadth-first search over classes: a step by 2,
+    3 or 5 moves a class by (1, 0), (0, 1) or (-2, -1), or the opposite."""
+    depth = {_lattice_class(m): 0 for q in standard_table()
+             for m in (q.T.mantissa, q.Tbar.mantissa)}
+    frontier = list(depth)
+    while frontier:
+        nxt = []
+        for x, y in frontier:
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (-2, -1), (2, 1)):
+                cell = (x + dx, y + dy)
+                if cell not in depth and max(map(abs, cell)) <= radius:
+                    depth[cell] = depth[(x, y)] + 1
+                    nxt.append(cell)
+        frontier = nxt
+    return depth
+
+
+FOUR_PLACE_PAIRS = [ReciprocalPair.from_T_mantissa(m)
+                    for m in regular_mantissas(4)]
+
+
+class TestClosedFormLinks:
+    def test_same_chain_as_the_search_up_to_depth_5(self):
+        depths = _lattice_depths()
+        shallow = [p for p in FOUR_PLACE_PAIRS
+                   if depths[_lattice_class(p.T.mantissa)] <= 5]
+        assert len(shallow) == 313
+        for p in shallow:
+            assert link_to_standard(p) == bfs_link(p), str(p)
+
+    def test_every_four_place_link(self):
+        depths = _lattice_depths()
+        states = {min(q.T.mantissa, q.Tbar.mantissa) for q in standard_table()}
+        assert len(FOUR_PLACE_PAIRS) == 432
+        for p in FOUR_PLACE_PAIRS:
+            chain = link_to_standard(p)
+            assert chain.steps == depths[_lattice_class(p.T.mantissa)], str(p)
+            assert chain.replay().T.mantissa == p.T.mantissa, str(p)
+            assert min(chain.start.T.mantissa, chain.start.Tbar.mantissa) in states

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plimpton.pairs import ReciprocalPair
 from plimpton.rows import (
@@ -111,10 +111,15 @@ class TestPQ:
         with pytest.raises(SexagesimalError):
             pair_from_pq(PQPair(7, 2))
 
+    @example(60, 1)
     @given(st.integers(1, 60), st.integers(1, 60))
     def test_pq_route_matches_xy_route(self, p, q):
         from plimpton.sexagesimal import factor_2_3_5
         if p <= q or factor_2_3_5(p) is None or factor_2_3_5(q) is None:
+            return
+        if p == 60 * q:  # P/Q = 60, the one power of 60 in range: no triple
+            with pytest.raises(SexagesimalError):
+                pair_from_pq(PQPair(p, q))
             return
         pair = pair_from_pq(PQPair(p, q))
         s, d, _ = reduce_factorization(xy_from_pair(pair))
