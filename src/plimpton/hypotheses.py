@@ -21,7 +21,7 @@ from .pairs import (
     PairCriterion,
     ReciprocalPair,
     enumerate_pairs,
-    mult10_criterion,
+    full_mult10_list,
     plimpton_range,
     regular_mantissas,
 )
@@ -44,9 +44,6 @@ HYPOTHESIS_TAGS = (
 @dataclass(frozen=True)
 class Hypothesis:
     tag: str
-    # Price's upper ratio bound as misprinted in his text (2;25) instead of
-    # the witness-derived 12/5.
-    price_g_from_text: bool = False
 
     def __post_init__(self) -> None:
         if self.tag not in HYPOTHESIS_TAGS:
@@ -84,8 +81,7 @@ PLIMPTON_PAIRS_PRINTED = [
 
 
 def phillips_pairs() -> list[ReciprocalPair]:
-    lower, upper = plimpton_range()
-    return enumerate_pairs(PairCriterion("mult10", lower, upper))
+    return enumerate_pairs(PairCriterion("mult10", *plimpton_range()))
 
 
 def plimpton_pair_corrections() -> list[Correction]:
@@ -100,37 +96,52 @@ def plimpton_pair_corrections() -> list[Correction]:
     return out
 
 
-def _rows_from_pairs(pairs, reduction: str) -> list[RowCandidate]:
-    return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
+def _cmp(r: Fraction, bound: str) -> int:
+    return cmp_quadratic(from_fraction(r), bound)
 
 
-def _coprime_regular_pq(max_q: int, keep) -> list[PQPair]:
-    """Coprime regular (P, Q) with Q < max_q and keep(P, Q) true."""
-    regs = [m for m in regular_mantissas(4)]
-    out = []
+# The (P, Q) theories: coprime regular P > Q with least Q <= Q < Q limit,
+# P < P limit (None: no limit) and the test on the ratio P/Q true.
+# Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
+# and P/Q < 1 + sqrt(2).  Price's text misprints his upper bound 12/5 as
+# 2;25, which admits no further regular ratio (tests/test_hypotheses.py).
+_PQ_THEORIES = {
+    "price1964": (2, 60, None, lambda r: Fraction(16, 9) < r <= Fraction(12, 5)),
+    "buck1980": (1, 100, 100, lambda r: _cmp(r, "sqrt3") > 0 and _cmp(r, "1+sqrt2") < 0),
+    "friberg1981": (1, 60, None, lambda r: r >= Fraction(9, 5) and _cmp(r, "1+sqrt2") < 0),
+    "friberg2007": (1, 60, None, lambda r: r < Fraction(29, 12)),
+}
+
+# Theories that select reciprocal pairs in the tablet's range directly.
+_PAIR_THEORIES = {"phillips": "mult10", "bruins1949": "bruins"}
+
+
+def _pq_theory_pairs(least_q: int, q_limit: int, p_limit: int | None,
+                     test) -> list[ReciprocalPair]:
+    regs = regular_mantissas(4)
+    pairs = []
     for q in regs:
-        if q >= max_q:
+        if q >= q_limit:
             break
+        if q < least_q:
+            continue
         for p in regs:
             if p <= q:
                 continue
-            if Fraction(p, q) > 3:  # every surveyed ratio bound is below 3
+            ratio = Fraction(p, q)
+            # p ascends, and every surveyed ratio bound is below 3
+            if ratio > 3 or (p_limit is not None and p >= p_limit):
                 break
-            if gcd(p, q) == 1 and keep(p, q):
-                out.append(PQPair(p, q))
-    return out
-
-
-def _pairs_by_decreasing_t(pqs: list[PQPair]) -> list[ReciprocalPair]:
-    pairs = {pair_from_pq(pq).T.mantissa: pair_from_pq(pq) for pq in pqs}
-    return sorted(pairs.values(), key=lambda p: p.t_fraction, reverse=True)
+            if gcd(p, q) == 1 and test(ratio):
+                pairs.append(pair_from_pq(PQPair(p, q)))
+    pairs.sort(key=lambda p: p.t_fraction, reverse=True)
+    return pairs
 
 
 def generate(h: Hypothesis | str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
-    if isinstance(h, str):
-        h = Hypothesis(h)
-    if h.tag == "ns1945":
+    tag = Hypothesis(h).tag if isinstance(h, str) else h.tag
+    if tag == "ns1945":
         rows = []
         for n, (p, q) in enumerate(TABLE1_PQ, 1):
             pq = PQPair(p, q)
@@ -141,42 +152,11 @@ def generate(h: Hypothesis | str, reduction: str = "full") -> list[RowCandidate]
             rows.append(RowCandidate(n, pair, xy, s, d, a, 1,
                                      reduced=(gcd(s, d) == 1)))
         return rows
-    if h.tag == "phillips":
-        return _rows_from_pairs(phillips_pairs(), reduction)
-    if h.tag == "bruins1949":
-        lower, upper = plimpton_range()
-        pairs = enumerate_pairs(PairCriterion("bruins", lower, upper))
-        return _rows_from_pairs(pairs, reduction)
-    if h.tag == "price1964":
-        f = Fraction(16, 9)
-        if h.price_g_from_text:
-            keep = lambda p, q: q > 1 and f < Fraction(p, q) < Fraction(29, 12)
-        else:
-            keep = lambda p, q: q > 1 and f < Fraction(p, q) <= Fraction(12, 5)
-        pqs = _coprime_regular_pq(60, keep)
-        return _rows_from_pairs(_pairs_by_decreasing_t(pqs), reduction)
-    if h.tag == "buck1980":
-        def keep(p, q):
-            if p >= 100:
-                return False
-            ratio = from_fraction(Fraction(p, q))
-            return (cmp_quadratic(ratio, "sqrt3") > 0
-                    and cmp_quadratic(ratio, "1+sqrt2") < 0)
-        pqs = _coprime_regular_pq(100, keep)
-        return _rows_from_pairs(_pairs_by_decreasing_t(pqs), reduction)
-    if h.tag == "friberg1981":
-        def keep(p, q):
-            ratio = Fraction(q, p)
-            if ratio > Fraction(5, 9):
-                return False
-            return cmp_quadratic(from_fraction(ratio), "sqrt2-1") > 0
-        pqs = _coprime_regular_pq(60, keep)
-        return _rows_from_pairs(_pairs_by_decreasing_t(pqs), reduction)
-    if h.tag == "friberg2007":
-        keep = lambda p, q: q < p < q * Fraction(29, 12)
-        pqs = _coprime_regular_pq(60, keep)
-        return _rows_from_pairs(_pairs_by_decreasing_t(pqs), reduction)
-    raise AssertionError(h.tag)
+    if tag in _PAIR_THEORIES:
+        pairs = enumerate_pairs(PairCriterion(_PAIR_THEORIES[tag], *plimpton_range()))
+    else:
+        pairs = _pq_theory_pairs(*_PQ_THEORIES[tag])
+    return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +237,22 @@ MINUS_17_VARIANT_PRINTED = "3 29 10"
 # T is the reciprocal of 1 00 45.
 FULL_LIST_TEXT_ENDPOINT_PRINTED = "59 33 33 20"
 
-_EXTENSION_RANGES = {
-    # lower: above the tablet's top row, exclusive, up to the printed top.
-    "lower": (Fraction(12, 5), False, Fraction(843750, 60**3), True),
-    # upper: below the tablet's bottom row, from the printed end.
-    "upper": (Fraction(3645, 3600), True, Fraction(9, 5), False),
-}
-
 
 def extend_phillips(side: str) -> list[ExtensionRow]:
     """Continuation of the multiple-of-10 list beyond the fifteen rows,
-    labeled against the printed comparison tables."""
+    labeled against the printed comparison tables.
+
+    Each side is a slice of :func:`full_mult10_list`, which runs by
+    decreasing T: lower from the printed top down to the tablet's first
+    row, upper from below the tablet's last row to the end of the list.
+    """
     printed = _extension_printed(side)
-    lo, lo_inc, hi, hi_inc = _EXTENSION_RANGES[side]
-    pairs = []
-    for m in regular_mantissas(4):
-        if m == 1:
-            continue
-        pair = ReciprocalPair.from_T_mantissa(m)
-        t = pair.t_fraction
-        if not ((lo <= t if lo_inc else lo < t)
-                and (t <= hi if hi_inc else t < hi)):
-            continue
-        if mult10_criterion(pair.T) and mult10_criterion(pair.Tbar):
-            pairs.append(pair)
-    pairs.sort(key=lambda p: p.t_fraction, reverse=True)
+    full = full_mult10_list()
+    at = [p.t_fraction for p in full].index
+    if side == "lower":
+        pairs = full[at(Fraction(843750, 60**3)):at(Fraction(12, 5))]  # 3;54 22 30, 2;24
+    else:
+        pairs = full[at(Fraction(9, 5)) + 1:]
     if len(pairs) != len(printed):
         raise AssertionError(
             f"{side} extension: computed {len(pairs)} pairs, "

@@ -36,14 +36,21 @@ class ReciprocalPair:
 
     @classmethod
     def from_T_mantissa(cls, mantissa: int) -> "ReciprocalPair":
-        while mantissa and mantissa % 60 == 0:
-            mantissa //= 60
-        t = regular_from_int(mantissa)
+        """The pair whose T has this mantissa, factors of 60 stripped.
+
+        The mantissa is factorized once.  T keeps that exponent triple with
+        its units place moved to the first digit; Tbar's triple comes from
+        :func:`reciprocal`.  Mantissas multiply to 60**k with k the sum of
+        the two 5-exponents, so Tbar's units place is set to make the fixed
+        product exactly 1.
+        """
+        t = regular_from_int(SexValue(mantissa).mantissa)
         places = place_length(t.value)
-        t = regular_from_int(mantissa, exponent=-(places - 1))
+        t = RegularNumber(SexValue(t.mantissa, 1 - places), *t.triple)
         tbar = reciprocal(t)
-        k = max((t.alpha + 1) // 2, t.beta, t.gamma)
-        tbar = regular_from_int(tbar.mantissa, exponent=places - 1 - k)
+        tbar = RegularNumber(
+            SexValue(tbar.mantissa, places - 1 - (t.gamma + tbar.gamma)),
+            *tbar.triple)
         return cls(t, tbar)
 
     @property
@@ -60,7 +67,8 @@ class ReciprocalPair:
 
 @dataclass(frozen=True)
 class PairCriterion:
-    """Membership rule plus an inclusive fixed-reading range for T.
+    """Membership rule over the pairs of four-place T, plus an inclusive
+    fixed-reading range for T.
 
     kind is one of "mult10", "bruins", "places_only".
     """
@@ -68,7 +76,6 @@ class PairCriterion:
     kind: str
     lower: SexValue
     upper: SexValue
-    places: int = 4
 
     def __post_init__(self) -> None:
         if self.kind not in ("mult10", "bruins", "places_only"):
@@ -145,30 +152,36 @@ def enumerate_regulars(max_places: int) -> list[RegularNumber]:
     return [regular_from_int(m) for m in regular_mantissas(max_places)]
 
 
+def _four_place_pairs() -> list[ReciprocalPair]:
+    """The pair of every regular T mantissa of at most four places, by
+    decreasing T.  T's fixed value is its mantissa padded to four places
+    over 60**3, so the padded integers sort it exactly."""
+    pairs = [ReciprocalPair.from_T_mantissa(m) for m in regular_mantissas(4)]
+    pairs.sort(key=lambda p: p.T.mantissa * 60 ** (3 + p.T.value.exponent),
+               reverse=True)
+    return pairs
+
+
+def _both_mult10(pair: ReciprocalPair) -> bool:
+    return mult10_criterion(pair.T) and mult10_criterion(pair.Tbar)
+
+
 def _passes(c: PairCriterion, pair: ReciprocalPair) -> bool:
-    if c.kind == "places_only":
-        return (place_length(pair.T.value) <= c.places
-                and place_length(pair.Tbar.value) <= c.places)
     if c.kind == "mult10":
-        return mult10_criterion(pair.T) and mult10_criterion(pair.Tbar)
-    # bruins: four-place pairs minus the exponent-rule exclusions
-    if (place_length(pair.T.value) > 4
-            or place_length(pair.Tbar.value) > 4):
+        return _both_mult10(pair)
+    # T has at most four places by enumeration; Tbar must too
+    if place_length(pair.Tbar.value) > 4:
         return False
-    return not bruins_excluded(pair)
+    # bruins: the four-place pairs minus the exponent-rule exclusions
+    return c.kind == "places_only" or not bruins_excluded(pair)
 
 
 def enumerate_pairs(c: PairCriterion) -> list[ReciprocalPair]:
-    """All pairs whose T lies in [lower, upper] (fixed reading, both ends
-    inclusive) and that pass the criterion, sorted by decreasing T."""
+    """All four-place pairs whose T lies in [lower, upper] (fixed reading,
+    both ends inclusive) and that pass the criterion, by decreasing T."""
     lo, hi = c.lower.fraction, c.upper.fraction
-    pairs = []
-    for m in regular_mantissas(c.places):
-        pair = ReciprocalPair.from_T_mantissa(m)
-        if lo <= pair.t_fraction <= hi and _passes(c, pair):
-            pairs.append(pair)
-    pairs.sort(key=lambda p: p.t_fraction, reverse=True)
-    return pairs
+    return [pair for pair in _four_place_pairs()
+            if lo <= pair.t_fraction <= hi and _passes(c, pair)]
 
 
 def full_mult10_list() -> list[ReciprocalPair]:
@@ -178,15 +191,8 @@ def full_mult10_list() -> list[ReciprocalPair]:
     Both orientations of each pair appear (T and Tbar trade places); the
     degenerate self-reciprocal 1 is left out since it generates no triple.
     """
-    pairs = []
-    for m in regular_mantissas(4):
-        if m == 1:
-            continue
-        pair = ReciprocalPair.from_T_mantissa(m)
-        if mult10_criterion(pair.T) and mult10_criterion(pair.Tbar):
-            pairs.append(pair)
-    pairs.sort(key=lambda p: p.t_fraction, reverse=True)
-    return pairs
+    return [pair for pair in _four_place_pairs()
+            if pair.T.mantissa != 1 and _both_mult10(pair)]
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,10 @@ from math import gcd
 from .pairs import ReciprocalPair
 from .sexagesimal import (
     ONE,
-    RegularNumber,
     SexValue,
     SexagesimalError,
     add,
-    factor_2_3_5,
     halve,
-    is_regular,
     mul,
     reciprocal,
     regular_from_int,
@@ -66,30 +63,19 @@ def xy_from_pair(p: ReciprocalPair) -> XYPair:
     return XYPair(halve(sub(t, tbar)), halve(add(t, tbar)))
 
 
-def regular_part(n: int) -> int:
-    """Largest 60-smooth divisor."""
-    out = 1
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-            out *= p
-    return out
-
-
 def reduce_factorization(xy: XYPair) -> tuple[int, int, int]:
     """Cast common regular factors out of (X, Y).
 
     Returns (S, D, factor): the mantissas at a common exponent divided by
-    the largest regular divisor of their gcd.  Any common factor of X and Y
-    divides both T and Tbar and is therefore regular, so S and D end up
-    coprime.
+    their gcd.  Any common factor of X and Y divides both T = X + Y and
+    Tbar = Y - X and is therefore regular, so S and D end up coprime.
     """
     if xy.x.mantissa == 0:
         raise SexagesimalError("degenerate isosceles pair: X = 0")
     e = min(xy.x.exponent, xy.y.exponent)
     mx = xy.x.mantissa * 60 ** (xy.x.exponent - e)
     my = xy.y.mantissa * 60 ** (xy.y.exponent - e)
-    factor = regular_part(gcd(mx, my))
+    factor = gcd(mx, my)
     return mx // factor, my // factor, factor
 
 
@@ -106,10 +92,8 @@ def pq_to_triple(pq: PQPair) -> tuple[int, int, int]:
 
 def pair_from_pq(pq: PQPair) -> ReciprocalPair:
     """T = P * recip(Q), Tbar = Q * recip(P); floating product is 1."""
-    for n in (pq.p, pq.q):
-        if factor_2_3_5(n) is None:
-            raise SexagesimalError(f"{n} is not regular")
-    t = mul(SexValue(pq.p), reciprocal(regular_from_int(pq.q)).value)
+    p, q = regular_from_int(pq.p), regular_from_int(pq.q)
+    t = mul(p.value, reciprocal(q).value)
     if t.mantissa == 1:
         raise SexagesimalError(
             f"{pq.p}/{pq.q} is a power of 60: the pair (1, 1) generates no triple")
@@ -132,14 +116,11 @@ def build_row(p: ReciprocalPair, n: int = 0,
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
     xy = xy_from_pair(p)
-    s, d, factor = reduce_factorization(xy)
-    if reduction == "tablet_faithful":
-        e = min(xy.x.exponent, xy.y.exponent)
-        mx = xy.x.mantissa * 60 ** (xy.x.exponent - e)
-        my = xy.y.mantissa * 60 ** (xy.y.exponent - e)
-        if mx < _SCRIBAL_PLACE_LIMIT and my < _SCRIBAL_PLACE_LIMIT:
-            a, _ = column_A(xy)
-            return RowCandidate(n, p, xy, mx, my, a, 1, reduced=False)
     a, asq = column_A(xy)
-    assert add(asq, ONE) == a
+    if add(asq, ONE) != a:
+        raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
+    s, d, factor = reduce_factorization(xy)
+    if (reduction == "tablet_faithful" and s * factor < _SCRIBAL_PLACE_LIMIT
+            and d * factor < _SCRIBAL_PLACE_LIMIT):
+        return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, reduced=False)
     return RowCandidate(n, p, xy, s, d, a, factor)

@@ -283,11 +283,13 @@ def reciprocal(r: RegularNumber) -> RegularNumber:
     """The unique regular s with floating product r*s = 1.
 
     The mantissa of s is 60**k / mantissa(r) for the smallest k making the
-    quotient integral: k = max(ceil(alpha/2), beta, gamma).
+    quotient integral, k = max(ceil(alpha/2), beta, gamma), so s has the
+    exponent triple (2k - alpha, k - beta, k - gamma).  Since k is minimal,
+    60 does not divide the quotient: it is already canonical.
     """
     k = max((r.alpha + 1) // 2, r.beta, r.gamma)
-    m = 60**k // r.mantissa
-    return regular_from_int(m)
+    return RegularNumber(SexValue(60**k // r.mantissa),
+                         2 * k - r.alpha, k - r.beta, k - r.gamma)
 
 
 def place_length(v: SexValue) -> int:

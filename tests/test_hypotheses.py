@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,8 +23,8 @@ from plimpton.pairs import ReciprocalPair, full_mult10_list, regular_mantissas
 from plimpton.sexagesimal import factor_2_3_5, render_sex
 
 
-def _t_set(tag, **kwargs):
-    return {r.pair.T.mantissa for r in generate(Hypothesis(tag, **kwargs))}
+def _t_set(tag):
+    return {r.pair.T.mantissa for r in generate(Hypothesis(tag))}
 
 
 PHILLIPS_T = [r.pair.T.mantissa for r in generate("phillips")]
@@ -61,8 +62,14 @@ class TestAgreements:
         assert _t_set("price1964") < set(PHILLIPS_T)
 
     def test_price_text_variant_same_set(self):
-        # the misprinted bound 2;25 covers the same regular ratios as 12/5
-        assert _t_set("price1964", price_g_from_text=True) == _t_set("price1964")
+        # Price's bound 12/5, misprinted as 2;25 = 29/12 in his text: no
+        # coprime regular P/Q with 2 <= Q < 60 lies between the two, so both
+        # readings select the same rows
+        between = [(p, q) for q in range(2, 60) for p in range(q + 1, 3 * q)
+                   if factor_2_3_5(p) is not None
+                   and factor_2_3_5(q) is not None and gcd(p, q) == 1
+                   and Fraction(12, 5) < Fraction(p, q) < Fraction(29, 12)]
+        assert between == []
 
     def test_buck_differs_from_table1_in_one_swap(self):
         table1_t = {r.pair.T.mantissa for r in generate("ns1945")}

@@ -18,7 +18,8 @@ from plimpton.pairs import (
     plimpton_range,
     regular_mantissas,
 )
-from plimpton.sexagesimal import parse_sex, render_sex
+from plimpton import sexagesimal
+from plimpton.sexagesimal import factor_2_3_5, parse_sex, render_sex
 
 # The fifteen pairs of the tablet's range under the multiple-of-10 rule.
 PHILLIPS_15 = [
@@ -60,6 +61,21 @@ class TestReciprocalPair:
         p = ReciprocalPair.from_T_mantissa(2**a * 3**b * 5**c)
         assert p.T.value.fraction * p.Tbar.value.fraction == 1
         assert 1 <= p.t_fraction < 60
+        for member in (p.T, p.Tbar):
+            assert member.triple == factor_2_3_5(member.mantissa)
+
+    def test_factorizes_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factor_2_3_5(n)
+
+        monkeypatch.setattr(sexagesimal, "factor_2_3_5", counting)
+        for m in (144, 2 * 60**3, 500000, 1):
+            calls.clear()
+            ReciprocalPair.from_T_mantissa(m)
+            assert len(calls) == 1, m
 
     def test_tbar_sits_one_place_right(self):
         p = ReciprocalPair.from_T_mantissa(144)

@@ -13,7 +13,6 @@ from plimpton.rows import (
     pair_from_pq,
     pq_to_triple,
     reduce_factorization,
-    regular_part,
     xy_from_pair,
 )
 from plimpton.sexagesimal import (
@@ -49,11 +48,6 @@ class TestXY:
 
 
 class TestReduction:
-    def test_regular_part(self):
-        assert regular_part(13500) == 13500
-        assert regular_part(7 * 12) == 12
-        assert regular_part(49) == 1
-
     def test_row1(self):
         s, d, factor = reduce_factorization(xy_from_pair(ROW1))
         assert (s, d) == (119, 169)
@@ -150,3 +144,11 @@ class TestBuildRow:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             build_row(ROW1, 1, "partial")
+
+    @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
+    def test_non_reciprocal_pair_rejected(self, reduction):
+        # (2 24, 30) multiplies to 1;12, not 1: Y**2 - X**2 != 1.  An
+        # explicit raise, so the check holds under python -O as well.
+        bad = ReciprocalPair(ROW1.T, ROW11.Tbar)
+        with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
+            build_row(bad, 1, reduction)

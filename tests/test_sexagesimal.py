@@ -152,8 +152,11 @@ class TestRegulars:
     @given(st.integers(0, 12), st.integers(0, 8), st.integers(0, 6))
     def test_reciprocal_floating_product_is_one(self, a, b, c):
         r = regular_from_int(2**a * 3**b * 5**c)
-        product = mul(r.value, reciprocal(r).value)
+        recip = reciprocal(r)
+        product = mul(r.value, recip.value)
         assert product.mantissa == 1
+        assert recip.value.exponent == 0
+        assert recip.triple == factor_2_3_5(recip.mantissa)
 
     def test_place_length(self):
         assert place_length(SexValue(59)) == 1
