@@ -49,9 +49,7 @@ class DataError(Exception):
 
 
 def _encode_value(v: SexValue) -> dict:
-    f = v.fraction
-    return {"digits": render_sex(v), "numerator": str(f.numerator),
-            "denominator": str(f.denominator)}
+    return {"digits": render_sex(v), **_encode_fraction(v.fraction)}
 
 
 def _encode_fraction(f: Fraction) -> dict:
@@ -189,7 +187,8 @@ def cmd_rows(args) -> int:
     candidates = hypotheses.generate(args.hypothesis, reduction)
     leading_one = args.leading_one == "on"
     rows = [_row_record(c, leading_one) for c in candidates]
-    corrections = (hypotheses.plimpton_pair_corrections()
+    corrections = (hypotheses.plimpton_pair_corrections(
+                       [c.pair for c in candidates])
                    if args.hypothesis == "phillips" else [])
     _emit(args.format, "rows", rows, ["A", "S", "D", "label"], corrections)
     return EXIT_OK

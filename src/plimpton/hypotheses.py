@@ -21,7 +21,7 @@ from .pairs import (
     PairCriterion,
     ReciprocalPair,
     enumerate_pairs,
-    full_mult10_list,
+    pair_corrections,
     plimpton_range,
     regular_mantissas,
 )
@@ -84,16 +84,11 @@ def phillips_pairs() -> list[ReciprocalPair]:
     return enumerate_pairs(PairCriterion("mult10", *plimpton_range()))
 
 
-def plimpton_pair_corrections() -> list[Correction]:
-    out = []
-    for (label, t_text, tbar_text, _), pair in zip(
-            PLIMPTON_PAIRS_PRINTED, phillips_pairs()):
-        t, tbar = render_sex(pair.T.value), render_sex(pair.Tbar.value)
-        if t != t_text:
-            out.append(Correction("standard-15", label, "T", t_text, t))
-        if tbar != tbar_text:
-            out.append(Correction("standard-15", label, "Tbar", tbar_text, tbar))
-    return out
+def plimpton_pair_corrections(
+        pairs: list[ReciprocalPair] | None = None) -> list[Correction]:
+    """The digit log of the fifteen pairs, by default ``phillips_pairs()``."""
+    return pair_corrections("standard-15", PLIMPTON_PAIRS_PRINTED,
+                            pairs or phillips_pairs())
 
 
 def _cmp(r: Fraction, bound: str) -> int:
@@ -242,17 +237,16 @@ def extend_phillips(side: str) -> list[ExtensionRow]:
     """Continuation of the multiple-of-10 list beyond the fifteen rows,
     labeled against the printed comparison tables.
 
-    Each side is a slice of :func:`full_mult10_list`, which runs by
-    decreasing T: lower from the printed top down to the tablet's first
-    row, upper from below the tablet's last row to the end of the list.
+    Each side is the multiple-of-10 enumeration over its own T range, by
+    decreasing T, given below as T * 60**3: lower from the printed top
+    down to above the tablet's first row, upper from below its last row
+    down to above 1.
     """
     printed = _extension_printed(side)
-    full = full_mult10_list()
-    at = [p.t_fraction for p in full].index
-    if side == "lower":
-        pairs = full[at(Fraction(843750, 60**3)):at(Fraction(12, 5))]  # 3;54 22 30, 2;24
-    else:
-        pairs = full[at(Fraction(9, 5)) + 1:]
+    lo, hi = {"lower": (518401, 843750),  # 2;24 < T <= 3;54 22 30
+              "upper": (216001, 388799)}[side]  # 1 < T < 1;48
+    pairs = enumerate_pairs(
+        PairCriterion("mult10", SexValue(lo, -3), SexValue(hi, -3)))
     if len(pairs) != len(printed):
         raise AssertionError(
             f"{side} extension: computed {len(pairs)} pairs, "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from .sexagesimal import (
     RegularNumber,
@@ -36,22 +37,25 @@ class ReciprocalPair:
 
     @classmethod
     def from_T_mantissa(cls, mantissa: int) -> "ReciprocalPair":
-        """The pair whose T has this mantissa, factors of 60 stripped.
-
-        The mantissa is factorized once.  T keeps that exponent triple with
-        its units place moved to the first digit; Tbar's triple comes from
-        :func:`reciprocal`.  Mantissas multiply to 60**k with k the sum of
-        the two 5-exponents, so Tbar's units place is set to make the fixed
-        product exactly 1.
-        """
+        """The pair whose T has this mantissa, factors of 60 stripped."""
         t = regular_from_int(SexValue(mantissa).mantissa)
-        places = place_length(t.value)
-        t = RegularNumber(SexValue(t.mantissa, 1 - places), *t.triple)
+        return cls._from_triple(t.mantissa, t.triple, place_length(t.value))
+
+    @classmethod
+    def _from_triple(cls, mantissa: int, triple: tuple[int, int, int],
+                     places: int) -> "ReciprocalPair":
+        """The pair of a canonical T mantissa, its triple and its places.
+
+        T keeps the triple with its units place moved to the first digit;
+        Tbar's triple comes from :func:`reciprocal`.  Mantissas multiply to
+        60**k with k the sum of the two 5-exponents, so Tbar's units place
+        is set to make the fixed product exactly 1.
+        """
+        t = RegularNumber(SexValue(mantissa, 1 - places), *triple)
         tbar = reciprocal(t)
-        tbar = RegularNumber(
+        return cls(t, RegularNumber(
             SexValue(tbar.mantissa, places - 1 - (t.gamma + tbar.gamma)),
-            *tbar.triple)
-        return cls(t, tbar)
+            *tbar.triple))
 
     @property
     def t_fraction(self) -> Fraction:
@@ -126,62 +130,69 @@ def bruins_excluded(p: ReciprocalPair, conjunctive: bool = True) -> bool:
     return one_sided(p.T, p.Tbar) or one_sided(p.Tbar, p.T)
 
 
-def regular_mantissas(max_places: int) -> list[int]:
-    """All canonical regular mantissas of at most max_places digits,
-    ascending.  Exponent-sweep bounds derive from 60**max_places."""
+def _regular_triples(max_places: int):
+    """(mantissa, exponent triple) of every canonical regular mantissa of at
+    most max_places digits, unordered; sweep bounds derive from 60**max_places."""
     if max_places < 1:
         raise ValueError("max_places must be >= 1")
     limit = 60**max_places
-    out = []
-    p2 = 1
+    p2, a = 1, 0
     while p2 < limit:
-        p23 = p2
+        p23, b = p2, 0
         while p23 < limit:
-            p235 = p23
+            p235, c = p23, 0
             while p235 < limit:
                 if p235 % 60:
-                    out.append(p235)
-                p235 *= 5
-            p23 *= 3
-        p2 *= 2
-    out.sort()
-    return out
+                    yield p235, (a, b, c)
+                p235, c = p235 * 5, c + 1
+            p23, b = p23 * 3, b + 1
+        p2, a = p2 * 2, a + 1
+
+
+def regular_mantissas(max_places: int) -> list[int]:
+    """All canonical regular mantissas of at most max_places digits, ascending."""
+    return sorted(m for m, _ in _regular_triples(max_places))
 
 
 def enumerate_regulars(max_places: int) -> list[RegularNumber]:
     return [regular_from_int(m) for m in regular_mantissas(max_places)]
 
 
-def _four_place_pairs() -> list[ReciprocalPair]:
-    """The pair of every regular T mantissa of at most four places, by
-    decreasing T.  T's fixed value is its mantissa padded to four places
-    over 60**3, so the padded integers sort it exactly."""
-    pairs = [ReciprocalPair.from_T_mantissa(m) for m in regular_mantissas(4)]
-    pairs.sort(key=lambda p: p.T.mantissa * 60 ** (3 + p.T.value.exponent),
-               reverse=True)
-    return pairs
+def _four_place_pairs(kind: str, lo: int, hi: int) -> list[ReciprocalPair]:
+    """The pairs of regular T of at most four places with lo <= padded T
+    <= hi that pass criterion ``kind``, by decreasing T.
+
+    Padded T, the mantissa padded with zero places to four digits, is T's
+    fixed value times 60**3.  T's range and, under mult10, T's own rule
+    (padded T divisible by 10) are tested on it before any pair is built;
+    the survivors' pairs come from the enumerated triples, then Tbar's test.
+    """
+    found = []
+    for m, triple in _regular_triples(4):
+        padded, places = m, 4
+        while padded < 60**3:
+            padded, places = padded * 60, places - 1
+        if lo <= padded <= hi and (kind != "mult10" or padded % 10 == 0):
+            found.append((padded, m, triple, places))
+    found.sort(reverse=True)
+    pairs = (ReciprocalPair._from_triple(m, triple, places)
+             for _, m, triple, places in found)
+    return [pair for pair in pairs if _tbar_passes(kind, pair)]
 
 
-def _both_mult10(pair: ReciprocalPair) -> bool:
-    return mult10_criterion(pair.T) and mult10_criterion(pair.Tbar)
-
-
-def _passes(c: PairCriterion, pair: ReciprocalPair) -> bool:
-    if c.kind == "mult10":
-        return _both_mult10(pair)
-    # T has at most four places by enumeration; Tbar must too
-    if place_length(pair.Tbar.value) > 4:
-        return False
-    # bruins: the four-place pairs minus the exponent-rule exclusions
-    return c.kind == "places_only" or not bruins_excluded(pair)
+def _tbar_passes(kind: str, pair: ReciprocalPair) -> bool:
+    if kind == "mult10":
+        return mult10_criterion(pair.Tbar)
+    # Tbar has at most four places too; bruins drops the exponent-rule ones
+    return place_length(pair.Tbar.value) <= 4 and (
+        kind == "places_only" or not bruins_excluded(pair))
 
 
 def enumerate_pairs(c: PairCriterion) -> list[ReciprocalPair]:
     """All four-place pairs whose T lies in [lower, upper] (fixed reading,
     both ends inclusive) and that pass the criterion, by decreasing T."""
-    lo, hi = c.lower.fraction, c.upper.fraction
-    return [pair for pair in _four_place_pairs()
-            if lo <= pair.t_fraction <= hi and _passes(c, pair)]
+    return _four_place_pairs(c.kind, ceil(c.lower.fraction * 60**3),
+                             floor(c.upper.fraction * 60**3))
 
 
 def full_mult10_list() -> list[ReciprocalPair]:
@@ -191,8 +202,7 @@ def full_mult10_list() -> list[ReciprocalPair]:
     Both orientations of each pair appear (T and Tbar trade places); the
     degenerate self-reciprocal 1 is left out since it generates no triple.
     """
-    return [pair for pair in _four_place_pairs()
-            if pair.T.mantissa != 1 and _both_mult10(pair)]
+    return _four_place_pairs("mult10", 60**3 + 1, 60**4 - 1)
 
 
 @dataclass(frozen=True)
@@ -234,16 +244,18 @@ def excluded_pairs() -> list[tuple[str, ReciprocalPair]]:
     return out
 
 
-def excluded_pair_corrections() -> list[Correction]:
+def pair_corrections(table: str, printed: list[tuple],
+                     pairs: list[ReciprocalPair]) -> list[Correction]:
+    """Digit log of printed rows (label, T, Tbar, ...) against the pairs."""
     out = []
-    for (label, t_text, tbar_text), (_, pair) in zip(
-            EXCLUDED_PAIRS_PRINTED, excluded_pairs()):
-        computed_t = render_sex(pair.T.value)
-        computed_tbar = render_sex(pair.Tbar.value)
-        if computed_t != t_text:
-            out.append(Correction("excluded-pairs", label, "T",
-                                  t_text, computed_t))
-        if computed_tbar != tbar_text:
-            out.append(Correction("excluded-pairs", label, "Tbar",
-                                  tbar_text, computed_tbar))
+    for (label, *texts), pair in zip(printed, pairs):
+        for column, text, member in zip(("T", "Tbar"), texts, (pair.T, pair.Tbar)):
+            computed = render_sex(member.value)
+            if computed != text:
+                out.append(Correction(table, label, column, text, computed))
     return out
+
+
+def excluded_pair_corrections() -> list[Correction]:
+    return pair_corrections("excluded-pairs", EXCLUDED_PAIRS_PRINTED,
+                            [pair for _, pair in excluded_pairs()])

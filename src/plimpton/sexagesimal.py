@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt
 
 
@@ -32,6 +33,7 @@ def _split_base60(mantissa: int, exponent: int) -> tuple[int, int]:
     return mantissa, exponent
 
 
+@total_ordering
 @dataclass(frozen=True)
 class SexValue:
     """A terminating sexagesimal number, mantissa * 60**exponent.
@@ -76,15 +78,6 @@ class SexValue:
     def __lt__(self, other: "SexValue") -> bool:
         return self.fraction < other.fraction
 
-    def __le__(self, other: "SexValue") -> bool:
-        return self.fraction <= other.fraction
-
-    def __gt__(self, other: "SexValue") -> bool:
-        return self.fraction > other.fraction
-
-    def __ge__(self, other: "SexValue") -> bool:
-        return self.fraction >= other.fraction
-
     def __str__(self) -> str:
         return render_sex(self)
 
@@ -115,8 +108,10 @@ def _parse_digits(text: str) -> list[int]:
     if not text:
         raise SexagesimalError("empty digit string")
     digits = []
+    # str.isdigit also accepts non-ASCII digits such as "٢" and "²"
+    ascii_text = text.isascii()
     for tok in _TOKEN_SEP.split(text):
-        if not tok.isdigit():
+        if not (tok.isdigit() and (ascii_text or tok.isascii())):
             raise SexagesimalError(f"bad digit token {tok!r}")
         d = int(tok)
         if d >= 60:

@@ -10,7 +10,8 @@ import pytest
 
 import plimpton
 from plimpton.cli import main
-from plimpton.sexagesimal import parse_sex
+from plimpton.pairs import ReciprocalPair
+from plimpton.sexagesimal import factor_2_3_5, parse_sex
 
 
 def run(capsys, *argv):
@@ -205,3 +206,63 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("argv", [
+        ("recip", "\u0661\u0662"),             # Arabic-Indic 12
+        ("recip", "\U0001d7df"),                # mathematical bold 7
+        ("recip", "\u00b2"),                    # superscript 2
+        ("link", "\uff12 \uff10\uff15"),       # fullwidth 2 05
+        ("pairs", "--from", "\u0662;24", "--to", "1;48"),
+        ("pairs", "--from", "2;24", "--to", "1;\u0664\u0668"),
+    ])
+    def test_rejected_with_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "bad digit token" in err
+        assert "Traceback" not in err
+
+    def test_rejected_without_traceback_from_a_fresh_process(self):
+        code, out, err = run_bounded("recip", "\u0661\u0662")
+        assert (code, out) == (2, "")
+        assert "bad digit token" in err
+        assert "Traceback" not in err
+
+
+class TestWorkCeilings:
+    """Pairs built and factorizations made by one command.  The four-place
+    enumerations test T's range and rule before they build a pair, so each
+    of these commands builds a few dozen pairs, not all 432 (or 864)."""
+
+    CEILING = 50
+
+    @pytest.mark.parametrize("argv", [
+        ("rows", "--hypothesis", "phillips"),
+        ("pairs", "--criterion", "mult10", "--from", "1;48", "--to", "2;24"),
+        ("extend", "--side", "lower"),
+        ("extend", "--side", "upper"),
+        ("tablet", "diff", "--hypothesis", "bruins1949"),
+    ])
+    def test_ceiling(self, capsys, monkeypatch, argv):
+        built, factored = [], []
+        init = ReciprocalPair.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_factor(n):
+            factored.append(n)
+            return factor_2_3_5(n)
+
+        monkeypatch.setattr(ReciprocalPair, "__init__", counting_init)
+        # modules import factor_2_3_5 by name: count the call under each
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "plimpton"
+                    and getattr(module, "factor_2_3_5", None) is factor_2_3_5):
+                monkeypatch.setattr(module, "factor_2_3_5", counting_factor)
+        assert run(capsys, *argv)[0] == 0
+        assert built, "no pair was counted"
+        assert len(built) <= self.CEILING
+        assert len(factored) <= self.CEILING

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from plimpton.hypotheses import extend_phillips
 
 from plimpton.pairs import (
     EXCLUDED_PAIRS_PRINTED,
@@ -19,7 +22,13 @@ from plimpton.pairs import (
     regular_mantissas,
 )
 from plimpton import sexagesimal
-from plimpton.sexagesimal import factor_2_3_5, parse_sex, render_sex
+from plimpton.sexagesimal import (
+    SexValue,
+    factor_2_3_5,
+    parse_sex,
+    place_length,
+    render_sex,
+)
 
 # The fifteen pairs of the tablet's range under the multiple-of-10 rule.
 PHILLIPS_15 = [
@@ -218,3 +227,85 @@ class TestOracleSweep:
                     if mult10_criterion(p.T) and mult10_criterion(p.Tbar):
                         expected.add(m)
         assert got == expected
+
+
+# The build-all-then-filter enumeration, kept as the oracle of the fast
+# path: every four-place pair is built, sorted by its T as a Fraction, and
+# the criterion and range are tested on the built pair.
+
+@cache
+def _oracle_all() -> tuple[ReciprocalPair, ...]:
+    pairs = [ReciprocalPair.from_T_mantissa(m) for m in regular_mantissas(4)]
+    return tuple(sorted(pairs, key=lambda p: p.t_fraction, reverse=True))
+
+
+def _oracle_passes(kind, p):
+    if kind == "mult10":
+        return mult10_criterion(p.T) and mult10_criterion(p.Tbar)
+    if place_length(p.Tbar.value) > 4:
+        return False
+    return kind == "places_only" or not bruins_excluded(p)
+
+
+def _oracle(kind, lo, hi):
+    return [p for p in _oracle_all()
+            if lo.fraction <= p.t_fraction <= hi.fraction
+            and _oracle_passes(kind, p)]
+
+
+def _oracle_full_mult10():
+    return [p for p in _oracle_all()
+            if p.T.mantissa != 1 and _oracle_passes("mult10", p)]
+
+
+_fixed = st.one_of(
+    # on the grid of padded four-place T, T * 60**3 an integer
+    st.integers(0, 61 * 60**3).map(lambda n: SexValue(n, -3)),
+    # up to six fractional places: bounds between grid points
+    st.integers(0, 61 * 60**6).map(lambda n: SexValue(n, -6)),
+    # anywhere, inside and outside [1, 60)
+    st.builds(SexValue, st.integers(0, 10**6), st.integers(-8, 2)),
+)
+
+
+class TestFastPathOracle:
+    """enumerate_pairs selects T by range and rule before building pairs;
+    it must list exactly the oracle's pairs, in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["mult10", "bruins", "places_only"]),
+           a=_fixed, b=_fixed)
+    @example(kind="mult10", a=parse_sex("1;48 00 00 00 01", "fixed"),
+             b=parse_sex("2;24", "fixed"))
+    @example(kind="bruins", a=parse_sex("1;47 59 59 59 59", "fixed"),
+             b=parse_sex("2;24 00 00 00 01", "fixed"))
+    @example(kind="places_only", a=SexValue(0), b=SexValue(1))
+    @example(kind="mult10", a=parse_sex("59;59 59", "fixed"), b=SexValue(100))
+    @example(kind="places_only", a=SexValue(1, -3), b=SexValue(10**9))
+    def test_enumerate_pairs_equals_oracle(self, kind, a, b):
+        lo, hi = sorted((a, b), key=lambda v: v.fraction)
+        assert enumerate_pairs(PairCriterion(kind, lo, hi)) == \
+            _oracle(kind, lo, hi)
+
+    def test_bound_past_the_fourth_place(self):
+        lo = parse_sex("1;48 00 00 00 01", "fixed")
+        hi = parse_sex("2;24", "fixed")
+        got = enumerate_pairs(PairCriterion("mult10", lo, hi))
+        assert got == _oracle("mult10", lo, hi)
+        assert len(got) == 14
+
+    def test_full_mult10_list(self):
+        full = full_mult10_list()
+        assert full == _oracle_full_mult10()
+        assert len(full) == 204
+
+    @pytest.mark.parametrize("side,count", [("lower", 24), ("upper", 28)])
+    def test_extension_sides_are_slices_of_the_full_list(self, side, count):
+        full = _oracle_full_mult10()
+        at = [p.t_fraction for p in full].index
+        if side == "lower":  # 3;54 22 30 down to above 2;24
+            expected = full[at(Fraction(843750, 60**3)):at(Fraction(12, 5))]
+        else:  # below 1;48 to the end
+            expected = full[at(Fraction(9, 5)) + 1:]
+        assert [row.pair for row in extend_phillips(side)] == expected
+        assert len(expected) == count

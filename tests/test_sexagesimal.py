@@ -67,6 +67,17 @@ class TestParseRender:
         with pytest.raises(SexagesimalError):
             parse_sex(bad, "fixed")
 
+    # Arabic-Indic 12, mathematical bold 7, superscript 2, fullwidth 12:
+    # str.isdigit accepts them all, int() reads the first two as 12 and 7
+    @pytest.mark.parametrize("digits", ["\u0661\u0662", "\U0001d7df", "\u00b2",
+                                        "\uff11\uff12"])
+    def test_parse_accepts_ascii_digits_only(self, digits):
+        for text, mode in ((digits, "floating"), (digits, "fixed"),
+                           (f"1 {digits}", "floating"), (f"{digits};30", "fixed"),
+                           (f"1;{digits}", "fixed")):
+            with pytest.raises(SexagesimalError, match="bad digit token"):
+                parse_sex(text, mode)
+
     def test_marker_invalid_in_floating_mode(self):
         with pytest.raises(SexagesimalError):
             parse_sex("2;24")
