@@ -7,7 +7,6 @@ from .sexagesimal import (
     SexValue,
     SexagesimalError,
     add,
-    cmp_quadratic,
     factor_2_3_5,
     from_fraction,
     halve,
@@ -27,7 +26,6 @@ from .pairs import (
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,
-    enumerate_regulars,
     excluded_pairs,
     full_mult10_list,
     mult10_criterion,
@@ -47,7 +45,6 @@ from .rows import (
 )
 from .hypotheses import (
     ExtensionRow,
-    Hypothesis,
     LinkChain,
     extend_phillips,
     extension_corrections,

@@ -11,6 +11,7 @@ Links are computed in closed form on the exponent lattice (see
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,29 +27,7 @@ from .pairs import (
     regular_mantissas,
 )
 from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
-from .sexagesimal import (
-    RegularNumber,
-    SexValue,
-    cmp_quadratic,
-    factor_2_3_5,
-    from_fraction,
-    render_sex,
-)
-
-HYPOTHESIS_TAGS = (
-    "ns1945", "bruins1949", "price1964", "buck1980",
-    "friberg1981", "friberg2007", "phillips",
-)
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in HYPOTHESIS_TAGS:
-            raise ValueError(f"unknown hypothesis {self.tag!r}")
-
+from .sexagesimal import RegularNumber, SexValue, factor_2_3_5, render_sex
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -91,66 +70,64 @@ def plimpton_pair_corrections(
                             pairs or phillips_pairs())
 
 
-def _cmp(r: Fraction, bound: str) -> int:
-    return cmp_quadratic(from_fraction(r), bound)
-
-
-# The (P, Q) theories: coprime regular P > Q with least Q <= Q < Q limit,
-# P < P limit (None: no limit) and the test on the ratio P/Q true.
+# Every theory, in survey order, with how it chooses its rows:
+# - ns1945: the (P, Q) of TABLE1_PQ, in that order;
+# - a PairCriterion kind: the reciprocal pairs of the tablet's T range;
+# - (least Q, Q limit, P limit, test): coprime regular P > Q with
+#   least Q <= Q < Q limit, P < P limit (None: no limit) and test(P, Q).
+# Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
+# P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
 # and P/Q < 1 + sqrt(2).  Price's text misprints his upper bound 12/5 as
 # 2;25, which admits no further regular ratio (tests/test_hypotheses.py).
-_PQ_THEORIES = {
-    "price1964": (2, 60, None, lambda r: Fraction(16, 9) < r <= Fraction(12, 5)),
-    "buck1980": (1, 100, 100, lambda r: _cmp(r, "sqrt3") > 0 and _cmp(r, "1+sqrt2") < 0),
-    "friberg1981": (1, 60, None, lambda r: r >= Fraction(9, 5) and _cmp(r, "1+sqrt2") < 0),
-    "friberg2007": (1, 60, None, lambda r: r < Fraction(29, 12)),
+THEORIES = {
+    "ns1945": TABLE1_PQ,
+    "bruins1949": "bruins",
+    "price1964": (2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q),
+    "buck1980": (1, 100, 100,
+                 lambda p, q: p * p > 3 * q * q and (p - q) ** 2 < 2 * q * q),
+    "friberg1981": (1, 60, None,
+                    lambda p, q: 5 * p >= 9 * q and (p - q) ** 2 < 2 * q * q),
+    "friberg2007": (1, 60, None, lambda p, q: 12 * p < 29 * q),
+    "phillips": "mult10",
 }
-
-# Theories that select reciprocal pairs in the tablet's range directly.
-_PAIR_THEORIES = {"phillips": "mult10", "bruins1949": "bruins"}
+HYPOTHESIS_TAGS = tuple(THEORIES)
 
 
 def _pq_theory_pairs(least_q: int, q_limit: int, p_limit: int | None,
                      test) -> list[ReciprocalPair]:
     regs = regular_mantissas(4)
     pairs = []
-    for q in regs:
-        if q >= q_limit:
-            break
-        if q < least_q:
-            continue
-        for p in regs:
-            if p <= q:
-                continue
-            ratio = Fraction(p, q)
-            # p ascends, and every surveyed ratio bound is below 3
-            if ratio > 3 or (p_limit is not None and p >= p_limit):
-                break
-            if gcd(p, q) == 1 and test(ratio):
+    for q in regs[bisect_left(regs, least_q):bisect_left(regs, q_limit)]:
+        # every surveyed ratio bound is below 3
+        top = 3 * q if p_limit is None else min(3 * q, p_limit - 1)
+        for p in regs[bisect_right(regs, q):bisect_right(regs, top)]:
+            if gcd(p, q) == 1 and test(p, q):
                 pairs.append(pair_from_pq(PQPair(p, q)))
     pairs.sort(key=lambda p: p.t_fraction, reverse=True)
     return pairs
 
 
-def generate(h: Hypothesis | str, reduction: str = "full") -> list[RowCandidate]:
+def _table1_row(n: int, pq: PQPair) -> RowCandidate:
+    """A row of the formulas' raw values, left unreduced as published."""
+    pair = pair_from_pq(pq)
+    xy = xy_from_pair(pair)
+    _, s, d = pq_to_triple(pq)
+    return RowCandidate(n, pair, xy, s, d, column_A(xy)[0], 1,
+                        reduced=(gcd(s, d) == 1))
+
+
+def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
-    tag = Hypothesis(h).tag if isinstance(h, str) else h.tag
-    if tag == "ns1945":
-        rows = []
-        for n, (p, q) in enumerate(TABLE1_PQ, 1):
-            pq = PQPair(p, q)
-            pair = pair_from_pq(pq)
-            xy = xy_from_pair(pair)
-            _, s, d = pq_to_triple(pq)
-            a, _ = column_A(xy)
-            rows.append(RowCandidate(n, pair, xy, s, d, a, 1,
-                                     reduced=(gcd(s, d) == 1)))
-        return rows
-    if tag in _PAIR_THEORIES:
-        pairs = enumerate_pairs(PairCriterion(_PAIR_THEORIES[tag], *plimpton_range()))
+    if tag not in THEORIES:
+        raise ValueError(f"unknown hypothesis {tag!r}")
+    rule = THEORIES[tag]
+    if rule is TABLE1_PQ:
+        return [_table1_row(n, PQPair(*pq)) for n, pq in enumerate(rule, 1)]
+    if isinstance(rule, str):
+        pairs = enumerate_pairs(PairCriterion(rule, *plimpton_range()))
     else:
-        pairs = _pq_theory_pairs(*_PQ_THEORIES[tag])
+        pairs = _pq_theory_pairs(*rule)
     return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
 
 
@@ -227,11 +204,6 @@ UPPER_EXTENSION_PRINTED = [
 # A cited earlier reconstruction gives row -17's T as 3 29 10; computation
 # confirms the tabulated 3 28 20 (the reciprocal of 17 16 48).
 MINUS_17_VARIANT_PRINTED = "3 29 10"
-
-# The running text misprints the endpoint of the complete list; the first
-# T is the reciprocal of 1 00 45.
-FULL_LIST_TEXT_ENDPOINT_PRINTED = "59 33 33 20"
-
 
 def extend_phillips(side: str) -> list[ExtensionRow]:
     """Continuation of the multiple-of-10 list beyond the fifteen rows,

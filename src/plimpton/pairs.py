@@ -113,21 +113,15 @@ def padded_multiple_of_10(r: RegularNumber) -> bool:
     return (r.mantissa * 60 ** (4 - places)) % 10 == 0
 
 
-def bruins_excluded(p: ReciprocalPair, conjunctive: bool = True) -> bool:
+def bruins_excluded(p: ReciprocalPair) -> bool:
     """Exclusion by exponent counts: one member has alpha+beta+gamma > 13
     while the other has gamma > 3.
 
-    The conjunctive reading reproduces exactly six exclusions in the tablet
-    range; ``conjunctive=False`` gives the disjunctive variant for
-    diagnostics.
+    This conjunctive reading reproduces exactly six exclusions in the
+    tablet range.
     """
-
-    def one_sided(a: RegularNumber, b: RegularNumber) -> bool:
-        heavy = sum(a.triple) > 13
-        deep = b.gamma > 3
-        return (heavy and deep) if conjunctive else (heavy or deep)
-
-    return one_sided(p.T, p.Tbar) or one_sided(p.Tbar, p.T)
+    return any(sum(a.triple) > 13 and b.gamma > 3
+               for a, b in ((p.T, p.Tbar), (p.Tbar, p.T)))
 
 
 def _regular_triples(max_places: int):
@@ -152,10 +146,6 @@ def _regular_triples(max_places: int):
 def regular_mantissas(max_places: int) -> list[int]:
     """All canonical regular mantissas of at most max_places digits, ascending."""
     return sorted(m for m, _ in _regular_triples(max_places))
-
-
-def enumerate_regulars(max_places: int) -> list[RegularNumber]:
-    return [regular_from_int(m) for m in regular_mantissas(max_places)]
 
 
 def _four_place_pairs(kind: str, lo: int, hi: int) -> list[ReciprocalPair]:

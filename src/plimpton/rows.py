@@ -16,6 +16,7 @@ from .sexagesimal import (
     ONE,
     SexValue,
     SexagesimalError,
+    _aligned,
     add,
     halve,
     mul,
@@ -72,9 +73,7 @@ def reduce_factorization(xy: XYPair) -> tuple[int, int, int]:
     """
     if xy.x.mantissa == 0:
         raise SexagesimalError("degenerate isosceles pair: X = 0")
-    e = min(xy.x.exponent, xy.y.exponent)
-    mx = xy.x.mantissa * 60 ** (xy.x.exponent - e)
-    my = xy.y.mantissa * 60 ** (xy.y.exponent - e)
+    mx, my, _ = _aligned(xy.x, xy.y)
     factor = gcd(mx, my)
     return mx // factor, my // factor, factor
 

@@ -311,36 +311,3 @@ def sqrt_exact(v: SexValue) -> SexValue | None:
         return None
     return SexValue(root, e // 2)
 
-
-# Quadratic-irrational bounds offset + sqrt(radicand), compared exactly by
-# integer squaring; no approximation anywhere.
-SQRT2 = (0, 2)
-SQRT3 = (0, 3)
-SQRT2_MINUS_1 = (-1, 2)
-ONE_PLUS_SQRT2 = (1, 2)
-
-QUADRATIC_BOUNDS = {
-    "sqrt2": SQRT2,
-    "sqrt3": SQRT3,
-    "sqrt2-1": SQRT2_MINUS_1,
-    "1+sqrt2": ONE_PLUS_SQRT2,
-}
-
-
-def cmp_quadratic(v: SexValue, bound: tuple[int, int] | str) -> int:
-    """Compare the fixed value of v against offset + sqrt(radicand).
-
-    Returns -1, 0 or 1.  v < a + sqrt(b)  iff  v - a <= 0 or (v - a)**2 < b.
-    """
-    if isinstance(bound, str):
-        bound = QUADRATIC_BOUNDS[bound]
-    offset, radicand = bound
-    d = v.fraction - offset
-    if d <= 0:
-        return -1
-    d2 = d * d
-    if d2 < radicand:
-        return -1
-    if d2 == radicand:
-        return 0
-    return 1

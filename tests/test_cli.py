@@ -11,7 +11,7 @@ import pytest
 import plimpton
 from plimpton.cli import main
 from plimpton.pairs import ReciprocalPair
-from plimpton.sexagesimal import factor_2_3_5, parse_sex
+from plimpton.sexagesimal import factor_2_3_5, from_fraction, parse_sex
 
 
 def run(capsys, *argv):
@@ -266,3 +266,19 @@ class TestWorkCeilings:
         assert built, "no pair was counted"
         assert len(built) <= self.CEILING
         assert len(factored) <= self.CEILING
+
+    @pytest.mark.parametrize("tag", ["buck1980", "friberg1981"])
+    def test_pq_theories_convert_no_fraction(self, capsys, monkeypatch, tag):
+        # the bounds on P/Q are integer tests: no candidate becomes a SexValue
+        converted = []
+
+        def counting_from_fraction(value):
+            converted.append(value)
+            return from_fraction(value)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "plimpton"
+                    and getattr(module, "from_fraction", None) is from_fraction):
+                monkeypatch.setattr(module, "from_fraction", counting_from_fraction)
+        assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
+        assert converted == []

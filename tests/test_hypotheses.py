@@ -8,8 +8,8 @@ from plimpton.hypotheses import (
     LOWER_EXTENSION_PRINTED,
     PLIMPTON_PAIRS_PRINTED,
     TABLE1_PQ,
+    THEORIES,
     UPPER_EXTENSION_PRINTED,
-    Hypothesis,
     extend_phillips,
     extension_corrections,
     generate,
@@ -24,7 +24,7 @@ from plimpton.sexagesimal import factor_2_3_5, render_sex
 
 
 def _t_set(tag):
-    return {r.pair.T.mantissa for r in generate(Hypothesis(tag))}
+    return {r.pair.T.mantissa for r in generate(tag)}
 
 
 PHILLIPS_T = [r.pair.T.mantissa for r in generate("phillips")]
@@ -40,8 +40,62 @@ class TestHypothesisCounts:
         assert len(generate(tag)) == count
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            Hypothesis("kepler1619")
+        with pytest.raises(ValueError, match="unknown hypothesis 'kepler1619'"):
+            generate("kepler1619")
+
+
+def _cmp_quadratic(r, offset, radicand):
+    """Exact comparison of r with offset + sqrt(radicand) by squaring."""
+    d = r - offset
+    if d <= 0:
+        return -1
+    return (d * d > radicand) - (d * d < radicand)
+
+
+# The published bounds on P/Q as exact rationals, the quadratic ones compared
+# by squaring a Fraction: the reference for the theories' integer tests.
+REFERENCE_BOUNDS = {
+    "price1964": lambda r: Fraction(16, 9) < r <= Fraction(12, 5),
+    "buck1980": lambda r: (_cmp_quadratic(r, 0, 3) > 0
+                           and _cmp_quadratic(r, 1, 2) < 0),
+    "friberg1981": lambda r: (r >= Fraction(9, 5)
+                              and _cmp_quadratic(r, 1, 2) < 0),
+    "friberg2007": lambda r: r < Fraction(29, 12),
+}
+
+
+class TestTheoryBounds:
+    @pytest.mark.parametrize("tag", sorted(REFERENCE_BOUNDS))
+    def test_integer_test_agrees_with_fraction_reference(self, tag):
+        test = THEORIES[tag][3]
+        regs = regular_mantissas(4)
+        checked = 0
+        for q in (q for q in regs if q < 100):
+            for p in (p for p in regs if q < p <= 3 * q and gcd(p, q) == 1):
+                assert test(p, q) == REFERENCE_BOUNDS[tag](Fraction(p, q)), (p, q)
+                checked += 1
+        assert checked == 63
+
+    @pytest.mark.parametrize("tag,p,q,selected", [
+        # convergents of sqrt(3): P**2 - 3 Q**2 is 1 above it, -2 below
+        ("buck1980", 97, 56, True),
+        ("buck1980", 71, 41, False),
+        ("buck1980", 1351, 780, True),
+        ("buck1980", 989, 571, False),
+        # convergents of 1 + sqrt(2): (P - Q)**2 - 2 Q**2 is -1 below, 1 above
+        ("friberg1981", 12, 5, True),
+        ("friberg1981", 29, 12, False),
+        ("friberg1981", 2378, 985, True),
+        ("friberg1981", 985, 408, False),
+        # rational bounds: which end is closed
+        ("price1964", 16, 9, False),
+        ("price1964", 12, 5, True),
+        ("friberg1981", 9, 5, True),
+        ("friberg2007", 29, 12, False),
+    ])
+    def test_exact_at_the_bounds(self, tag, p, q, selected):
+        assert THEORIES[tag][3](p, q) is selected
+        assert REFERENCE_BOUNDS[tag](Fraction(p, q)) is selected
 
 
 class TestAgreements:

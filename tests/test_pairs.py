@@ -12,7 +12,6 @@ from plimpton.pairs import (
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,
-    enumerate_regulars,
     excluded_pair_corrections,
     excluded_pairs,
     full_mult10_list,
@@ -99,7 +98,7 @@ class TestReciprocalPair:
 
 class TestRegularEnumeration:
     def test_one_place_regulars(self):
-        assert [r.mantissa for r in enumerate_regulars(1)] == [
+        assert regular_mantissas(1) == [
             1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25,
             27, 30, 32, 36, 40, 45, 48, 50, 54]
 
@@ -152,7 +151,8 @@ class TestCriteria:
 
     def test_disjunctive_reading_excludes_more(self):
         conj = sum(bruins_excluded(p) for p in _pairs("places_only"))
-        disj = sum(bruins_excluded(p, conjunctive=False)
+        # either member heavy (alpha+beta+gamma > 13) or deep (gamma > 3)
+        disj = sum(any(sum(r.triple) > 13 or r.gamma > 3 for r in (p.T, p.Tbar))
                    for p in _pairs("places_only"))
         assert disj > conj == 6
 

@@ -9,7 +9,6 @@ from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
     add,
-    cmp_quadratic,
     factor_2_3_5,
     from_fraction,
     halve,
@@ -174,7 +173,7 @@ class TestRegulars:
         assert place_length(SexValue(512000)) == 4
 
 
-class TestSqrtAndQuadratics:
+class TestSqrt:
     def test_sqrt_exact(self):
         assert sqrt_exact(SexValue(13500 * 13500)) == SexValue(13500)
         assert sqrt_exact(ONE) == ONE
@@ -186,22 +185,3 @@ class TestSqrtAndQuadratics:
     def test_sqrt_squares(self, m, e):
         v = SexValue(m, e)
         assert sqrt_exact(mul(v, v)) == v
-
-    @pytest.mark.parametrize("text,bound,expected", [
-        ("2;24", "sqrt3", 1),       # 2.4 > sqrt(3)
-        ("1;43", "sqrt3", -1),
-        ("2;24", "1+sqrt2", -1),
-        ("0;25", "sqrt2-1", 1),
-        ("0;24", "sqrt2-1", -1),
-        ("1;25", "sqrt2", 1),
-        ("1;24", "sqrt2", -1),
-    ])
-    def test_cmp_quadratic(self, text, bound, expected):
-        assert cmp_quadratic(parse_sex(text, "fixed"), bound) == expected
-
-    def test_cmp_quadratic_is_exact_near_the_bound(self):
-        # 1;24 51 10 is the classic close approximation to sqrt(2)
-        close = parse_sex("1;24 51 10", "fixed")
-        assert cmp_quadratic(close, "sqrt2") == -1
-        barely_over = parse_sex("1;24 51 11", "fixed")
-        assert cmp_quadratic(barely_over, "sqrt2") == 1
