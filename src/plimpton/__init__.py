@@ -22,7 +22,6 @@ from .sexagesimal import (
 )
 from .pairs import (
     Correction,
-    PairCriterion,
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,

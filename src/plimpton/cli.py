@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import hypotheses, pairs, tablet
-from .pairs import Correction, PairCriterion, ReciprocalPair, enumerate_pairs
+from .pairs import Correction, ReciprocalPair, enumerate_pairs
 from .rows import RowCandidate
 from .sexagesimal import (
     ONE,
@@ -150,8 +150,7 @@ def cmd_pairs(args) -> int:
         raise DataError(f"malformed range: {e}")
     if lo.fraction > hi.fraction:
         lo, hi = hi, lo
-    criterion = PairCriterion(_CRITERION_KINDS[args.criterion], lo, hi)
-    found = enumerate_pairs(criterion)
+    found = enumerate_pairs(_CRITERION_KINDS[args.criterion], lo, hi)
     rows = [_pair_row(i, p) for i, p in enumerate(found, 1)]
     corrections = (hypotheses.plimpton_pair_corrections()
                    if args.criterion == "mult10"
@@ -238,12 +237,11 @@ def cmd_extend(args) -> int:
 
 
 def cmd_link(args) -> int:
-    r = _parse_regular_arg(args.value)
-    chain = hypotheses.link_to_standard(
-        ReciprocalPair.from_T_mantissa(r.mantissa))
+    pair = ReciprocalPair.from_triple(_parse_regular_arg(args.value).triple)
+    chain = hypotheses.link_to_standard(pair)
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": "link",
-               "pair": _pair_row("", ReciprocalPair.from_T_mantissa(r.mantissa)),
+               "pair": _pair_row("", pair),
                "in_table": chain.in_table,
                "start": _pair_row("", chain.start),
                "factor": list(chain.factor),

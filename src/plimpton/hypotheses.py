@@ -19,15 +19,14 @@ from math import gcd
 
 from .pairs import (
     Correction,
-    PairCriterion,
     ReciprocalPair,
+    _regular_triples,
     enumerate_pairs,
     pair_corrections,
     plimpton_range,
-    regular_mantissas,
 )
 from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
-from .sexagesimal import RegularNumber, SexValue, factor_2_3_5, render_sex
+from .sexagesimal import RegularNumber, SexValue, render_sex
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -60,7 +59,7 @@ PLIMPTON_PAIRS_PRINTED = [
 
 
 def phillips_pairs() -> list[ReciprocalPair]:
-    return enumerate_pairs(PairCriterion("mult10", *plimpton_range()))
+    return enumerate_pairs("mult10", *plimpton_range())
 
 
 def plimpton_pair_corrections(
@@ -72,7 +71,7 @@ def plimpton_pair_corrections(
 
 # Every theory, in survey order, with how it chooses its rows:
 # - ns1945: the (P, Q) of TABLE1_PQ, in that order;
-# - a PairCriterion kind: the reciprocal pairs of the tablet's T range;
+# - a criterion kind of enumerate_pairs: the pairs of the tablet's T range;
 # - (least Q, Q limit, P limit, test): coprime regular P > Q with
 #   least Q <= Q < Q limit, P < P limit (None: no limit) and test(P, Q).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
@@ -96,14 +95,16 @@ HYPOTHESIS_TAGS = tuple(THEORIES)
 
 def _pq_theory_pairs(least_q: int, q_limit: int, p_limit: int | None,
                      test) -> list[ReciprocalPair]:
-    regs = regular_mantissas(4)
+    regs = sorted(_regular_triples(4))
+    ms = [m for m, _ in regs]
     pairs = []
-    for q in regs[bisect_left(regs, least_q):bisect_left(regs, q_limit)]:
+    for q, q_triple in regs[bisect_left(ms, least_q):bisect_left(ms, q_limit)]:
         # every surveyed ratio bound is below 3
         top = 3 * q if p_limit is None else min(3 * q, p_limit - 1)
-        for p in regs[bisect_right(regs, q):bisect_right(regs, top)]:
+        for p, p_triple in regs[bisect_right(ms, q):bisect_right(ms, top)]:
             if gcd(p, q) == 1 and test(p, q):
-                pairs.append(pair_from_pq(PQPair(p, q)))
+                pairs.append(ReciprocalPair.from_triple(
+                    tuple(e - f for e, f in zip(p_triple, q_triple))))
     pairs.sort(key=lambda p: p.t_fraction, reverse=True)
     return pairs
 
@@ -125,7 +126,7 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     if rule is TABLE1_PQ:
         return [_table1_row(n, PQPair(*pq)) for n, pq in enumerate(rule, 1)]
     if isinstance(rule, str):
-        pairs = enumerate_pairs(PairCriterion(rule, *plimpton_range()))
+        pairs = enumerate_pairs(rule, *plimpton_range())
     else:
         pairs = _pq_theory_pairs(*rule)
     return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
@@ -140,65 +141,66 @@ class ExtensionRow:
     pair: ReciprocalPair
 
 
-# Printed extension tables, four places per member, trailing zero padding.
-# Digit 64 appears twice in the source (a misprint of "06 4"); the affected
-# rows are corrected by computation and logged, never silently fixed.
+# Printed extension tables, digit strings as printed: four places per
+# member, padded with trailing zeros.  Digit 64 appears twice in the source
+# (a misprint of "06 4"); the affected rows are corrected by computation and
+# logged, never silently fixed.
 LOWER_EXTENSION_PRINTED = [
-    ("-21", (3, 54, 22, 30), (15, 21, 36, 0)),
-    ("i", (3, 50, 24, 0), (15, 37, 30, 0)),
-    ("-20", (3, 45, 0, 0), (16, 0, 0, 0)),
-    ("ii", (3, 42, 13, 20), (16, 12, 0, 0)),
-    ("-19", (3, 36, 0, 0), (16, 40, 0, 0)),
-    ("-18", (3, 33, 20, 0), (16, 52, 30, 0)),
-    ("-17", (3, 28, 20, 0), (17, 16, 48, 0)),
-    ("-16", (3, 22, 30, 0), (17, 46, 40, 0)),
-    ("-15", (3, 20, 0, 0), (18, 0, 0, 0)),
-    ("-14", (3, 14, 24, 0), (18, 31, 64, 0)),
-    ("-13", (3, 12, 0, 0), (18, 45, 0, 0)),
-    ("-12", (3, 7, 30, 0), (19, 12, 0, 0)),
-    ("-11", (3, 0, 0, 0), (20, 0, 0, 0)),
-    ("-10", (2, 57, 46, 40), (20, 15, 0, 0)),
-    ("-9", (2, 52, 48, 0), (20, 50, 0, 0)),
-    ("iii", (2, 50, 40, 0), (21, 5, 37, 30)),
-    ("-8", (2, 48, 45, 0), (21, 20, 0, 0)),
-    ("-7", (2, 46, 40, 0), (21, 36, 0, 0)),
-    ("-6", (2, 42, 0, 0), (22, 13, 20, 0)),
-    ("-5", (2, 40, 0, 0), (22, 30, 0, 0)),
-    ("-4", (2, 36, 15, 0), (23, 2, 24, 0)),
-    ("-3", (2, 33, 36, 0), (23, 26, 15, 0)),
-    ("-2", (2, 31, 52, 30), (23, 42, 13, 20)),
-    ("-1", (2, 30, 0, 0), (24, 0, 0, 0)),
+    ("-21", "3 54 22 30", "15 21 36 0"),
+    ("i", "3 50 24 0", "15 37 30 0"),
+    ("-20", "3 45 0 0", "16 0 0 0"),
+    ("ii", "3 42 13 20", "16 12 0 0"),
+    ("-19", "3 36 0 0", "16 40 0 0"),
+    ("-18", "3 33 20 0", "16 52 30 0"),
+    ("-17", "3 28 20 0", "17 16 48 0"),
+    ("-16", "3 22 30 0", "17 46 40 0"),
+    ("-15", "3 20 0 0", "18 0 0 0"),
+    ("-14", "3 14 24 0", "18 31 64 0"),
+    ("-13", "3 12 0 0", "18 45 0 0"),
+    ("-12", "3 7 30 0", "19 12 0 0"),
+    ("-11", "3 0 0 0", "20 0 0 0"),
+    ("-10", "2 57 46 40", "20 15 0 0"),
+    ("-9", "2 52 48 0", "20 50 0 0"),
+    ("iii", "2 50 40 0", "21 5 37 30"),
+    ("-8", "2 48 45 0", "21 20 0 0"),
+    ("-7", "2 46 40 0", "21 36 0 0"),
+    ("-6", "2 42 0 0", "22 13 20 0"),
+    ("-5", "2 40 0 0", "22 30 0 0"),
+    ("-4", "2 36 15 0", "23 2 24 0"),
+    ("-3", "2 33 36 0", "23 26 15 0"),
+    ("-2", "2 31 52 30", "23 42 13 20"),
+    ("-1", "2 30 0 0", "24 0 0 0"),
 ]
 
 UPPER_EXTENSION_PRINTED = [
-    ("16", (1, 46, 40, 0), (33, 45, 0, 0)),
-    ("iv", (1, 44, 10, 0), (34, 33, 36, 0)),
-    ("v", (1, 42, 24, 0), (35, 9, 22, 30)),
-    ("17", (1, 41, 15, 0), (35, 33, 20, 0)),
-    ("18", (1, 40, 0, 0), (36, 0, 0, 0)),
-    ("19", (1, 37, 12, 0), (37, 2, 13, 20)),
-    ("20", (1, 36, 0, 0), (37, 30, 0, 0)),
-    ("21", (1, 33, 45, 0), (38, 24, 0, 0)),
-    ("22", (1, 30, 0, 0), (40, 0, 0, 0)),
-    ("23", (1, 28, 53, 20), (40, 30, 0, 0)),
-    ("24", (1, 26, 24, 0), (41, 40, 0, 0)),
-    ("25", (1, 25, 20, 0), (42, 11, 15, 0)),
-    ("26", (1, 24, 22, 30), (42, 40, 0, 0)),
-    ("27", (1, 23, 20, 0), (43, 12, 0, 0)),
-    ("28", (1, 21, 0, 0), (44, 26, 40, 0)),
-    ("29", (1, 20, 0, 0), (45, 0, 0, 0)),
-    ("vi", (1, 18, 7, 30), (46, 4, 48, 0)),
-    ("30", (1, 16, 48, 0), (46, 52, 30, 0)),
-    ("31", (1, 15, 0, 0), (48, 0, 0, 0)),
-    ("32", (1, 12, 0, 0), (50, 0, 0, 0)),
-    ("33", (1, 11, 64, 0), (50, 37, 30, 0)),
-    ("vii", (1, 9, 26, 40), (51, 50, 24, 0)),
-    ("34", (1, 7, 30, 0), (53, 20, 0, 0)),
-    ("35", (1, 6, 40, 0), (54, 0, 0, 0)),
-    ("36", (1, 4, 48, 0), (55, 33, 20, 0)),
-    ("37", (1, 4, 0, 0), (56, 15, 0, 0)),
-    ("38", (1, 2, 30, 0), (57, 36, 0, 0)),
-    ("viii", (1, 0, 45, 0), (59, 15, 33, 20)),
+    ("16", "1 46 40 0", "33 45 0 0"),
+    ("iv", "1 44 10 0", "34 33 36 0"),
+    ("v", "1 42 24 0", "35 9 22 30"),
+    ("17", "1 41 15 0", "35 33 20 0"),
+    ("18", "1 40 0 0", "36 0 0 0"),
+    ("19", "1 37 12 0", "37 2 13 20"),
+    ("20", "1 36 0 0", "37 30 0 0"),
+    ("21", "1 33 45 0", "38 24 0 0"),
+    ("22", "1 30 0 0", "40 0 0 0"),
+    ("23", "1 28 53 20", "40 30 0 0"),
+    ("24", "1 26 24 0", "41 40 0 0"),
+    ("25", "1 25 20 0", "42 11 15 0"),
+    ("26", "1 24 22 30", "42 40 0 0"),
+    ("27", "1 23 20 0", "43 12 0 0"),
+    ("28", "1 21 0 0", "44 26 40 0"),
+    ("29", "1 20 0 0", "45 0 0 0"),
+    ("vi", "1 18 7 30", "46 4 48 0"),
+    ("30", "1 16 48 0", "46 52 30 0"),
+    ("31", "1 15 0 0", "48 0 0 0"),
+    ("32", "1 12 0 0", "50 0 0 0"),
+    ("33", "1 11 64 0", "50 37 30 0"),
+    ("vii", "1 9 26 40", "51 50 24 0"),
+    ("34", "1 7 30 0", "53 20 0 0"),
+    ("35", "1 6 40 0", "54 0 0 0"),
+    ("36", "1 4 48 0", "55 33 20 0"),
+    ("37", "1 4 0 0", "56 15 0 0"),
+    ("38", "1 2 30 0", "57 36 0 0"),
+    ("viii", "1 0 45 0", "59 15 33 20"),
 ]
 
 # A cited earlier reconstruction gives row -17's T as 3 29 10; computation
@@ -217,8 +219,7 @@ def extend_phillips(side: str) -> list[ExtensionRow]:
     printed = _extension_printed(side)
     lo, hi = {"lower": (518401, 843750),  # 2;24 < T <= 3;54 22 30
               "upper": (216001, 388799)}[side]  # 1 < T < 1;48
-    pairs = enumerate_pairs(
-        PairCriterion("mult10", SexValue(lo, -3), SexValue(hi, -3)))
+    pairs = enumerate_pairs("mult10", SexValue(lo, -3), SexValue(hi, -3))
     if len(pairs) != len(printed):
         raise AssertionError(
             f"{side} extension: computed {len(pairs)} pairs, "
@@ -235,29 +236,14 @@ def _extension_printed(side: str):
         raise ValueError(f"side must be 'lower' or 'upper', not {side!r}")
 
 
-def _padded_digits(v: SexValue) -> tuple[int, ...]:
-    digits = v.digits()
-    return tuple(digits + [0] * (4 - len(digits)))
-
-
 def extension_corrections(side: str,
                           rows: list[ExtensionRow] | None = None) -> list[Correction]:
     """Printed-vs-computed digit log for one extension table.  ``rows`` is
     the table ``extend_phillips(side)`` returned, if the caller has it."""
     if rows is None:
         rows = extend_phillips(side)
-    out = []
-    table = f"extension-{side}"
-    for (label, t_printed, tbar_printed), row in zip(
-            _extension_printed(side), rows):
-        for column, printed, value in (
-                ("T", t_printed, row.pair.T.value),
-                ("Tbar", tbar_printed, row.pair.Tbar.value)):
-            if _padded_digits(value) != printed:
-                out.append(Correction(
-                    table, label, column,
-                    " ".join(str(d) for d in printed),
-                    render_sex(value, pad_to=4)))
+    out = pair_corrections(f"extension-{side}", _extension_printed(side),
+                           [row.pair for row in rows])
     if side == "lower":
         minus17 = next(row.pair.T.value for row in rows if row.label == "-17")
         out.append(Correction("extension-lower(variant)", "-17", "T",
@@ -301,12 +287,8 @@ class LinkChain:
         return max(f, 1 / f)
 
     def replay(self) -> ReciprocalPair:
-        m = self.start.T.mantissa
-        num, den = self.factor_fraction.numerator, self.factor_fraction.denominator
-        m *= num
-        while m % den:
-            m *= 60
-        return ReciprocalPair.from_T_mantissa(m // den)
+        return ReciprocalPair.from_triple(
+            tuple(e + f for e, f in zip(self.start.T.triple, self.factor)))
 
     def __str__(self) -> str:
         if self.in_table:
@@ -318,13 +300,10 @@ class LinkChain:
 
 def standard_table() -> list[ReciprocalPair]:
     """The conventional school list: regular numbers 2 through 81 with
-    their reciprocals.  (60 reads as the unit and is omitted.)"""
-    pairs = []
-    for n in range(2, 82):
-        if factor_2_3_5(n) is None or n == 60:
-            continue
-        pairs.append(ReciprocalPair.from_T_mantissa(n))
-    return pairs
+    their reciprocals.  (60 reads as the unit and is omitted: its canonical
+    mantissa is 1.)"""
+    return [ReciprocalPair.from_triple(triple)
+            for m, triple in sorted(_regular_triples(2)) if 1 < m < 82]
 
 
 def _lattice_class(r: RegularNumber) -> tuple[int, int]:
@@ -334,10 +313,10 @@ def _lattice_class(r: RegularNumber) -> tuple[int, int]:
 
 
 @cache
-def _start_classes() -> dict[tuple[int, int], int]:
-    """Lattice class -> mantissa of every member of a standard-table pair;
-    a member's reciprocal has the opposite class."""
-    return {_lattice_class(r): r.mantissa
+def _start_classes() -> dict[tuple[int, int], RegularNumber]:
+    """Lattice class -> every member of a standard-table pair; a member's
+    reciprocal has the opposite class."""
+    return {_lattice_class(r): r
             for p in standard_table() for r in (p.T, p.Tbar)}
 
 
@@ -360,14 +339,14 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))
     fewest, ties = None, []
-    for (s1, s2), m in starts.items():
+    for (s1, s2), r in starts.items():
         d1, d2 = t1 - s1, t2 - s2
         for j in range(min(0, -d2, -d1 // 2), max(0, -d2, -(d1 // 2)) + 1):
             steps = abs(d1 + 2 * j) + abs(d2 + j) + abs(j)
             if fewest is None or steps < fewest:
                 fewest, ties = steps, []
             if steps == fewest:
-                ties.append(((d1 + 2 * j, d2 + j, j), m))
-    factor, m = min(ties, key=lambda c: (
-        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1]))
-    return LinkChain(ReciprocalPair.from_T_mantissa(m), factor)
+                ties.append(((d1 + 2 * j, d2 + j, j), r))
+    factor, r = min(ties, key=lambda c: (
+        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1].mantissa))
+    return LinkChain(ReciprocalPair.from_triple(r.triple), factor)

@@ -38,20 +38,26 @@ class ReciprocalPair:
     @classmethod
     def from_T_mantissa(cls, mantissa: int) -> "ReciprocalPair":
         """The pair whose T has this mantissa, factors of 60 stripped."""
-        t = regular_from_int(SexValue(mantissa).mantissa)
-        return cls._from_triple(t.mantissa, t.triple, place_length(t.value))
+        return cls.from_triple(regular_from_int(mantissa).triple)
 
     @classmethod
-    def _from_triple(cls, mantissa: int, triple: tuple[int, int, int],
-                     places: int) -> "ReciprocalPair":
-        """The pair of a canonical T mantissa, its triple and its places.
+    def from_triple(cls, triple: tuple[int, int, int]) -> "ReciprocalPair":
+        """The pair whose T is 2**a 3**b 5**c up to powers of 60, for any
+        integer triple (a, b, c).
 
-        T keeps the triple with its units place moved to the first digit;
-        Tbar's triple comes from :func:`reciprocal`.  Mantissas multiply to
-        60**k with k the sum of the two 5-exponents, so Tbar's units place
-        is set to make the fixed product exactly 1.
+        Removing (2, 1, 1) n times, n = min(a//2, b, c) (adding it when n is
+        negative), gives T's canonical mantissa.  T's units place moves to its first digit; Tbar's triple
+        comes from :func:`reciprocal`.  Mantissas multiply to 60**k with k
+        the sum of the two 5-exponents, so Tbar's units place is set to make
+        the fixed product exactly 1.
         """
-        t = RegularNumber(SexValue(mantissa, 1 - places), *triple)
+        a, b, c = triple
+        n = min(a // 2, b, c)
+        a, b, c = a - 2 * n, b - n, c - n
+        mantissa, places = 2**a * 3**b * 5**c, 1
+        while 60**places <= mantissa:
+            places += 1
+        t = RegularNumber(SexValue(mantissa, 1 - places), a, b, c)
         tbar = reciprocal(t)
         return cls(t, RegularNumber(
             SexValue(tbar.mantissa, places - 1 - (t.gamma + tbar.gamma)),
@@ -61,31 +67,8 @@ class ReciprocalPair:
     def t_fraction(self) -> Fraction:
         return self.T.value.fraction
 
-    def mirror(self) -> "ReciprocalPair":
-        """The pair with the roles of the two mantissas swapped."""
-        return ReciprocalPair.from_T_mantissa(self.Tbar.mantissa)
-
     def __str__(self) -> str:
         return f"({render_sex(self.T.value)}, {render_sex(self.Tbar.value)})"
-
-
-@dataclass(frozen=True)
-class PairCriterion:
-    """Membership rule over the pairs of four-place T, plus an inclusive
-    fixed-reading range for T.
-
-    kind is one of "mult10", "bruins", "places_only".
-    """
-
-    kind: str
-    lower: SexValue
-    upper: SexValue
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("mult10", "bruins", "places_only"):
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.lower.fraction > self.upper.fraction:
-            raise ValueError("empty range: lower bound exceeds upper bound")
 
 
 def plimpton_range() -> tuple[SexValue, SexValue]:
@@ -158,15 +141,13 @@ def _four_place_pairs(kind: str, lo: int, hi: int) -> list[ReciprocalPair]:
     the survivors' pairs come from the enumerated triples, then Tbar's test.
     """
     found = []
-    for m, triple in _regular_triples(4):
-        padded, places = m, 4
+    for padded, triple in _regular_triples(4):
         while padded < 60**3:
-            padded, places = padded * 60, places - 1
+            padded *= 60
         if lo <= padded <= hi and (kind != "mult10" or padded % 10 == 0):
-            found.append((padded, m, triple, places))
+            found.append((padded, triple))
     found.sort(reverse=True)
-    pairs = (ReciprocalPair._from_triple(m, triple, places)
-             for _, m, triple, places in found)
+    pairs = (ReciprocalPair.from_triple(triple) for _, triple in found)
     return [pair for pair in pairs if _tbar_passes(kind, pair)]
 
 
@@ -178,11 +159,17 @@ def _tbar_passes(kind: str, pair: ReciprocalPair) -> bool:
         kind == "places_only" or not bruins_excluded(pair))
 
 
-def enumerate_pairs(c: PairCriterion) -> list[ReciprocalPair]:
+def enumerate_pairs(kind: str, lower: SexValue,
+                    upper: SexValue) -> list[ReciprocalPair]:
     """All four-place pairs whose T lies in [lower, upper] (fixed reading,
-    both ends inclusive) and that pass the criterion, by decreasing T."""
-    return _four_place_pairs(c.kind, ceil(c.lower.fraction * 60**3),
-                             floor(c.upper.fraction * 60**3))
+    both ends inclusive) and that pass criterion ``kind``, one of "mult10",
+    "bruins" and "places_only", by decreasing T."""
+    if kind not in ("mult10", "bruins", "places_only"):
+        raise ValueError(f"unknown criterion kind {kind!r}")
+    if lower.fraction > upper.fraction:
+        raise ValueError("empty range: lower bound exceeds upper bound")
+    return _four_place_pairs(kind, ceil(lower.fraction * 60**3),
+                             floor(upper.fraction * 60**3))
 
 
 def full_mult10_list() -> list[ReciprocalPair]:
@@ -236,13 +223,21 @@ def excluded_pairs() -> list[tuple[str, ReciprocalPair]]:
 
 def pair_corrections(table: str, printed: list[tuple],
                      pairs: list[ReciprocalPair]) -> list[Correction]:
-    """Digit log of printed rows (label, T, Tbar, ...) against the pairs."""
+    """Digit log of printed rows (label, T, Tbar, ...) against the pairs.
+
+    A printed member matches when its digits, trailing zero places dropped,
+    are the computed mantissa's digits (which never end in a zero place).
+    Printed digits are read as written, so a misprinted 64 compares too.
+    """
     out = []
     for (label, *texts), pair in zip(printed, pairs):
         for column, text, member in zip(("T", "Tbar"), texts, (pair.T, pair.Tbar)):
-            computed = render_sex(member.value)
-            if computed != text:
-                out.append(Correction(table, label, column, text, computed))
+            digits = [int(d) for d in text.split()]
+            while digits[-1] == 0:
+                digits.pop()
+            if digits != member.value.digits():
+                out.append(Correction(table, label, column, text,
+                                      render_sex(member.value)))
     return out
 
 

@@ -20,7 +20,6 @@ from .sexagesimal import (
     add,
     halve,
     mul,
-    reciprocal,
     regular_from_int,
     sub,
 )
@@ -90,13 +89,14 @@ def pq_to_triple(pq: PQPair) -> tuple[int, int, int]:
 
 
 def pair_from_pq(pq: PQPair) -> ReciprocalPair:
-    """T = P * recip(Q), Tbar = Q * recip(P); floating product is 1."""
+    """T = P/Q, Tbar = Q/P up to powers of 60: T's triple is P's minus Q's."""
     p, q = regular_from_int(pq.p), regular_from_int(pq.q)
-    t = mul(p.value, reciprocal(q).value)
-    if t.mantissa == 1:
+    pair = ReciprocalPair.from_triple(
+        tuple(e - f for e, f in zip(p.triple, q.triple)))
+    if pair.T.mantissa == 1:
         raise SexagesimalError(
             f"{pq.p}/{pq.q} is a power of 60: the pair (1, 1) generates no triple")
-    return ReciprocalPair.from_T_mantissa(t.mantissa)
+    return pair
 
 
 # A scribe working in two-place cells has no reason to reduce numbers that

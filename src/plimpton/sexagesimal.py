@@ -160,26 +160,16 @@ def _format_digits(digits: list[int]) -> str:
     return " ".join(str(d) if i == 0 else f"{d:02d}" for i, d in enumerate(digits))
 
 
-def render_sex(v: SexValue, mode: str = "floating", pad_to: int | None = None) -> str:
+def render_sex(v: SexValue, mode: str = "floating") -> str:
     """Render to the canonical digit-string format.
 
     The leading digit is unpadded, interior digits are two characters wide.
-    ``pad_to`` appends trailing zero places (floating mode only), giving the
-    padded n-place reading.  Round-trips with :func:`parse_sex`.
+    Round-trips with :func:`parse_sex`.
     """
     if mode == "floating":
-        digits = v.digits()
-        if pad_to is not None:
-            if pad_to < len(digits):
-                raise SexagesimalError(
-                    f"pad_to {pad_to} is smaller than natural length {len(digits)}"
-                )
-            digits = digits + [0] * (pad_to - len(digits))
-        return _format_digits(digits)
+        return _format_digits(v.digits())
     if mode != "fixed":
         raise ValueError(f"unknown mode {mode!r}")
-    if pad_to is not None:
-        raise SexagesimalError("pad_to applies to the floating rendering only")
     digits = v.digits()
     high = len(digits) - 1 + v.exponent  # place of the leading digit
     if v.exponent >= 0:

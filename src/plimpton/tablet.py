@@ -203,13 +203,6 @@ def verify_properties(rows: list[TabletRowRecord], use: str = "corrected",
     ]
 
 
-def diagonal_gnomon_root(row: TabletRowRecord, use: str = "corrected") -> SexValue | None:
-    """sqrt(D**2 - S**2), the long side, when it is a perfect square."""
-    s = _int_value(row.s.value(use))
-    d = _int_value(row.d.value(use))
-    return sqrt_exact(SexValue(d * d - s * s))
-
-
 # ---------------------------------------------------------------------------
 # Diffing hypothesis output against the tablet
 

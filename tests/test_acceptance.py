@@ -25,7 +25,6 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.pairs import (
-    PairCriterion,
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,
@@ -94,12 +93,12 @@ def test_criterion_2_tablet_regeneration():
 def test_criterion_3_exclusions():
     lo, hi = plimpton_range()
     places4 = {p.T.mantissa
-               for p in enumerate_pairs(PairCriterion("places_only", lo, hi))}
+               for p in enumerate_pairs("places_only", lo, hi)}
     mult10 = {p.T.mantissa
-              for p in enumerate_pairs(PairCriterion("mult10", lo, hi))}
+              for p in enumerate_pairs("mult10", lo, hi)}
     by_difference = places4 - mult10
     by_rule = {p.T.mantissa
-               for p in enumerate_pairs(PairCriterion("places_only", lo, hi))
+               for p in enumerate_pairs("places_only", lo, hi)
                if bruins_excluded(p)}
     listed = {pair.T.mantissa for _, pair in excluded_pairs()}
     labels = [label for label, _ in excluded_pairs()]
@@ -282,7 +281,7 @@ def test_criterion_9_oracle_equivalence():
                              ("1;00 45", "1;48")):
         lo, hi = parse_sex(lo_text, "fixed"), parse_sex(hi_text, "fixed")
         got = {p.T.mantissa
-               for p in enumerate_pairs(PairCriterion("mult10", lo, hi))}
+               for p in enumerate_pairs("mult10", lo, hi)}
         expected = set()
         for a in range(25):
             for b in range(16):

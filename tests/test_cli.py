@@ -237,6 +237,21 @@ class TestWorkCeilings:
 
     CEILING = 50
 
+    @staticmethod
+    def count_factorizations(monkeypatch) -> list:
+        factored = []
+
+        def counting_factor(n):
+            factored.append(n)
+            return factor_2_3_5(n)
+
+        # modules import factor_2_3_5 by name: count the call under each
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "plimpton"
+                    and getattr(module, "factor_2_3_5", None) is factor_2_3_5):
+                monkeypatch.setattr(module, "factor_2_3_5", counting_factor)
+        return factored
+
     @pytest.mark.parametrize("argv", [
         ("rows", "--hypothesis", "phillips"),
         ("pairs", "--criterion", "mult10", "--from", "1;48", "--to", "2;24"),
@@ -245,27 +260,33 @@ class TestWorkCeilings:
         ("tablet", "diff", "--hypothesis", "bruins1949"),
     ])
     def test_ceiling(self, capsys, monkeypatch, argv):
-        built, factored = [], []
+        built = []
         init = ReciprocalPair.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
             init(self, *args, **kwargs)
 
-        def counting_factor(n):
-            factored.append(n)
-            return factor_2_3_5(n)
-
         monkeypatch.setattr(ReciprocalPair, "__init__", counting_init)
-        # modules import factor_2_3_5 by name: count the call under each
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "plimpton"
-                    and getattr(module, "factor_2_3_5", None) is factor_2_3_5):
-                monkeypatch.setattr(module, "factor_2_3_5", counting_factor)
+        factored = self.count_factorizations(monkeypatch)
         assert run(capsys, *argv)[0] == 0
         assert built, "no pair was counted"
         assert len(built) <= self.CEILING
         assert len(factored) <= self.CEILING
+
+    @pytest.mark.parametrize("tag", ["price1964", "buck1980", "friberg1981",
+                                     "friberg2007"])
+    def test_pq_theories_factorize_nothing(self, capsys, monkeypatch, tag):
+        # P and Q come with their triples from the enumeration
+        factored = self.count_factorizations(monkeypatch)
+        assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
+        assert factored == []
+
+    def test_link_factorizes_its_input_once(self, capsys, monkeypatch):
+        # the standard table and the linked pairs are built from triples
+        factored = self.count_factorizations(monkeypatch)
+        assert run(capsys, "link", "2 09 36", "--format", "json")[0] == 0
+        assert len(factored) <= 1
 
     @pytest.mark.parametrize("tag", ["buck1980", "friberg1981"])
     def test_pq_theories_convert_no_fraction(self, capsys, monkeypatch, tag):

@@ -8,7 +8,6 @@ from plimpton.hypotheses import extend_phillips
 
 from plimpton.pairs import (
     EXCLUDED_PAIRS_PRINTED,
-    PairCriterion,
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,
@@ -51,7 +50,7 @@ PHILLIPS_15 = [
 
 def _pairs(kind):
     lo, hi = plimpton_range()
-    return enumerate_pairs(PairCriterion(kind, lo, hi))
+    return enumerate_pairs(kind, lo, hi)
 
 
 class TestReciprocalPair:
@@ -90,10 +89,40 @@ class TestReciprocalPair:
         assert p.T.value.fraction == Fraction(12, 5)
         assert p.Tbar.value.fraction == Fraction(5, 12)
 
-    def test_mirror(self):
+    def test_pair_of_tbar_swaps_roles(self):
         p = ReciprocalPair.from_T_mantissa(144)
-        assert p.mirror().T.mantissa == 25
-        assert p.mirror().mirror() == p
+        swapped = ReciprocalPair.from_triple(p.Tbar.triple)
+        assert swapped.T.mantissa == 25
+        assert ReciprocalPair.from_triple(swapped.Tbar.triple) == p
+
+
+def _canonical_mantissa(a, b, c):
+    # scale 2**a 3**b 5**c by powers of 60 to an integer not divisible by 60
+    f = Fraction(2)**a * Fraction(3)**b * Fraction(5)**c
+    while f.denominator != 1:
+        f *= 60
+    n = f.numerator
+    while n % 60 == 0:
+        n //= 60
+    return n
+
+
+class TestFromTriple:
+    """from_triple against mantissas canonicalised by rational scaling."""
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
+    @example(0, 0, 0)
+    @example(2, 1, 1)
+    @example(-1, 0, 0)
+    @example(0, 0, -1)
+    def test_oracle(self, a, b, c):
+        p = ReciprocalPair.from_triple((a, b, c))
+        assert p.T.mantissa == _canonical_mantissa(a, b, c)
+        assert p.Tbar.mantissa == _canonical_mantissa(-a, -b, -c)
+        assert p.T.value.fraction * p.Tbar.value.fraction == 1
+        assert 1 <= p.t_fraction < 60
+        for member in (p.T, p.Tbar):
+            assert member.triple == factor_2_3_5(member.mantissa)
 
 
 class TestRegularEnumeration:
@@ -167,17 +196,17 @@ class TestCriteria:
 
     def test_empty_range_rejected(self):
         lo, hi = plimpton_range()
-        with pytest.raises(ValueError):
-            PairCriterion("mult10", hi, lo)
+        with pytest.raises(ValueError, match="empty range"):
+            enumerate_pairs("mult10", hi, lo)
 
     def test_unknown_kind_rejected(self):
         lo, hi = plimpton_range()
-        with pytest.raises(ValueError):
-            PairCriterion("nope", lo, hi)
+        with pytest.raises(ValueError, match="unknown criterion kind 'nope'"):
+            enumerate_pairs("nope", lo, hi)
 
     def test_single_point_range(self):
         v = parse_sex("2;24", "fixed")
-        assert len(enumerate_pairs(PairCriterion("mult10", v, v))) == 1
+        assert len(enumerate_pairs("mult10", v, v)) == 1
 
 
 class TestFullList:
@@ -213,7 +242,7 @@ class TestOracleSweep:
     def test_ranges(self, lo, hi):
         lo_v, hi_v = parse_sex(lo, "fixed"), parse_sex(hi, "fixed")
         got = {p.T.mantissa
-               for p in enumerate_pairs(PairCriterion("mult10", lo_v, hi_v))}
+               for p in enumerate_pairs("mult10", lo_v, hi_v)}
         expected = set()
         for a in range(25):
             for b in range(16):
@@ -284,13 +313,12 @@ class TestFastPathOracle:
     @example(kind="places_only", a=SexValue(1, -3), b=SexValue(10**9))
     def test_enumerate_pairs_equals_oracle(self, kind, a, b):
         lo, hi = sorted((a, b), key=lambda v: v.fraction)
-        assert enumerate_pairs(PairCriterion(kind, lo, hi)) == \
-            _oracle(kind, lo, hi)
+        assert enumerate_pairs(kind, lo, hi) == _oracle(kind, lo, hi)
 
     def test_bound_past_the_fourth_place(self):
         lo = parse_sex("1;48 00 00 00 01", "fixed")
         hi = parse_sex("2;24", "fixed")
-        got = enumerate_pairs(PairCriterion("mult10", lo, hi))
+        got = enumerate_pairs("mult10", lo, hi)
         assert got == _oracle("mult10", lo, hi)
         assert len(got) == 14
 

@@ -19,9 +19,12 @@ from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
     add,
+    factor_2_3_5,
     from_fraction,
     mul,
     parse_sex,
+    reciprocal,
+    regular_from_int,
     render_sex,
     sub,
 )
@@ -105,14 +108,26 @@ class TestPQ:
         with pytest.raises(SexagesimalError):
             pair_from_pq(PQPair(7, 2))
 
+    def test_pair_from_pq_matches_reciprocal_route(self):
+        # reference: T = P * recip(Q) by SexValue arithmetic, then the pair
+        # of that mantissa; every coprime regular P > Q with Q < 100, P <= 3Q
+        regs = [n for n in range(1, 300) if factor_2_3_5(n) is not None]
+        compared = 0
+        for q in (n for n in regs if n < 100):
+            for p in (n for n in regs if q < n <= 3 * q and gcd(n, q) == 1):
+                t = mul(SexValue(p), reciprocal(regular_from_int(q)).value)
+                assert pair_from_pq(PQPair(p, q)) == \
+                    ReciprocalPair.from_T_mantissa(t.mantissa), (p, q)
+                compared += 1
+        assert compared == 63
+
     @example(60, 1)
     @given(st.integers(1, 60), st.integers(1, 60))
     def test_pq_route_matches_xy_route(self, p, q):
-        from plimpton.sexagesimal import factor_2_3_5
         if p <= q or factor_2_3_5(p) is None or factor_2_3_5(q) is None:
             return
         if p == 60 * q:  # P/Q = 60, the one power of 60 in range: no triple
-            with pytest.raises(SexagesimalError):
+            with pytest.raises(SexagesimalError, match="power of 60"):
                 pair_from_pq(PQPair(p, q))
             return
         pair = pair_from_pq(PQPair(p, q))

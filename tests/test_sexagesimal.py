@@ -86,11 +86,6 @@ class TestParseRender:
         assert render_sex(SexValue(25921)) == "7 12 01"
         assert render_sex(SexValue(1)) == "1"
 
-    def test_render_pad_to(self):
-        assert render_sex(SexValue(135), pad_to=4) == "2 15 00 00"
-        with pytest.raises(SexagesimalError):
-            render_sex(SexValue(512000), pad_to=3)
-
     def test_render_fixed(self):
         assert render_sex(SexValue(144, -1), "fixed") == "2;24"
         assert render_sex(SexValue(119, -2), "fixed") == "0;01 59"

@@ -4,10 +4,9 @@ from importlib import resources
 import pytest
 
 from plimpton.hypotheses import generate
-from plimpton.sexagesimal import SexValue, parse_sex, render_sex
+from plimpton.sexagesimal import SexValue, parse_sex, render_sex, sqrt_exact
 from plimpton.tablet import (
     EDITIONS,
-    diagonal_gnomon_root,
     diff_against,
     error_annotations,
     tablet_data,
@@ -98,7 +97,9 @@ class TestVerification:
         assert by_number[3].failures == (11,)
 
     def test_row4_long_side(self):
-        root = diagonal_gnomon_root(tablet_data("robson")[3])
+        row = tablet_data("robson")[3]
+        s, d = (int(cell.corrected.fraction) for cell in (row.s, row.d))
+        root = sqrt_exact(SexValue(d * d - s * s))
         assert render_sex(root, "fixed") == "3 45 00"
 
     def test_as_written_failures_at_corrected_cells_only(self):
