@@ -20,6 +20,7 @@ from math import gcd
 from .pairs import (
     Correction,
     ReciprocalPair,
+    _four_place_table,
     _regular_triples,
     enumerate_pairs,
     pair_corrections,
@@ -66,7 +67,7 @@ def plimpton_pair_corrections(
         pairs: list[ReciprocalPair] | None = None) -> list[Correction]:
     """The digit log of the fifteen pairs, by default ``phillips_pairs()``."""
     return pair_corrections("standard-15", PLIMPTON_PAIRS_PRINTED,
-                            pairs or phillips_pairs())
+                            phillips_pairs() if pairs is None else pairs)
 
 
 # Every theory, in survey order, with how it chooses its rows:
@@ -95,13 +96,14 @@ HYPOTHESIS_TAGS = tuple(THEORIES)
 
 def _pq_theory_pairs(least_q: int, q_limit: int, p_limit: int | None,
                      test) -> list[ReciprocalPair]:
-    regs = sorted(_regular_triples(4))
-    ms = [m for m, _ in regs]
+    ms, triples = _four_place_table()
     pairs = []
-    for q, q_triple in regs[bisect_left(ms, least_q):bisect_left(ms, q_limit)]:
+    for i in range(bisect_left(ms, least_q), bisect_left(ms, q_limit)):
+        q, q_triple = ms[i], triples[i]
         # every surveyed ratio bound is below 3
         top = 3 * q if p_limit is None else min(3 * q, p_limit - 1)
-        for p, p_triple in regs[bisect_right(ms, q):bisect_right(ms, top)]:
+        for j in range(i + 1, bisect_right(ms, top)):
+            p, p_triple = ms[j], triples[j]
             if gcd(p, q) == 1 and test(p, q):
                 pairs.append(ReciprocalPair.from_triple(
                     tuple(e - f for e, f in zip(p_triple, q_triple))))

@@ -8,8 +8,10 @@ alternative criteria so the competing selections can be compared.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
 
 from .sexagesimal import (
@@ -126,6 +128,25 @@ def _regular_triples(max_places: int):
         p2, a = p2 * 2, a + 1
 
 
+@cache
+def _four_place_table() -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Every canonical regular mantissa of at most four places, ascending,
+    and its exponent triples in the same order; built once per process on
+    first use."""
+    mantissas, triples = zip(*sorted(_regular_triples(4)))
+    return mantissas, triples
+
+
+def _regular_triple(n: int) -> tuple[int, int, int]:
+    """The exponent triple of the regular integer n, looked up in the
+    four-place table when n is there, else by factorization."""
+    mantissas, triples = _four_place_table()
+    i = bisect_left(mantissas, n)
+    if i < len(mantissas) and mantissas[i] == n:
+        return triples[i]
+    return regular_from_int(n).triple
+
+
 def regular_mantissas(max_places: int) -> list[int]:
     """All canonical regular mantissas of at most max_places digits, ascending."""
     return sorted(m for m, _ in _regular_triples(max_places))
@@ -141,7 +162,7 @@ def _four_place_pairs(kind: str, lo: int, hi: int) -> list[ReciprocalPair]:
     the survivors' pairs come from the enumerated triples, then Tbar's test.
     """
     found = []
-    for padded, triple in _regular_triples(4):
+    for padded, triple in zip(*_four_place_table()):
         while padded < 60**3:
             padded *= 60
         if lo <= padded <= hi and (kind != "mult10" or padded % 10 == 0):

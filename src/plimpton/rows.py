@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .pairs import ReciprocalPair
+from .pairs import ReciprocalPair, _regular_triple
 from .sexagesimal import (
     ONE,
     SexValue,
@@ -20,7 +20,6 @@ from .sexagesimal import (
     add,
     halve,
     mul,
-    regular_from_int,
     sub,
 )
 
@@ -90,9 +89,8 @@ def pq_to_triple(pq: PQPair) -> tuple[int, int, int]:
 
 def pair_from_pq(pq: PQPair) -> ReciprocalPair:
     """T = P/Q, Tbar = Q/P up to powers of 60: T's triple is P's minus Q's."""
-    p, q = regular_from_int(pq.p), regular_from_int(pq.q)
-    pair = ReciprocalPair.from_triple(
-        tuple(e - f for e, f in zip(p.triple, q.triple)))
+    pair = ReciprocalPair.from_triple(tuple(
+        e - f for e, f in zip(_regular_triple(pq.p), _regular_triple(pq.q))))
     if pair.T.mantissa == 1:
         raise SexagesimalError(
             f"{pq.p}/{pq.q} is a power of 60: the pair (1, 1) generates no triple")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import gcd, isqrt
 
@@ -103,6 +104,17 @@ def tablet_data(edition: str = "robson") -> list[TabletRowRecord]:
     scribal originals attached where they differ."""
     if edition not in EDITIONS:
         raise ValueError(f"edition must be one of {EDITIONS}, not {edition!r}")
+    rows = list(_parsed_rows(edition))
+    if len(rows) != 15:
+        raise AssertionError(f"expected 15 rows, parsed {len(rows)}")
+    return rows
+
+
+@cache
+def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
+    """The transcription parsed for one edition, once per process on first
+    use.  The records are frozen; :func:`tablet_data` hands each caller its
+    own list of them."""
     rows = []
     for line in _read_resource():
         a_text, s_text, d_text, label = _COLUMN_SPLIT.split(line.strip())
@@ -126,10 +138,7 @@ def tablet_data(edition: str = "robson") -> list[TabletRowRecord]:
                 reconstructed_break=cell.reconstructed_break)
         rows.append(TabletRowRecord(n, cells["a"], cells["s"], cells["d"],
                                     label_reconstructed="[" in label))
-    rows.sort(key=lambda r: r.n)
-    if len(rows) != 15:
-        raise AssertionError(f"expected 15 rows, parsed {len(rows)}")
-    return rows
+    return tuple(sorted(rows, key=lambda r: r.n))
 
 
 # ---------------------------------------------------------------------------

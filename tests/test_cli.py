@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import plimpton
+from plimpton import cli, tablet
 from plimpton.cli import main
+from plimpton.hypotheses import plimpton_pair_corrections
 from plimpton.pairs import ReciprocalPair
 from plimpton.sexagesimal import factor_2_3_5, from_fraction, parse_sex
 
@@ -238,6 +240,18 @@ class TestWorkCeilings:
     CEILING = 50
 
     @staticmethod
+    def count_pairs(monkeypatch) -> list:
+        built = []
+        init = ReciprocalPair.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReciprocalPair, "__init__", counting_init)
+        return built
+
+    @staticmethod
     def count_factorizations(monkeypatch) -> list:
         factored = []
 
@@ -260,24 +274,28 @@ class TestWorkCeilings:
         ("tablet", "diff", "--hypothesis", "bruins1949"),
     ])
     def test_ceiling(self, capsys, monkeypatch, argv):
-        built = []
-        init = ReciprocalPair.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ReciprocalPair, "__init__", counting_init)
+        built = self.count_pairs(monkeypatch)
         factored = self.count_factorizations(monkeypatch)
         assert run(capsys, *argv)[0] == 0
         assert built, "no pair was counted"
         assert len(built) <= self.CEILING
         assert len(factored) <= self.CEILING
 
-    @pytest.mark.parametrize("tag", ["price1964", "buck1980", "friberg1981",
-                                     "friberg2007"])
+    def test_tablet_range_builds_its_pairs_once(self, capsys, monkeypatch):
+        # over the tablet's range the correction log reuses the listed
+        # pairs: 19 pass T's rule, 15 of them Tbar's too
+        built = self.count_pairs(monkeypatch)
+        assert run(capsys, "pairs", "--criterion", "mult10",
+                   "--from", "1;48", "--to", "2;24")[0] == 0
+        assert len(built) == 19
+
+    def test_empty_pair_list_is_not_replaced(self):
+        assert plimpton_pair_corrections([]) == []
+
+    @pytest.mark.parametrize("tag", ["ns1945", "price1964", "buck1980",
+                                     "friberg1981", "friberg2007"])
     def test_pq_theories_factorize_nothing(self, capsys, monkeypatch, tag):
-        # P and Q come with their triples from the enumeration
+        # P and Q come with their triples from the four-place table
         factored = self.count_factorizations(monkeypatch)
         assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
         assert factored == []
@@ -303,3 +321,60 @@ class TestWorkCeilings:
                 monkeypatch.setattr(module, "from_fraction", counting_from_fraction)
         assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
         assert converted == []
+
+
+class TestSetupReuse:
+    """The parser, the parsed transcription and the four-place triple table
+    are built once per process; every main() call must still behave as if
+    it ran alone."""
+
+    ROWS = ("rows", "--hypothesis", "phillips", "--format", "csv")
+
+    def test_usage_error_leaves_next_call_unchanged(self, capsys):
+        before = run(capsys, *self.ROWS)
+        assert run(capsys, "rows", "--hypothesis", "nonesuch")[0] == 1
+        assert run(capsys, "pairs", "--from", "2 24")[0] == 1
+        assert run(capsys, *self.ROWS) == before
+
+    def test_rebound_command_is_called(self, capsys, monkeypatch):
+        assert run(capsys, *self.ROWS)[0] == 0  # the parser exists now
+        called = []
+
+        def fake_rows(args):
+            called.append(args.hypothesis)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_rows", fake_rows)
+        assert run(capsys, *self.ROWS) == (0, "", "")
+        assert called == ["phillips"]
+
+    def test_tablet_data_returns_a_fresh_list(self):
+        first = tablet.tablet_data("joyce")
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        assert tablet.tablet_data("joyce") == expected
+        assert tablet.tablet_data("robson") != expected  # row 15 differs
+
+    def test_ten_calls_build_the_parser_and_read_the_tablet_once(
+            self, capsys, monkeypatch):
+        top_parsers, reads = [], []
+        parser_init = cli._Parser.__init__
+        read_resource = tablet._read_resource
+
+        def counting_parser_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "plimpton":  # not a subcommand's parser
+                top_parsers.append(1)
+            parser_init(self, *args, **kwargs)
+
+        def counting_read():
+            reads.append(1)
+            return read_resource()
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_parser_init)
+        monkeypatch.setattr(tablet, "_read_resource", counting_read)
+        for argv in [("tablet", "verify"), ("tablet", "diff"),
+                     ("tablet", "errors"), self.ROWS, ("recip", "2 05")] * 2:
+            assert run(capsys, *argv)[0] == 0
+        assert len(top_parsers) <= 1
+        assert len(reads) <= 1

@@ -9,6 +9,8 @@ from plimpton.hypotheses import extend_phillips
 from plimpton.pairs import (
     EXCLUDED_PAIRS_PRINTED,
     ReciprocalPair,
+    _four_place_table,
+    _regular_triple,
     bruins_excluded,
     enumerate_pairs,
     excluded_pair_corrections,
@@ -21,10 +23,12 @@ from plimpton.pairs import (
 )
 from plimpton import sexagesimal
 from plimpton.sexagesimal import (
+    SexagesimalError,
     SexValue,
     factor_2_3_5,
     parse_sex,
     place_length,
+    regular_from_int,
     render_sex,
 )
 
@@ -145,6 +149,18 @@ class TestRegularEnumeration:
             for a in range(25) for b in range(16) for c in range(12)
             if 2**a * 3**b * 5**c < 60**4 and (2**a * 3**b * 5**c) % 60})
         assert regular_mantissas(4) == expected
+
+    def test_triple_lookup_matches_factorization(self):
+        # the shared four-place table against factorization, on the table
+        # and off it (a multiple of 60, five places, not regular)
+        mantissas, triples = _four_place_table()
+        assert list(mantissas) == regular_mantissas(4)
+        for m, triple in zip(mantissas, triples):
+            assert triple == factor_2_3_5(m)
+        for n in (120, 2**30):
+            assert _regular_triple(n) == regular_from_int(n).triple
+        with pytest.raises(SexagesimalError, match="7 is not regular"):
+            _regular_triple(7)
 
 
 class TestCriteria:
