@@ -6,18 +6,18 @@ every extension pair.
 Usage: python3 scripts/extension_report.py
 """
 
-from plimpton import extend_phillips, link_to_standard
-from plimpton.hypotheses import extension_corrections
+from plimpton import link_to_standard, printed_corrections, printed_pairs
 
 
 def main() -> None:
     for side in ("lower", "upper"):
-        rows = extend_phillips(side)
+        rows = printed_pairs(f"extension-{side}")
         print(f"{side} extension ({len(rows)} pairs):")
-        for row in rows:
-            chain = link_to_standard(row.pair)
-            print(f"  {row.label:>4}  {str(row.pair):32}  {chain}")
-        for c in extension_corrections(side, rows):
+        for label, pair in rows:
+            chain = link_to_standard(pair)
+            print(f"  {label:>4}  {str(pair):32}  {chain}")
+        for c in printed_corrections(f"extension-{side}",
+                                     [pair for _, pair in rows]):
             print(f"  correction: {c}")
         print()
 

@@ -25,7 +25,6 @@ from .pairs import (
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,
-    excluded_pairs,
     full_mult10_list,
     mult10_criterion,
     padded_multiple_of_10,
@@ -43,13 +42,13 @@ from .rows import (
     xy_from_pair,
 )
 from .hypotheses import (
-    ExtensionRow,
+    PRINTED_TABLES,
     LinkChain,
-    extend_phillips,
-    extension_corrections,
     generate,
     link_to_standard,
     phillips_pairs,
+    printed_corrections,
+    printed_pairs,
     standard_table,
 )
 from .tablet import (

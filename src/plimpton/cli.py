@@ -54,7 +54,20 @@ def _encode_value(v: SexValue) -> dict:
 
 
 def _encode_fraction(f: Fraction) -> dict:
-    return {"numerator": str(f.numerator), "denominator": str(f.denominator)}
+    return {"numerator": _decimal("numerator", f.numerator),
+            "denominator": _decimal("denominator", f.denominator)}
+
+
+def _decimal(field: str, value) -> str:
+    """``str(value)`` in decimal.  Python bounds the digits of an int it
+    converts to a string (4,300 by default); past that bound the field is a
+    data error, and the interpreter's setting is left as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DataError(f"{field} has more than {sys.get_int_max_str_digits()} "
+                        "decimal digits, the interpreter's limit for integer "
+                        "string conversion") from None
 
 
 def _correction_dict(c: Correction) -> dict:
@@ -112,8 +125,9 @@ def _parse_regular_arg(text: str):
         factor = next((f for f in range(7, min(n, _FACTOR_BOUND) + 1)
                        if n % f == 0), None)
         if factor is None:
-            raise DataError(f"not regular: cofactor {n} has no prime factor "
-                            f"below {_FACTOR_BOUND}")
+            cofactor = _decimal("not regular: cofactor", n)
+            raise DataError(f"not regular: cofactor {cofactor} has no prime "
+                            f"factor below {_FACTOR_BOUND}")
         raise DataError(f"not regular: factor {factor}")
     return r
 
@@ -153,13 +167,13 @@ def cmd_pairs(args) -> int:
         lo, hi = hi, lo
     found = enumerate_pairs(_CRITERION_KINDS[args.criterion], lo, hi)
     rows = [_pair_row(i, p) for i, p in enumerate(found, 1)]
-    if args.criterion != "mult10":
-        corrections = pairs.excluded_pair_corrections()
+    table = "standard-15" if args.criterion == "mult10" else "excluded-pairs"
+    # over the tablet's own range the mult10 listing is its fifteen pairs
+    if table == "standard-15" and (lo, hi) == pairs.plimpton_range():
+        checked = found
     else:
-        # over the tablet's own range the listed pairs are its fifteen
-        tablet_range = [v.fraction for v in pairs.plimpton_range()]
-        corrections = hypotheses.plimpton_pair_corrections(
-            found if [lo.fraction, hi.fraction] == tablet_range else None)
+        checked = [pair for _, pair in hypotheses.printed_pairs(table)]
+    corrections = hypotheses.printed_corrections(table, checked)
     _emit(args.format, "pairs", rows, ["T", "Tbar"], corrections)
     return EXIT_OK
 
@@ -191,8 +205,8 @@ def cmd_rows(args) -> int:
     candidates = hypotheses.generate(args.hypothesis, reduction)
     leading_one = args.leading_one == "on"
     rows = [_row_record(c, leading_one) for c in candidates]
-    corrections = (hypotheses.plimpton_pair_corrections(
-                       [c.pair for c in candidates])
+    corrections = (hypotheses.printed_corrections(
+                       "standard-15", [c.pair for c in candidates])
                    if args.hypothesis == "phillips" else [])
     _emit(args.format, "rows", rows, ["A", "S", "D", "label"], corrections)
     return EXIT_OK
@@ -234,9 +248,11 @@ def cmd_tablet(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    extension = hypotheses.extend_phillips(args.side)
-    rows = [_pair_row(row.label, row.pair) for row in extension]
-    corrections = hypotheses.extension_corrections(args.side, extension)
+    table = f"extension-{args.side}"
+    extension = hypotheses.printed_pairs(table)
+    rows = [_pair_row(label, pair) for label, pair in extension]
+    corrections = hypotheses.printed_corrections(
+        table, [pair for _, pair in extension])
     _emit(args.format, "extend", rows, ["label", "T", "Tbar"], corrections)
     return EXIT_OK
 
@@ -254,7 +270,7 @@ def cmd_link(args) -> int:
                "steps": chain.steps}
         print(json.dumps(doc, indent=2))
     else:
-        print(str(chain))
+        print(_decimal("link factor", chain))
     return EXIT_OK
 
 

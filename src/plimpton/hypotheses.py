@@ -2,9 +2,11 @@
 
 Each hypothesis produces an ordered list of row candidates; all of them are
 parameterized either by coprime regular integer pairs (P, Q) or directly by
-reciprocal pairs.  Also here: the predicted extension tables above and below
-the attested fifteen rows, and the minimal chain linking any regular pair
-to the standard reciprocal table by doubling/tripling/quintupling steps.
+reciprocal pairs.  Also here: the printed tables of pairs (the fifteen, the
+excluded six and the extensions above and below them) with the computed
+pairs each is checked against, and the minimal chain linking any regular
+pair to the standard reciprocal table by doubling/tripling/quintupling
+steps.
 Links are computed in closed form on the exponent lattice (see
 :func:`link_to_standard`), in bounded time at any chain depth.
 """
@@ -20,14 +22,14 @@ from math import gcd
 from .pairs import (
     Correction,
     ReciprocalPair,
+    _four_place_pairs,
     _four_place_table,
-    _regular_triples,
     enumerate_pairs,
     pair_corrections,
     plimpton_range,
 )
 from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
-from .sexagesimal import RegularNumber, SexValue, render_sex
+from .sexagesimal import RegularNumber, parse_sex
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -36,38 +38,8 @@ TABLE1_PQ = [
     (2, 1), (48, 25), (15, 8), (50, 27), (9, 5),
 ]
 
-# The fifteen reciprocal pairs with their links to the standard table, as
-# printed.  Row 12's T is misprinted ("1 55 2"); the computed value is
-# 1 55 12.  Links are (first member, second member, factor applied to the
-# first member) or None for pairs already in the standard table.
-PLIMPTON_PAIRS_PRINTED = [
-    ("1", "2 24", "25", None),
-    ("2", "2 22 13 20", "25 18 45", ("1 04", "56 15", Fraction(1, 27))),
-    ("3", "2 20 37 30", "25 36", ("1 15", "48", Fraction(1, 32))),
-    ("4", "2 18 53 20", "25 55 12", ("54", "1 06 40", Fraction(1, 125))),
-    ("5", "2 15", "26 40", ("9", "6 40", Fraction(1, 4))),
-    ("6", "2 13 20", "27", None),
-    ("7", "2 09 36", "27 46 40", ("54", "1 06 40", Fraction(1, 25))),
-    ("8", "2 08", "28 07 30", ("1 04", "56 15", Fraction(2))),
-    ("9", "2 05", "28 48", ("1 06 40", "54", Fraction(1, 32))),
-    ("10", "2 01 30", "29 37 46 40", ("1 21", "44 26 40", Fraction(3, 2))),
-    ("11", "2", "30", None),
-    ("12", "1 55 2", "31 15", ("54", "1 06 40", Fraction(128))),
-    ("13", "1 52 30", "32", None),
-    ("14", "1 51 06 40", "32 24", ("16 40", "3 36", Fraction(1, 9))),
-    ("15", "1 48", "33 20", ("54", "1 06 40", Fraction(2))),
-]
-
-
 def phillips_pairs() -> list[ReciprocalPair]:
     return enumerate_pairs("mult10", *plimpton_range())
-
-
-def plimpton_pair_corrections(
-        pairs: list[ReciprocalPair] | None = None) -> list[Correction]:
-    """The digit log of the fifteen pairs, by default ``phillips_pairs()``."""
-    return pair_corrections("standard-15", PLIMPTON_PAIRS_PRINTED,
-                            phillips_pairs() if pairs is None else pairs)
 
 
 # Every theory, in survey order, with how it chooses its rows:
@@ -135,13 +107,43 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
 
 
 # ---------------------------------------------------------------------------
-# Extension tables
+# Printed tables of pairs
 
-@dataclass(frozen=True)
-class ExtensionRow:
-    label: str
-    pair: ReciprocalPair
+# The fifteen reciprocal pairs with their links to the standard table, as
+# printed.  Row 12's T is misprinted ("1 55 2"); the computed value is
+# 1 55 12.  Links are (first member, second member, factor applied to the
+# first member) or None for pairs already in the standard table.
+PLIMPTON_PAIRS_PRINTED = [
+    ("1", "2 24", "25", None),
+    ("2", "2 22 13 20", "25 18 45", ("1 04", "56 15", Fraction(1, 27))),
+    ("3", "2 20 37 30", "25 36", ("1 15", "48", Fraction(1, 32))),
+    ("4", "2 18 53 20", "25 55 12", ("54", "1 06 40", Fraction(1, 125))),
+    ("5", "2 15", "26 40", ("9", "6 40", Fraction(1, 4))),
+    ("6", "2 13 20", "27", None),
+    ("7", "2 09 36", "27 46 40", ("54", "1 06 40", Fraction(1, 25))),
+    ("8", "2 08", "28 07 30", ("1 04", "56 15", Fraction(2))),
+    ("9", "2 05", "28 48", ("1 06 40", "54", Fraction(1, 32))),
+    ("10", "2 01 30", "29 37 46 40", ("1 21", "44 26 40", Fraction(3, 2))),
+    ("11", "2", "30", None),
+    ("12", "1 55 2", "31 15", ("54", "1 06 40", Fraction(128))),
+    ("13", "1 52 30", "32", None),
+    ("14", "1 51 06 40", "32 24", ("16 40", "3 36", Fraction(1, 9))),
+    ("15", "1 48", "33 20", ("54", "1 06 40", Fraction(2))),
+]
 
+# The six pairs present in a plain four-place table of the tablet's range
+# but absent from the tablet, keyed by the interpolated row labels used in
+# Robson's listing.  Digit strings are as printed; row 8a's second member
+# is misprinted in the source (28 06 40 is not regular) and the computed
+# value is 28 26 40.
+EXCLUDED_PAIRS_PRINTED = [
+    ("4a", "2 18 14 24", "26 02 30"),
+    ("6a", "2 10 12 30", "27 38 52 48"),
+    ("8a", "2 06 33 45", "28 06 40"),
+    ("9a", "2 02 52 48", "29 17 48 45"),
+    ("11a", "1 57 11 15", "30 43 12"),
+    ("12a", "1 53 46 40", "31 38 26 15"),
+]
 
 # Printed extension tables, digit strings as printed: four places per
 # member, padded with trailing zeros.  Digit 64 appears twice in the source
@@ -207,49 +209,56 @@ UPPER_EXTENSION_PRINTED = [
 
 # A cited earlier reconstruction gives row -17's T as 3 29 10; computation
 # confirms the tabulated 3 28 20 (the reciprocal of 17 16 48).
-MINUS_17_VARIANT_PRINTED = "3 29 10"
+MINUS_17_VARIANT_PRINTED = [("-17", "3 29 10")]
 
-def extend_phillips(side: str) -> list[ExtensionRow]:
-    """Continuation of the multiple-of-10 list beyond the fifteen rows,
-    labeled against the printed comparison tables.
+# Every printed table of pairs, by the name its correction log carries: its
+# rows as printed, (label, T, Tbar, ...), and how the pairs it is checked
+# against are computed, by decreasing T.  The excluded pairs are built from
+# their printed T.  Each extension is the multiple-of-10 enumeration over
+# its own T range, given as T * 60**3: lower from the printed top down to
+# above the tablet's first row, upper from below its last row down to
+# above 1.  The functions are looked up when called, so a rebound
+# phillips_pairs (a test's patch, a tracer's wrapper) is the one that runs.
+PRINTED_TABLES = {
+    "standard-15": (PLIMPTON_PAIRS_PRINTED, lambda: phillips_pairs()),
+    "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, lambda: [
+        ReciprocalPair.from_T_mantissa(parse_sex(t_text).mantissa)
+        for _, t_text, _ in EXCLUDED_PAIRS_PRINTED]),
+    "extension-lower": (LOWER_EXTENSION_PRINTED,  # 2;24 < T <= 3;54 22 30
+                        lambda: _four_place_pairs("mult10", 518401, 843750)),
+    "extension-upper": (UPPER_EXTENSION_PRINTED,  # 1 < T < 1;48
+                        lambda: _four_place_pairs("mult10", 216001, 388799)),
+}
 
-    Each side is the multiple-of-10 enumeration over its own T range, by
-    decreasing T, given below as T * 60**3: lower from the printed top
-    down to above the tablet's first row, upper from below its last row
-    down to above 1.
-    """
-    printed = _extension_printed(side)
-    lo, hi = {"lower": (518401, 843750),  # 2;24 < T <= 3;54 22 30
-              "upper": (216001, 388799)}[side]  # 1 < T < 1;48
-    pairs = enumerate_pairs("mult10", SexValue(lo, -3), SexValue(hi, -3))
-    if len(pairs) != len(printed):
-        raise AssertionError(
-            f"{side} extension: computed {len(pairs)} pairs, "
-            f"printed table has {len(printed)}")
-    return [ExtensionRow(label, pair)
-            for (label, _, _), pair in zip(printed, pairs)]
 
-
-def _extension_printed(side: str):
+def _printed_table(table: str):
     try:
-        return {"lower": LOWER_EXTENSION_PRINTED,
-                "upper": UPPER_EXTENSION_PRINTED}[side]
+        return PRINTED_TABLES[table]
     except KeyError:
-        raise ValueError(f"side must be 'lower' or 'upper', not {side!r}")
+        raise ValueError(f"unknown printed table {table!r}") from None
 
 
-def extension_corrections(side: str,
-                          rows: list[ExtensionRow] | None = None) -> list[Correction]:
-    """Printed-vs-computed digit log for one extension table.  ``rows`` is
-    the table ``extend_phillips(side)`` returned, if the caller has it."""
-    if rows is None:
-        rows = extend_phillips(side)
-    out = pair_corrections(f"extension-{side}", _extension_printed(side),
-                           [row.pair for row in rows])
-    if side == "lower":
-        minus17 = next(row.pair.T.value for row in rows if row.label == "-17")
-        out.append(Correction("extension-lower(variant)", "-17", "T",
-                              MINUS_17_VARIANT_PRINTED, render_sex(minus17)))
+def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
+    """The computed pairs of one printed table, each with its printed
+    label, in printed order."""
+    printed, compute = _printed_table(table)
+    pairs = compute()
+    if len(pairs) != len(printed):
+        raise AssertionError(f"{table}: computed {len(pairs)} pairs, "
+                             f"printed table has {len(printed)}")
+    return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
+
+
+def printed_corrections(table: str,
+                        pairs: list[ReciprocalPair]) -> list[Correction]:
+    """Printed-vs-computed digit log of one printed table against
+    ``pairs``, its computed pairs in printed order."""
+    printed, _ = _printed_table(table)
+    out = pair_corrections(table, printed, pairs)
+    if table == "extension-lower":
+        at = [label for label, *_ in printed].index("-17")
+        out += pair_corrections(f"{table}(variant)", MINUS_17_VARIANT_PRINTED,
+                                pairs[at:at + 1])
     return out
 
 
@@ -304,8 +313,9 @@ def standard_table() -> list[ReciprocalPair]:
     """The conventional school list: regular numbers 2 through 81 with
     their reciprocals.  (60 reads as the unit and is omitted: its canonical
     mantissa is 1.)"""
-    return [ReciprocalPair.from_triple(triple)
-            for m, triple in sorted(_regular_triples(2)) if 1 < m < 82]
+    mantissas, triples = _four_place_table()
+    return [ReciprocalPair.from_triple(triple) for triple in
+            triples[bisect_right(mantissas, 1):bisect_left(mantissas, 82)]]
 
 
 def _lattice_class(r: RegularNumber) -> tuple[int, int]:

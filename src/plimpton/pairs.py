@@ -218,30 +218,6 @@ class Correction:
                 f"printed {self.printed!r}, computed {self.computed}")
 
 
-# The six pairs present in a plain four-place table of the tablet's range
-# but absent from the tablet, keyed by the interpolated row labels used in
-# Robson's listing.  Digit strings are as printed; row 8a's second member
-# is misprinted in the source (28 06 40 is not regular) and the computed
-# value is 28 26 40.
-EXCLUDED_PAIRS_PRINTED = [
-    ("4a", "2 18 14 24", "26 02 30"),
-    ("6a", "2 10 12 30", "27 38 52 48"),
-    ("8a", "2 06 33 45", "28 06 40"),
-    ("9a", "2 02 52 48", "29 17 48 45"),
-    ("11a", "1 57 11 15", "30 43 12"),
-    ("12a", "1 53 46 40", "31 38 26 15"),
-]
-
-
-def excluded_pairs() -> list[tuple[str, ReciprocalPair]]:
-    """The six excluded pairs, computed, with their interpolation labels."""
-    out = []
-    for label, t_text, _ in EXCLUDED_PAIRS_PRINTED:
-        m = parse_sex(t_text).mantissa
-        out.append((label, ReciprocalPair.from_T_mantissa(m)))
-    return out
-
-
 def pair_corrections(table: str, printed: list[tuple],
                      pairs: list[ReciprocalPair]) -> list[Correction]:
     """Digit log of printed rows (label, T, Tbar, ...) against the pairs.
@@ -260,8 +236,3 @@ def pair_corrections(table: str, printed: list[tuple],
                 out.append(Correction(table, label, column, text,
                                       render_sex(member.value)))
     return out
-
-
-def excluded_pair_corrections() -> list[Correction]:
-    return pair_corrections("excluded-pairs", EXCLUDED_PAIRS_PRINTED,
-                            [pair for _, pair in excluded_pairs()])

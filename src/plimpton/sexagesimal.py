@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from math import isqrt
 
 
@@ -33,7 +32,6 @@ def _split_base60(mantissa: int, exponent: int) -> tuple[int, int]:
     return mantissa, exponent
 
 
-@total_ordering
 @dataclass(frozen=True)
 class SexValue:
     """A terminating sexagesimal number, mantissa * 60**exponent.
@@ -75,9 +73,6 @@ class SexValue:
     def floating_eq(self, other: "SexValue") -> bool:
         return self.mantissa == other.mantissa
 
-    def __lt__(self, other: "SexValue") -> bool:
-        return self.fraction < other.fraction
-
     def __str__(self) -> str:
         return render_sex(self)
 
@@ -113,7 +108,11 @@ def _parse_digits(text: str) -> list[int]:
     for tok in _TOKEN_SEP.split(text):
         if not (tok.isdigit() and (ascii_text or tok.isascii())):
             raise SexagesimalError(f"bad digit token {tok!r}")
-        d = int(tok)
+        try:
+            d = int(tok)
+        except ValueError:  # past the digits int() converts to an int
+            raise SexagesimalError(
+                f"digit token of {len(tok)} characters is too long") from None
         if d >= 60:
             raise SexagesimalError(f"digit {d} out of range 0..59")
         digits.append(d)

@@ -16,19 +16,17 @@ from fractions import Fraction
 from plimpton.hypotheses import (
     PLIMPTON_PAIRS_PRINTED,
     LinkChain,
-    extend_phillips,
-    extension_corrections,
     generate,
     link_to_standard,
     phillips_pairs,
-    plimpton_pair_corrections,
+    printed_corrections,
+    printed_pairs,
     standard_table,
 )
 from plimpton.pairs import (
     ReciprocalPair,
     bruins_excluded,
     enumerate_pairs,
-    excluded_pairs,
     full_mult10_list,
     mult10_criterion,
     padded_multiple_of_10,
@@ -68,7 +66,7 @@ def test_criterion_1_phillips_enumeration():
     got = [(render_sex(p.T.value), render_sex(p.Tbar.value))
            for p in phillips_pairs()]
     logged = [(c.label, c.printed, c.computed)
-              for c in plimpton_pair_corrections()]
+              for c in printed_corrections("standard-15", phillips_pairs())]
     ok = (got == PHILLIPS_TABLE
           and logged == [("12", "1 55 2", "1 55 12")])
     _report(1, "phillips enumeration", ok, f"{len(got)} pairs")
@@ -100,8 +98,9 @@ def test_criterion_3_exclusions():
     by_rule = {p.T.mantissa
                for p in enumerate_pairs("places_only", lo, hi)
                if bruins_excluded(p)}
-    listed = {pair.T.mantissa for _, pair in excluded_pairs()}
-    labels = [label for label, _ in excluded_pairs()]
+    excluded = printed_pairs("excluded-pairs")
+    listed = {pair.T.mantissa for _, pair in excluded}
+    labels = [label for label, _ in excluded]
     ok = (by_difference == by_rule == listed and len(listed) == 6
           and labels == ["4a", "6a", "8a", "9a", "11a", "12a"])
     _report(3, "exclusions", ok, f"{len(by_difference)} excluded pairs")
@@ -116,18 +115,18 @@ def test_criterion_4_friberg_2007():
 
 
 def test_criterion_5_extensions():
-    lower = extend_phillips("lower")
-    upper = extend_phillips("upper")
-    lower_log = [(c.label, c.column, c.computed)
-                 for c in extension_corrections("lower")]
-    upper_log = [(c.label, c.column, c.computed)
-                 for c in extension_corrections("upper")]
-    minus17 = next(r for r in lower if r.label == "-17")
+    lower = printed_pairs("extension-lower")
+    upper = printed_pairs("extension-upper")
+    lower_log = [(c.label, c.column, c.computed) for c in printed_corrections(
+        "extension-lower", [pair for _, pair in lower])]
+    upper_log = [(c.label, c.column, c.computed) for c in printed_corrections(
+        "extension-upper", [pair for _, pair in upper])]
+    minus17 = dict(lower)["-17"]
     ok = (len(lower) == 24 and len(upper) == 28
           and lower_log == [("-14", "Tbar", "18 31 06 40"),
                             ("-17", "T", "3 28 20")]
           and upper_log == [("33", "T", "1 11 06 40")]
-          and render_sex(minus17.pair.T.value) == "3 28 20")
+          and render_sex(minus17.T.value) == "3 28 20")
     _report(5, "extension tables", ok,
             f"lower {len(lower)}, upper {len(upper)}")
 

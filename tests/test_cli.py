@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,13 +9,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plimpton
 from plimpton import cli, tablet
 from plimpton.cli import main
-from plimpton.hypotheses import plimpton_pair_corrections
 from plimpton.pairs import ReciprocalPair
-from plimpton.sexagesimal import factor_2_3_5, from_fraction, parse_sex
+from plimpton.sexagesimal import (
+    SexValue,
+    factor_2_3_5,
+    from_fraction,
+    parse_sex,
+    render_sex,
+)
 
 
 def run(capsys, *argv):
@@ -232,6 +240,121 @@ class TestNonAsciiDigits:
         assert "Traceback" not in err
 
 
+def _sex(n: int) -> str:
+    return render_sex(SexValue(n))
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="the interpreter's default int-to-string limit")
+class TestIntStringLimit:
+    """Python converts an int of at most 4,300 decimal digits to a string;
+    2**14284 has exactly 4,300.  A decimal field past that is a data error,
+    and base-60 output has no such bound."""
+
+    def test_decimal_at_and_past_the_limit(self):
+        assert len(cli._decimal("field", 2**14284)) == 4300
+        with pytest.raises(cli.DataError,
+                           match="^field has more than 4300 decimal digits"):
+            cli._decimal("field", 2**14285)
+
+    def test_recip_json_at_the_limit(self, capsys):
+        # the reciprocal of 2**7312 is 15**3656, of 4,300 digits
+        code, out, _ = run(capsys, "recip", _sex(2**7312), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reciprocal"]["numerator"] == str(15**3656)
+
+    def test_recip_json_past_the_limit(self, capsys):
+        code, out, err = run(capsys, "recip", _sex(2**7313), "--format", "json")
+        assert (code, out) == (2, "")
+        assert "numerator has more than 4300 decimal digits" in err
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+    def test_recip_text_has_no_limit(self, capsys):
+        code, out, _ = run(capsys, "recip", _sex(2**14291))
+        assert code == 0
+        assert parse_sex(out.strip()).mantissa == 2 * 15**7146
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_link_at_the_limit(self, capsys, fmt):
+        # the chain from (1 04, 56 15) multiplies by 2**14284
+        code, out, err = run(capsys, "link", _sex(2**14290), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["factor"] == [14284, 0, 0]
+        else:
+            assert out.startswith(f"(1 04, 56 15) × ({2**14284}, 1/")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_link_past_the_limit(self, capsys, fmt):
+        code, out, err = run(capsys, "link", _sex(2**14291), "--format", fmt)
+        assert (code, out) == (2, "")
+        field = "link factor" if fmt == "text" else "numerator"
+        assert f"{field} has more than 4300 decimal digits" in err
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+    def test_large_cofactor_past_the_limit(self, capsys):
+        # 10007 is the least prime above the trial bound
+        code, out, err = run(capsys, "recip", _sex(10007**1100))
+        assert (code, out) == (2, "")
+        assert "not regular: cofactor has more than 4300 decimal digits" in err
+
+    def test_digit_token_past_the_limit(self, capsys):
+        code, out, err = run(capsys, "recip", "9" * 5000)
+        assert (code, out) == (2, "")
+        assert "digit token of 5000 characters is too long" in err
+        assert "set_int_max_str_digits" not in err
+
+
+# Values the fuzzed argv draws from: ASCII and non-ASCII digits, the units
+# separator and the digit separators, and values past the int-to-string
+# limit, regular (2**7313, 2**14284, 2**14291) or not (a trailing 07).
+_LARGE = [_sex(2**e) for e in (7313, 14284, 14291)]
+_FUZZ_VALUES = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", "05", "24", "48", "59", "60",
+                              "999", "\u0662", "\U0001d7df", "\u00b2",
+                              ";", ":", " ", "-", "x"]),
+             max_size=8).map("".join),
+    st.sampled_from(_LARGE),
+    st.sampled_from(_LARGE).map(lambda v: v + " 07"),
+)
+
+
+@st.composite
+def _fuzz_argv(draw, parser):
+    """An argv for ``parser`` built from its own arguments: each choice
+    from its choices, every other value from _FUZZ_VALUES; a required
+    option is left out now and then, an optional one half the time."""
+    argv, subcommands = [], None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            subcommands = action
+        elif isinstance(action, argparse._HelpAction):
+            continue
+        elif not action.option_strings:
+            argv.append(draw(_FUZZ_VALUES))
+        elif draw(st.integers(0, 9)) < (9 if action.required else 5):
+            values = (st.sampled_from(action.choices) if action.choices
+                      else _FUZZ_VALUES)
+            argv += [action.option_strings[0], draw(values)]
+    if subcommands is not None:
+        name = draw(st.sampled_from(sorted(subcommands.choices)))
+        argv = [name] + draw(_fuzz_argv(subcommands.choices[name])) + argv
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=2000, derandomize=True,
+              database=None)
+    @given(argv=_fuzz_argv(cli._build_parser()))
+    def test_any_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "set_int_max_str_digits" not in err.getvalue()
+
+
 class TestWorkCeilings:
     """Pairs built and factorizations made by one command.  The four-place
     enumerations test T's range and rule before they build a pair, so each
@@ -289,8 +412,17 @@ class TestWorkCeilings:
                    "--from", "1;48", "--to", "2;24")[0] == 0
         assert len(built) == 19
 
-    def test_empty_pair_list_is_not_replaced(self):
-        assert plimpton_pair_corrections([]) == []
+    @pytest.mark.parametrize("criterion", ["places4", "bruins"])
+    def test_excluded_pairs_are_built_from_their_printed_t(
+            self, capsys, monkeypatch, criterion):
+        # the 28 pairs whose T passes, and the six excluded pairs of the
+        # correction log, one factorization of a printed T each
+        built = self.count_pairs(monkeypatch)
+        factored = self.count_factorizations(monkeypatch)
+        assert run(capsys, "pairs", "--criterion", criterion,
+                   "--from", "1;48", "--to", "2;24")[0] == 0
+        assert len(built) <= 34
+        assert len(factored) <= 6
 
     @pytest.mark.parametrize("tag", ["ns1945", "price1964", "buck1980",
                                      "friberg1981", "friberg2007"])

@@ -3,19 +3,20 @@ from math import gcd
 
 import pytest
 
+from plimpton import hypotheses
 from plimpton.hypotheses import (
     HYPOTHESIS_TAGS,
     LOWER_EXTENSION_PRINTED,
     PLIMPTON_PAIRS_PRINTED,
+    PRINTED_TABLES,
     TABLE1_PQ,
     THEORIES,
     UPPER_EXTENSION_PRINTED,
-    extend_phillips,
-    extension_corrections,
     generate,
     link_to_standard,
     phillips_pairs,
-    plimpton_pair_corrections,
+    printed_corrections,
+    printed_pairs,
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
@@ -25,6 +26,11 @@ from plimpton.sexagesimal import factor_2_3_5, render_sex
 
 def _t_set(tag):
     return {r.pair.T.mantissa for r in generate(tag)}
+
+
+def _log(table):
+    """The correction log of a printed table against its computed pairs."""
+    return printed_corrections(table, [p for _, p in printed_pairs(table)])
 
 
 PHILLIPS_T = [r.pair.T.mantissa for r in generate("phillips")]
@@ -153,7 +159,7 @@ class TestAgreements:
 
 class TestPrintedFifteen:
     def test_printed_table_matches_after_logged_correction(self):
-        corrections = plimpton_pair_corrections()
+        corrections = _log("standard-15")
         assert [(c.label, c.column, c.printed, c.computed)
                 for c in corrections] == [("12", "T", "1 55 2", "1 55 12")]
         corrected = {(c.label, c.column): c.computed for c in corrections}
@@ -165,39 +171,76 @@ class TestPrintedFifteen:
             assert render_sex(pair.Tbar.value) == want_tbar
 
 
+class TestPrintedTables:
+    @pytest.mark.parametrize("table", list(PRINTED_TABLES))
+    def test_one_pair_per_printed_row_by_decreasing_t(self, table):
+        printed, _ = PRINTED_TABLES[table]
+        got = printed_pairs(table)
+        assert [label for label, _ in got] == [label for label, *_ in printed]
+        ts = [pair.t_fraction for _, pair in got]
+        assert all(a > b for a, b in zip(ts, ts[1:]))
+
+    def test_names_are_the_logged_table_names(self):
+        assert list(PRINTED_TABLES) == ["standard-15", "excluded-pairs",
+                                        "extension-lower", "extension-upper"]
+        for table in PRINTED_TABLES:
+            assert {c.table.split("(")[0] for c in _log(table)} == {table}
+
+    @pytest.mark.parametrize("table", ["extension-sideways", "standard", ""])
+    def test_unknown_table_rejected(self, table):
+        with pytest.raises(ValueError, match="unknown printed table"):
+            printed_pairs(table)
+        with pytest.raises(ValueError, match="unknown printed table"):
+            printed_corrections(table, [])
+
+    def test_empty_pair_list_logs_nothing(self):
+        assert printed_corrections("standard-15", []) == []
+
+    def test_standard_15_calls_the_current_phillips_pairs(self, monkeypatch):
+        called = []
+
+        def fake_phillips_pairs():
+            called.append(1)
+            return phillips_pairs()
+
+        monkeypatch.setattr(hypotheses, "phillips_pairs", fake_phillips_pairs)
+        assert [p for _, p in printed_pairs("standard-15")] == phillips_pairs()
+        assert called == [1]
+
+
 class TestExtensions:
     def test_counts_and_boundary_rows(self):
-        lower = extend_phillips("lower")
-        upper = extend_phillips("upper")
+        lower = printed_pairs("extension-lower")
+        upper = printed_pairs("extension-upper")
         assert len(lower) == 24
         assert len(upper) == 28
-        assert (lower[-1].label, str(lower[-1].pair)) == ("-1", "(2 30, 24)")
-        assert (upper[0].label, render_sex(upper[0].pair.T.value)) == \
+        assert (lower[-1][0], str(lower[-1][1])) == ("-1", "(2 30, 24)")
+        assert (upper[0][0], render_sex(upper[0][1].T.value)) == \
             ("16", "1 46 40")
-        assert render_sex(upper[-1].pair.Tbar.value) == "59 15 33 20"
+        assert render_sex(upper[-1][1].Tbar.value) == "59 15 33 20"
 
     def test_labels_match_printed_tables(self):
-        assert [r.label for r in extend_phillips("lower")] == \
+        assert [label for label, _ in printed_pairs("extension-lower")] == \
             [label for label, *_ in LOWER_EXTENSION_PRINTED]
-        assert [r.label for r in extend_phillips("upper")] == \
+        assert [label for label, _ in printed_pairs("extension-upper")] == \
             [label for label, *_ in UPPER_EXTENSION_PRINTED]
 
     def test_corrections_are_exactly_the_known_misprints(self):
         lower = [(c.table, c.label, c.column, c.computed)
-                 for c in extension_corrections("lower")]
+                 for c in _log("extension-lower")]
         assert lower == [
             ("extension-lower", "-14", "Tbar", "18 31 06 40"),
             ("extension-lower(variant)", "-17", "T", "3 28 20"),
         ]
         upper = [(c.label, c.column, c.computed)
-                 for c in extension_corrections("upper")]
+                 for c in _log("extension-upper")]
         assert upper == [("33", "T", "1 11 06 40")]
 
     def test_extensions_partition_the_full_list(self):
         full = {p.T.mantissa for p in full_mult10_list()}
         fifteen = set(PHILLIPS_T)
-        lower = {r.pair.T.mantissa for r in extend_phillips("lower")}
-        upper = {r.pair.T.mantissa for r in extend_phillips("upper")}
+        lower = {p.T.mantissa for _, p in printed_pairs("extension-lower")}
+        upper = {p.T.mantissa for _, p in printed_pairs("extension-upper")}
         assert lower & fifteen == set()
         assert upper & fifteen == set()
         assert lower & upper == set()
@@ -208,27 +251,23 @@ class TestExtensions:
         # jump for label v) of some numerically labeled pair's member
         numbered = set(PHILLIPS_T)
         for side in ("lower", "upper"):
-            for row in extend_phillips(side):
-                if row.label.lstrip("-").isdigit():
-                    numbered.add(row.pair.T.mantissa)
-                    numbered.add(row.pair.Tbar.mantissa)
+            for label, pair in printed_pairs(f"extension-{side}"):
+                if label.lstrip("-").isdigit():
+                    numbered.add(pair.T.mantissa)
+                    numbered.add(pair.Tbar.mantissa)
         def normalized(m):
             while m % 60 == 0:
                 m //= 60
             return m
         for side in ("lower", "upper"):
-            for row in extend_phillips(side):
-                if row.label.lstrip("-").isdigit():
+            for label, pair in printed_pairs(f"extension-{side}"):
+                if label.lstrip("-").isdigit():
                     continue
-                t = row.pair.T.mantissa
+                t = pair.T.mantissa
                 related = {normalized(t * k) for k in (2, 9)}
                 related |= {normalized(t * 60**3 // k) for k in (2, 9)
                             if (t * 60**3) % k == 0}
-                assert related & numbered, row.label
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            extend_phillips("sideways")
+                assert related & numbered, label
 
 
 class TestStandardTableAndLinks:

@@ -4,17 +4,18 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plimpton.hypotheses import extend_phillips
+from plimpton.hypotheses import (
+    EXCLUDED_PAIRS_PRINTED,
+    printed_corrections,
+    printed_pairs,
+)
 
 from plimpton.pairs import (
-    EXCLUDED_PAIRS_PRINTED,
     ReciprocalPair,
     _four_place_table,
     _regular_triple,
     bruins_excluded,
     enumerate_pairs,
-    excluded_pair_corrections,
-    excluded_pairs,
     full_mult10_list,
     mult10_criterion,
     padded_multiple_of_10,
@@ -186,7 +187,7 @@ class TestCriteria:
             - {p.T.mantissa for p in _pairs("mult10")}
         by_bruins_rule = {p.T.mantissa for p in _pairs("places_only")
                           if bruins_excluded(p)}
-        listed = {pair.T.mantissa for _, pair in excluded_pairs()}
+        listed = {pair.T.mantissa for _, pair in printed_pairs("excluded-pairs")}
         assert by_difference == by_bruins_rule == listed
         assert len(listed) == 6
 
@@ -202,12 +203,14 @@ class TestCriteria:
         assert disj > conj == 6
 
     def test_excluded_pair_corrections_flag_only_8a(self):
-        corrections = excluded_pair_corrections()
+        excluded = [pair for _, pair in printed_pairs("excluded-pairs")]
+        corrections = printed_corrections("excluded-pairs", excluded)
         assert [(c.label, c.printed, c.computed) for c in corrections] == \
             [("8a", "28 06 40", "28 26 40")]
 
     def test_printed_excluded_labels(self):
         assert [label for label, *_ in EXCLUDED_PAIRS_PRINTED] == \
+            [label for label, _ in printed_pairs("excluded-pairs")] == \
             ["4a", "6a", "8a", "9a", "11a", "12a"]
 
     def test_empty_range_rejected(self):
@@ -351,5 +354,5 @@ class TestFastPathOracle:
             expected = full[at(Fraction(843750, 60**3)):at(Fraction(12, 5))]
         else:  # below 1;48 to the end
             expected = full[at(Fraction(9, 5)) + 1:]
-        assert [row.pair for row in extend_phillips(side)] == expected
+        assert [pair for _, pair in printed_pairs(f"extension-{side}")] == expected
         assert len(expected) == count
