@@ -14,7 +14,6 @@ Links are computed in closed form on the exponent lattice (see
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -29,7 +28,7 @@ from .pairs import (
     plimpton_range,
 )
 from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
-from .sexagesimal import RegularNumber, parse_sex
+from .sexagesimal import RegularNumber, _Value, parse_sex
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -265,8 +264,7 @@ def printed_corrections(table: str,
 # ---------------------------------------------------------------------------
 # Linking to the standard reciprocal table
 
-@dataclass(frozen=True)
-class LinkChain:
+class LinkChain(_Value):
     """A minimal multiplication chain from a standard-table pair.
 
     ``factor`` is the exponent triple (a, b, c): multiplying the start
@@ -274,8 +272,7 @@ class LinkChain:
     target pair.  An all-zero factor means the pair is in the table.
     """
 
-    start: ReciprocalPair
-    factor: tuple[int, int, int]
+    __slots__ = ("start", "factor")
 
     @property
     def steps(self) -> int:
@@ -291,11 +288,6 @@ class LinkChain:
         for p, e in zip((2, 3, 5), self.factor):
             f *= Fraction(p) ** e
         return f
-
-    @property
-    def factor_magnitude(self) -> Fraction:
-        f = self.factor_fraction
-        return max(f, 1 / f)
 
     def replay(self) -> ReciprocalPair:
         return ReciprocalPair.from_triple(
@@ -338,9 +330,9 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
 
     Closed form on the exponent lattice: from a start of class s, the
     factors reaching p's class t are (d1 + 2j, d2 + j, j) for d = t - s and
-    any integer j, at |d1 + 2j| + |d2 + j| + |j| steps.  That sum is convex
-    in j, so every minimum lies between its breakpoints -d1/2, -d2 and 0,
-    and the work is bounded at any chain depth.
+    any integer j, at |d1 + 2j| + |d2 + j| + |j| steps.  That sum, like each
+    exponent's size, is convex and piecewise linear in j, so j = 0, -d2 and
+    either side of -d1/2 reach the fewest steps and the tie-break's choice.
 
     Ties at minimal length prefer the chain using the smaller primes
     (doubling over tripling over quintupling), then the lexicographically
@@ -353,7 +345,7 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     fewest, ties = None, []
     for (s1, s2), r in starts.items():
         d1, d2 = t1 - s1, t2 - s2
-        for j in range(min(0, -d2, -d1 // 2), max(0, -d2, -(d1 // 2)) + 1):
+        for j in {0, -d2, -d1 // 2, -(d1 // 2)}:
             steps = abs(d1 + 2 * j) + abs(d2 + j) + abs(j)
             if fewest is None or steps < fewest:
                 fewest, ties = steps, []

@@ -9,7 +9,6 @@ alternative criteria so the competing selections can be compared.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, floor
@@ -18,6 +17,8 @@ from .sexagesimal import (
     RegularNumber,
     SexValue,
     SexagesimalError,
+    _set,
+    _Value,
     parse_sex,
     place_length,
     reciprocal,
@@ -26,16 +27,18 @@ from .sexagesimal import (
 )
 
 
-@dataclass(frozen=True)
-class ReciprocalPair:
+class ReciprocalPair(_Value):
     """Ordered (T, Tbar) with exact fixed product 1.
 
     T carries its units place at the first digit; Tbar is read one
     sexagesimal place further right, so T_fixed * Tbar_fixed == 1 exactly.
     """
 
-    T: RegularNumber
-    Tbar: RegularNumber
+    __slots__ = ("T", "Tbar")
+
+    def __init__(self, T: RegularNumber, Tbar: RegularNumber) -> None:
+        _set(self, "T", T)
+        _set(self, "Tbar", Tbar)
 
     @classmethod
     def from_T_mantissa(cls, mantissa: int) -> "ReciprocalPair":
@@ -203,15 +206,10 @@ def full_mult10_list() -> list[ReciprocalPair]:
     return _four_place_pairs("mult10", 60**3 + 1, 60**4 - 1)
 
 
-@dataclass(frozen=True)
-class Correction:
+class Correction(_Value):
     """A printed source value that disagrees with the computed one."""
 
-    table: str
-    label: str
-    column: str
-    printed: str
-    computed: str
+    __slots__ = ("table", "label", "column", "printed", "computed")
 
     def __str__(self) -> str:
         return (f"[{self.table}] row {self.label} {self.column}: "

@@ -8,7 +8,6 @@ casting common regular factors out of (X, Y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .pairs import ReciprocalPair, _regular_triple
@@ -17,6 +16,7 @@ from .sexagesimal import (
     SexValue,
     SexagesimalError,
     _aligned,
+    _Value,
     add,
     halve,
     mul,
@@ -24,34 +24,24 @@ from .sexagesimal import (
 )
 
 
-@dataclass(frozen=True)
-class PQPair:
-    p: int
-    q: int
+class PQPair(_Value):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if not self.p > self.q >= 1:
+    def __init__(self, p: int, q: int) -> None:
+        if not p > q >= 1:
             raise ValueError("require P > Q >= 1")
+        super().__init__(p, q)
 
 
-@dataclass(frozen=True)
-class XYPair:
+class XYPair(_Value):
     """Fixed-reading pair with Y**2 - X**2 = 1 exactly."""
 
-    x: SexValue
-    y: SexValue
+    __slots__ = ("x", "y")
 
 
-@dataclass(frozen=True)
-class RowCandidate:
-    n: int
-    pair: ReciprocalPair
-    xy: XYPair
-    s: int
-    d: int
-    a: SexValue
-    reduction_factor: int
-    reduced: bool = True  # False when the scribal small-number form is kept
+class RowCandidate(_Value):
+    __slots__ = ("n", "pair", "xy", "s", "d", "a", "reduction_factor", "reduced")
+    _defaults = {"reduced": True}  # False when the scribal small-number form is kept
 
 
 def xy_from_pair(p: ReciprocalPair) -> XYPair:

@@ -14,13 +14,60 @@ which makes floating equality a plain mantissa comparison.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 
 class SexagesimalError(ValueError):
     """Malformed digit string or an operation leaving the domain."""
+
+
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value whose fields are its ``__slots__``: built from them
+    positionally or by keyword, with ``_defaults`` for trailing fields;
+    equal and hashed by them within one type; copied and pickled by them."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            # the class _Value itself marks a field that was given no value
+            tail = [kwargs.pop(name, self._defaults.get(name, _Value))
+                    for name in names[len(args):]]
+            if kwargs or len(args) > len(names) or _Value in tail:
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args += tuple(tail)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _split_base60(mantissa: int, exponent: int) -> tuple[int, int]:
@@ -32,25 +79,23 @@ def _split_base60(mantissa: int, exponent: int) -> tuple[int, int]:
     return mantissa, exponent
 
 
-@dataclass(frozen=True)
-class SexValue:
+class SexValue(_Value):
     """A terminating sexagesimal number, mantissa * 60**exponent.
 
     Instances are always canonical: mantissa 0 implies exponent 0, and a
-    nonzero mantissa is never divisible by 60.  Equality of dataclass fields
+    nonzero mantissa is never divisible by 60.  Equality of the two fields
     is therefore fixed-reading equality; use :meth:`floating_eq` for the
     floating reading.
     """
 
-    mantissa: int
-    exponent: int = 0
+    __slots__ = ("mantissa", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.mantissa < 0:
+    def __init__(self, mantissa: int, exponent: int = 0) -> None:
+        if mantissa < 0:
             raise SexagesimalError("negative values are out of domain")
-        m, e = _split_base60(self.mantissa, self.exponent)
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
+        mantissa, exponent = _split_base60(mantissa, exponent)
+        _set(self, "mantissa", mantissa)
+        _set(self, "exponent", exponent)
 
     @property
     def fraction(self) -> Fraction:
@@ -213,14 +258,16 @@ def halve(a: SexValue) -> SexValue:
     return mul(a, _HALF)
 
 
-@dataclass(frozen=True)
-class RegularNumber:
+class RegularNumber(_Value):
     """A SexValue whose canonical mantissa is 2**alpha * 3**beta * 5**gamma."""
 
-    value: SexValue
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ("value", "alpha", "beta", "gamma")
+
+    def __init__(self, value: SexValue, alpha: int, beta: int, gamma: int) -> None:
+        _set(self, "value", value)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
 
     @property
     def mantissa(self) -> int:

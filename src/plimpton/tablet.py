@@ -8,18 +8,17 @@ and keeps D = 53.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from math import gcd, isqrt
 
 from .rows import RowCandidate
 from .sexagesimal import (
-    RegularNumber,
     SexValue,
     SexagesimalError,
+    _Value,
     add,
     from_fraction,
     is_regular,
@@ -35,15 +34,14 @@ _COLUMN_SPLIT = re.compile(r"\s{2,}")
 _MARKUP = re.compile(r"[\[\]()]")
 
 
-@dataclass(frozen=True)
-class TabletCell:
+class TabletCell(_Value):
     """One attested cell: the corrected value, plus the scribal original
     when the editions disagree with it."""
 
-    corrected: SexValue
-    as_written: SexValue | None = None
-    reconstructed_break: bool = False
-    leading_one_implied: bool = False
+    __slots__ = ("corrected", "as_written", "reconstructed_break",
+                 "leading_one_implied")
+    _defaults = {"as_written": None, "reconstructed_break": False,
+                 "leading_one_implied": False}
 
     @property
     def corrected_error(self) -> bool:
@@ -58,19 +56,16 @@ class TabletCell:
         raise ValueError(f"use must be 'corrected' or 'as_written', not {use!r}")
 
 
-@dataclass(frozen=True)
-class TabletRowRecord:
-    n: int
-    a: TabletCell
-    s: TabletCell
-    d: TabletCell
-    label_reconstructed: bool = False
+class TabletRowRecord(_Value):
+    __slots__ = ("n", "a", "s", "d", "label_reconstructed")
+    _defaults = {"label_reconstructed": False}
 
 
 def _read_resource() -> list[str]:
-    text = resources.files("plimpton").joinpath("data/plimpton322.txt").read_text()
-    return [line for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
+    path = os.path.join(os.path.dirname(__file__), "data", "plimpton322.txt")
+    with open(path, encoding="utf-8") as f:
+        return [line for line in f.read().splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
 
 
 def _cell_digits(text: str) -> str:
@@ -144,11 +139,8 @@ def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
 # ---------------------------------------------------------------------------
 # Property verification
 
-@dataclass(frozen=True)
-class PropertyResult:
-    number: int
-    description: str
-    failures: tuple[int, ...]  # row numbers
+class PropertyResult(_Value):
+    __slots__ = ("number", "description", "failures")  # failures: row numbers
 
     @property
     def holds(self) -> bool:
@@ -215,19 +207,14 @@ def verify_properties(rows: list[TabletRowRecord], use: str = "corrected",
 # ---------------------------------------------------------------------------
 # Diffing hypothesis output against the tablet
 
-@dataclass(frozen=True)
-class RowDiff:
-    n: int
-    status: str  # "exact" | "similarity" | "mismatch"
-    ratio: RegularNumber | None = None
-    cells: tuple[str, ...] = ()
+class RowDiff(_Value):
+    # status: "exact" | "similarity" | "mismatch"; ratio: a RegularNumber
+    __slots__ = ("n", "status", "ratio", "cells")
+    _defaults = {"ratio": None, "cells": ()}
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    edition: str
-    matching: str
-    rows: tuple[RowDiff, ...]
+class DiffReport(_Value):
+    __slots__ = ("edition", "matching", "rows")
 
     @property
     def exact_count(self) -> int:
@@ -292,13 +279,9 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
 # ---------------------------------------------------------------------------
 # Scribal error annotations
 
-@dataclass(frozen=True)
-class ErrorAnnotation:
-    n: int
-    column: str
-    as_written: str
-    corrected: str
-    kind: str  # "square_of_correct" | "digit_slip" | "unclassified"
+class ErrorAnnotation(_Value):
+    # kind: "square_of_correct" | "digit_slip" | "unclassified"
+    __slots__ = ("n", "column", "as_written", "corrected", "kind")
 
 
 def _classify(written: SexValue, corrected: SexValue) -> str:

@@ -169,6 +169,11 @@ def _exponents(f: Fraction) -> tuple[int, int, int]:
     return tuple(a - b for a, b in zip(num, den))
 
 
+def _magnitude(chain: LinkChain) -> Fraction:
+    f = chain.factor_fraction
+    return max(f, 1 / f)
+
+
 def _same_pair(a: ReciprocalPair, b: ReciprocalPair) -> bool:
     return {a.T.mantissa, a.Tbar.mantissa} == {b.T.mantissa, b.Tbar.mantissa}
 
@@ -181,7 +186,7 @@ def test_criterion_7_linkage():
         n = int(label)
         chain = link_to_standard(pair)
         if n in MINIMAL_LINK_FACTORS:
-            minimal[n] = chain.factor_magnitude
+            minimal[n] = _magnitude(chain)
         if link is None:
             if not chain.in_table:
                 problems.append(f"row {n}: printed in table, minimal {chain}")
@@ -199,7 +204,7 @@ def test_criterion_7_linkage():
         if chain.steps > printed.steps:
             problems.append(f"row {n}: minimal {chain.steps} steps,"
                             f" printed {printed.steps}")
-        printed_f, minimal_f = printed.factor_magnitude, chain.factor_magnitude
+        printed_f, minimal_f = _magnitude(printed), _magnitude(chain)
         if printed.steps > chain.steps:
             differences[n] = "longer"
             details.append(f"row {n}: printed {printed_f} (length"

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plimpton import hypotheses
 from plimpton.hypotheses import (
@@ -297,9 +298,9 @@ class TestStandardTableAndLinks:
         by_n = {i + 1: link_to_standard(p)
                 for i, p in enumerate(phillips_pairs())}
         assert str(by_n[7]) == "(54, 1 06 40) × (1/25, 25)"
-        assert by_n[2].factor_magnitude == 27
-        assert by_n[4].factor_magnitude == 125
-        assert by_n[8].factor_magnitude == 2
+        for n, magnitude in ((2, 27), (4, 125), (8, 2)):
+            f = by_n[n].factor_fraction
+            assert max(f, 1 / f) == magnitude
         assert by_n[10].factor_fraction == Fraction(3, 2)
         # ties at one step prefer doubling over tripling or quintupling
         assert by_n[15].factor_fraction == 2
@@ -423,6 +424,30 @@ def bfs_link(p):
     raise AssertionError("the search space is exhausted")
 
 
+def loop_link(p):
+    """The closed form scoring every integer j between the breakpoints,
+    with the documented tie-break; linear in the exponents."""
+    def lattice_class(r):
+        return r.alpha - 2 * r.gamma, r.beta - r.gamma
+
+    starts = {lattice_class(r): r for q in standard_table() for r in (q.T, q.Tbar)}
+    t1, t2 = lattice_class(p.T)
+    if (t1, t2) in starts:
+        return LinkChain(p, (0, 0, 0))
+    fewest, ties = None, []
+    for (s1, s2), r in starts.items():
+        d1, d2 = t1 - s1, t2 - s2
+        for j in range(min(0, -d2, -d1 // 2), max(0, -d2, -(d1 // 2)) + 1):
+            steps = abs(d1 + 2 * j) + abs(d2 + j) + abs(j)
+            if fewest is None or steps < fewest:
+                fewest, ties = steps, []
+            if steps == fewest:
+                ties.append(((d1 + 2 * j, d2 + j, j), r))
+    factor, r = min(ties, key=lambda c: (
+        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1].mantissa))
+    return LinkChain(ReciprocalPair.from_triple(r.triple), factor)
+
+
 def _lattice_class(m):
     a, b, c = factor_2_3_5(m)
     return a - 2 * c, b - c
@@ -469,3 +494,22 @@ class TestClosedFormLinks:
             assert chain.steps == depths[_lattice_class(p.T.mantissa)], str(p)
             assert chain.replay().T.mantissa == p.T.mantissa, str(p)
             assert min(chain.start.T.mantissa, chain.start.Tbar.mantissa) in states
+
+    def test_same_chain_as_the_full_scan_on_every_four_place_pair(self):
+        for p in FOUR_PLACE_PAIRS:
+            assert link_to_standard(p) == loop_link(p), str(p)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*[st.integers(-300, 300)] * 3))
+    def test_same_chain_as_the_full_scan_on_wide_triples(self, triple):
+        p = ReciprocalPair.from_triple(triple)
+        assert link_to_standard(p) == loop_link(p)
+
+    @pytest.mark.parametrize("n", [23, 1000, 50000])
+    def test_deep_powers_of_two(self, n):
+        # 2**n has class (n, 0); the nearest start is 64 = 2**6, class
+        # (6, 0), and every j from -((n - 6) // 2) to 0 takes n - 6 steps there:
+        # the tie-break keeps j = 0, n - 6 doublings.
+        chain = link_to_standard(ReciprocalPair.from_triple((n, 0, 0)))
+        assert chain.start.T.mantissa == 64
+        assert chain.factor == (n - 6, 0, 0) and chain.steps == n - 6
