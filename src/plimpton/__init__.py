@@ -13,7 +13,6 @@ from .sexagesimal import (
     is_regular,
     mul,
     parse_sex,
-    place_length,
     reciprocal,
     regular_from_int,
     render_sex,
@@ -21,13 +20,10 @@ from .sexagesimal import (
     sub,
 )
 from .pairs import (
+    CRITERIA,
     Correction,
     ReciprocalPair,
-    bruins_excluded,
     enumerate_pairs,
-    full_mult10_list,
-    mult10_criterion,
-    padded_multiple_of_10,
     plimpton_range,
 )
 from .rows import (

@@ -147,10 +147,6 @@ def cmd_recip(args) -> int:
     return EXIT_OK
 
 
-_CRITERION_KINDS = {"mult10": "mult10", "places4": "places_only",
-                    "bruins": "bruins"}
-
-
 def _pair_row(label, pair: ReciprocalPair) -> dict:
     return {"label": str(label),
             "T": _encode_value(pair.T.value),
@@ -165,7 +161,7 @@ def cmd_pairs(args) -> int:
         raise DataError(f"malformed range: {e}")
     if lo.fraction > hi.fraction:
         lo, hi = hi, lo
-    found = enumerate_pairs(_CRITERION_KINDS[args.criterion], lo, hi)
+    found = enumerate_pairs(args.criterion, lo, hi)
     rows = [_pair_row(i, p) for i, p in enumerate(found, 1)]
     table = "standard-15" if args.criterion == "mult10" else "excluded-pairs"
     # over the tablet's own range the mult10 listing is its fifteen pairs
@@ -292,7 +288,7 @@ def _build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("pairs", help="enumerate reciprocal pairs in a range")
-    p.add_argument("--criterion", choices=tuple(_CRITERION_KINDS), default="mult10")
+    p.add_argument("--criterion", choices=tuple(pairs.CRITERIA), default="mult10")
     p.add_argument("--from", dest="range_from", required=True)
     p.add_argument("--to", dest="range_to", required=True)
     add_format(p)

@@ -43,7 +43,7 @@ def phillips_pairs() -> list[ReciprocalPair]:
 
 # Every theory, in survey order, with how it chooses its rows:
 # - ns1945: the (P, Q) of TABLE1_PQ, in that order;
-# - a criterion kind of enumerate_pairs: the pairs of the tablet's T range;
+# - a key of pairs.CRITERIA: the pairs of the tablet's T range it selects;
 # - (least Q, Q limit, P limit, test): coprime regular P > Q with
 #   least Q <= Q < Q limit, P < P limit (None: no limit) and test(P, Q).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:

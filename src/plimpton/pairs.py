@@ -1,14 +1,15 @@
-"""Enumeration of regular numbers and reciprocal pairs.
+"""Reciprocal pairs and the rules that select them.
 
 The central selection rule: a reciprocal pair belongs to the table when both
 members, padded with trailing zeros to four sexagesimal places, are divisible
-by 10.  The older four-place and exponent-based exclusion rules are kept as
-alternative criteria so the competing selections can be compared.
+by 10.  The plain four-place table and Bruins's exponent-based exclusion are
+the alternative rules; all three are entries of one table, ``CRITERIA``,
+tested on the members of the one enumeration of four-place regular
+mantissas before any pair is built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from math import ceil, floor
@@ -16,11 +17,9 @@ from math import ceil, floor
 from .sexagesimal import (
     RegularNumber,
     SexValue,
-    SexagesimalError,
     _set,
     _Value,
     parse_sex,
-    place_length,
     reciprocal,
     regular_from_int,
     render_sex,
@@ -59,9 +58,12 @@ class ReciprocalPair(_Value):
         a, b, c = triple
         n = min(a // 2, b, c)
         a, b, c = a - 2 * n, b - n, c - n
-        mantissa, places = 2**a * 3**b * 5**c, 1
-        while 60**places <= mantissa:
-            places += 1
+        mantissa = 2**a * 3**b * 5**c
+        # log2(60) < 5.906890596: a lower bound, a step or two short at most
+        places = (mantissa.bit_length() - 1) * 10**9 // 5_906_890_596 + 1
+        power = 60**places
+        while power <= mantissa:
+            power, places = power * 60, places + 1
         t = RegularNumber(SexValue(mantissa, 1 - places), a, b, c)
         tbar = reciprocal(t)
         return cls(t, RegularNumber(
@@ -81,54 +83,17 @@ def plimpton_range() -> tuple[SexValue, SexValue]:
     return parse_sex("1;48", "fixed"), parse_sex("2;24", "fixed")
 
 
-def mult10_criterion(r: RegularNumber) -> bool:
-    """At most four places, and a four-place value ends in a multiple of 10.
-
-    Equivalently: the mantissa padded with trailing zero digits to exactly
-    four places is divisible by 10 (see :func:`padded_multiple_of_10`).
-    """
-    digits = r.value.digits()
-    if len(digits) > 4:
-        return False
-    return len(digits) < 4 or digits[-1] % 10 == 0
-
-
-def padded_multiple_of_10(r: RegularNumber) -> bool:
-    """Arithmetic form of the rule; defined only for values of <= 4 places."""
-    places = place_length(r.value)
-    if places > 4:
-        raise SexagesimalError("padded four-place reading needs <= 4 places")
-    return (r.mantissa * 60 ** (4 - places)) % 10 == 0
-
-
-def bruins_excluded(p: ReciprocalPair) -> bool:
-    """Exclusion by exponent counts: one member has alpha+beta+gamma > 13
-    while the other has gamma > 3.
-
-    This conjunctive reading reproduces exactly six exclusions in the
-    tablet range.
-    """
-    return any(sum(a.triple) > 13 and b.gamma > 3
-               for a, b in ((p.T, p.Tbar), (p.Tbar, p.T)))
-
-
-def _regular_triples(max_places: int):
-    """(mantissa, exponent triple) of every canonical regular mantissa of at
-    most max_places digits, unordered; sweep bounds derive from 60**max_places."""
-    if max_places < 1:
-        raise ValueError("max_places must be >= 1")
-    limit = 60**max_places
-    p2, a = 1, 0
-    while p2 < limit:
-        p23, b = p2, 0
-        while p23 < limit:
-            p235, c = p23, 0
-            while p235 < limit:
-                if p235 % 60:
-                    yield p235, (a, b, c)
-                p235, c = p235 * 5, c + 1
-            p23, b = p23 * 3, b + 1
-        p2, a = p2 * 2, a + 1
+# The selection rules, by the CLI's names.  Each tests one member of a pair
+# against the other, both given as (padded, triple): the mantissa padded
+# with zero places to four digits, and the exponent triple.  A pair passes
+# when both members pass; a member of more than four places fails it.
+# places4 is the plain four-place table; bruins excludes a member with
+# alpha+beta+gamma > 13 whose other member has gamma > 3.
+CRITERIA = {
+    "mult10": lambda member, other: member[0] % 10 == 0,
+    "places4": lambda member, other: True,
+    "bruins": lambda member, other: not (sum(member[1]) > 13 and other[1][2] > 3),
+}
 
 
 @cache
@@ -136,74 +101,74 @@ def _four_place_table() -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ..
     """Every canonical regular mantissa of at most four places, ascending,
     and its exponent triples in the same order; built once per process on
     first use."""
-    mantissas, triples = zip(*sorted(_regular_triples(4)))
-    return mantissas, triples
+    found = []
+    p2, a = 1, 0
+    while p2 < 60**4:
+        p23, b = p2, 0
+        while p23 < 60**4:
+            p235, c = p23, 0
+            while p235 < 60**4:
+                if p235 % 60:
+                    found.append((p235, (a, b, c)))
+                p235, c = p235 * 5, c + 1
+            p23, b = p23 * 3, b + 1
+        p2, a = p2 * 2, a + 1
+    return tuple(zip(*sorted(found)))
+
+
+@cache
+def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
+    """Each mantissa of the four-place table, ascending, mapped to (padded,
+    triple), padded being a T's fixed value times 60**3; one dict per
+    process that every caller shares, so none may change it."""
+    members = {}
+    for m, triple in zip(*_four_place_table()):
+        padded = m
+        while padded < 60**3:
+            padded *= 60
+        members[m] = padded, triple
+    return members
 
 
 def _regular_triple(n: int) -> tuple[int, int, int]:
     """The exponent triple of the regular integer n, looked up in the
     four-place table when n is there, else by factorization."""
-    mantissas, triples = _four_place_table()
-    i = bisect_left(mantissas, n)
-    if i < len(mantissas) and mantissas[i] == n:
-        return triples[i]
-    return regular_from_int(n).triple
-
-
-def regular_mantissas(max_places: int) -> list[int]:
-    """All canonical regular mantissas of at most max_places digits, ascending."""
-    return sorted(m for m, _ in _regular_triples(max_places))
+    member = _four_place_members().get(n)
+    return member[1] if member else regular_from_int(n).triple
 
 
 def _four_place_pairs(kind: str, lo: int, hi: int) -> list[ReciprocalPair]:
     """The pairs of regular T of at most four places with lo <= padded T
     <= hi that pass criterion ``kind``, by decreasing T.
 
-    Padded T, the mantissa padded with zero places to four digits, is T's
-    fixed value times 60**3.  T's range and, under mult10, T's own rule
-    (padded T divisible by 10) are tested on it before any pair is built;
-    the survivors' pairs come from the enumerated triples, then Tbar's test.
+    T's range is tested on padded T; Tbar's mantissa, 60**k over T's for
+    k = max(ceil(alpha/2), beta, gamma), is looked up in the four-place
+    table (absent: more than four places).  The rule is tested on both
+    members before any pair is built.
     """
+    rule, members = CRITERIA[kind], _four_place_members()
     found = []
-    for padded, triple in zip(*_four_place_table()):
-        while padded < 60**3:
-            padded *= 60
-        if lo <= padded <= hi and (kind != "mult10" or padded % 10 == 0):
-            found.append((padded, triple))
+    for m, t in members.items():
+        if lo <= t[0] <= hi:
+            a, b, c = t[1]
+            tbar = members.get(60 ** max((a + 1) // 2, b, c) // m)
+            if tbar and rule(t, tbar) and rule(tbar, t):
+                found.append(t)
     found.sort(reverse=True)
-    pairs = (ReciprocalPair.from_triple(triple) for _, triple in found)
-    return [pair for pair in pairs if _tbar_passes(kind, pair)]
-
-
-def _tbar_passes(kind: str, pair: ReciprocalPair) -> bool:
-    if kind == "mult10":
-        return mult10_criterion(pair.Tbar)
-    # Tbar has at most four places too; bruins drops the exponent-rule ones
-    return place_length(pair.Tbar.value) <= 4 and (
-        kind == "places_only" or not bruins_excluded(pair))
+    return [ReciprocalPair.from_triple(triple) for _, triple in found]
 
 
 def enumerate_pairs(kind: str, lower: SexValue,
                     upper: SexValue) -> list[ReciprocalPair]:
     """All four-place pairs whose T lies in [lower, upper] (fixed reading,
-    both ends inclusive) and that pass criterion ``kind``, one of "mult10",
-    "bruins" and "places_only", by decreasing T."""
-    if kind not in ("mult10", "bruins", "places_only"):
+    both ends inclusive) and that pass criterion ``kind``, a key of
+    :data:`CRITERIA`, by decreasing T."""
+    if kind not in CRITERIA:
         raise ValueError(f"unknown criterion kind {kind!r}")
     if lower.fraction > upper.fraction:
         raise ValueError("empty range: lower bound exceeds upper bound")
     return _four_place_pairs(kind, ceil(lower.fraction * 60**3),
                              floor(upper.fraction * 60**3))
-
-
-def full_mult10_list() -> list[ReciprocalPair]:
-    """Every pair with both members passing the multiple-of-10 rule, over
-    the whole floating range, by decreasing T.
-
-    Both orientations of each pair appear (T and Tbar trade places); the
-    degenerate self-reciprocal 1 is left out since it generates no triple.
-    """
-    return _four_place_pairs("mult10", 60**3 + 1, 60**4 - 1)
 
 
 class Correction(_Value):

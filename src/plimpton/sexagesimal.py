@@ -323,13 +323,6 @@ def reciprocal(r: RegularNumber) -> RegularNumber:
                          2 * k - r.alpha, k - r.beta, k - r.gamma)
 
 
-def place_length(v: SexValue) -> int:
-    """Number of base-60 digits of the canonical mantissa."""
-    if v.mantissa <= 0:
-        raise SexagesimalError("place length is defined for positive values")
-    return len(v.digits())
-
-
 def sqrt_exact(v: SexValue) -> SexValue | None:
     """Exact square root in the fixed reading, or None.
 

@@ -24,14 +24,12 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.pairs import (
+    CRITERIA,
     ReciprocalPair,
-    bruins_excluded,
+    _four_place_members,
+    _four_place_pairs,
     enumerate_pairs,
-    full_mult10_list,
-    mult10_criterion,
-    padded_multiple_of_10,
     plimpton_range,
-    regular_mantissas,
 )
 from plimpton.rows import build_row, reduce_factorization, xy_from_pair, XYPair
 from plimpton.sexagesimal import (
@@ -39,12 +37,12 @@ from plimpton.sexagesimal import (
     factor_2_3_5,
     mul,
     parse_sex,
-    place_length,
     regular_from_int,
     render_sex,
     sqrt_exact,
 )
 from plimpton.tablet import diff_against, error_annotations, tablet_data, verify_properties
+from test_pairs import mult10_digits, regular_mantissas
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -91,13 +89,12 @@ def test_criterion_2_tablet_regeneration():
 def test_criterion_3_exclusions():
     lo, hi = plimpton_range()
     places4 = {p.T.mantissa
-               for p in enumerate_pairs("places_only", lo, hi)}
+               for p in enumerate_pairs("places4", lo, hi)}
     mult10 = {p.T.mantissa
               for p in enumerate_pairs("mult10", lo, hi)}
     by_difference = places4 - mult10
-    by_rule = {p.T.mantissa
-               for p in enumerate_pairs("places_only", lo, hi)
-               if bruins_excluded(p)}
+    by_rule = places4 - {p.T.mantissa
+                         for p in enumerate_pairs("bruins", lo, hi)}
     excluded = printed_pairs("excluded-pairs")
     listed = {pair.T.mantissa for _, pair in excluded}
     labels = [label for label, _ in excluded]
@@ -255,7 +252,7 @@ def test_criterion_8_property_suite():
             if reduce_factorization(scaled)[:2] != base:
                 problems.append(("scaling", m, scale))
 
-    full = full_mult10_list()
+    full = _four_place_pairs("mult10", 216001, 12959999)
     sd = [(reduce_factorization(xy_from_pair(p))[:2])
           for p in full if p.T.mantissa != p.Tbar.mantissa]
     if len(sd) != len(set(sd)):
@@ -270,14 +267,16 @@ def test_criterion_8_property_suite():
 
 
 def test_criterion_9_oracle_equivalence():
-    # digit rule vs padded-integer divisibility, all regulars <= 6 places
+    # digit rule vs CRITERIA's on the four-place table's padded values, all
+    # regulars <= 6 places (those of five or six are not in the table)
     agree = True
+    members = _four_place_members()
     for m in regular_mantissas(6):
         r = regular_from_int(m)
-        if place_length(r.value) <= 4:
-            agree &= mult10_criterion(r) == padded_multiple_of_10(r)
+        if m in members:
+            agree &= CRITERIA["mult10"](members[m], None) == mult10_digits(r)
         else:
-            agree &= not mult10_criterion(r)
+            agree &= not mult10_digits(r)
 
     # enumerate_pairs vs direct exponent sweep on the three ranges used
     sweep_ok = True
@@ -295,8 +294,8 @@ def test_criterion_9_oracle_equivalence():
                         continue
                     p = ReciprocalPair.from_T_mantissa(m)
                     if (lo.fraction <= p.t_fraction <= hi.fraction
-                            and mult10_criterion(p.T)
-                            and mult10_criterion(p.Tbar)):
+                            and mult10_digits(p.T)
+                            and mult10_digits(p.Tbar)):
                         expected.add(m)
         sweep_ok &= got == expected
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import plimpton
 from plimpton import cli, tablet
 from plimpton.cli import main
-from plimpton.pairs import ReciprocalPair
+from plimpton.hypotheses import THEORIES
+from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs, plimpton_range
 from plimpton.sexagesimal import (
     SexValue,
     factor_2_3_5,
@@ -124,6 +125,27 @@ class TestPairs:
         _, out1, _ = run(capsys, "pairs", "--from", "2 24", "--to", "1 48")
         _, out2, _ = run(capsys, "pairs", "--from", "1 48", "--to", "2 24")
         assert out1 == out2
+
+
+class TestCriterionVocabulary:
+    """The criterion names are CRITERIA's keys everywhere: in the CLI, in
+    the hypotheses and in enumerate_pairs."""
+
+    def test_cli_choices_are_the_criteria(self):
+        subcommands = next(a for a in cli._build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        criterion = next(a for a in subcommands.choices["pairs"]._actions
+                         if a.dest == "criterion")
+        assert criterion.choices == tuple(CRITERIA) == ("mult10", "places4", "bruins")
+
+    def test_theories_name_criteria(self):
+        rules = [rule for rule in THEORIES.values() if isinstance(rule, str)]
+        assert rules and all(rule in CRITERIA for rule in rules)
+
+    def test_no_second_name(self):
+        lo, hi = plimpton_range()
+        with pytest.raises(ValueError, match="unknown criterion kind 'places_only'"):
+            enumerate_pairs("places_only", lo, hi)
 
 
 class TestRows:
@@ -357,8 +379,9 @@ class TestFuzz:
 
 class TestWorkCeilings:
     """Pairs built and factorizations made by one command.  The four-place
-    enumerations test T's range and rule before they build a pair, so each
-    of these commands builds a few dozen pairs, not all 432 (or 864)."""
+    enumerations test T's range and both members' rule before they build a
+    pair, so each of these commands builds the pairs it prints (and a
+    correction log's), not all 432 (or 864)."""
 
     CEILING = 50
 
@@ -406,22 +429,33 @@ class TestWorkCeilings:
 
     def test_tablet_range_builds_its_pairs_once(self, capsys, monkeypatch):
         # over the tablet's range the correction log reuses the listed
-        # pairs: 19 pass T's rule, 15 of them Tbar's too
+        # pairs: both members' rule is tested before a pair is built
         built = self.count_pairs(monkeypatch)
         assert run(capsys, "pairs", "--criterion", "mult10",
                    "--from", "1;48", "--to", "2;24")[0] == 0
-        assert len(built) == 19
+        assert len(built) == 15
 
-    @pytest.mark.parametrize("criterion", ["places4", "bruins"])
+    @pytest.mark.parametrize("argv,count", [
+        (("rows", "--hypothesis", "phillips"), 15),
+        (("rows", "--hypothesis", "bruins1949"), 15),
+        (("extend", "--side", "lower"), 24),
+        (("extend", "--side", "upper"), 28),
+    ])
+    def test_builds_exactly_what_it_prints(self, capsys, monkeypatch, argv, count):
+        built = self.count_pairs(monkeypatch)
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) == count
+
+    @pytest.mark.parametrize("criterion,count", [("places4", 21), ("bruins", 15)])
     def test_excluded_pairs_are_built_from_their_printed_t(
-            self, capsys, monkeypatch, criterion):
-        # the 28 pairs whose T passes, and the six excluded pairs of the
-        # correction log, one factorization of a printed T each
+            self, capsys, monkeypatch, criterion, count):
+        # the listed pairs, and the six excluded pairs of the correction
+        # log, one factorization of a printed T each
         built = self.count_pairs(monkeypatch)
         factored = self.count_factorizations(monkeypatch)
         assert run(capsys, "pairs", "--criterion", criterion,
                    "--from", "1;48", "--to", "2;24")[0] == 0
-        assert len(built) <= 34
+        assert len(built) == count + 6
         assert len(factored) <= 6
 
     @pytest.mark.parametrize("tag", ["ns1945", "price1964", "buck1980",

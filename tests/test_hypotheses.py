@@ -21,8 +21,9 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
-from plimpton.pairs import ReciprocalPair, full_mult10_list, regular_mantissas
+from plimpton.pairs import ReciprocalPair, _four_place_pairs
 from plimpton.sexagesimal import factor_2_3_5, render_sex
+from test_pairs import regular_mantissas
 
 
 def _t_set(tag):
@@ -238,7 +239,7 @@ class TestExtensions:
         assert upper == [("33", "T", "1 11 06 40")]
 
     def test_extensions_partition_the_full_list(self):
-        full = {p.T.mantissa for p in full_mult10_list()}
+        full = {p.T.mantissa for p in _four_place_pairs("mult10", 216001, 12959999)}
         fifteen = set(PHILLIPS_T)
         lower = {p.T.mantissa for _, p in printed_pairs("extension-lower")}
         upper = {p.T.mantissa for _, p in printed_pairs("extension-upper")}

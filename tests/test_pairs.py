@@ -11,16 +11,14 @@ from plimpton.hypotheses import (
 )
 
 from plimpton.pairs import (
+    CRITERIA,
     ReciprocalPair,
+    _four_place_members,
+    _four_place_pairs,
     _four_place_table,
     _regular_triple,
-    bruins_excluded,
     enumerate_pairs,
-    full_mult10_list,
-    mult10_criterion,
-    padded_multiple_of_10,
     plimpton_range,
-    regular_mantissas,
 )
 from plimpton import sexagesimal
 from plimpton.sexagesimal import (
@@ -28,7 +26,6 @@ from plimpton.sexagesimal import (
     SexValue,
     factor_2_3_5,
     parse_sex,
-    place_length,
     regular_from_int,
     render_sex,
 )
@@ -56,6 +53,35 @@ PHILLIPS_15 = [
 def _pairs(kind):
     lo, hi = plimpton_range()
     return enumerate_pairs(kind, lo, hi)
+
+
+# Independent oracles of the library's enumeration and rules: a direct
+# exponent sweep, and the rules read off a member's digits and triples.
+
+def regular_mantissas(places):
+    """Canonical regular mantissas of at most ``places`` digits, ascending."""
+    limit = 60**places
+    return sorted(n for a in range(6 * places) for b in range(4 * places)
+                  for c in range(3 * places)
+                  if (n := 2**a * 3**b * 5**c) < limit and n % 60)
+
+
+def mult10_digits(r):
+    """At most four places, and a four-place value ends in a multiple of 10."""
+    digits = r.value.digits()
+    return len(digits) < 4 or len(digits) == 4 and digits[-1] % 10 == 0
+
+
+def bruins_excluded(p):
+    """One member has alpha+beta+gamma > 13 while the other has gamma > 3."""
+    return any(sum(a.triple) > 13 and b.gamma > 3
+               for a, b in ((p.T, p.Tbar), (p.Tbar, p.T)))
+
+
+def full_mult10():
+    """Every pair whose members both pass the multiple-of-10 rule, over the
+    whole floating range but the self-reciprocal 1, by decreasing T."""
+    return _four_place_pairs("mult10", 60**3 + 1, 60**4 - 1)
 
 
 class TestReciprocalPair:
@@ -129,19 +155,37 @@ class TestFromTriple:
         for member in (p.T, p.Tbar):
             assert member.triple == factor_2_3_5(member.mantissa)
 
+    @given(st.integers(-3000, 3000), st.integers(-3000, 3000),
+           st.integers(-3000, 3000))
+    @example(50000, 0, 0)
+    @example(-14290, 0, 0)
+    def test_wide_triples(self, a, b, c):
+        p = ReciprocalPair.from_triple((a, b, c))
+        assert 1 <= p.t_fraction < 60
+        assert p.T.value.fraction * p.Tbar.value.fraction == 1
+
+    @pytest.mark.parametrize("prime,top", [(0, 1800), (1, 1140), (2, 780)])
+    def test_place_count_across_powers_of_60(self, prime, top):
+        # the powers of 2, 3 and 5 below top cross every 60**k, k < 300
+        for e in range(top):
+            triple = tuple(e * (i == prime) for i in range(3))
+            p = ReciprocalPair.from_triple(triple)
+            assert 1 <= p.t_fraction < 60, e
+
 
 class TestRegularEnumeration:
     def test_one_place_regulars(self):
-        assert regular_mantissas(1) == [
+        mantissas, _ = _four_place_table()
+        assert [m for m in mantissas if m < 60] == regular_mantissas(1) == [
             1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25,
             27, 30, 32, 36, 40, 45, 48, 50, 54]
 
     def test_four_place_count(self):
-        ms = regular_mantissas(4)
+        ms, _ = _four_place_table()
         assert len(ms) == 432
         assert 455625 in ms  # 3^6 * 5^4, a 4-place regular
         assert all(m % 60 for m in ms)
-        assert ms == sorted(set(ms))
+        assert list(ms) == sorted(set(ms))
 
     def test_brute_force_agreement(self):
         # independent oracle: direct (alpha, beta, gamma) sweep
@@ -149,7 +193,14 @@ class TestRegularEnumeration:
             2**a * 3**b * 5**c
             for a in range(25) for b in range(16) for c in range(12)
             if 2**a * 3**b * 5**c < 60**4 and (2**a * 3**b * 5**c) % 60})
-        assert regular_mantissas(4) == expected
+        assert list(_four_place_table()[0]) == regular_mantissas(4) == expected
+
+    def test_members_are_padded_to_four_places(self):
+        members = _four_place_members()
+        assert list(members) == regular_mantissas(4)
+        for m, (padded, triple) in members.items():
+            assert padded == m * 60 ** (4 - len(SexValue(m).digits()))
+            assert triple == factor_2_3_5(m)
 
     def test_triple_lookup_matches_factorization(self):
         # the shared four-place table against factorization, on the table
@@ -166,26 +217,28 @@ class TestRegularEnumeration:
 
 class TestCriteria:
     def test_mult10_equals_padded_divisibility_up_to_six_places(self):
-        from plimpton.sexagesimal import place_length, regular_from_int
+        # the digit rule against CRITERIA's on the table's padded values; a
+        # mantissa of five or six places is not in the table and fails both
+        members = _four_place_members()
         for m in regular_mantissas(6):
             r = regular_from_int(m)
-            if place_length(r.value) <= 4:
-                assert mult10_criterion(r) == padded_multiple_of_10(r)
+            if m in members:  # mult10 reads only the member itself
+                assert CRITERIA["mult10"](members[m], None) == mult10_digits(r)
             else:
-                assert not mult10_criterion(r)
+                assert len(r.value.digits()) > 4 and not mult10_digits(r)
 
     def test_phillips_enumeration_digit_exact(self):
         got = [(render_sex(p.T.value), render_sex(p.Tbar.value))
                for p in _pairs("mult10")]
         assert got == PHILLIPS_15
 
-    def test_places_only_gives_21(self):
-        assert len(_pairs("places_only")) == 21
+    def test_places4_gives_21(self):
+        assert len(_pairs("places4")) == 21
 
     def test_exclusions_are_the_same_six_both_ways(self):
-        by_difference = {p.T.mantissa for p in _pairs("places_only")} \
+        by_difference = {p.T.mantissa for p in _pairs("places4")} \
             - {p.T.mantissa for p in _pairs("mult10")}
-        by_bruins_rule = {p.T.mantissa for p in _pairs("places_only")
+        by_bruins_rule = {p.T.mantissa for p in _pairs("places4")
                           if bruins_excluded(p)}
         listed = {pair.T.mantissa for _, pair in printed_pairs("excluded-pairs")}
         assert by_difference == by_bruins_rule == listed
@@ -196,10 +249,10 @@ class TestCriteria:
             [p.T.mantissa for p in _pairs("mult10")]
 
     def test_disjunctive_reading_excludes_more(self):
-        conj = sum(bruins_excluded(p) for p in _pairs("places_only"))
+        conj = sum(bruins_excluded(p) for p in _pairs("places4"))
         # either member heavy (alpha+beta+gamma > 13) or deep (gamma > 3)
         disj = sum(any(sum(r.triple) > 13 or r.gamma > 3 for r in (p.T, p.Tbar))
-                   for p in _pairs("places_only"))
+                   for p in _pairs("places4"))
         assert disj > conj == 6
 
     def test_excluded_pair_corrections_flag_only_8a(self):
@@ -230,14 +283,14 @@ class TestCriteria:
 
 class TestFullList:
     def test_count_and_endpoints(self):
-        full = full_mult10_list()
+        full = full_mult10()
         assert len(full) == 204
         assert render_sex(full[0].T.value) == "59 15 33 20"
         assert render_sex(full[0].Tbar.value) == "1 00 45"
         assert render_sex(full[-1].T.value) == "1 00 45"
 
     def test_both_orientations_present_and_distinct(self):
-        full = full_mult10_list()
+        full = full_mult10()
         ts = [p.T.mantissa for p in full]
         assert len(ts) == len(set(ts))
         as_set = set(ts)
@@ -245,7 +298,7 @@ class TestFullList:
             assert p.Tbar.mantissa in as_set
 
     def test_strictly_decreasing(self):
-        full = full_mult10_list()
+        full = full_mult10()
         assert all(a.t_fraction > b.t_fraction
                    for a, b in zip(full, full[1:]))
 
@@ -272,7 +325,7 @@ class TestOracleSweep:
                     p = ReciprocalPair.from_T_mantissa(m)
                     if not (lo_v.fraction <= p.t_fraction <= hi_v.fraction):
                         continue
-                    if mult10_criterion(p.T) and mult10_criterion(p.Tbar):
+                    if mult10_digits(p.T) and mult10_digits(p.Tbar):
                         expected.add(m)
         assert got == expected
 
@@ -289,10 +342,10 @@ def _oracle_all() -> tuple[ReciprocalPair, ...]:
 
 def _oracle_passes(kind, p):
     if kind == "mult10":
-        return mult10_criterion(p.T) and mult10_criterion(p.Tbar)
-    if place_length(p.Tbar.value) > 4:
+        return mult10_digits(p.T) and mult10_digits(p.Tbar)
+    if len(p.Tbar.value.digits()) > 4:
         return False
-    return kind == "places_only" or not bruins_excluded(p)
+    return kind == "places4" or not bruins_excluded(p)
 
 
 def _oracle(kind, lo, hi):
@@ -321,15 +374,15 @@ class TestFastPathOracle:
     it must list exactly the oracle's pairs, in the same order."""
 
     @settings(max_examples=200, deadline=None)
-    @given(kind=st.sampled_from(["mult10", "bruins", "places_only"]),
+    @given(kind=st.sampled_from(["mult10", "bruins", "places4"]),
            a=_fixed, b=_fixed)
     @example(kind="mult10", a=parse_sex("1;48 00 00 00 01", "fixed"),
              b=parse_sex("2;24", "fixed"))
     @example(kind="bruins", a=parse_sex("1;47 59 59 59 59", "fixed"),
              b=parse_sex("2;24 00 00 00 01", "fixed"))
-    @example(kind="places_only", a=SexValue(0), b=SexValue(1))
+    @example(kind="places4", a=SexValue(0), b=SexValue(1))
     @example(kind="mult10", a=parse_sex("59;59 59", "fixed"), b=SexValue(100))
-    @example(kind="places_only", a=SexValue(1, -3), b=SexValue(10**9))
+    @example(kind="places4", a=SexValue(1, -3), b=SexValue(10**9))
     def test_enumerate_pairs_equals_oracle(self, kind, a, b):
         lo, hi = sorted((a, b), key=lambda v: v.fraction)
         assert enumerate_pairs(kind, lo, hi) == _oracle(kind, lo, hi)
@@ -342,7 +395,7 @@ class TestFastPathOracle:
         assert len(got) == 14
 
     def test_full_mult10_list(self):
-        full = full_mult10_list()
+        full = full_mult10()
         assert full == _oracle_full_mult10()
         assert len(full) == 204
 

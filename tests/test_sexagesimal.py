@@ -15,7 +15,6 @@ from plimpton.sexagesimal import (
     is_regular,
     mul,
     parse_sex,
-    place_length,
     reciprocal,
     regular_from_int,
     render_sex,
@@ -162,10 +161,6 @@ class TestRegulars:
         assert product.mantissa == 1
         assert recip.value.exponent == 0
         assert recip.triple == factor_2_3_5(recip.mantissa)
-
-    def test_place_length(self):
-        assert place_length(SexValue(59)) == 1
-        assert place_length(SexValue(512000)) == 4
 
 
 class TestSqrt:
