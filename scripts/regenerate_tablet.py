@@ -6,7 +6,7 @@ Usage: python3 scripts/regenerate_tablet.py
 """
 
 from plimpton import diff_against, generate, render_sex
-from plimpton.hypotheses import HYPOTHESIS_TAGS
+from plimpton.hypotheses import THEORIES
 from plimpton.sexagesimal import SexValue
 
 
@@ -16,7 +16,7 @@ def main() -> None:
         print(f"  {render_sex(row.a):32}  {render_sex(SexValue(row.s)):10}"
               f"  {render_sex(SexValue(row.d)):10}  KI.{row.n}")
     print()
-    for tag in HYPOTHESIS_TAGS:
+    for tag in THEORIES:
         rows = generate(tag, "tablet_faithful")
         if len(rows) != 15:
             print(f"{tag}: {len(rows)} rows, not directly comparable")

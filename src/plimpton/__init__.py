@@ -48,6 +48,7 @@ from .hypotheses import (
     standard_table,
 )
 from .tablet import (
+    PROPERTIES,
     DiffReport,
     ErrorAnnotation,
     TabletCell,

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: recip, pairs, rows, tablet (verify|diff|errors), extend, link.
-Output formats: text (default), json, csv.  Whenever computed values differ
-from the printed source tables, a correction log is emitted (stderr for
-text/csv, embedded for json) — printed values are never silently fixed.
+Output formats: text (default), json, and csv for every command but recip
+and link, which print one value.  Whenever computed values differ from the
+printed source tables, a correction log is emitted (stderr for text/csv,
+embedded for json) — printed values are never silently fixed.
 
 Exit codes: 0 success or expected findings, 1 usage error, 2 data error.
 """
@@ -279,13 +280,12 @@ def _build_parser() -> _Parser:
                      description="Exact sexagesimal reconstruction of Plimpton 322")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+    def add_format(p, formats=("text", "json", "csv")):
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("recip", help="reciprocal of a regular number")
     p.add_argument("value")
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     p = sub.add_parser("pairs", help="enumerate reciprocal pairs in a range")
     p.add_argument("--criterion", choices=tuple(pairs.CRITERIA), default="mult10")
@@ -294,7 +294,7 @@ def _build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("rows", help="generate rows under a hypothesis")
-    p.add_argument("--hypothesis", choices=hypotheses.HYPOTHESIS_TAGS,
+    p.add_argument("--hypothesis", choices=tuple(hypotheses.THEORIES),
                    required=True)
     p.add_argument("--reduction", choices=("full", "tablet-faithful"),
                    default="full")
@@ -311,7 +311,7 @@ def _build_parser() -> _Parser:
             tp.add_argument("--use", choices=("corrected", "as_written"),
                             default="corrected")
         if name == "diff":
-            tp.add_argument("--hypothesis", choices=hypotheses.HYPOTHESIS_TAGS,
+            tp.add_argument("--hypothesis", choices=tuple(hypotheses.THEORIES),
                             default="phillips")
             tp.add_argument("--matching", choices=("exact", "similarity"),
                             default="exact")
@@ -324,7 +324,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("link", help="minimal chain to the standard table")
     p.add_argument("value")
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     return parser
 

@@ -62,7 +62,6 @@ THEORIES = {
     "friberg2007": (1, 60, None, lambda p, q: 12 * p < 29 * q),
     "phillips": "mult10",
 }
-HYPOTHESIS_TAGS = tuple(THEORIES)
 
 
 def _pq_theory_pairs(least_q: int, q_limit: int, p_limit: int | None,

@@ -303,8 +303,8 @@ def is_regular(v: SexValue) -> RegularNumber | None:
     return RegularNumber(v, *triple)
 
 
-def regular_from_int(n: int, exponent: int = 0) -> RegularNumber:
-    r = is_regular(SexValue(n, exponent))
+def regular_from_int(n: int) -> RegularNumber:
+    r = is_regular(SexValue(n))
     if r is None:
         raise SexagesimalError(f"{n} is not regular")
     return r

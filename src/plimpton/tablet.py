@@ -19,13 +19,10 @@ from .sexagesimal import (
     SexValue,
     SexagesimalError,
     _Value,
-    add,
     from_fraction,
     is_regular,
     parse_sex,
     render_sex,
-    sqrt_exact,
-    sub,
 )
 
 EDITIONS = ("joyce", "robson")
@@ -73,16 +70,10 @@ def _cell_digits(text: str) -> str:
 
 
 def _parse_a(text: str) -> TabletCell:
-    digits = _cell_digits(text)
-    v = parse_sex(digits)
     # fixed reading: the (implied) leading 1 is the units digit
-    v = SexValue(v.mantissa, -(len(digits.split()) - 1))
-    return TabletCell(v, reconstructed_break="[" in text,
+    return TabletCell(parse_sex(_cell_digits(text), "fixed"),
+                      reconstructed_break="[" in text,
                       leading_one_implied="(1)" in text)
-
-
-def _parse_int_cell(text: str) -> TabletCell:
-    return TabletCell(parse_sex(_cell_digits(text)))
 
 
 # Scribal originals shared by both editions: (row, column) -> written digits.
@@ -115,8 +106,8 @@ def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
         a_text, s_text, d_text, label = _COLUMN_SPLIT.split(line.strip())
         n = int(_MARKUP.sub("", label).removeprefix("KI."))
         cells = {"a": _parse_a(a_text),
-                 "s": _parse_int_cell(s_text),
-                 "d": _parse_int_cell(d_text)}
+                 "s": TabletCell(parse_sex(_cell_digits(s_text))),
+                 "d": TabletCell(parse_sex(_cell_digits(d_text)))}
         for col in ("s", "d"):
             if n == 15:
                 corrected, written = _ROW15[edition][col]
@@ -150,58 +141,46 @@ class PropertyResult(_Value):
 def _int_value(v: SexValue) -> int:
     f = v.fraction
     if f.denominator != 1:
-        raise AssertionError(f"{v} is not an integer in the fixed reading")
+        raise SexagesimalError(f"{v} is not an integer in the fixed reading")
     return f.numerator
 
 
-def verify_properties(rows: list[TabletRowRecord], use: str = "corrected",
-                      leading_one: bool = True) -> list[PropertyResult]:
-    """The five arithmetic properties of the columns, row by row.
+def _read(row: TabletRowRecord, use: str = "corrected") -> tuple:
+    """A row's number, its A as a fraction, and its S and D as integers,
+    in one reading."""
+    return (row.n, row.a.value(use).fraction,
+            _int_value(row.s.value(use)), _int_value(row.d.value(use)))
 
-    ``leading_one=False`` reads column A without its initial 1 (the value
-    becomes A-1): property 2 then asks for a square one less than a square,
-    and property 5 becomes A = S**2/(D**2 - S**2).
-    """
-    a_vals = [r.a.value(use) for r in rows]
-    if not leading_one:
-        a_vals = [sub(v, SexValue(1)) for v in a_vals]
-    s_vals = [_int_value(r.s.value(use)) for r in rows]
-    d_vals = [_int_value(r.d.value(use)) for r in rows]
 
-    decreasing = tuple(rows[i].n for i in range(1, len(rows))
-                       if a_vals[i].fraction >= a_vals[i - 1].fraction)
+def _is_square(x: Fraction | int) -> bool:
+    """Whether x is a rational square: in lowest terms, both parts are."""
+    return x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
 
-    one = SexValue(1)
-    squares = []
-    for r, a in zip(rows, a_vals):
-        companion = sub(a, one) if leading_one else add(a, one)
-        if sqrt_exact(a) is None or sqrt_exact(companion) is None:
-            squares.append(r.n)
 
-    coprime = tuple(r.n for r, s, d in zip(rows, s_vals, d_vals)
-                    if gcd(s, d) != 1)
+# Properties 2-5, number -> (description, test of one row's A, S and D).
+# Property 1 compares each row's A with the row before, in verify_properties.
+PROPERTIES = {
+    2: ("A and A-1 are perfect squares",
+        lambda a, s, d: _is_square(a) and _is_square(a - 1)),
+    3: ("S and D are coprime", lambda a, s, d: gcd(s, d) == 1),
+    4: ("D^2 - S^2 is a perfect square",
+        lambda a, s, d: d * d > s * s and _is_square(d * d - s * s)),
+    5: ("A * (D^2 - S^2) = D^2", lambda a, s, d: a * (d * d - s * s) == d * d),
+}
 
-    square_diff = []
-    ratio = []
-    for r, a, s, d in zip(rows, a_vals, s_vals, d_vals):
-        diff = d * d - s * s
-        if diff <= 0 or isqrt(diff) ** 2 != diff:
-            square_diff.append(r.n)
-        numerator = d * d if leading_one else s * s
-        if a.fraction * diff != numerator:
-            ratio.append(r.n)
 
-    two = ("A and A-1 are perfect squares" if leading_one
-           else "A and A+1 are perfect squares")
-    five = ("A * (D^2 - S^2) = D^2" if leading_one
-            else "A * (D^2 - S^2) = S^2")
-    return [
-        PropertyResult(1, "column A strictly decreases", decreasing),
-        PropertyResult(2, two, tuple(squares)),
-        PropertyResult(3, "S and D are coprime", coprime),
-        PropertyResult(4, "D^2 - S^2 is a perfect square", tuple(square_diff)),
-        PropertyResult(5, five, tuple(ratio)),
-    ]
+def verify_properties(rows: list[TabletRowRecord],
+                      use: str = "corrected") -> list[PropertyResult]:
+    """The five arithmetic properties of the columns: column A strictly
+    decreases down the rows, and every row passes each test of PROPERTIES.
+    A failure lists the numbers of the rows that break the property."""
+    read = [_read(r, use) for r in rows]
+    decreasing = tuple(n for (n, a, _, _), (_, above, _, _) in zip(read[1:], read)
+                       if a >= above)
+    return [PropertyResult(1, "column A strictly decreases", decreasing)] + [
+        PropertyResult(number, description,
+                       tuple(n for n, a, s, d in read if not test(a, s, d)))
+        for number, (description, test) in PROPERTIES.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +195,13 @@ class RowDiff(_Value):
 class DiffReport(_Value):
     __slots__ = ("edition", "matching", "rows")
 
-    @property
-    def exact_count(self) -> int:
-        return sum(r.status == "exact" for r in self.rows)
-
-    @property
-    def similarity_count(self) -> int:
-        return sum(r.status == "similarity" for r in self.rows)
-
-    @property
-    def mismatch_count(self) -> int:
-        return sum(r.status == "mismatch" for r in self.rows)
+    def count(self, status: str) -> int:
+        return sum(r.status == status for r in self.rows)
 
     def summary(self) -> str:
-        return (f"{self.exact_count}/{len(self.rows)} exact, "
-                f"{self.similarity_count} similar, "
-                f"{self.mismatch_count} mismatched "
+        return (f"{self.count('exact')}/{len(self.rows)} exact, "
+                f"{self.count('similarity')} similar, "
+                f"{self.count('mismatch')} mismatched "
                 f"({self.edition} edition, {self.matching} matching)")
 
 
@@ -250,17 +220,12 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             f"row-count mismatch: {len(candidates)} generated vs {len(attested)} attested")
     diffs = []
     for cand, row in zip(candidates, attested):
-        cells = []
-        if cand.a.fraction != row.a.corrected.fraction:
-            cells.append("A")
-        ts = _int_value(row.s.corrected)
-        td = _int_value(row.d.corrected)
-        if cand.s != ts:
-            cells.append("S")
-        if cand.d != td:
-            cells.append("D")
+        n, ta, ts, td = _read(row)
+        cells = tuple(name for name, got, want in
+                      zip("ASD", (cand.a.fraction, cand.s, cand.d), (ta, ts, td))
+                      if got != want)
         if not cells:
-            diffs.append(RowDiff(row.n, "exact"))
+            diffs.append(RowDiff(n, "exact"))
             continue
         if matching == "similarity" and "A" not in cells:
             ratio = Fraction(ts, cand.s)
@@ -270,9 +235,9 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
                 except SexagesimalError:
                     scaled = None
                 if scaled is not None:
-                    diffs.append(RowDiff(row.n, "similarity", ratio=scaled))
+                    diffs.append(RowDiff(n, "similarity", ratio=scaled))
                     continue
-        diffs.append(RowDiff(row.n, "mismatch", cells=tuple(cells)))
+        diffs.append(RowDiff(n, "mismatch", cells=cells))
     return DiffReport(edition, matching, tuple(diffs))
 
 

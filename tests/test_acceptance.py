@@ -77,13 +77,13 @@ def test_criterion_2_tablet_regeneration():
     row4 = generate("phillips", "tablet_faithful")[3]
     row15 = generate("phillips", "tablet_faithful")[14]
     sim = [r for r in full.rows if r.status == "similarity"]
-    ok = (faithful.exact_count == 15
+    ok = (faithful.count("exact") == 15
           and render_sex(row4.a) == "1 53 10 29 32 52 16"
           and (row15.s, row15.d) == (28, 53)
-          and full.exact_count == 14
+          and full.count("exact") == 14
           and [ (r.n, r.ratio.mantissa) for r in sim ] == [(11, 15)])
     _report(2, "tablet regeneration", ok,
-            f"faithful {faithful.exact_count}/15, full {full.exact_count}+sim")
+            f"faithful {faithful.count('exact')}/15, full {full.count('exact')}+sim")
 
 
 def test_criterion_3_exclusions():

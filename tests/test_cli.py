@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plimpton
-from plimpton import cli, tablet
+from plimpton import cli, hypotheses, tablet
 from plimpton.cli import main
 from plimpton.hypotheses import THEORIES
 from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs, plimpton_range
@@ -127,16 +127,29 @@ class TestPairs:
         assert out1 == out2
 
 
+def _option(parser, dest: str, *path: str):
+    """The option ``dest`` of the subcommand reached by ``path``."""
+    for name in path:
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        parser = subcommands.choices[name]
+    return next(a for a in parser._actions if a.dest == dest)
+
+
 class TestCriterionVocabulary:
     """The criterion names are CRITERIA's keys everywhere: in the CLI, in
-    the hypotheses and in enumerate_pairs."""
+    the hypotheses and in enumerate_pairs; the theory names are THEORIES'
+    keys in both options that take one."""
 
     def test_cli_choices_are_the_criteria(self):
-        subcommands = next(a for a in cli._build_parser()._actions
-                           if isinstance(a, argparse._SubParsersAction))
-        criterion = next(a for a in subcommands.choices["pairs"]._actions
-                         if a.dest == "criterion")
+        criterion = _option(cli._build_parser(), "criterion", "pairs")
         assert criterion.choices == tuple(CRITERIA) == ("mult10", "places4", "bruins")
+
+    @pytest.mark.parametrize("path", [("rows",), ("tablet", "diff")])
+    def test_cli_choices_are_the_theories(self, path):
+        hypothesis = _option(cli._build_parser(), "hypothesis", *path)
+        assert hypothesis.choices == tuple(THEORIES)
+        assert not hasattr(hypotheses, "HYPOTHESIS_TAGS")
 
     def test_theories_name_criteria(self):
         rules = [rule for rule in THEORIES.values() if isinstance(rule, str)]
@@ -238,6 +251,13 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("command", ["recip", "link"])
+    def test_one_value_commands_offer_no_csv(self, capsys, command):
+        # they print one value, never a table
+        code, out, err = run(capsys, command, "2 05", "--format", "csv")
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'csv'" in err
 
 
 class TestNonAsciiDigits:

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from plimpton import hypotheses
 from plimpton.hypotheses import (
-    HYPOTHESIS_TAGS,
     LOWER_EXTENSION_PRINTED,
     PLIMPTON_PAIRS_PRINTED,
     PRINTED_TABLES,
@@ -476,6 +477,31 @@ def _lattice_depths(radius=60):
 FOUR_PLACE_PAIRS = [ReciprocalPair.from_T_mantissa(m)
                     for m in regular_mantissas(4)]
 
+# Start classes: both members of the 21 standard-table pairs.
+START_CLASSES = 42
+
+
+def count_scored(p) -> int:
+    """How many candidates ``link_to_standard(p)`` scores: the times its
+    line ``steps = ...`` runs, counted by a line tracer on that function."""
+    lines, first = inspect.getsourcelines(link_to_standard)
+    target = first + next(i for i, line in enumerate(lines)
+                          if line.lstrip().startswith("steps = "))
+    code, count = link_to_standard.__code__, 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == target
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        link_to_standard(p)
+    finally:
+        sys.settrace(previous)
+    return count
+
 
 class TestClosedFormLinks:
     def test_same_chain_as_the_search_up_to_depth_5(self):
@@ -514,3 +540,14 @@ class TestClosedFormLinks:
         chain = link_to_standard(ReciprocalPair.from_triple((n, 0, 0)))
         assert chain.start.T.mantissa == 64
         assert chain.factor == (n - 6, 0, 0) and chain.steps == n - 6
+
+    def test_scores_at_most_four_candidates_per_start_class(self):
+        # j = 0, -d2 and the integers either side of -d1/2, for each class;
+        # a pair of the table itself scores none
+        deep = [ReciprocalPair.from_triple((e, 0, 0)) for e in (50000, -50000)]
+        for p in FOUR_PLACE_PAIRS + deep:
+            scored = count_scored(p)
+            if link_to_standard(p).in_table:
+                assert scored == 0, str(p)
+            else:
+                assert START_CLASSES <= scored <= 4 * START_CLASSES, str(p)

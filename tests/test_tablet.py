@@ -1,12 +1,24 @@
 import hashlib
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from plimpton.hypotheses import generate
-from plimpton.sexagesimal import SexValue, parse_sex, render_sex, sqrt_exact
+from plimpton.sexagesimal import (
+    SexValue,
+    SexagesimalError,
+    parse_sex,
+    render_sex,
+    sqrt_exact,
+    sub,
+)
 from plimpton.tablet import (
     EDITIONS,
+    PROPERTIES,
+    TabletCell,
+    TabletRowRecord,
+    _parse_a,
     diff_against,
     error_annotations,
     tablet_data,
@@ -113,22 +125,63 @@ class TestVerification:
             assert failing - {11} == corrected_rows
 
     def test_leading_one_variant_also_passes(self):
-        results = verify_properties(tablet_data("robson"), leading_one=False)
-        by_number = {r.number: r for r in results}
-        for n in (1, 2, 4, 5):
-            assert by_number[n].holds, n
-        assert by_number[3].failures == (11,)
+        # A read without its leading 1 is A - 1: A - 1 and A are squares,
+        # and (A - 1)(D^2 - S^2) = S^2, the same facts as properties 2 and 5
+        for edition in EDITIONS:
+            for row in tablet_data(edition):
+                a = row.a.corrected
+                s, d = (int(cell.corrected.fraction) for cell in (row.s, row.d))
+                without_one = sub(a, SexValue(1))
+                assert sqrt_exact(without_one) is not None, (edition, row.n)
+                assert sqrt_exact(a) is not None, (edition, row.n)
+                assert without_one.fraction * (d * d - s * s) == s * s, (edition, row.n)
+
+    def test_properties_are_one_table(self):
+        results = verify_properties(tablet_data("robson"))
+        assert [r.number for r in results] == [1, *PROPERTIES] == [1, 2, 3, 4, 5]
+        assert [r.description for r in results[1:]] == [
+            description for description, _ in PROPERTIES.values()]
+
+    @pytest.mark.parametrize("number,a,s,d", [
+        (2, 4, 3, 5),               # 4 - 1 is not a square
+        (3, 4, 6, 10),
+        (4, 4, 1, 2),               # 2^2 - 1^2 is not a square
+        (4, 4, 5, 5),               # nor is it positive
+        (5, 2, 3, 5),               # 2 * 16 != 25
+    ])
+    def test_each_property_rejects_its_counterexample(self, number, a, s, d):
+        # the (3, 4, 5) row, A = 25/16 = 1;33 45, passes every test
+        _, test = PROPERTIES[number]
+        assert test(parse_sex("1;33 45", "fixed").fraction, 3, 5)
+        assert not test(Fraction(a), s, d)
+
+    def test_column_a_must_strictly_decrease(self):
+        rows = tablet_data("robson")
+        assert verify_properties(rows[::-1])[0].failures == tuple(range(14, 0, -1))
+        assert verify_properties([rows[0], rows[0]])[0].failures == (1,)
+
+    def test_non_integer_side_is_a_domain_error(self):
+        row = TabletRowRecord(1, TabletCell(SexValue(3)),
+                              TabletCell(SexValue(90, -1)), TabletCell(SexValue(5)))
+        with pytest.raises(SexagesimalError, match="1 30 is not an integer"):
+            verify_properties([row])
+
+    def test_trailing_zero_places_of_a_are_read_fixed(self):
+        cell = _parse_a("(1) 30 00")
+        assert cell.corrected == parse_sex("1 30 00", "fixed")
+        assert cell.corrected.fraction == Fraction(3, 2)
+        assert cell.leading_one_implied
 
 
 class TestDiff:
     def test_phillips_faithful_is_exact_on_robson(self):
         report = diff_against(generate("phillips", "tablet_faithful"),
                               "robson", "exact")
-        assert report.exact_count == 15
+        assert report.count("exact") == 15
 
     def test_phillips_full_similarity_on_robson(self):
         report = diff_against(generate("phillips"), "robson", "similarity")
-        assert report.exact_count == 14
+        assert report.count("exact") == 14
         sim = [r for r in report.rows if r.status == "similarity"]
         assert len(sim) == 1
         assert sim[0].n == 11
@@ -136,7 +189,7 @@ class TestDiff:
 
     def test_full_exact_marks_row11_mismatch(self):
         report = diff_against(generate("phillips"), "robson", "exact")
-        assert report.mismatch_count == 1
+        assert report.count("mismatch") == 1
         assert report.rows[10].cells == ("S", "D")
 
     def test_joyce_row15_adjudication(self):
