@@ -76,16 +76,18 @@ def _correction_dict(c: Correction) -> dict:
             "printed": c.printed, "computed": c.computed}
 
 
+def _print_json(command: str, fields: dict) -> None:
+    """One command's JSON document: schema version, command, then fields."""
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                      **fields}, indent=2))
+
+
 def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
           corrections: list[Correction], extra: dict | None = None) -> None:
     """Uniform emission: same values in every format."""
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": command,
-               "rows": rows,
-               "corrections": [_correction_dict(c) for c in corrections]}
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, indent=2))
+        _print_json(command, {"rows": rows, "corrections": [
+            _correction_dict(c) for c in corrections], **(extra or {})})
         return
     if fmt == "csv":
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
@@ -140,9 +142,8 @@ def cmd_recip(args) -> int:
     r = _parse_regular_arg(args.value)
     result = reciprocal(r).value
     if args.format == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": "recip",
-                          "input": _encode_value(r.value),
-                          "reciprocal": _encode_value(result)}, indent=2))
+        _print_json("recip", {"input": _encode_value(r.value),
+                              "reciprocal": _encode_value(result)})
     else:
         print(render_sex(result))
     return EXIT_OK
@@ -258,14 +259,13 @@ def cmd_link(args) -> int:
     pair = ReciprocalPair.from_triple(_parse_regular_arg(args.value).triple)
     chain = hypotheses.link_to_standard(pair)
     if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": "link",
-               "pair": _pair_row("", pair),
-               "in_table": chain.in_table,
-               "start": _pair_row("", chain.start),
-               "factor": list(chain.factor),
-               "factor_value": _encode_fraction(chain.factor_fraction),
-               "steps": chain.steps}
-        print(json.dumps(doc, indent=2))
+        _print_json("link", {
+            "pair": _pair_row("", pair),
+            "in_table": chain.in_table,
+            "start": _pair_row("", chain.start),
+            "factor": list(chain.factor),
+            "factor_value": _encode_fraction(chain.factor_fraction),
+            "steps": chain.steps})
     else:
         print(_decimal("link factor", chain))
     return EXIT_OK

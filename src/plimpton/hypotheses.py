@@ -6,14 +6,14 @@ reciprocal pairs.  Also here: the printed tables of pairs (the fifteen, the
 excluded six and the extensions above and below them) with the computed
 pairs each is checked against, and the minimal chain linking any regular
 pair to the standard reciprocal table by doubling/tripling/quintupling
-steps.
+steps.  Every computed table of pairs but Table 1's is one enumeration,
+``pairs._four_place_pairs``, with its own T range and test of both members.
 Links are computed in closed form on the exponent lattice (see
 :func:`link_to_standard`), in bounded time at any chain depth.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -21,14 +21,15 @@ from math import gcd
 from .pairs import (
     Correction,
     ReciprocalPair,
+    _both_ways,
+    _four_place_members,
     _four_place_pairs,
-    _four_place_table,
     enumerate_pairs,
     pair_corrections,
     plimpton_range,
 )
 from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
-from .sexagesimal import RegularNumber, _Value, parse_sex
+from .sexagesimal import RegularNumber, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -44,8 +45,8 @@ def phillips_pairs() -> list[ReciprocalPair]:
 # Every theory, in survey order, with how it chooses its rows:
 # - ns1945: the (P, Q) of TABLE1_PQ, in that order;
 # - a key of pairs.CRITERIA: the pairs of the tablet's T range it selects;
-# - (least Q, Q limit, P limit, test): coprime regular P > Q with
-#   least Q <= Q < Q limit, P < P limit (None: no limit) and test(P, Q).
+# - (least Q, Q limit, P limit, test): T = P/Q in (1, 3], in lowest terms,
+#   with least Q <= Q < Q limit, P < P limit (None: no limit), test(P, Q).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
 # P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
@@ -64,21 +65,15 @@ THEORIES = {
 }
 
 
-def _pq_theory_pairs(least_q: int, q_limit: int, p_limit: int | None,
-                     test) -> list[ReciprocalPair]:
-    ms, triples = _four_place_table()
-    pairs = []
-    for i in range(bisect_left(ms, least_q), bisect_left(ms, q_limit)):
-        q, q_triple = ms[i], triples[i]
-        # every surveyed ratio bound is below 3
-        top = 3 * q if p_limit is None else min(3 * q, p_limit - 1)
-        for j in range(i + 1, bisect_right(ms, top)):
-            p, p_triple = ms[j], triples[j]
-            if gcd(p, q) == 1 and test(p, q):
-                pairs.append(ReciprocalPair.from_triple(
-                    tuple(e - f for e, f in zip(p_triple, q_triple))))
-    pairs.sort(key=lambda p: p.t_fraction, reverse=True)
-    return pairs
+def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test):
+    """A (P, Q) theory's row as a test of a pair whose T is in (1, 3]:
+    T = P/Q in lowest terms, read off T's padded value."""
+    def keep(t, tbar):
+        g = gcd(t[0], 60**3)
+        p, q = t[0] // g, 60**3 // g
+        return (least_q <= q < q_limit and (p_limit is None or p < p_limit)
+                and test(p, q))
+    return keep
 
 
 def _table1_row(n: int, pq: PQPair) -> RowCandidate:
@@ -94,13 +89,15 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
     if tag not in THEORIES:
         raise ValueError(f"unknown hypothesis {tag!r}")
+    if reduction not in ("full", "tablet_faithful"):
+        raise ValueError(f"unknown reduction mode {reduction!r}")
     rule = THEORIES[tag]
     if rule is TABLE1_PQ:
         return [_table1_row(n, PQPair(*pq)) for n, pq in enumerate(rule, 1)]
     if isinstance(rule, str):
         pairs = enumerate_pairs(rule, *plimpton_range())
-    else:
-        pairs = _pq_theory_pairs(*rule)
+    else:  # every surveyed bound on P/Q is below 3
+        pairs = _four_place_pairs(60**3 + 1, 3 * 60**3, _pq_keep(*rule))
     return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
 
 
@@ -211,21 +208,22 @@ MINUS_17_VARIANT_PRINTED = [("-17", "3 29 10")]
 
 # Every printed table of pairs, by the name its correction log carries: its
 # rows as printed, (label, T, Tbar, ...), and how the pairs it is checked
-# against are computed, by decreasing T.  The excluded pairs are built from
-# their printed T.  Each extension is the multiple-of-10 enumeration over
-# its own T range, given as T * 60**3: lower from the printed top down to
-# above the tablet's first row, upper from below its last row down to
-# above 1.  The functions are looked up when called, so a rebound
-# phillips_pairs (a test's patch, a tracer's wrapper) is the one that runs.
+# against are computed: the four-place pairs of a T range, given as
+# T * 60**3, that pass a test of both members, by decreasing T.  The
+# excluded pairs fail the multiple-of-10 rule over the tablet's range; each
+# extension passes it over its own, lower from the printed top down to above
+# the tablet's first row, upper from below its last row down to above 1.
+# The functions are looked up when called, so a rebound phillips_pairs (a
+# test's patch, a tracer's wrapper) is the one that runs.
 PRINTED_TABLES = {
     "standard-15": (PLIMPTON_PAIRS_PRINTED, lambda: phillips_pairs()),
-    "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, lambda: [
-        ReciprocalPair.from_T_mantissa(parse_sex(t_text).mantissa)
-        for _, t_text, _ in EXCLUDED_PAIRS_PRINTED]),
-    "extension-lower": (LOWER_EXTENSION_PRINTED,  # 2;24 < T <= 3;54 22 30
-                        lambda: _four_place_pairs("mult10", 518401, 843750)),
-    "extension-upper": (UPPER_EXTENSION_PRINTED,  # 1 < T < 1;48
-                        lambda: _four_place_pairs("mult10", 216001, 388799)),
+    "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, lambda: _four_place_pairs(
+        388800, 518400,  # 1;48 <= T <= 2;24
+        lambda t, tbar: not _both_ways("mult10")(t, tbar))),
+    "extension-lower": (LOWER_EXTENSION_PRINTED, lambda: _four_place_pairs(
+        518401, 843750, _both_ways("mult10"))),  # 2;24 < T <= 3;54 22 30
+    "extension-upper": (UPPER_EXTENSION_PRINTED, lambda: _four_place_pairs(
+        216001, 388799, _both_ways("mult10"))),  # 1 < T < 1;48
 }
 
 
@@ -304,9 +302,8 @@ def standard_table() -> list[ReciprocalPair]:
     """The conventional school list: regular numbers 2 through 81 with
     their reciprocals.  (60 reads as the unit and is omitted: its canonical
     mantissa is 1.)"""
-    mantissas, triples = _four_place_table()
-    return [ReciprocalPair.from_triple(triple) for triple in
-            triples[bisect_right(mantissas, 1):bisect_left(mantissas, 82)]]
+    return [ReciprocalPair.from_triple(triple)
+            for m, (_, triple) in _four_place_members().items() if 1 < m < 82]
 
 
 def _lattice_class(r: RegularNumber) -> tuple[int, int]:

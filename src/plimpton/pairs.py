@@ -97,10 +97,11 @@ CRITERIA = {
 
 
 @cache
-def _four_place_table() -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
     """Every canonical regular mantissa of at most four places, ascending,
-    and its exponent triples in the same order; built once per process on
-    first use."""
+    mapped to (padded, triple): padded is a T's fixed value times 60**3,
+    triple its exponents.  Built once per process on first use; every
+    caller shares the dict, so none may change it."""
     found = []
     p2, a = 1, 0
     while p2 < 60**4:
@@ -109,25 +110,14 @@ def _four_place_table() -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ..
             p235, c = p23, 0
             while p235 < 60**4:
                 if p235 % 60:
-                    found.append((p235, (a, b, c)))
+                    padded = p235
+                    while padded < 60**3:
+                        padded *= 60
+                    found.append((p235, (padded, (a, b, c))))
                 p235, c = p235 * 5, c + 1
             p23, b = p23 * 3, b + 1
         p2, a = p2 * 2, a + 1
-    return tuple(zip(*sorted(found)))
-
-
-@cache
-def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
-    """Each mantissa of the four-place table, ascending, mapped to (padded,
-    triple), padded being a T's fixed value times 60**3; one dict per
-    process that every caller shares, so none may change it."""
-    members = {}
-    for m, triple in zip(*_four_place_table()):
-        padded = m
-        while padded < 60**3:
-            padded *= 60
-        members[m] = padded, triple
-    return members
+    return dict(sorted(found))
 
 
 def _regular_triple(n: int) -> tuple[int, int, int]:
@@ -137,22 +127,28 @@ def _regular_triple(n: int) -> tuple[int, int, int]:
     return member[1] if member else regular_from_int(n).triple
 
 
-def _four_place_pairs(kind: str, lo: int, hi: int) -> list[ReciprocalPair]:
-    """The pairs of regular T of at most four places with lo <= padded T
-    <= hi that pass criterion ``kind``, by decreasing T.
+def _both_ways(kind: str):
+    """Criterion ``kind`` as a test of (T, Tbar): both members pass it."""
+    rule = CRITERIA[kind]
+    return lambda t, tbar: rule(t, tbar) and rule(tbar, t)
 
-    T's range is tested on padded T; Tbar's mantissa, 60**k over T's for
-    k = max(ceil(alpha/2), beta, gamma), is looked up in the four-place
-    table (absent: more than four places).  The rule is tested on both
-    members before any pair is built.
+
+def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
+    """The pairs of regular T of at most four places with lo <= padded T
+    <= hi and keep(T, Tbar) true, both members given as (padded, triple),
+    by decreasing T.
+
+    Tbar's mantissa, 60**k over T's for k = max(ceil(alpha/2), beta,
+    gamma), is looked up in the four-place table (absent: more than four
+    places, and no pair).  Both tests come before any pair is built.
     """
-    rule, members = CRITERIA[kind], _four_place_members()
+    members = _four_place_members()
     found = []
     for m, t in members.items():
         if lo <= t[0] <= hi:
             a, b, c = t[1]
             tbar = members.get(60 ** max((a + 1) // 2, b, c) // m)
-            if tbar and rule(t, tbar) and rule(tbar, t):
+            if tbar and keep(t, tbar):
                 found.append(t)
     found.sort(reverse=True)
     return [ReciprocalPair.from_triple(triple) for _, triple in found]
@@ -167,8 +163,8 @@ def enumerate_pairs(kind: str, lower: SexValue,
         raise ValueError(f"unknown criterion kind {kind!r}")
     if lower.fraction > upper.fraction:
         raise ValueError("empty range: lower bound exceeds upper bound")
-    return _four_place_pairs(kind, ceil(lower.fraction * 60**3),
-                             floor(upper.fraction * 60**3))
+    return _four_place_pairs(ceil(lower.fraction * 60**3),
+                             floor(upper.fraction * 60**3), _both_ways(kind))
 
 
 class Correction(_Value):

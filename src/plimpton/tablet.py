@@ -76,13 +76,11 @@ def _parse_a(text: str) -> TabletCell:
                       leading_one_implied="(1)" in text)
 
 
-# Scribal originals shared by both editions: (row, column) -> written digits.
-_AS_WRITTEN_SHARED = {(2, "d"): "3 12 01", (9, "s"): "9 01", (13, "s"): "7 12 01"}
-# Row-15 treatment differs by edition: (corrected, written) per column.
-_ROW15 = {
-    "robson": {"s": ("28", "56"), "d": ("53", "53")},
-    "joyce": {"s": ("56", "56"), "d": ("1 46", "53")},
-}
+# Scribal originals, (row, column) -> written digits, where not as transcribed.
+_WRITTEN = {(2, "d"): "3 12 01", (9, "s"): "9 01", (13, "s"): "7 12 01",
+            (15, "s"): "56"}
+# Each edition's corrections of the transcription: (row, column) -> digits.
+_CORRECTED = {"joyce": {(15, "s"): "56", (15, "d"): "1 46"}, "robson": {}}
 
 
 def tablet_data(edition: str = "robson") -> list[TabletRowRecord]:
@@ -105,23 +103,13 @@ def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
     for line in _read_resource():
         a_text, s_text, d_text, label = _COLUMN_SPLIT.split(line.strip())
         n = int(_MARKUP.sub("", label).removeprefix("KI."))
-        cells = {"a": _parse_a(a_text),
-                 "s": TabletCell(parse_sex(_cell_digits(s_text))),
-                 "d": TabletCell(parse_sex(_cell_digits(d_text)))}
-        for col in ("s", "d"):
-            if n == 15:
-                corrected, written = _ROW15[edition][col]
-            elif (n, col) in _AS_WRITTEN_SHARED:
-                corrected, written = None, _AS_WRITTEN_SHARED[(n, col)]
-            else:
-                continue
-            cell = cells[col]
-            corrected_v = parse_sex(corrected) if corrected else cell.corrected
-            written_v = parse_sex(written)
-            cells[col] = TabletCell(
-                corrected_v,
-                as_written=None if written_v == corrected_v else written_v,
-                reconstructed_break=cell.reconstructed_break)
+        cells = {"a": _parse_a(a_text)}
+        for col, text in (("s", s_text), ("d", d_text)):
+            digits = _cell_digits(text)
+            corrected = parse_sex(_CORRECTED[edition].get((n, col), digits))
+            written = parse_sex(_WRITTEN.get((n, col), digits))
+            cells[col] = TabletCell(corrected, as_written=None
+                                    if written == corrected else written)
         rows.append(TabletRowRecord(n, cells["a"], cells["s"], cells["d"],
                                     label_reconstructed="[" in label))
     return tuple(sorted(rows, key=lambda r: r.n))

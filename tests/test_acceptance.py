@@ -26,6 +26,7 @@ from plimpton.hypotheses import (
 from plimpton.pairs import (
     CRITERIA,
     ReciprocalPair,
+    _both_ways,
     _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
@@ -252,7 +253,7 @@ def test_criterion_8_property_suite():
             if reduce_factorization(scaled)[:2] != base:
                 problems.append(("scaling", m, scale))
 
-    full = _four_place_pairs("mult10", 216001, 12959999)
+    full = _four_place_pairs(216001, 12959999, _both_ways("mult10"))
     sd = [(reduce_factorization(xy_from_pair(p))[:2])
           for p in full if p.T.mantissa != p.Tbar.mantissa]
     if len(sd) != len(set(sd)):

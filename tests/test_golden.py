@@ -9,6 +9,7 @@ change, rewrite the digests with ``PYTHONPATH=src python3 tests/test_golden.py``
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -98,6 +99,21 @@ def golden() -> dict[str, str]:
 def test_golden_covers_every_command(golden):
     assert sorted(golden) == sorted(
         [_key(argv) for argv in COMMANDS] + [f"scripts/{n}" for n in SCRIPTS])
+
+
+def test_golden_covers_what_the_benchmark_times(monkeypatch):
+    # the benchmark's reproduce workload times these commands; its modules
+    # import their siblings by bare name, are dropped again after, and
+    # leave no bytecode in bench/
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in ("workloads", "checks", "oracle"):
+            sys.modules.pop(name, None)
+    assert workloads.reproduce_commands() == reproduce_commands()
+    assert len(reproduce_commands()) == 129
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=_key)

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from plimpton import hypotheses
 from plimpton.hypotheses import (
+    EXCLUDED_PAIRS_PRINTED,
     LOWER_EXTENSION_PRINTED,
     PLIMPTON_PAIRS_PRINTED,
     PRINTED_TABLES,
@@ -22,8 +24,8 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
-from plimpton.pairs import ReciprocalPair, _four_place_pairs
-from plimpton.sexagesimal import factor_2_3_5, render_sex
+from plimpton.pairs import ReciprocalPair, _both_ways, _four_place_pairs
+from plimpton.sexagesimal import factor_2_3_5, parse_sex, render_sex
 from test_pairs import regular_mantissas
 
 
@@ -51,6 +53,11 @@ class TestHypothesisCounts:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown hypothesis 'kepler1619'"):
             generate("kepler1619")
+
+    @pytest.mark.parametrize("tag", list(THEORIES))
+    def test_unknown_reduction_rejected(self, tag):
+        with pytest.raises(ValueError, match="unknown reduction mode 'bogus'"):
+            generate(tag, "bogus")
 
 
 def _cmp_quadratic(r, offset, radicand):
@@ -105,6 +112,52 @@ class TestTheoryBounds:
     def test_exact_at_the_bounds(self, tag, p, q, selected):
         assert THEORIES[tag][3](p, q) is selected
         assert REFERENCE_BOUNDS[tag](Fraction(p, q)) is selected
+
+
+def pq_walk(least_q, q_limit, p_limit, test):
+    """A (P, Q) theory's pairs by a walk over Q, then P, in the regular
+    mantissas of at most four places: every coprime P > Q with least Q <= Q
+    < Q limit, P < P limit, P/Q <= 3 and test(P, Q), by decreasing P/Q.
+    The oracle of the theories' selection from the one enumeration."""
+    ms = regular_mantissas(4)
+    triples = [factor_2_3_5(m) for m in ms]
+    pairs = []
+    for i in range(bisect_left(ms, least_q), bisect_left(ms, q_limit)):
+        q = ms[i]
+        top = 3 * q if p_limit is None else min(3 * q, p_limit - 1)
+        for j in range(i + 1, bisect_right(ms, top)):
+            if gcd(ms[j], q) == 1 and test(ms[j], q):
+                pairs.append(ReciprocalPair.from_triple(
+                    tuple(e - f for e, f in zip(triples[j], triples[i]))))
+    return sorted(pairs, key=lambda p: p.t_fraction, reverse=True)
+
+
+PQ_THEORIES = {"price1964": 14, "buck1980": 15, "friberg1981": 15,
+               "friberg2007": 38}
+
+
+class TestOneEnumeration:
+    def test_pq_theories_are_the_tuple_rows(self):
+        assert PQ_THEORIES.keys() == {
+            tag for tag, rule in THEORIES.items() if isinstance(rule, tuple)}
+
+    @pytest.mark.parametrize("tag", list(PQ_THEORIES))
+    def test_pq_theory_equals_the_q_by_p_walk(self, tag):
+        walked = pq_walk(*THEORIES[tag])
+        assert [r.pair for r in generate(tag)] == walked
+        assert len(walked) == PQ_THEORIES[tag]
+
+    @pytest.mark.parametrize("tag", list(PQ_THEORIES))
+    def test_every_selected_pair_is_in_the_table(self, tag):
+        # the enumeration sees only pairs whose Tbar has at most four places
+        table = set(regular_mantissas(4))
+        for p in pq_walk(*THEORIES[tag]):
+            assert {p.T.mantissa, p.Tbar.mantissa} <= table, str(p)
+
+    def test_excluded_six_by_rule_are_the_printed_t(self):
+        assert [pair for _, pair in printed_pairs("excluded-pairs")] == [
+            ReciprocalPair.from_T_mantissa(parse_sex(t_text).mantissa)
+            for _, t_text, _ in EXCLUDED_PAIRS_PRINTED]
 
 
 class TestAgreements:
@@ -240,7 +293,8 @@ class TestExtensions:
         assert upper == [("33", "T", "1 11 06 40")]
 
     def test_extensions_partition_the_full_list(self):
-        full = {p.T.mantissa for p in _four_place_pairs("mult10", 216001, 12959999)}
+        full = {p.T.mantissa for p in
+                _four_place_pairs(216001, 12959999, _both_ways("mult10"))}
         fifteen = set(PHILLIPS_T)
         lower = {p.T.mantissa for _, p in printed_pairs("extension-lower")}
         upper = {p.T.mantissa for _, p in printed_pairs("extension-upper")}

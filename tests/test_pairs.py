@@ -13,9 +13,9 @@ from plimpton.hypotheses import (
 from plimpton.pairs import (
     CRITERIA,
     ReciprocalPair,
+    _both_ways,
     _four_place_members,
     _four_place_pairs,
-    _four_place_table,
     _regular_triple,
     enumerate_pairs,
     plimpton_range,
@@ -81,7 +81,7 @@ def bruins_excluded(p):
 def full_mult10():
     """Every pair whose members both pass the multiple-of-10 rule, over the
     whole floating range but the self-reciprocal 1, by decreasing T."""
-    return _four_place_pairs("mult10", 60**3 + 1, 60**4 - 1)
+    return _four_place_pairs(60**3 + 1, 60**4 - 1, _both_ways("mult10"))
 
 
 class TestReciprocalPair:
@@ -175,13 +175,13 @@ class TestFromTriple:
 
 class TestRegularEnumeration:
     def test_one_place_regulars(self):
-        mantissas, _ = _four_place_table()
-        assert [m for m in mantissas if m < 60] == regular_mantissas(1) == [
+        one_place = [m for m in _four_place_members() if m < 60]
+        assert one_place == regular_mantissas(1) == [
             1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25,
             27, 30, 32, 36, 40, 45, 48, 50, 54]
 
     def test_four_place_count(self):
-        ms, _ = _four_place_table()
+        ms = list(_four_place_members())
         assert len(ms) == 432
         assert 455625 in ms  # 3^6 * 5^4, a 4-place regular
         assert all(m % 60 for m in ms)
@@ -193,7 +193,7 @@ class TestRegularEnumeration:
             2**a * 3**b * 5**c
             for a in range(25) for b in range(16) for c in range(12)
             if 2**a * 3**b * 5**c < 60**4 and (2**a * 3**b * 5**c) % 60})
-        assert list(_four_place_table()[0]) == regular_mantissas(4) == expected
+        assert list(_four_place_members()) == regular_mantissas(4) == expected
 
     def test_members_are_padded_to_four_places(self):
         members = _four_place_members()
@@ -205,9 +205,9 @@ class TestRegularEnumeration:
     def test_triple_lookup_matches_factorization(self):
         # the shared four-place table against factorization, on the table
         # and off it (a multiple of 60, five places, not regular)
-        mantissas, triples = _four_place_table()
-        assert list(mantissas) == regular_mantissas(4)
-        for m, triple in zip(mantissas, triples):
+        members = _four_place_members()
+        assert list(members) == regular_mantissas(4)
+        for m, (_, triple) in members.items():
             assert triple == factor_2_3_5(m)
         for n in (120, 2**30):
             assert _regular_triple(n) == regular_from_int(n).triple
