@@ -27,13 +27,10 @@ from .pairs import (
     plimpton_range,
 )
 from .rows import (
-    PQPair,
     RowCandidate,
     XYPair,
     build_row,
     column_A,
-    pair_from_pq,
-    pq_to_triple,
     reduce_factorization,
     xy_from_pair,
 )

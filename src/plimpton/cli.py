@@ -171,7 +171,12 @@ def cmd_pairs(args) -> int:
         checked = found
     else:
         checked = [pair for _, pair in hypotheses.printed_pairs(table)]
-    corrections = hypotheses.printed_corrections(table, checked)
+    # log only the printed rows whose computed T is in the listed range
+    printed, _ = hypotheses.PRINTED_TABLES[table]
+    listed = {label for (label, *_), pair in zip(printed, checked)
+              if lo.fraction <= pair.t_fraction <= hi.fraction}
+    corrections = [c for c in hypotheses.printed_corrections(table, checked)
+                   if c.label in listed]
     _emit(args.format, "pairs", rows, ["T", "Tbar"], corrections)
     return EXIT_OK
 

@@ -1,12 +1,12 @@
 """The published generation theories as row-set generators.
 
-Each hypothesis produces an ordered list of row candidates; all of them are
-parameterized either by coprime regular integer pairs (P, Q) or directly by
-reciprocal pairs.  Also here: the printed tables of pairs (the fifteen, the
-excluded six and the extensions above and below them) with the computed
-pairs each is checked against, and the minimal chain linking any regular
-pair to the standard reciprocal table by doubling/tripling/quintupling
-steps.  Every computed table of pairs but Table 1's is one enumeration,
+Each hypothesis produces an ordered list of row candidates from reciprocal
+pairs, chosen either by a criterion on both members or by a test of T read
+as P/Q in lowest terms.  Also here: the printed tables of pairs (the
+fifteen, the excluded six and the extensions above and below them) with the
+computed pairs each is checked against, and the minimal chain linking any
+regular pair to the standard reciprocal table by doubling/tripling/
+quintupling steps.  Every computed table of pairs is one enumeration,
 ``pairs._four_place_pairs``, with its own T range and test of both members.
 Links are computed in closed form on the exponent lattice (see
 :func:`link_to_standard`), in bounded time at any chain depth.
@@ -28,7 +28,7 @@ from .pairs import (
     pair_corrections,
     plimpton_range,
 )
-from .rows import PQPair, RowCandidate, build_row, column_A, pair_from_pq, pq_to_triple, xy_from_pair
+from .rows import RowCandidate, build_row, column_A, xy_from_pair
 from .sexagesimal import RegularNumber, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
@@ -43,17 +43,18 @@ def phillips_pairs() -> list[ReciprocalPair]:
 
 
 # Every theory, in survey order, with how it chooses its rows:
-# - ns1945: the (P, Q) of TABLE1_PQ, in that order;
 # - a key of pairs.CRITERIA: the pairs of the tablet's T range it selects;
 # - (least Q, Q limit, P limit, test): T = P/Q in (1, 3], in lowest terms,
 #   with least Q <= Q < Q limit, P < P limit (None: no limit), test(P, Q).
+# ns1945's test is membership in TABLE1_PQ; its rows keep the formulas' raw
+# S and D (see _table1_row).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
 # P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
 # and P/Q < 1 + sqrt(2).  Price's text misprints his upper bound 12/5 as
 # 2;25, which admits no further regular ratio (tests/test_hypotheses.py).
 THEORIES = {
-    "ns1945": TABLE1_PQ,
+    "ns1945": (1, 60, None, lambda p, q: (p, q) in TABLE1_PQ),
     "bruins1949": "bruins",
     "price1964": (2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q),
     "buck1980": (1, 100, 100,
@@ -76,11 +77,12 @@ def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test):
     return keep
 
 
-def _table1_row(n: int, pq: PQPair) -> RowCandidate:
-    """A row of the formulas' raw values, left unreduced as published."""
-    pair = pair_from_pq(pq)
+def _table1_row(n: int, pair: ReciprocalPair) -> RowCandidate:
+    """A row of the formulas' raw values S = P**2 - Q**2, D = P**2 + Q**2
+    for T = P/Q in lowest terms, left unreduced as published."""
+    p, q = pair.t_fraction.as_integer_ratio()
+    s, d = p * p - q * q, p * p + q * q
     xy = xy_from_pair(pair)
-    _, s, d = pq_to_triple(pq)
     return RowCandidate(n, pair, xy, s, d, column_A(xy)[0], 1,
                         reduced=(gcd(s, d) == 1))
 
@@ -92,12 +94,12 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
     rule = THEORIES[tag]
-    if rule is TABLE1_PQ:
-        return [_table1_row(n, PQPair(*pq)) for n, pq in enumerate(rule, 1)]
     if isinstance(rule, str):
         pairs = enumerate_pairs(rule, *plimpton_range())
     else:  # every surveyed bound on P/Q is below 3
         pairs = _four_place_pairs(60**3 + 1, 3 * 60**3, _pq_keep(*rule))
+    if tag == "ns1945":
+        return [_table1_row(n, p) for n, p in enumerate(pairs, 1)]
     return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
 
 

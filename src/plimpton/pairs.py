@@ -120,13 +120,6 @@ def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
     return dict(sorted(found))
 
 
-def _regular_triple(n: int) -> tuple[int, int, int]:
-    """The exponent triple of the regular integer n, looked up in the
-    four-place table when n is there, else by factorization."""
-    member = _four_place_members().get(n)
-    return member[1] if member else regular_from_int(n).triple
-
-
 def _both_ways(kind: str):
     """Criterion ``kind`` as a test of (T, Tbar): both members pass it."""
     rule = CRITERIA[kind]

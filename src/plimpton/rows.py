@@ -1,16 +1,15 @@
-"""From generating parameters to tablet rows.
+"""From reciprocal pairs to tablet rows.
 
-Two routes produce the same rows: a reciprocal pair (T, Tbar) via
-X = (T - Tbar)/2, Y = (T + Tbar)/2, or an integer pair (P, Q) via the
-classical triple formulas.  The coprime short side and diagonal fall out of
-casting common regular factors out of (X, Y).
+A reciprocal pair (T, Tbar) gives X = (T - Tbar)/2, Y = (T + Tbar)/2; the
+coprime short side and diagonal fall out of casting common regular factors
+out of (X, Y).
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .pairs import ReciprocalPair, _regular_triple
+from .pairs import ReciprocalPair
 from .sexagesimal import (
     ONE,
     SexValue,
@@ -22,15 +21,6 @@ from .sexagesimal import (
     mul,
     sub,
 )
-
-
-class PQPair(_Value):
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int) -> None:
-        if not p > q >= 1:
-            raise ValueError("require P > Q >= 1")
-        super().__init__(p, q)
 
 
 class XYPair(_Value):
@@ -69,22 +59,6 @@ def reduce_factorization(xy: XYPair) -> tuple[int, int, int]:
 def column_A(xy: XYPair) -> tuple[SexValue, SexValue]:
     """A = Y**2 and the check value X**2 = A - 1."""
     return mul(xy.y, xy.y), mul(xy.x, xy.x)
-
-
-def pq_to_triple(pq: PQPair) -> tuple[int, int, int]:
-    """(L, S, D) = (2PQ, P**2 - Q**2, P**2 + Q**2)."""
-    p, q = pq.p, pq.q
-    return 2 * p * q, p * p - q * q, p * p + q * q
-
-
-def pair_from_pq(pq: PQPair) -> ReciprocalPair:
-    """T = P/Q, Tbar = Q/P up to powers of 60: T's triple is P's minus Q's."""
-    pair = ReciprocalPair.from_triple(tuple(
-        e - f for e, f in zip(_regular_triple(pq.p), _regular_triple(pq.q))))
-    if pair.T.mantissa == 1:
-        raise SexagesimalError(
-            f"{pq.p}/{pq.q} is a power of 60: the pair (1, 1) generates no triple")
-    return pair
 
 
 # A scribe working in two-place cells has no reason to reduce numbers that

@@ -96,6 +96,27 @@ class TestPairs:
         _, _, err = run(capsys, "pairs", "--from", "2 24", "--to", "1 48")
         assert "1 55 2" in err and "1 55 12" in err
 
+    @pytest.mark.parametrize("criterion", ["places4", "mult10"])
+    def test_no_log_of_rows_outside_the_range(self, capsys, criterion):
+        # every printed row of standard-15 and excluded-pairs has T >= 1;48
+        code, out, err = run(capsys, "pairs", "--criterion", criterion,
+                             "--from", "1;00", "--to", "1;10")
+        assert code == 0 and out
+        assert err == ""
+
+    @pytest.mark.parametrize("criterion,lo,hi,logged", [
+        # row 8a's T is 2;06 33 45, row 12's 1;55 12; both ends inclusive
+        ("places4", "1;50", "2;10", "[excluded-pairs] row 8a Tbar"),
+        ("places4", "2;06 33 45", "2;06 33 45", "[excluded-pairs] row 8a Tbar"),
+        ("mult10", "1;50", "2;10", "[standard-15] row 12 T"),
+        ("mult10", "1;55 12", "1;55 12", "[standard-15] row 12 T"),
+    ])
+    def test_log_of_rows_inside_a_part_of_the_range(self, capsys, criterion,
+                                                    lo, hi, logged):
+        _, _, err = run(capsys, "pairs", "--criterion", criterion,
+                        "--from", lo, "--to", hi)
+        assert [line.split(":")[1].strip() for line in err.splitlines()] == [logged]
+
     def test_malformed_range(self, capsys):
         code, _, err = run(capsys, "pairs", "--from", "99", "--to", "1 48")
         assert code == 2

@@ -132,8 +132,8 @@ def pq_walk(least_q, q_limit, p_limit, test):
     return sorted(pairs, key=lambda p: p.t_fraction, reverse=True)
 
 
-PQ_THEORIES = {"price1964": 14, "buck1980": 15, "friberg1981": 15,
-               "friberg2007": 38}
+PQ_THEORIES = {"ns1945": 15, "price1964": 14, "buck1980": 15,
+               "friberg1981": 15, "friberg2007": 38}
 
 
 class TestOneEnumeration:

@@ -16,13 +16,11 @@ from plimpton.pairs import (
     _both_ways,
     _four_place_members,
     _four_place_pairs,
-    _regular_triple,
     enumerate_pairs,
     plimpton_range,
 )
 from plimpton import sexagesimal
 from plimpton.sexagesimal import (
-    SexagesimalError,
     SexValue,
     factor_2_3_5,
     parse_sex,
@@ -203,16 +201,11 @@ class TestRegularEnumeration:
             assert triple == factor_2_3_5(m)
 
     def test_triple_lookup_matches_factorization(self):
-        # the shared four-place table against factorization, on the table
-        # and off it (a multiple of 60, five places, not regular)
+        # the shared four-place table against factorization
         members = _four_place_members()
         assert list(members) == regular_mantissas(4)
         for m, (_, triple) in members.items():
             assert triple == factor_2_3_5(m)
-        for n in (120, 2**30):
-            assert _regular_triple(n) == regular_from_int(n).triple
-        with pytest.raises(SexagesimalError, match="7 is not regular"):
-            _regular_triple(7)
 
 
 class TestCriteria:

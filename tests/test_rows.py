@@ -4,14 +4,12 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
+from plimpton.hypotheses import TABLE1_PQ, generate
 from plimpton.pairs import ReciprocalPair
 from plimpton.rows import (
-    PQPair,
     XYPair,
     build_row,
     column_A,
-    pair_from_pq,
-    pq_to_triple,
     reduce_factorization,
     xy_from_pair,
 )
@@ -93,22 +91,29 @@ class TestColumnA:
         assert a == mul(xy.y, xy.y)
 
 
+def pq_pair(p, q):
+    """The pair of T = P/Q, P and Q regular: T's triple is P's minus Q's.
+    The test-local (P, Q) route, against which the one enumeration's rows
+    are checked."""
+    return ReciprocalPair.from_triple(
+        tuple(e - f for e, f in zip(factor_2_3_5(p), factor_2_3_5(q))))
+
+
 class TestPQ:
-    def test_triple_formulas(self):
-        assert pq_to_triple(PQPair(12, 5)) == (120, 119, 169)
-        assert pq_to_triple(PQPair(2, 1)) == (4, 3, 5)
+    def test_triple_formulas_on_table1_rows(self):
+        rows = generate("ns1945")
+        assert [r.pair for r in rows] == [pq_pair(p, q) for p, q in TABLE1_PQ]
+        for row, (p, q) in zip(rows, TABLE1_PQ):
+            assert (row.s, row.d) == (p * p - q * q, p * p + q * q)
+            assert row.s ** 2 + (2 * p * q) ** 2 == row.d ** 2
+        assert (rows[0].s, rows[0].d) == (119, 169)    # (12, 5): L = 120
+        assert (rows[10].s, rows[10].d) == (3, 5)      # (2, 1): L = 4
 
-    def test_pair_from_pq(self):
-        assert pair_from_pq(PQPair(12, 5)).T.mantissa == 144
-        assert pair_from_pq(PQPair(9, 5)).T.mantissa == 108
+    def test_pq_route(self):
+        assert pq_pair(12, 5).T.mantissa == 144
+        assert pq_pair(9, 5).T.mantissa == 108
 
-    def test_pq_validation(self):
-        with pytest.raises(ValueError):
-            PQPair(5, 12)
-        with pytest.raises(SexagesimalError):
-            pair_from_pq(PQPair(7, 2))
-
-    def test_pair_from_pq_matches_reciprocal_route(self):
+    def test_pq_route_matches_reciprocal_route(self):
         # reference: T = P * recip(Q) by SexValue arithmetic, then the pair
         # of that mantissa; every coprime regular P > Q with Q < 100, P <= 3Q
         regs = [n for n in range(1, 300) if factor_2_3_5(n) is not None]
@@ -116,7 +121,7 @@ class TestPQ:
         for q in (n for n in regs if n < 100):
             for p in (n for n in regs if q < n <= 3 * q and gcd(n, q) == 1):
                 t = mul(SexValue(p), reciprocal(regular_from_int(q)).value)
-                assert pair_from_pq(PQPair(p, q)) == \
+                assert pq_pair(p, q) == \
                     ReciprocalPair.from_T_mantissa(t.mantissa), (p, q)
                 compared += 1
         assert compared == 63
@@ -126,13 +131,14 @@ class TestPQ:
     def test_pq_route_matches_xy_route(self, p, q):
         if p <= q or factor_2_3_5(p) is None or factor_2_3_5(q) is None:
             return
+        pair = pq_pair(p, q)
         if p == 60 * q:  # P/Q = 60, the one power of 60 in range: no triple
-            with pytest.raises(SexagesimalError, match="power of 60"):
-                pair_from_pq(PQPair(p, q))
+            assert pair.T.mantissa == 1
+            with pytest.raises(SexagesimalError, match="orientation"):
+                xy_from_pair(pair)
             return
-        pair = pair_from_pq(PQPair(p, q))
         s, d, _ = reduce_factorization(xy_from_pair(pair))
-        l, ps, pd = pq_to_triple(PQPair(p, q))
+        l, ps, pd = 2 * p * q, p * p - q * q, p * p + q * q
         g = gcd(ps, pd)
         assert (s, d) == (ps // g, pd // g)
         assert ps * ps + l * l == pd * pd

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from plimpton import (
-    PQPair,
     RowCandidate,
     SexValue,
     TabletCell,
     TabletRowRecord,
+    XYPair,
     build_row,
     diff_against,
     error_annotations,
@@ -42,7 +42,6 @@ def _samples():
         regular_from_int(54),
         pairs[1],
         printed_corrections("standard-15", pairs)[0],
-        PQPair(9, 4),
         row.xy,
         row,
         link_to_standard(pairs[1]),
@@ -64,8 +63,8 @@ def _fields(value):
 
 def test_every_value_class_is_sampled():
     assert set(SAMPLES) == {
-        "SexValue", "RegularNumber", "ReciprocalPair", "Correction", "PQPair",
-        "XYPair", "RowCandidate", "LinkChain", "TabletCell", "TabletRowRecord",
+        "SexValue", "RegularNumber", "ReciprocalPair", "Correction", "XYPair",
+        "RowCandidate", "LinkChain", "TabletCell", "TabletRowRecord",
         "PropertyResult", "RowDiff", "DiffReport", "ErrorAnnotation"}
 
 
@@ -118,18 +117,14 @@ class TestValueSemantics:
 class TestConstruction:
     def test_repr_form(self):
         assert repr(SexValue(3600)) == "SexValue(mantissa=1, exponent=2)"
-        assert repr(PQPair(2, 1)) == "PQPair(p=2, q=1)"
+        assert repr(XYPair(SexValue(3), SexValue(5))) == (
+            "XYPair(x=SexValue(mantissa=3, exponent=0), "
+            "y=SexValue(mantissa=5, exponent=0))")
 
     def test_sexvalue_is_canonical_however_built(self):
         assert SexValue(3600) == SexValue(1, 2)
         assert SexValue(mantissa=3600) == SexValue(1, exponent=2)
         assert pickle.loads(pickle.dumps(SexValue(3600))) == SexValue(1, 2)
-
-    def test_pqpair_validates(self):
-        with pytest.raises(ValueError, match="P > Q >= 1"):
-            PQPair(1, 2)
-        with pytest.raises(ValueError, match="P > Q >= 1"):
-            PQPair(p=2, q=0)
 
     def test_defaults_apply_when_a_keyword_is_omitted(self):
         v = SexValue(1)
