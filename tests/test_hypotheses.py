@@ -154,6 +154,21 @@ class TestOneEnumeration:
         for p in pq_walk(*THEORIES[tag]):
             assert {p.T.mantissa, p.Tbar.mantissa} <= table, str(p)
 
+    # T = 12/5 = 2;24 at a theory row's bounds: least Q is inclusive, the
+    # Q and P limits exclusive.  No surveyed theory selects a pair at its
+    # Q limit, so the walk above cannot tell < from <= there.
+    @pytest.mark.parametrize("least_q, q_limit, p_limit, kept", [
+        (5, 6, None, True), (6, 60, None, False), (1, 5, None, False),
+        (1, 6, 12, False), (1, 6, 13, True)])
+    def test_pq_bounds_at_12_over_5(self, least_q, q_limit, p_limit, kept):
+        seen = []
+        padded = 12 * 60**3 // 5
+        got = _four_place_pairs(padded, padded, hypotheses._pq_keep(
+            least_q, q_limit, p_limit, lambda p, q: seen.append((p, q)) or True))
+        assert got == ([ReciprocalPair.from_T_mantissa(144)] if kept else [])
+        if kept:
+            assert seen == [(12, 5)]  # P/Q in lowest terms
+
     def test_excluded_six_by_rule_are_the_printed_t(self):
         assert [pair for _, pair in printed_pairs("excluded-pairs")] == [
             ReciprocalPair.from_T_mantissa(parse_sex(t_text).mantissa)
