@@ -54,6 +54,12 @@ def _encode_value(v: SexValue) -> dict:
     return {"digits": render_sex(v), **_encode_fraction(v.fraction)}
 
 
+def _encoded(row: dict) -> dict:
+    """A row with each value encoded as digits and its exact fraction."""
+    return {key: _encode_value(cell) if isinstance(cell, SexValue) else cell
+            for key, cell in row.items()}
+
+
 def _encode_fraction(f: Fraction) -> dict:
     return {"numerator": _decimal("numerator", f.numerator),
             "denominator": _decimal("denominator", f.denominator)}
@@ -84,10 +90,14 @@ def _print_json(command: str, fields: dict) -> None:
 
 def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
           corrections: list[Correction], extra: dict | None = None) -> None:
-    """Uniform emission: same values in every format."""
+    """Uniform emission: same values in every format.  Rows hold values
+    (a ``SexValue`` or text); each format encodes them, json as digits and
+    fraction, text and csv as digits of the printed columns only."""
     if fmt == "json":
-        _print_json(command, {"rows": rows, "corrections": [
-            _correction_dict(c) for c in corrections], **(extra or {})})
+        _print_json(command, {
+            "rows": [_encoded(row) for row in rows],
+            "corrections": [_correction_dict(c) for c in corrections],
+            **(extra or {})})
         return
     if fmt == "csv":
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
@@ -107,8 +117,8 @@ def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
 def _cell_text(cell) -> str:
     if cell is None:
         return ""
-    if isinstance(cell, dict) and "digits" in cell:
-        return cell["digits"]
+    if isinstance(cell, SexValue):
+        return render_sex(cell)
     return str(cell)
 
 
@@ -150,9 +160,7 @@ def cmd_recip(args) -> int:
 
 
 def _pair_row(label, pair: ReciprocalPair) -> dict:
-    return {"label": str(label),
-            "T": _encode_value(pair.T.value),
-            "Tbar": _encode_value(pair.Tbar.value)}
+    return {"label": str(label), "T": pair.T.value, "Tbar": pair.Tbar.value}
 
 
 def cmd_pairs(args) -> int:
@@ -190,17 +198,9 @@ def _row_record(c: RowCandidate, leading_one: bool) -> dict:
         flags.append(f"reduced_by_{c.reduction_factor}")
     if not leading_one:
         flags.append("leading_one_dropped")
-    return {
-        "label": str(c.n),
-        "T": _encode_value(c.pair.T.value),
-        "Tbar": _encode_value(c.pair.Tbar.value),
-        "X": _encode_value(c.xy.x),
-        "Y": _encode_value(c.xy.y),
-        "S": _encode_value(SexValue(c.s)),
-        "D": _encode_value(SexValue(c.d)),
-        "A": _encode_value(a),
-        "flags": ";".join(flags),
-    }
+    return {"label": str(c.n), "T": c.pair.T.value, "Tbar": c.pair.Tbar.value,
+            "X": c.xy.x, "Y": c.xy.y, "S": SexValue(c.s), "D": SexValue(c.d),
+            "A": a, "flags": ";".join(flags)}
 
 
 def cmd_rows(args) -> int:
@@ -265,9 +265,9 @@ def cmd_link(args) -> int:
     chain = hypotheses.link_to_standard(pair)
     if args.format == "json":
         _print_json("link", {
-            "pair": _pair_row("", pair),
+            "pair": _encoded(_pair_row("", pair)),
             "in_table": chain.in_table,
-            "start": _pair_row("", chain.start),
+            "start": _encoded(_pair_row("", chain.start)),
             "factor": list(chain.factor),
             "factor_value": _encode_fraction(chain.factor_fraction),
             "steps": chain.steps})

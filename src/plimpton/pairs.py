@@ -10,6 +10,7 @@ mantissas before any pair is built.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from math import ceil, floor
@@ -126,25 +127,31 @@ def _both_ways(kind: str):
     return lambda t, tbar: rule(t, tbar) and rule(tbar, t)
 
 
+@cache
+def _four_place_index() -> tuple[list[int], list[tuple]]:
+    """The four-place members as (T, Tbar) by ascending padded T, with the
+    padded values apart for bisection.  Tbar's mantissa, 60**k over T's for
+    k = max(ceil(alpha/2), beta, gamma), is looked up once in the
+    four-place table (absent: more than four places, and Tbar is None)."""
+    members = _four_place_members()
+    # padded values are distinct, so sorting compares no two Tbar
+    index = sorted((t, members.get(60 ** max((a + 1) // 2, b, c) // m))
+                   for m, t in members.items() for a, b, c in [t[1]])
+    return [t[0] for t, _ in index], index
+
+
 def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
     """The pairs of regular T of at most four places with lo <= padded T
     <= hi and keep(T, Tbar) true, both members given as (padded, triple),
-    by decreasing T.
-
-    Tbar's mantissa, 60**k over T's for k = max(ceil(alpha/2), beta,
-    gamma), is looked up in the four-place table (absent: more than four
-    places, and no pair).  Both tests come before any pair is built.
-    """
-    members = _four_place_members()
+    by decreasing T.  Only the index entries of that range are visited,
+    and both tests come before any pair is built."""
+    padded, index = _four_place_index()
     found = []
-    for m, t in members.items():
-        if lo <= t[0] <= hi:
-            a, b, c = t[1]
-            tbar = members.get(60 ** max((a + 1) // 2, b, c) // m)
-            if tbar and keep(t, tbar):
-                found.append(t)
-    found.sort(reverse=True)
-    return [ReciprocalPair.from_triple(triple) for _, triple in found]
+    for i in range(bisect_right(padded, hi) - 1, bisect_left(padded, lo) - 1, -1):
+        t, tbar = index[i]
+        if tbar and keep(t, tbar):
+            found.append(ReciprocalPair.from_triple(t[1]))
+    return found
 
 
 def enumerate_pairs(kind: str, lower: SexValue,

@@ -37,7 +37,8 @@ class RowCandidate(_Value):
 def xy_from_pair(p: ReciprocalPair) -> XYPair:
     """X = (T - Tbar)/2, Y = (T + Tbar)/2, exact in the fixed reading."""
     t, tbar = p.T.value, p.Tbar.value
-    if tbar.fraction >= t.fraction:
+    mt, mtbar, _ = _aligned(t, tbar)
+    if mtbar >= mt:
         raise SexagesimalError("pair is not in T > Tbar orientation")
     return XYPair(halve(sub(t, tbar)), halve(add(t, tbar)))
 

@@ -208,14 +208,15 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             f"row-count mismatch: {len(candidates)} generated vs {len(attested)} attested")
     diffs = []
     for cand, row in zip(candidates, attested):
-        n, ta, ts, td = _read(row)
-        cells = tuple(name for name, got, want in
-                      zip("ASD", (cand.a.fraction, cand.s, cand.d), (ta, ts, td))
-                      if got != want)
+        # canonical values: field equality is fixed-reading equality
+        cells = tuple(name for name, got, cell in zip(
+            "ASD", (cand.a, SexValue(cand.s), SexValue(cand.d)), (row.a, row.s, row.d))
+            if got != cell.corrected)
         if not cells:
-            diffs.append(RowDiff(n, "exact"))
+            diffs.append(RowDiff(row.n, "exact"))
             continue
         if matching == "similarity" and "A" not in cells:
+            _, _, ts, td = _read(row)
             ratio = Fraction(ts, cand.s)
             if ratio == Fraction(td, cand.d):
                 try:
@@ -223,9 +224,9 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
                 except SexagesimalError:
                     scaled = None
                 if scaled is not None:
-                    diffs.append(RowDiff(n, "similarity", ratio=scaled))
+                    diffs.append(RowDiff(row.n, "similarity", ratio=scaled))
                     continue
-        diffs.append(RowDiff(n, "mismatch", cells=cells))
+        diffs.append(RowDiff(row.n, "mismatch", cells=cells))
     return DiffReport(edition, matching, tuple(diffs))
 
 

@@ -529,6 +529,51 @@ class TestWorkCeilings:
         assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
         assert converted == []
 
+    @staticmethod
+    def count_renders(monkeypatch) -> list:
+        rendered = []
+
+        def counting_render(v, *args):
+            rendered.append(v)
+            return render_sex(v, *args)
+
+        monkeypatch.setattr(cli, "render_sex", counting_render)
+        return rendered
+
+    @staticmethod
+    def count_fraction_reads(monkeypatch) -> list:
+        reads = []
+        fraction = SexValue.fraction.fget
+
+        def counting_fraction(self):
+            reads.append(self)
+            return fraction(self)
+
+        monkeypatch.setattr(SexValue, "fraction", property(counting_fraction))
+        return reads
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_rows_render_only_the_printed_columns(self, capsys, monkeypatch, fmt):
+        # A, S and D of 15 rows; the range's four reads are the only fractions
+        rendered = self.count_renders(monkeypatch)
+        reads = self.count_fraction_reads(monkeypatch)
+        assert run(capsys, "rows", "--hypothesis", "phillips",
+                   "--format", fmt)[0] == 0
+        assert len(rendered) == 45
+        assert len(reads) <= 4
+
+    def test_rows_json_renders_every_value(self, capsys, monkeypatch):
+        # T, Tbar, X, Y, S, D and A of 15 rows
+        rendered = self.count_renders(monkeypatch)
+        assert run(capsys, "rows", "--hypothesis", "phillips",
+                   "--format", "json")[0] == 0
+        assert len(rendered) == 105
+
+    def test_tablet_diff_compares_without_fractions(self, capsys, monkeypatch):
+        reads = self.count_fraction_reads(monkeypatch)
+        assert run(capsys, "tablet", "diff", "--hypothesis", "phillips")[0] == 0
+        assert len(reads) <= 4
+
 
 class TestSetupReuse:
     """The parser, the parsed transcription and the four-place triple table

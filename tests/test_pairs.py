@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -6,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from plimpton.hypotheses import (
     EXCLUDED_PAIRS_PRINTED,
+    THEORIES,
+    _pq_keep,
     printed_corrections,
     printed_pairs,
 )
@@ -21,9 +25,11 @@ from plimpton.pairs import (
 )
 from plimpton import sexagesimal
 from plimpton.sexagesimal import (
+    RegularNumber,
     SexValue,
     factor_2_3_5,
     parse_sex,
+    reciprocal,
     regular_from_int,
     render_sex,
 )
@@ -402,3 +408,82 @@ class TestFastPathOracle:
             expected = full[at(Fraction(9, 5)) + 1:]
         assert [pair for _, pair in printed_pairs(f"extension-{side}")] == expected
         assert len(expected) == count
+
+
+# The scan over the whole four-place table that the bisected index replaced:
+# every member's padded T is tested against the range, and Tbar is found by
+# its reciprocal's mantissa.
+
+def _scan(lo, hi, keep):
+    members = _four_place_members()
+    found = []
+    for m, t in members.items():
+        tbar = members.get(reciprocal(RegularNumber(SexValue(m), *t[1])).mantissa)
+        if lo <= t[0] <= hi and tbar and keep(t, tbar):
+            found.append(t)
+    return [ReciprocalPair.from_triple(triple) for _, triple in sorted(found, reverse=True)]
+
+
+def count_visits(lo, hi, keep) -> int:
+    """How many index entries ``_four_place_pairs`` visits: the times its
+    line ``t, tbar = index[i]`` runs, counted by a line tracer."""
+    lines, first = inspect.getsourcelines(_four_place_pairs)
+    target = first + next(i for i, line in enumerate(lines)
+                          if line.strip() == "t, tbar = index[i]")
+    code, count = _four_place_pairs.__code__, 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == target
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        _four_place_pairs(lo, hi, keep)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+_PADDED = sorted(t[0] for t in _four_place_members().values())
+_bound = st.one_of(
+    # exactly on a member's padded T, or one either side of it
+    st.builds(lambda p, d: p + d, st.sampled_from(_PADDED), st.integers(-1, 1)),
+    # anywhere in the table's span [60**3, 60**4)
+    st.integers(60**3, 60**4 - 1),
+    # outside it, on either side
+    st.integers(-60**4, 60**3 - 1),
+    st.integers(60**4, 2 * 60**4),
+)
+_KEEPS = {kind: _both_ways(kind) for kind in CRITERIA}
+_KEEPS["buck1980"] = _pq_keep(*THEORIES["buck1980"])
+
+
+class TestBisectedIndex:
+    """_four_place_pairs bisects an index sorted by padded T and visits only
+    the entries of its range."""
+
+    @pytest.mark.parametrize("lo,hi,visits", [
+        (388800, 518400, 28),  # 1;48 <= T <= 2;24, the tablet's range
+        (60**3 + 1, 3 * 60**3, 95),  # 1 < T <= 3, the (P, Q) theories' range
+        (518400, 388800, 0),
+    ])
+    def test_visits_only_the_range(self, lo, hi, visits):
+        assert count_visits(lo, hi, _both_ways("mult10")) == visits
+
+    def test_tablet_range_has_28_of_432_members(self):
+        assert len(_PADDED) == 432
+        assert sum(388800 <= p <= 518400 for p in _PADDED) == 28
+
+    @settings(max_examples=300, deadline=None)
+    @given(keep=st.sampled_from(sorted(_KEEPS)), lo=_bound, hi=_bound)
+    @example(keep="mult10", lo=388800, hi=518400)
+    @example(keep="places4", lo=518400, hi=388800)
+    @example(keep="bruins", lo=518400, hi=518400)
+    @example(keep="buck1980", lo=60**3 + 1, hi=3 * 60**3)
+    @example(keep="places4", lo=0, hi=60**3)
+    @example(keep="places4", lo=60**4 - 1, hi=10**9)
+    @example(keep="mult10", lo=-1, hi=10**9)
+    def test_equals_a_scan_of_the_table(self, keep, lo, hi):
+        assert _four_place_pairs(lo, hi, _KEEPS[keep]) == _scan(lo, hi, _KEEPS[keep])

@@ -45,8 +45,15 @@ class TestXY:
             assert xy.y.fraction ** 2 - xy.x.fraction ** 2 == 1
 
     def test_degenerate_unit_pair_rejected(self):
-        with pytest.raises(SexagesimalError):
+        with pytest.raises(SexagesimalError, match="orientation"):
             xy_from_pair(ReciprocalPair.from_T_mantissa(1))
+
+    def test_orientation_is_compared_in_the_fixed_reading(self):
+        # (2, 30): Tbar's mantissa is the larger, its fixed value 1/2 is not
+        assert xy_from_pair(ROW11).x == SexValue(45, -1)
+        for p in (ROW1, ROW11, ROW4):
+            with pytest.raises(SexagesimalError, match="orientation"):
+                xy_from_pair(ReciprocalPair(p.Tbar, p.T))
 
 
 class TestReduction:

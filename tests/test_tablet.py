@@ -5,9 +5,11 @@ from importlib import resources
 import pytest
 
 from plimpton.hypotheses import generate
+from plimpton.rows import RowCandidate
 from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
+    mul,
     parse_sex,
     render_sex,
     sqrt_exact,
@@ -16,6 +18,7 @@ from plimpton.sexagesimal import (
 from plimpton.tablet import (
     EDITIONS,
     PROPERTIES,
+    RowDiff,
     TabletCell,
     TabletRowRecord,
     _parse_a,
@@ -209,6 +212,44 @@ class TestDiff:
         assert row15.status == "similarity"
         assert row15.ratio.value.fraction.numerator == 1
         assert row15.ratio.value.fraction.denominator == 2
+
+
+def _with_row(candidates, at, **fields):
+    """The candidates with row ``at`` (0-based) given new field values."""
+    c = candidates[at]
+    values = {name: getattr(c, name) for name in RowCandidate.__slots__}
+    return candidates[:at] + [RowCandidate(**{**values, **fields})] + candidates[at + 1:]
+
+
+class TestDiffComparesFixedValues:
+    """A, S and D are compared in the fixed reading, and a scale of S and D
+    is found only under similarity matching."""
+
+    @pytest.mark.parametrize("matching", ["exact", "similarity"])
+    def test_a_times_60_is_an_a_mismatch(self, matching):
+        rows = generate("phillips", "tablet_faithful")  # exact on robson
+        shifted = mul(rows[3].a, SexValue(60))
+        assert shifted.mantissa == rows[3].a.mantissa  # floating-equal
+        report = diff_against(_with_row(rows, 3, a=shifted), "robson", matching)
+        assert report.rows[3] == RowDiff(4, "mismatch", cells=("A",))
+        assert report.count("exact") == 14
+
+    @pytest.mark.parametrize("scale,ratio", [(2, SexValue(30, -1)),
+                                             (60, SexValue(1, -1))])
+    def test_regularly_scaled_s_and_d_are_similar(self, scale, ratio):
+        c = generate("phillips", "tablet_faithful")[4]
+        rows = _with_row(generate("phillips", "tablet_faithful"), 4,
+                         s=c.s * scale, d=c.d * scale)
+        assert diff_against(rows, "robson", "exact").rows[4].cells == ("S", "D")
+        row = diff_against(rows, "robson", "similarity").rows[4]
+        assert (row.status, row.ratio.value) == ("similarity", ratio)
+
+    def test_irregular_scale_is_a_mismatch(self):
+        c = generate("phillips", "tablet_faithful")[4]
+        rows = _with_row(generate("phillips", "tablet_faithful"), 4,
+                         s=c.s * 7, d=c.d * 7)
+        row = diff_against(rows, "robson", "similarity").rows[4]
+        assert (row.status, row.cells) == ("mismatch", ("S", "D"))
 
 
 class TestErrorAnnotations:
