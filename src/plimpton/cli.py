@@ -179,10 +179,10 @@ def cmd_pairs(args) -> int:
         checked = found
     else:
         checked = [pair for _, pair in hypotheses.printed_pairs(table)]
-    # log only the printed rows whose computed T is in the listed range
+    # log only the printed rows whose computed pair is listed
     printed, _ = hypotheses.PRINTED_TABLES[table]
-    listed = {label for (label, *_), pair in zip(printed, checked)
-              if lo.fraction <= pair.t_fraction <= hi.fraction}
+    shown = set(found)
+    listed = {label for (label, *_), pair in zip(printed, checked) if pair in shown}
     corrections = [c for c in hypotheses.printed_corrections(table, checked)
                    if c.label in listed]
     _emit(args.format, "pairs", rows, ["T", "Tbar"], corrections)

@@ -117,6 +117,16 @@ class TestPairs:
                         "--from", lo, "--to", hi)
         assert [line.split(":")[1].strip() for line in err.splitlines()] == [logged]
 
+    @pytest.mark.parametrize("lo,hi", [("2;00", "2;10"), ("1;48", "2;24")])
+    def test_no_log_of_a_printed_row_whose_pair_is_not_listed(self, capsys, lo, hi):
+        # bruins lists neither 2;06 33 45, the pair of excluded row 8a, nor
+        # any other excluded pair
+        code, out, err = run(capsys, "pairs", "--criterion", "bruins",
+                             "--from", lo, "--to", hi)
+        assert code == 0 and out
+        assert "2 06 33 45" not in out
+        assert err == ""
+
     def test_malformed_range(self, capsys):
         code, _, err = run(capsys, "pairs", "--from", "99", "--to", "1 48")
         assert code == 2
