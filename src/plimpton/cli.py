@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from . import hypotheses, pairs, tablet
 from .pairs import Correction, ReciprocalPair, enumerate_pairs
@@ -50,21 +50,6 @@ class DataError(Exception):
     """Bad input values (as opposed to bad flags)."""
 
 
-def _encode_value(v: SexValue) -> dict:
-    return {"digits": render_sex(v), **_encode_fraction(v.fraction)}
-
-
-def _encoded(row: dict) -> dict:
-    """A row with each value encoded as digits and its exact fraction."""
-    return {key: _encode_value(cell) if isinstance(cell, SexValue) else cell
-            for key, cell in row.items()}
-
-
-def _encode_fraction(f: Fraction) -> dict:
-    return {"numerator": _decimal("numerator", f.numerator),
-            "denominator": _decimal("denominator", f.denominator)}
-
-
 def _decimal(field: str, value) -> str:
     """``str(value)`` in decimal.  Python bounds the digits of an int it
     converts to a string (4,300 by default); past that bound the field is a
@@ -82,20 +67,48 @@ def _correction_dict(c: Correction) -> dict:
             "printed": c.printed, "computed": c.computed}
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, on a line that
+    ``indent`` (newline and spaces) opens; dict keys are str.  A ``SexValue``
+    is written as an object of its digits and its exact fraction."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, SexValue):
+        m, e = value.mantissa, value.exponent
+        num, den = m * 60**max(e, 0), 60**max(-e, 0)
+        g = gcd(num, den)
+        return (f'{{{inner}"digits": "{render_sex(value)}",'
+                f'{inner}"numerator": "{_decimal("numerator", num // g)}",'
+                f'{inner}"denominator": "{_decimal("denominator", den // g)}"{indent}}}')
+    if isinstance(value, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                       for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    elif value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    else:
+        return int.__repr__(value)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _print_json(command: str, fields: dict) -> None:
-    """One command's JSON document: schema version, command, then fields."""
-    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
-                      **fields}, indent=2))
+    """One command's JSON document: schema version, command, then fields,
+    written whole, so a field that fails to encode prints nothing."""
+    print(_json({"schema_version": SCHEMA_VERSION, "command": command, **fields}))
 
 
 def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
           corrections: list[Correction], extra: dict | None = None) -> None:
     """Uniform emission: same values in every format.  Rows hold values
     (a ``SexValue`` or text); each format encodes them, json as digits and
-    fraction, text and csv as digits of the printed columns only."""
+    exact fraction, text and csv as digits of the printed columns only."""
     if fmt == "json":
         _print_json(command, {
-            "rows": [_encoded(row) for row in rows],
+            "rows": rows,
             "corrections": [_correction_dict(c) for c in corrections],
             **(extra or {})})
         return
@@ -152,8 +165,7 @@ def cmd_recip(args) -> int:
     r = _parse_regular_arg(args.value)
     result = reciprocal(r).value
     if args.format == "json":
-        _print_json("recip", {"input": _encode_value(r.value),
-                              "reciprocal": _encode_value(result)})
+        _print_json("recip", {"input": r.value, "reciprocal": result})
     else:
         print(render_sex(result))
     return EXIT_OK
@@ -264,12 +276,14 @@ def cmd_link(args) -> int:
     pair = ReciprocalPair.from_triple(_parse_regular_arg(args.value).triple)
     chain = hypotheses.link_to_standard(pair)
     if args.format == "json":
+        f = chain.factor_fraction
         _print_json("link", {
-            "pair": _encoded(_pair_row("", pair)),
+            "pair": _pair_row("", pair),
             "in_table": chain.in_table,
-            "start": _encoded(_pair_row("", chain.start)),
-            "factor": list(chain.factor),
-            "factor_value": _encode_fraction(chain.factor_fraction),
+            "start": _pair_row("", chain.start),
+            "factor": chain.factor,
+            "factor_value": {"numerator": _decimal("numerator", f.numerator),
+                             "denominator": _decimal("denominator", f.denominator)},
             "steps": chain.steps})
     else:
         print(_decimal("link factor", chain))

@@ -84,8 +84,8 @@ class SexValue(_Value):
 
     Instances are always canonical: mantissa 0 implies exponent 0, and a
     nonzero mantissa is never divisible by 60.  Equality of the two fields
-    is therefore fixed-reading equality; use :meth:`floating_eq` for the
-    floating reading.
+    is therefore fixed-reading equality, and equality of the mantissas is
+    floating-reading equality.
     """
 
     __slots__ = ("mantissa", "exponent")
@@ -114,9 +114,6 @@ class SexValue(_Value):
             out.append(m % 60)
             m //= 60
         return out[::-1]
-
-    def floating_eq(self, other: "SexValue") -> bool:
-        return self.mantissa == other.mantissa
 
     def __str__(self) -> str:
         return render_sex(self)
@@ -200,33 +197,24 @@ def parse_sex(text: str, mode: str = "floating") -> SexValue:
     return SexValue(mantissa, -frac_places)
 
 
-def _format_digits(digits: list[int]) -> str:
-    return " ".join(str(d) if i == 0 else f"{d:02d}" for i, d in enumerate(digits))
+# each base-60 place below the leading one, two characters wide
+_PLACES = tuple(f"{d:02d}" for d in range(60))
 
 
-def render_sex(v: SexValue, mode: str = "floating") -> str:
-    """Render to the canonical digit-string format.
+def render_sex(v: SexValue) -> str:
+    """Render the mantissa's base-60 digits, most significant first.
 
-    The leading digit is unpadded, interior digits are two characters wide.
-    Round-trips with :func:`parse_sex`.
+    The leading digit is unpadded, the others are two characters wide, all
+    one space apart.  Round-trips with :func:`parse_sex` (floating reading).
     """
-    if mode == "floating":
-        return _format_digits(v.digits())
-    if mode != "fixed":
-        raise ValueError(f"unknown mode {mode!r}")
-    digits = v.digits()
-    high = len(digits) - 1 + v.exponent  # place of the leading digit
-    if v.exponent >= 0:
-        digits = digits + [0] * v.exponent
-        return _format_digits(digits)
-    int_places = max(high + 1, 1)
-    padded = [0] * max(0, int_places - (high + 1)) + digits
-    int_digits, frac_digits = padded[:int_places], padded[int_places:]
-    text = _format_digits(int_digits)
-    if frac_digits:
-        text += ";" + " ".join(f"{d:02d}" if i or int_digits else str(d)
-                               for i, d in enumerate(frac_digits))
-    return text
+    m = v.mantissa
+    places = []
+    while m >= 60:
+        m, d = divmod(m, 60)
+        places.append(_PLACES[d])
+    places.append(str(m))
+    places.reverse()
+    return " ".join(places)
 
 
 def mul(a: SexValue, b: SexValue) -> SexValue:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import plimpton
 from plimpton import cli, hypotheses, tablet
@@ -428,6 +429,56 @@ class TestFuzz:
         assert "set_int_max_str_digits" not in err.getvalue()
 
 
+_JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600'),
+    st.characters()))
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), st.integers(-10**40, 10**40),
+              st.booleans(), st.none()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=30)
+
+
+def bench_reproduce_commands(monkeypatch) -> list[list[str]]:
+    """The commands of the benchmark's reproduce workload, imported
+    read-only as tests/test_golden.py does: no bytecode is written into
+    bench/, and its modules are dropped again after."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        return importlib.import_module("workloads").reproduce_commands()
+    finally:
+        for name in ("workloads", "checks", "oracle"):
+            sys.modules.pop(name, None)
+
+
+class TestJsonEmitter:
+    """The CLI writes JSON with its own emitter; the standard library's
+    json.dumps(..., indent=2) is the oracle for its bytes."""
+
+    @given(_JSON_TREES)
+    @example({})
+    @example([[], {}, [{}], {"": []}])
+    @example({"a\u2028\U0001f600": [-(10**30), True, False, None, "\\\"\x00"]})
+    def test_matches_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+    def test_every_json_command_reads_back_as_written(self, capsys, monkeypatch):
+        commands = [argv for argv in bench_reproduce_commands(monkeypatch)
+                    if argv[-2:] == ["--format", "json"]]
+        # the golden regular values, and one whose reciprocal's numerator
+        # has 4,300 digits
+        commands += [[cmd, value, "--format", "json"] for cmd in ("recip", "link")
+                     for value in ("2 09 36", "38 50 10 08", "1", _sex(2**7312))]
+        assert len(commands) == 43 + 8
+        for argv in commands:
+            # tablet verify exits 2 on the joyce edition, with its document
+            out = run(capsys, *argv)[1]
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 class TestWorkCeilings:
     """Pairs built and factorizations made by one command.  The four-place
     enumerations test T's range and both members' rule before they build a
@@ -573,11 +624,31 @@ class TestWorkCeilings:
         assert len(reads) <= 4
 
     def test_rows_json_renders_every_value(self, capsys, monkeypatch):
-        # T, Tbar, X, Y, S, D and A of 15 rows
+        # T, Tbar, X, Y, S, D and A of 15 rows, their exact fractions taken
+        # from mantissa and exponent: the range's four reads are the only ones
         rendered = self.count_renders(monkeypatch)
+        reads = self.count_fraction_reads(monkeypatch)
         assert run(capsys, "rows", "--hypothesis", "phillips",
                    "--format", "json")[0] == 0
         assert len(rendered) == 105
+        assert len(reads) <= 4
+
+    @pytest.mark.parametrize("argv", [
+        ("rows", "--hypothesis", "phillips", "--format", "json"),
+        ("link", "2 09 36", "--format", "json"),
+    ])
+    def test_json_skips_the_pure_python_encoder(self, capsys, monkeypatch, argv):
+        # json.dumps(..., indent=2) builds its encoder with _make_iterencode
+        made = []
+        make_iterencode = json.encoder._make_iterencode
+
+        def counting_make_iterencode(*args, **kwargs):
+            made.append(1)
+            return make_iterencode(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting_make_iterencode)
+        assert run(capsys, *argv)[0] == 0
+        assert made == []
 
     def test_tablet_diff_compares_without_fractions(self, capsys, monkeypatch):
         reads = self.count_fraction_reads(monkeypatch)

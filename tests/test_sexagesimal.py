@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from plimpton.sexagesimal import (
     ONE,
@@ -23,6 +23,25 @@ from plimpton.sexagesimal import (
 )
 
 
+def _places(n: int, count: int) -> list[str]:
+    """At least ``count`` base-60 places of n, two characters each."""
+    out = []
+    while n or len(out) < count:
+        n, d = divmod(n, 60)
+        out.append(f"{d:02d}")
+    return out[::-1]
+
+
+def render_fixed(v: SexValue) -> str:
+    """The fixed reading written out, as ``parse_sex(..., "fixed")`` reads
+    it: the integer places (the leading one unpadded), then ";" and one
+    place per negative power of 60."""
+    frac = max(-v.exponent, 0)
+    whole, part = divmod(v.mantissa * 60 ** max(v.exponent, 0), 60**frac)
+    text = " ".join(_places(whole, 1)).lstrip("0") or "0"
+    return text + ";" + " ".join(_places(part, frac)) if frac else text
+
+
 class TestCanonicalForm:
     def test_trailing_sixty_factors_move_to_exponent(self):
         assert SexValue(3600) == SexValue(1, 2)
@@ -42,8 +61,10 @@ class TestCanonicalForm:
         assert v.fraction == Fraction(m) * Fraction(60) ** e
 
     def test_floating_eq_ignores_exponent(self):
-        assert SexValue(125, -2).floating_eq(SexValue(125, 3))
-        assert not SexValue(125).floating_eq(SexValue(126))
+        # floating equality is equality of the canonical mantissas
+        assert SexValue(125, -2).mantissa == SexValue(125, 3).mantissa
+        assert SexValue(7500, -2).mantissa == SexValue(125).mantissa
+        assert SexValue(125).mantissa != SexValue(126).mantissa
 
 
 class TestParseRender:
@@ -86,15 +107,31 @@ class TestParseRender:
         assert render_sex(SexValue(1)) == "1"
 
     def test_render_fixed(self):
-        assert render_sex(SexValue(144, -1), "fixed") == "2;24"
-        assert render_sex(SexValue(119, -2), "fixed") == "0;01 59"
-        assert render_sex(SexValue(225, 1), "fixed") == "3 45 00"
+        assert render_fixed(SexValue(144, -1)) == "2;24"
+        assert render_fixed(SexValue(119, -2)) == "0;01 59"
+        assert render_fixed(SexValue(225, 1)) == "3 45 00"
+        # and the fixed parser reads each back
+        assert parse_sex("2;24", "fixed") == SexValue(144, -1)
+        assert parse_sex("0;01 59", "fixed") == SexValue(119, -2)
+        assert parse_sex("3 45 00;", "fixed") == SexValue(225, 1)
 
     @given(st.integers(1, 60**8))
     def test_round_trip(self, m):
         # floating rendering works on the equivalence class
         v = SexValue(m)
-        assert parse_sex(render_sex(v)).floating_eq(v)
+        assert parse_sex(render_sex(v)).mantissa == v.mantissa
+
+    @given(st.one_of(st.integers(0, 59), st.integers(0, 60**80)))
+    @example(0)
+    @example(59)
+    @example(60**2 + 1)  # an interior quotient of exactly 60
+    @example(60**80 - 1)
+    def test_render_matches_the_digit_join(self, m):
+        # the table-driven renderer against the naive join of digits()
+        v = SexValue(m)
+        naive = " ".join(str(d) if i == 0 else f"{d:02d}"
+                         for i, d in enumerate(v.digits()))
+        assert render_sex(v) == naive
 
     @given(st.integers(1, 60**6), st.integers(-4, 0))
     def test_round_trip_fixed(self, m, e):
@@ -102,14 +139,14 @@ class TestParseRender:
         # round trip is guaranteed for values below 60 (one integer place)
         v = SexValue(m, e)
         assume(v.fraction < 60)
-        assert parse_sex(render_sex(v, "fixed"), "fixed") == v
+        assert parse_sex(render_fixed(v), "fixed") == v
 
     @given(st.integers(1, 60**4), st.integers(0, 3))
     def test_nonnegative_exponent_fixed_form_reparses_floating(self, m, e):
         # values with trailing zero places render as padded integers,
         # which the floating parser recovers exactly
         v = SexValue(m, e)
-        assert parse_sex(render_sex(v, "fixed")) == v
+        assert parse_sex(render_fixed(v)) == v
 
 
 class TestArithmetic:

@@ -40,8 +40,8 @@ class TestDataResource:
     def test_round_trip_render_parse(self):
         for row in tablet_data("robson"):
             for cell in (row.a, row.s, row.d):
-                assert parse_sex(render_sex(cell.corrected)).floating_eq(
-                    cell.corrected)
+                assert (parse_sex(render_sex(cell.corrected)).mantissa
+                        == cell.corrected.mantissa)
 
     def test_fifteen_rows_in_order(self):
         for edition in EDITIONS:
@@ -115,7 +115,7 @@ class TestVerification:
         row = tablet_data("robson")[3]
         s, d = (int(cell.corrected.fraction) for cell in (row.s, row.d))
         root = sqrt_exact(SexValue(d * d - s * s))
-        assert render_sex(root, "fixed") == "3 45 00"
+        assert root == parse_sex("3 45 00;", "fixed")
 
     def test_as_written_failures_at_corrected_cells_only(self):
         for edition in EDITIONS:
