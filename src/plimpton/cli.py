@@ -25,6 +25,7 @@ from .sexagesimal import (
     ONE,
     SexValue,
     SexagesimalError,
+    _split_2_3_5,
     is_regular,
     parse_sex,
     reciprocal,
@@ -144,10 +145,7 @@ def _parse_regular_arg(text: str):
     v = parse_sex(text)
     r = is_regular(v)
     if r is None:
-        n = v.mantissa
-        for p in (2, 3, 5):
-            while n % p == 0:
-                n //= p
+        n = _split_2_3_5(v.mantissa)[3]
         factor = next((f for f in range(7, min(n, _FACTOR_BOUND) + 1)
                        if n % f == 0), None)
         if factor is None:

@@ -18,6 +18,7 @@ from math import ceil, floor
 from .sexagesimal import (
     RegularNumber,
     SexValue,
+    _places,
     _set,
     _Value,
     parse_sex,
@@ -130,13 +131,13 @@ def _both_ways(kind: str):
 @cache
 def _four_place_index() -> tuple[list[int], list[tuple]]:
     """The four-place members as (T, Tbar) by ascending padded T, with the
-    padded values apart for bisection.  Tbar's mantissa, 60**k over T's for
-    k = max(ceil(alpha/2), beta, gamma), is looked up once in the
-    four-place table (absent: more than four places, and Tbar is None)."""
+    padded values apart for bisection.  Tbar's mantissa, 60**k over T's as
+    in :func:`reciprocal`, is looked up once in the four-place table
+    (absent: more than four places, and Tbar is None)."""
     members = _four_place_members()
     # padded values are distinct, so sorting compares no two Tbar
-    index = sorted((t, members.get(60 ** max((a + 1) // 2, b, c) // m))
-                   for m, t in members.items() for a, b, c in [t[1]])
+    index = sorted((t, members.get(60 ** _places(*t[1]) // m))
+                   for m, t in members.items())
     return [t[0] for t, _ in index], index
 
 

@@ -13,7 +13,6 @@ which makes floating equality a plain mantissa comparison.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import isqrt
 from operator import attrgetter
@@ -70,13 +69,26 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p**e) for the largest e with p**e dividing n > 0.  A pass
+    strips p, p**2, p**4, ... while they divide: half or more of what is left."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+        q, k = p * p, 2
+        while n % q == 0:
+            n //= q
+            e += k
+            q, k = q * q, 2 * k
+    return e, n
+
+
 def _split_base60(mantissa: int, exponent: int) -> tuple[int, int]:
     if mantissa == 0:
         return 0, 0
-    while mantissa % 60 == 0:
-        mantissa //= 60
-        exponent += 1
-    return mantissa, exponent
+    e, mantissa = _valuation(mantissa, 60)
+    return mantissa, exponent + e
 
 
 class SexValue(_Value):
@@ -93,7 +105,8 @@ class SexValue(_Value):
     def __init__(self, mantissa: int, exponent: int = 0) -> None:
         if mantissa < 0:
             raise SexagesimalError("negative values are out of domain")
-        mantissa, exponent = _split_base60(mantissa, exponent)
+        if mantissa % 60 == 0:  # zero, or not canonical
+            mantissa, exponent = _split_base60(mantissa, exponent)
         _set(self, "mantissa", mantissa)
         _set(self, "exponent", exponent)
 
@@ -124,41 +137,42 @@ ONE = SexValue(1)
 
 
 def from_fraction(value: Fraction | int) -> SexValue:
-    """Exact conversion; the denominator must be 60-smooth."""
+    """Exact conversion; the denominator in lowest terms must divide 60**64."""
     f = Fraction(value)
     if f < 0:
         raise SexagesimalError("negative values are out of domain")
-    k = 0
-    num, den = f.numerator, f.denominator
-    while num % den:
-        num *= 60
-        k += 1
-        if k > 64:
-            raise SexagesimalError(f"{f} has no terminating base-60 form")
-    return SexValue(num // den, -k)
+    alpha, beta, gamma, cofactor = _split_2_3_5(f.denominator)
+    k = _places(alpha, beta, gamma)
+    if cofactor != 1 or k > 64:
+        raise SexagesimalError(f"{f} has no terminating base-60 form")
+    return SexValue(f.numerator * (60**k // f.denominator), -k)
 
 
-_TOKEN_SEP = re.compile(r"[ :]")
+# each base-60 place below the leading one, two characters wide
+_PLACES = tuple(f"{d:02d}" for d in range(60))
+# the digit of each place render_sex writes, leading ones included
+_PLACE_VALUE = {place: int(place) for place in _PLACES + tuple("0123456789")}
+
+
+def _digit(tok: str) -> int:
+    # str.isdigit also accepts non-ASCII digits such as "٢" and "²"
+    if not (tok.isdigit() and tok.isascii()):
+        raise SexagesimalError(f"bad digit token {tok!r}")
+    try:
+        d = int(tok)
+    except ValueError:  # past the digits int() converts to an int
+        raise SexagesimalError(f"digit token of {len(tok)} characters is too long") from None
+    if d >= 60:
+        raise SexagesimalError(f"digit {d} out of range 0..59")
+    return d
 
 
 def _parse_digits(text: str) -> list[int]:
     if not text:
         raise SexagesimalError("empty digit string")
-    digits = []
-    # str.isdigit also accepts non-ASCII digits such as "٢" and "²"
-    ascii_text = text.isascii()
-    for tok in _TOKEN_SEP.split(text):
-        if not (tok.isdigit() and (ascii_text or tok.isascii())):
-            raise SexagesimalError(f"bad digit token {tok!r}")
-        try:
-            d = int(tok)
-        except ValueError:  # past the digits int() converts to an int
-            raise SexagesimalError(
-                f"digit token of {len(tok)} characters is too long") from None
-        if d >= 60:
-            raise SexagesimalError(f"digit {d} out of range 0..59")
-        digits.append(d)
-    return digits
+    # a token not in the table, such as "007", takes the full check
+    return [_PLACE_VALUE[tok] if tok in _PLACE_VALUE else _digit(tok)
+            for tok in text.replace(":", " ").split(" ")]
 
 
 def parse_sex(text: str, mode: str = "floating") -> SexValue:
@@ -195,10 +209,6 @@ def parse_sex(text: str, mode: str = "floating") -> SexValue:
     for d in digits:
         mantissa = mantissa * 60 + d
     return SexValue(mantissa, -frac_places)
-
-
-# each base-60 place below the leading one, two characters wide
-_PLACES = tuple(f"{d:02d}" for d in range(60))
 
 
 def render_sex(v: SexValue) -> str:
@@ -266,18 +276,20 @@ class RegularNumber(_Value):
         return (self.alpha, self.beta, self.gamma)
 
 
+def _split_2_3_5(n: int) -> tuple[int, int, int, int]:
+    """The exponents of 2, 3 and 5 in n > 0, and its cofactor prime to 30."""
+    alpha = (n & -n).bit_length() - 1
+    beta, n = _valuation(n >> alpha, 3)
+    gamma, n = _valuation(n, 5)
+    return alpha, beta, gamma, n
+
+
 def factor_2_3_5(n: int) -> tuple[int, int, int] | None:
     """Exponent triple of n when n is 60-smooth, else None."""
     if n <= 0:
         return None
-    exps = []
-    for p in (2, 3, 5):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        exps.append(e)
-    return tuple(exps) if n == 1 else None
+    alpha, beta, gamma, cofactor = _split_2_3_5(n)
+    return (alpha, beta, gamma) if cofactor == 1 else None
 
 
 def is_regular(v: SexValue) -> RegularNumber | None:
@@ -286,9 +298,7 @@ def is_regular(v: SexValue) -> RegularNumber | None:
     if v.mantissa <= 0:
         raise SexagesimalError("regularity is defined for positive values")
     triple = factor_2_3_5(v.mantissa)
-    if triple is None:
-        return None
-    return RegularNumber(v, *triple)
+    return None if triple is None else RegularNumber(v, *triple)
 
 
 def regular_from_int(n: int) -> RegularNumber:
@@ -296,6 +306,11 @@ def regular_from_int(n: int) -> RegularNumber:
     if r is None:
         raise SexagesimalError(f"{n} is not regular")
     return r
+
+
+def _places(alpha: int, beta: int, gamma: int) -> int:
+    """The least k with 2**alpha * 3**beta * 5**gamma dividing 60**k."""
+    return max((alpha + 1) // 2, beta, gamma)
 
 
 def reciprocal(r: RegularNumber) -> RegularNumber:
@@ -306,7 +321,7 @@ def reciprocal(r: RegularNumber) -> RegularNumber:
     exponent triple (2k - alpha, k - beta, k - gamma).  Since k is minimal,
     60 does not divide the quotient: it is already canonical.
     """
-    k = max((r.alpha + 1) // 2, r.beta, r.gamma)
+    k = _places(r.alpha, r.beta, r.gamma)
     return RegularNumber(SexValue(60**k // r.mantissa),
                          2 * k - r.alpha, k - r.beta, k - r.gamma)
 

@@ -24,6 +24,7 @@ from plimpton.sexagesimal import (
     parse_sex,
     render_sex,
 )
+from test_sexagesimal import power_passes, traced, valuation_passes
 
 
 def run(capsys, *argv):
@@ -60,6 +61,26 @@ class TestRecip:
     def test_non_regular_names_the_factor(self, capsys):
         code, _, err = run(capsys, "recip", "7")
         assert code == 2
+        assert "not regular: factor 7" in err
+
+    def test_long_input_strips_by_valuation(self, capsys):
+        # 1 followed by 40,000 zero places: one valuation of 60**40000, whose
+        # passes are logarithmic in the exponent, not one per place
+        text = "1" + " 00" * 40000
+        done = []
+        passes = valuation_passes(lambda: done.append(run(capsys, "recip", text)))
+        assert passes <= power_passes(40000) == 58
+        assert done[0][:2] == (0, "1\n")
+
+    def test_long_non_regular_input_names_the_factor(self, capsys):
+        # the cofactor of 2**60000 * 7 comes from one valuation per prime:
+        # the argument check runs a dozen lines, not one per factor of 2
+        text = render_sex(SexValue(2**60000 * 7))
+        _, ran = traced(cli._parse_regular_arg,
+                        lambda: pytest.raises(cli.DataError, cli._parse_regular_arg, text))
+        assert sum(ran.values()) < 20
+        code, out, err = run(capsys, "recip", text)
+        assert (code, out) == (2, "")
         assert "not regular: factor 7" in err
 
     def test_large_prime_cofactor_is_reported_in_bounded_time(self):

@@ -1,13 +1,21 @@
+import inspect
+import re
+import sys
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from plimpton import sexagesimal
 from plimpton.sexagesimal import (
     ONE,
     ZERO,
     SexValue,
     SexagesimalError,
+    _digit,
+    _valuation,
     add,
     factor_2_3_5,
     from_fraction,
@@ -42,7 +50,155 @@ def render_fixed(v: SexValue) -> str:
     return text + ";" + " ".join(_places(part, frac)) if frac else text
 
 
-class TestCanonicalForm:
+def traced(fn, call) -> tuple[int, Counter]:
+    """(calls, lines): how often ``fn`` is entered while ``call()`` runs, and
+    how often each line of its source runs, keyed by the line's text."""
+    lines, first = inspect.getsourcelines(fn)
+    code, calls, ran = fn.__code__, 0, Counter()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            ran[lines[frame.f_lineno - first].strip()] += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        nonlocal calls
+        if frame.f_code is not code:
+            return None
+        calls += 1
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return calls, ran
+
+
+def valuation_passes(call) -> int:
+    """How often the loop bodies of ``_valuation`` run while ``call()`` runs:
+    each body starts with its one division."""
+    _, ran = traced(_valuation, call)
+    return sum(n for line, n in ran.items() if line.startswith("n //="))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:  # SexagesimalError among them
+        return type(e), str(e)
+
+
+def naive_valuation(n: int, p: int) -> tuple[int, int]:
+    """One division per factor, as factor_2_3_5 and _split_base60 did."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+def loop_from_fraction(value) -> SexValue:
+    """from_fraction as one multiplication by 60 per place, up to 64."""
+    f = Fraction(value)
+    if f < 0:
+        raise SexagesimalError("negative values are out of domain")
+    k = 0
+    num, den = f.numerator, f.denominator
+    while num % den:
+        num *= 60
+        k += 1
+        if k > 64:
+            raise SexagesimalError(f"{f} has no terminating base-60 form")
+    return SexValue(num // den, -k)
+
+
+def tokenwise_parse_digits(text: str) -> list[int]:
+    """_parse_digits with every token checked alone, without the table."""
+    if not text:
+        raise SexagesimalError("empty digit string")
+    digits = []
+    ascii_text = text.isascii()
+    for tok in re.split(r"[ :]", text):
+        if not (tok.isdigit() and (ascii_text or tok.isascii())):
+            raise SexagesimalError(f"bad digit token {tok!r}")
+        try:
+            d = int(tok)
+        except ValueError:
+            raise SexagesimalError(
+                f"digit token of {len(tok)} characters is too long") from None
+        if d >= 60:
+            raise SexagesimalError(f"digit {d} out of range 0..59")
+        digits.append(d)
+    return digits
+
+
+class Power:
+    """p**e held as e, with the arithmetic _valuation does on it and a count
+    of its divisions, so the passes over a huge e cost no big division."""
+
+    __slots__ = ("e",)
+    divisions = 0
+
+    def __init__(self, e: int) -> None:
+        self.e = e
+
+    def __mod__(self, q: "Power") -> int:
+        return 0 if q.e <= self.e else 1
+
+    def __floordiv__(self, q: "Power") -> "Power":
+        Power.divisions += 1
+        return Power(self.e - q.e)
+
+    def __mul__(self, other: "Power") -> "Power":
+        return Power(self.e + other.e)
+
+
+def power_passes(e: int) -> int:
+    """The loop bodies _valuation runs on p**e, one division each."""
+    Power.divisions = 0
+    found, rest = _valuation(Power(e), Power(1))
+    assert (found, rest.e) == (e, 0)
+    return Power.divisions
+
+
+LARGE_PRIME = 2**127 - 1
+
+
+class TestValuation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 2000),
+           st.sampled_from([1, 7, LARGE_PRIME, 7 * LARGE_PRIME]))
+    @example(0, 0, 0, 1)
+    @example(2000, 2000, 2000, 7 * LARGE_PRIME)
+    def test_matches_one_division_per_factor(self, a, b, c, r):
+        n = 2**a * 3**b * 5**c * r
+        for p in (2, 3, 5, 60):
+            assert _valuation(n, p) == naive_valuation(n, p), p
+        assert factor_2_3_5(n) == ((a, b, c) if r == 1 else None)
+        # the canonical form against stripping one factor of 60 per step
+        e60, m60 = naive_valuation(n, 60)
+        assert SexValue(n, -7) == SexValue(m60, e60 - 7)
+
+    def test_passes_below_two_to_the_sixteen(self):
+        # every exponent below 2**12, and the worst of those below 2**16
+        assert max(power_passes(e) for e in range(2**12)) <= 121
+        assert power_passes(2**16 - 16) == 121
+        assert power_passes(2**16 - 1) == 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2**12, 2**16 - 1))
+    def test_passes_bounded_for_every_exponent_below_two_to_the_sixteen(self, e):
+        assert power_passes(e) <= 121
+
+    def test_counted_passes_on_a_real_power(self):
+        # the symbolic count agrees with a line tracer on the real function
+        n = 3**40000
+        assert valuation_passes(lambda: _valuation(n, 3)) == power_passes(40000) == 58
+
     def test_trailing_sixty_factors_move_to_exponent(self):
         assert SexValue(3600) == SexValue(1, 2)
         assert SexValue(120, -1) == SexValue(2, 0)
@@ -212,3 +368,71 @@ class TestSqrt:
     def test_sqrt_squares(self, m, e):
         v = SexValue(m, e)
         assert sqrt_exact(mul(v, v)) == v
+
+
+class TestClosedFormFromFraction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.integers(0, 140), st.integers(0, 70),
+           st.integers(0, 70), st.sampled_from([1, 1, 7, 49, LARGE_PRIME]))
+    @example(1, 128, 0, 0, 1)   # 64 places: the last that passes
+    @example(1, 129, 0, 0, 1)   # 65 places: raises
+    @example(7, 0, 64, 64, 1)
+    @example(0, 0, 0, 0, 7)
+    @example(-1, 1, 0, 0, 1)
+    def test_matches_one_place_per_step(self, num, a, b, c, r):
+        value = Fraction(num, 2**a * 3**b * 5**c * r)
+        assert outcome(from_fraction, value) == outcome(loop_from_fraction, value)
+        # an integer argument too
+        assert outcome(from_fraction, num) == outcome(loop_from_fraction, num)
+
+    def test_the_cap_is_unchanged(self):
+        assert from_fraction(Fraction(1, 2**128)) == SexValue(15**64, -64)
+        with pytest.raises(SexagesimalError, match="no terminating base-60 form"):
+            from_fraction(Fraction(1, 2**129))
+
+    def test_no_loop_over_places(self):
+        # no line of from_fraction runs twice, whatever the place count
+        for value in (Fraction(1, 2), Fraction(1, 2**128), Fraction(7, 60**64),
+                      Fraction(1, 7), Fraction(1, 2**129), 5):
+            calls, ran = traced(from_fraction, lambda: outcome(from_fraction, value))
+            assert calls == 1 and max(ran.values()) == 1, value
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["007", "", "\t", "1\t2", "\u0662", "\u00b2", "60", "59",
+                     "0", "00", "05", "5", "x", "1" * 5000, "0" * 5000]),
+    st.integers(0, 99).map(str),
+    st.integers(0, 59).map("{:02d}".format),
+)
+_DIGIT_TEXT = st.builds(
+    lambda toks, seps: "".join(t + s for t, s in zip(toks, seps)) + toks[-1],
+    st.lists(_TOKENS, min_size=1, max_size=8),
+    st.lists(st.sampled_from([" ", ":"]), min_size=8, max_size=8))
+
+
+class TestTableParse:
+    @settings(max_examples=300, deadline=None)
+    @given(_DIGIT_TEXT, st.one_of(st.none(), _DIGIT_TEXT),
+           st.sampled_from(["floating", "fixed"]))
+    @example("007 1:05", None, "floating")
+    @example("1  2", None, "fixed")
+    @example("1 60 \u0662", None, "floating")
+    @example("1" * 5000, "00", "fixed")
+    def test_matches_the_tokenwise_check(self, text, frac, mode):
+        # a fractional part after ";" for the fixed reading
+        if frac is not None:
+            text = f"{text};{frac}"
+        got = outcome(parse_sex, text, mode)
+        with mock.patch.object(sexagesimal, "_parse_digits", tokenwise_parse_digits):
+            assert got == outcome(parse_sex, text, mode)
+
+    @given(st.one_of(st.integers(0, 60**3), st.integers(0, 60**80)))
+    @example(0)
+    @example(59)
+    @example(60**80 - 1)
+    def test_rendered_digits_skip_the_tokenwise_check(self, m):
+        text = render_sex(SexValue(m))
+        calls, _ = traced(_digit, lambda: parse_sex(text))
+        assert calls == 0
+        # while a token outside the table takes it
+        assert traced(_digit, lambda: parse_sex(text + " 007"))[0] == 1
