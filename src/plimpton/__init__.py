@@ -2,7 +2,6 @@
 
 from .sexagesimal import (
     ONE,
-    ZERO,
     RegularNumber,
     SexValue,
     SexagesimalError,
@@ -16,7 +15,6 @@ from .sexagesimal import (
     reciprocal,
     regular_from_int,
     render_sex,
-    sqrt_exact,
     sub,
 )
 from .pairs import (

@@ -192,7 +192,7 @@ def pair_corrections(table: str, printed: list[tuple],
             digits = [int(d) for d in text.split()]
             while digits[-1] == 0:
                 digits.pop()
-            if digits != member.value.digits():
-                out.append(Correction(table, label, column, text,
-                                      render_sex(member.value)))
+            computed = render_sex(member.value)
+            if digits != [int(d) for d in computed.split()]:
+                out.append(Correction(table, label, column, text, computed))
     return out

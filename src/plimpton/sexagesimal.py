@@ -4,8 +4,8 @@ A value is a natural mantissa times a power of 60.  Two readings coexist:
 
 * floating: the exponent is ignored, numbers are defined up to powers of 60
   (Old Babylonian notation has no units marker);
-* fixed: the exponent places the units digit, so sums, differences and
-  square roots are meaningful.
+* fixed: the exponent places the units digit, so sums and differences
+  are meaningful.
 
 Canonical form strips factors of 60 from the mantissa into the exponent,
 which makes floating equality a plain mantissa comparison.
@@ -14,7 +14,6 @@ which makes floating equality a plain mantissa comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from operator import attrgetter
 
 
@@ -117,27 +116,18 @@ class SexValue(_Value):
             return Fraction(self.mantissa * 60**self.exponent)
         return Fraction(self.mantissa, 60**-self.exponent)
 
-    def digits(self) -> list[int]:
-        """Base-60 digits of the mantissa, most significant first."""
-        if self.mantissa == 0:
-            return [0]
-        out = []
-        m = self.mantissa
-        while m:
-            out.append(m % 60)
-            m //= 60
-        return out[::-1]
-
     def __str__(self) -> str:
         return render_sex(self)
 
 
-ZERO = SexValue(0)
 ONE = SexValue(1)
 
 
 def from_fraction(value: Fraction | int) -> SexValue:
-    """Exact conversion; the denominator in lowest terms must divide 60**64."""
+    """Exact conversion; the denominator in lowest terms must divide 60**64.
+    A float is refused: its binary value is rarely the number meant."""
+    if isinstance(value, float):
+        raise SexagesimalError(f"{value!r} is a float; pass an exact int or Fraction")
     f = Fraction(value)
     if f < 0:
         raise SexagesimalError("negative values are out of domain")
@@ -324,22 +314,4 @@ def reciprocal(r: RegularNumber) -> RegularNumber:
     k = _places(r.alpha, r.beta, r.gamma)
     return RegularNumber(SexValue(60**k // r.mantissa),
                          2 * k - r.alpha, k - r.beta, k - r.gamma)
-
-
-def sqrt_exact(v: SexValue) -> SexValue | None:
-    """Exact square root in the fixed reading, or None.
-
-    Odd exponents are compensated by one mantissa shift; the value is a
-    perfect square iff the shifted mantissa is.
-    """
-    if v.mantissa == 0:
-        return ZERO
-    m, e = v.mantissa, v.exponent
-    if e % 2:
-        m *= 60
-        e -= 1
-    root = isqrt(m)
-    if root * root != m:
-        return None
-    return SexValue(root, e // 2)
 

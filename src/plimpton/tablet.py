@@ -35,10 +35,8 @@ class TabletCell(_Value):
     """One attested cell: the corrected value, plus the scribal original
     when the editions disagree with it."""
 
-    __slots__ = ("corrected", "as_written", "reconstructed_break",
-                 "leading_one_implied")
-    _defaults = {"as_written": None, "reconstructed_break": False,
-                 "leading_one_implied": False}
+    __slots__ = ("corrected", "as_written")
+    _defaults = {"as_written": None}
 
     @property
     def corrected_error(self) -> bool:
@@ -54,8 +52,7 @@ class TabletCell(_Value):
 
 
 class TabletRowRecord(_Value):
-    __slots__ = ("n", "a", "s", "d", "label_reconstructed")
-    _defaults = {"label_reconstructed": False}
+    __slots__ = ("n", "a", "s", "d")
 
 
 def _read_resource() -> list[str]:
@@ -71,9 +68,7 @@ def _cell_digits(text: str) -> str:
 
 def _parse_a(text: str) -> TabletCell:
     # fixed reading: the (implied) leading 1 is the units digit
-    return TabletCell(parse_sex(_cell_digits(text), "fixed"),
-                      reconstructed_break="[" in text,
-                      leading_one_implied="(1)" in text)
+    return TabletCell(parse_sex(_cell_digits(text), "fixed"))
 
 
 # Scribal originals, (row, column) -> written digits, where not as transcribed.
@@ -110,8 +105,7 @@ def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
             written = parse_sex(_WRITTEN.get((n, col), digits))
             cells[col] = TabletCell(corrected, as_written=None
                                     if written == corrected else written)
-        rows.append(TabletRowRecord(n, cells["a"], cells["s"], cells["d"],
-                                    label_reconstructed="[" in label))
+        rows.append(TabletRowRecord(n, cells["a"], cells["s"], cells["d"]))
     return tuple(sorted(rows, key=lambda r: r.n))
 
 
@@ -241,7 +235,7 @@ class ErrorAnnotation(_Value):
 def _classify(written: SexValue, corrected: SexValue) -> str:
     if written.mantissa == corrected.mantissa ** 2:
         return "square_of_correct"
-    wd, cd = written.digits(), corrected.digits()
+    wd, cd = render_sex(written).split(), render_sex(corrected).split()
     if len(wd) == len(cd) and sum(a != b for a, b in zip(wd, cd)) == 1:
         return "digit_slip"
     return "unclassified"

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plimpton.hypotheses import (
     EXCLUDED_PAIRS_PRINTED,
@@ -21,6 +21,7 @@ from plimpton.pairs import (
     _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
+    pair_corrections,
     plimpton_range,
 )
 from plimpton import sexagesimal
@@ -33,6 +34,7 @@ from plimpton.sexagesimal import (
     regular_from_int,
     render_sex,
 )
+from bench_oracle import oracle
 
 # The fifteen pairs of the tablet's range under the multiple-of-10 rule.
 PHILLIPS_15 = [
@@ -72,7 +74,7 @@ def regular_mantissas(places):
 
 def mult10_digits(r):
     """At most four places, and a four-place value ends in a multiple of 10."""
-    digits = r.value.digits()
+    digits = oracle.digits60(r.mantissa)
     return len(digits) < 4 or len(digits) == 4 and digits[-1] % 10 == 0
 
 
@@ -203,7 +205,7 @@ class TestRegularEnumeration:
         members = _four_place_members()
         assert list(members) == regular_mantissas(4)
         for m, (padded, triple) in members.items():
-            assert padded == m * 60 ** (4 - len(SexValue(m).digits()))
+            assert padded == m * 60 ** (4 - oracle.places(m))
             assert triple == factor_2_3_5(m)
 
     def test_triple_lookup_matches_factorization(self):
@@ -224,7 +226,7 @@ class TestCriteria:
             if m in members:  # mult10 reads only the member itself
                 assert CRITERIA["mult10"](members[m], None) == mult10_digits(r)
             else:
-                assert len(r.value.digits()) > 4 and not mult10_digits(r)
+                assert oracle.places(m) > 4 and not mult10_digits(r)
 
     def test_phillips_enumeration_digit_exact(self):
         got = [(render_sex(p.T.value), render_sex(p.Tbar.value))
@@ -342,7 +344,7 @@ def _oracle_all() -> tuple[ReciprocalPair, ...]:
 def _oracle_passes(kind, p):
     if kind == "mult10":
         return mult10_digits(p.T) and mult10_digits(p.Tbar)
-    if len(p.Tbar.value.digits()) > 4:
+    if oracle.places(p.Tbar.mantissa) > 4:
         return False
     return kind == "places4" or not bruins_excluded(p)
 
@@ -485,3 +487,56 @@ class TestBisectedIndex:
     @example(keep="mult10", lo=-1, hi=10**9)
     def test_equals_a_scan_of_the_table(self, keep, lo, hi):
         assert _four_place_pairs(lo, hi, _KEEPS[keep]) == _scan(lo, hi, _KEEPS[keep])
+
+
+def _oracle_corrections(table, printed, pairs):
+    """pair_corrections' rule on the oracle's digits: a printed member
+    matches when its digits, trailing zero places dropped, are those of the
+    computed mantissa."""
+    out = []
+    for (label, *texts), pair in zip(printed, pairs):
+        for column, text, m in zip(("T", "Tbar"), texts,
+                                   (pair.T.mantissa, pair.Tbar.mantissa)):
+            digits = [int(d) for d in text.split()]
+            while digits[-1] == 0:
+                digits.pop()
+            if digits != oracle.digits60(m):
+                out.append((table, label, column, text, oracle.render(m)))
+    return out
+
+
+@st.composite
+def _printed(draw, m):
+    """A printed form of mantissa m: maybe trailing zero places, maybe one
+    place misprinted (64 included), each place padded to two characters or
+    not."""
+    digits = oracle.digits60(m) + [0] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        digits[draw(st.integers(0, len(digits) - 1))] = draw(
+            st.one_of(st.just(64), st.integers(0, 59)))
+    assume(any(digits))
+    return " ".join(f"{d:02d}" if draw(st.booleans()) else str(d) for d in digits)
+
+
+class TestPairCorrections:
+    def test_trailing_zeros_unpadded_places_and_a_64(self):
+        pair = ReciprocalPair.from_T_mantissa(parse_sex("2 08").mantissa)
+        printed = [("zeros", "2 08 00", "28 07 30 00 00"),
+                   ("unpadded", "2 8", "28 7 30"),
+                   ("64", "2 08", "28 64 30")]
+        got = [(c.label, c.column, c.printed, c.computed)
+               for c in pair_corrections("t", printed, [pair] * 3)]
+        assert got == [("64", "Tbar", "28 64 30", "28 07 30")]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_the_rule_on_the_oracle_digits(self, data):
+        pairs = data.draw(st.lists(st.sampled_from(_oracle_all()),
+                                   min_size=1, max_size=4))
+        # columns past T and Tbar are not compared
+        printed = [(str(i), data.draw(_printed(p.T.mantissa)),
+                    data.draw(_printed(p.Tbar.mantissa)), "extra")
+                   for i, p in enumerate(pairs)]
+        got = [(c.table, c.label, c.column, c.printed, c.computed)
+               for c in pair_corrections("t", printed, pairs)]
+        assert got == _oracle_corrections("t", printed, pairs)

@@ -1,8 +1,10 @@
 import hashlib
 from fractions import Fraction
 from importlib import resources
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from plimpton.hypotheses import generate
 from plimpton.rows import RowCandidate
@@ -12,7 +14,6 @@ from plimpton.sexagesimal import (
     mul,
     parse_sex,
     render_sex,
-    sqrt_exact,
     sub,
 )
 from plimpton.tablet import (
@@ -21,12 +22,15 @@ from plimpton.tablet import (
     RowDiff,
     TabletCell,
     TabletRowRecord,
+    _classify,
+    _is_square,
     _parse_a,
     diff_against,
     error_annotations,
     tablet_data,
     verify_properties,
 )
+from bench_oracle import oracle
 
 DATA_SHA256 = "f4c7ea3fcaf3544b709f9d399d4a5925fd7f070446c088c4f428a78a120f9c98"
 
@@ -54,12 +58,6 @@ class TestDataResource:
 
 
 class TestCellsAndFlags:
-    def test_leading_one_and_break_flags(self):
-        rows = tablet_data("robson")
-        assert all(r.a.leading_one_implied for r in rows)
-        assert [r.n for r in rows if r.a.reconstructed_break] == [1, 2, 3]
-        assert [r.n for r in rows if r.label_reconstructed] == [5, 6]
-
     def test_row4_has_no_corrections(self):
         row4 = tablet_data("robson")[3]
         for cell in (row4.a, row4.s, row4.d):
@@ -114,8 +112,9 @@ class TestVerification:
     def test_row4_long_side(self):
         row = tablet_data("robson")[3]
         s, d = (int(cell.corrected.fraction) for cell in (row.s, row.d))
-        root = sqrt_exact(SexValue(d * d - s * s))
-        assert root == parse_sex("3 45 00;", "fixed")
+        root = isqrt(d * d - s * s)
+        assert root * root == d * d - s * s
+        assert SexValue(root) == parse_sex("3 45 00;", "fixed")
 
     def test_as_written_failures_at_corrected_cells_only(self):
         for edition in EDITIONS:
@@ -135,8 +134,8 @@ class TestVerification:
                 a = row.a.corrected
                 s, d = (int(cell.corrected.fraction) for cell in (row.s, row.d))
                 without_one = sub(a, SexValue(1))
-                assert sqrt_exact(without_one) is not None, (edition, row.n)
-                assert sqrt_exact(a) is not None, (edition, row.n)
+                assert _is_square(without_one.fraction), (edition, row.n)
+                assert _is_square(a.fraction), (edition, row.n)
                 assert without_one.fraction * (d * d - s * s) == s * s, (edition, row.n)
 
     def test_properties_are_one_table(self):
@@ -173,7 +172,28 @@ class TestVerification:
         cell = _parse_a("(1) 30 00")
         assert cell.corrected == parse_sex("1 30 00", "fixed")
         assert cell.corrected.fraction == Fraction(3, 2)
-        assert cell.leading_one_implied
+
+
+class TestIsSquare:
+    """The one rational square test, behind properties 2 and 4."""
+
+    @pytest.mark.parametrize("x,square", [
+        (13500**2, True), (1, True), (0, True), (Fraction(25, 16), True),
+        (2, False),
+        (SexValue(1, 1).fraction, False),  # 1 00 is no square in the fixed reading
+        (Fraction(1, 2), False), (Fraction(9, 8), False),  # square numerator only
+        (Fraction(2, 9), False), (-1, False), (Fraction(-1, 4), False),
+    ])
+    def test_cases(self, x, square):
+        assert _is_square(x) is square
+
+    @given(st.integers(1, 10**12), st.integers(1, 10**12))
+    def test_rational_squares(self, p, q):
+        x = Fraction(p, q) ** 2
+        assert _is_square(x)
+        assert not _is_square(-x)
+        assert not _is_square(2 * x)
+        assert not _is_square(x / 2)
 
 
 class TestDiff:
@@ -272,3 +292,35 @@ class TestErrorAnnotations:
         by_cell = {(a.n, a.column): a.kind for a in error_annotations("joyce")}
         assert by_cell[(15, "D")] == "unclassified"
         assert (15, "S") not in by_cell
+
+
+def _mantissa(places):
+    return oracle.parse(" ".join(map(str, places)))
+
+
+@st.composite
+def _same_places(draw):
+    """Two values of the same place count that differ in 0, 1 or 2 places."""
+    corrected = [draw(st.integers(1, 59))] + draw(st.lists(st.integers(0, 59), max_size=7))
+    written = list(corrected)
+    for i in draw(st.sets(st.integers(0, len(written) - 1), max_size=2)):
+        written[i] = draw(st.integers(1 if i == 0 else 0, 59)
+                          .filter(lambda d, old=written[i]: d != old))
+    return _mantissa(written), _mantissa(corrected)
+
+
+_TWO_VALUES = st.tuples(st.integers(1, 60**8), st.integers(1, 60**8))
+_SQUARE_AND_ROOT = st.integers(1, 60**4).map(lambda c: (c * c, c))
+
+
+class TestClassify:
+    @given(st.one_of(_same_places(), _TWO_VALUES, _SQUARE_AND_ROOT))
+    @example((8 * 60 + 2, 8 * 60 + 1))   # a slip in the last place
+    @example((9 * 60 + 1, 8 * 60 + 1))   # a slip in the leading place
+    @example((9 * 60 + 2, 8 * 60 + 1))   # two places differ
+    @example((8 * 60 + 1, 1))            # one place more
+    @example((25921, 161))               # 7 12 01 is 2 41 squared
+    def test_matches_the_oracle(self, pair):
+        written, corrected = SexValue(pair[0]), SexValue(pair[1])
+        assert _classify(written, corrected) == oracle.classify_error(
+            written.mantissa, corrected.mantissa)

@@ -13,7 +13,6 @@ from plimpton import (
     RowCandidate,
     SexValue,
     TabletCell,
-    TabletRowRecord,
     XYPair,
     build_row,
     diff_against,
@@ -129,12 +128,7 @@ class TestConstruction:
     def test_defaults_apply_when_a_keyword_is_omitted(self):
         v = SexValue(1)
         assert v.exponent == 0
-        cell = TabletCell(v)
-        assert (cell.as_written, cell.reconstructed_break,
-                cell.leading_one_implied) == (None, False, False)
-        assert TabletCell(v, leading_one_implied=True).leading_one_implied
-        record = TabletRowRecord(1, cell, cell, cell)
-        assert record.label_reconstructed is False
+        assert TabletCell(v).as_written is None
         diff = RowDiff(3, "exact")
         assert (diff.ratio, diff.cells) == (None, ())
         assert RowDiff(n=3, status="mismatch", cells=("A",)).cells == ("A",)
