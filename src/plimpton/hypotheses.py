@@ -80,11 +80,12 @@ def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test):
 def _table1_row(n: int, pair: ReciprocalPair) -> RowCandidate:
     """A row of the formulas' raw values S = P**2 - Q**2, D = P**2 + Q**2
     for T = P/Q in lowest terms, left unreduced as published."""
-    p, q = pair.t_fraction.as_integer_ratio()
+    m, q = pair.T.mantissa, 60 ** -pair.T.value.exponent  # T in (1, 3]
+    g = gcd(m, q)
+    p, q = m // g, q // g
     s, d = p * p - q * q, p * p + q * q
     xy = xy_from_pair(pair)
-    return RowCandidate(n, pair, xy, s, d, column_A(xy)[0], 1,
-                        reduced=(gcd(s, d) == 1))
+    return RowCandidate(n, pair, xy, s, d, column_A(xy), 1, gcd(s, d) == 1)
 
 
 def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:

@@ -13,11 +13,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
-from math import ceil, floor
 
 from .sexagesimal import (
     RegularNumber,
+    SexagesimalError,
     SexValue,
+    _aligned,
     _places,
     _set,
     _Value,
@@ -52,10 +53,10 @@ class ReciprocalPair(_Value):
         integer triple (a, b, c).
 
         Removing (2, 1, 1) n times, n = min(a//2, b, c) (adding it when n is
-        negative), gives T's canonical mantissa.  T's units place moves to its first digit; Tbar's triple
-        comes from :func:`reciprocal`.  Mantissas multiply to 60**k with k
-        the sum of the two 5-exponents, so Tbar's units place is set to make
-        the fixed product exactly 1.
+        negative), gives T's canonical mantissa.  T's units place moves to
+        its first digit; Tbar's triple comes from :func:`reciprocal`.
+        Mantissas multiply to 60**k with k the sum of the two 5-exponents, so
+        Tbar's units place is set to make the fixed product exactly 1.
         """
         a, b, c = triple
         n = min(a // 2, b, c)
@@ -145,13 +146,17 @@ def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
     """The pairs of regular T of at most four places with lo <= padded T
     <= hi and keep(T, Tbar) true, both members given as (padded, triple),
     by decreasing T.  Only the index entries of that range are visited,
-    and both tests come before any pair is built."""
+    and both tests come before a pair is built from its two entries: T is
+    padded / 60**3, and Tbar = 1/T one place further right, padded / 60**4,
+    except at T = Tbar = 1."""
     padded, index = _four_place_index()
     found = []
     for i in range(bisect_right(padded, hi) - 1, bisect_left(padded, lo) - 1, -1):
         t, tbar = index[i]
         if tbar and keep(t, tbar):
-            found.append(ReciprocalPair.from_triple(t[1]))
+            found.append(ReciprocalPair(
+                RegularNumber(SexValue(t[0], -3), *t[1]),
+                RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1])))
     return found
 
 
@@ -162,10 +167,12 @@ def enumerate_pairs(kind: str, lower: SexValue,
     :data:`CRITERIA`, by decreasing T."""
     if kind not in CRITERIA:
         raise ValueError(f"unknown criterion kind {kind!r}")
-    if lower.fraction > upper.fraction:
+    ml, mu, e = _aligned(lower, upper)
+    if ml > mu:
         raise ValueError("empty range: lower bound exceeds upper bound")
-    return _four_place_pairs(ceil(lower.fraction * 60**3),
-                             floor(upper.fraction * 60**3), _both_ways(kind))
+    # each end times 60**3 is m * up / down, rounded into the range
+    up, down = 60 ** max(e + 3, 0), 60 ** max(-3 - e, 0)
+    return _four_place_pairs(-(-ml * up // down), mu * up // down, _both_ways(kind))
 
 
 class Correction(_Value):
@@ -184,13 +191,16 @@ def pair_corrections(table: str, printed: list[tuple],
 
     A printed member matches when its digits, trailing zero places dropped,
     are the computed mantissa's digits (which never end in a zero place).
-    Printed digits are read as written, so a misprinted 64 compares too.
+    Printed digits are read as written, so a misprinted 64 compares too, and
+    a member of zero places only is logged: no computed member is 0.
     """
     out = []
     for (label, *texts), pair in zip(printed, pairs):
         for column, text, member in zip(("T", "Tbar"), texts, (pair.T, pair.Tbar)):
             digits = [int(d) for d in text.split()]
-            while digits[-1] == 0:
+            if not digits:
+                raise SexagesimalError(f"[{table}] row {label} {column}: no digits printed")
+            while len(digits) > 1 and digits[-1] == 0:
                 digits.pop()
             computed = render_sex(member.value)
             if digits != [int(d) for d in computed.split()]:

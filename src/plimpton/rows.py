@@ -10,17 +10,7 @@ from __future__ import annotations
 from math import gcd
 
 from .pairs import ReciprocalPair
-from .sexagesimal import (
-    ONE,
-    SexValue,
-    SexagesimalError,
-    _aligned,
-    _Value,
-    add,
-    halve,
-    mul,
-    sub,
-)
+from .sexagesimal import SexValue, SexagesimalError, _aligned, _Value, mul
 
 
 class XYPair(_Value):
@@ -35,12 +25,12 @@ class RowCandidate(_Value):
 
 
 def xy_from_pair(p: ReciprocalPair) -> XYPair:
-    """X = (T - Tbar)/2, Y = (T + Tbar)/2, exact in the fixed reading."""
-    t, tbar = p.T.value, p.Tbar.value
-    mt, mtbar, _ = _aligned(t, tbar)
+    """X = (T - Tbar)/2, Y = (T + Tbar)/2, exact in the fixed reading: with
+    T and Tbar at one exponent e, a half is 30 at exponent e - 1."""
+    mt, mtbar, e = _aligned(p.T.value, p.Tbar.value)
     if mtbar >= mt:
         raise SexagesimalError("pair is not in T > Tbar orientation")
-    return XYPair(halve(sub(t, tbar)), halve(add(t, tbar)))
+    return XYPair(SexValue(30 * (mt - mtbar), e - 1), SexValue(30 * (mt + mtbar), e - 1))
 
 
 def reduce_factorization(xy: XYPair) -> tuple[int, int, int]:
@@ -57,9 +47,9 @@ def reduce_factorization(xy: XYPair) -> tuple[int, int, int]:
     return mx // factor, my // factor, factor
 
 
-def column_A(xy: XYPair) -> tuple[SexValue, SexValue]:
-    """A = Y**2 and the check value X**2 = A - 1."""
-    return mul(xy.y, xy.y), mul(xy.x, xy.x)
+def column_A(xy: XYPair) -> SexValue:
+    """A = Y**2, which is X**2 + 1."""
+    return mul(xy.y, xy.y)
 
 
 # A scribe working in two-place cells has no reason to reduce numbers that
@@ -78,11 +68,13 @@ def build_row(p: ReciprocalPair, n: int = 0,
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
     xy = xy_from_pair(p)
-    a, asq = column_A(xy)
-    if add(asq, ONE) != a:
+    # Y**2 - X**2 = T * Tbar = mt * mtbar * 60**(2e): 1 only when e <= 0
+    mt, mtbar, e = _aligned(p.T.value, p.Tbar.value)
+    if e > 0 or mt * mtbar != 60 ** (-2 * e):
         raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
+    a = column_A(xy)
     s, d, factor = reduce_factorization(xy)
     if (reduction == "tablet_faithful" and s * factor < _SCRIBAL_PLACE_LIMIT
             and d * factor < _SCRIBAL_PLACE_LIMIT):
-        return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, reduced=False)
-    return RowCandidate(n, p, xy, s, d, a, factor)
+        return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
+    return RowCandidate(n, p, xy, s, d, a, factor, True)

@@ -207,7 +207,7 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             "ASD", (cand.a, SexValue(cand.s), SexValue(cand.d)), (row.a, row.s, row.d))
             if got != cell.corrected)
         if not cells:
-            diffs.append(RowDiff(row.n, "exact"))
+            diffs.append(RowDiff(row.n, "exact", None, ()))
             continue
         if matching == "similarity" and "A" not in cells:
             _, _, ts, td = _read(row)
@@ -218,9 +218,9 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
                 except SexagesimalError:
                     scaled = None
                 if scaled is not None:
-                    diffs.append(RowDiff(row.n, "similarity", ratio=scaled))
+                    diffs.append(RowDiff(row.n, "similarity", scaled, ()))
                     continue
-        diffs.append(RowDiff(row.n, "mismatch", cells=cells))
+        diffs.append(RowDiff(row.n, "mismatch", None, cells))
     return DiffReport(edition, matching, tuple(diffs))
 
 

@@ -22,6 +22,7 @@ from plimpton.sexagesimal import (
     factor_2_3_5,
     from_fraction,
     parse_sex,
+    reciprocal,
     render_sex,
 )
 from test_sexagesimal import power_passes, traced, valuation_passes
@@ -509,31 +510,31 @@ class TestWorkCeilings:
     CEILING = 50
 
     @staticmethod
-    def count_pairs(monkeypatch) -> list:
+    def count_built(monkeypatch, cls=ReciprocalPair) -> list:
         built = []
-        init = ReciprocalPair.__init__
+        init = cls.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ReciprocalPair, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
         return built
 
     @staticmethod
-    def count_factorizations(monkeypatch) -> list:
-        factored = []
+    def count_calls(monkeypatch, fn=factor_2_3_5) -> list:
+        called = []
 
-        def counting_factor(n):
-            factored.append(n)
-            return factor_2_3_5(n)
+        def counting(*args):
+            called.append(args)
+            return fn(*args)
 
-        # modules import factor_2_3_5 by name: count the call under each
+        # modules import these functions by name: count the call under each
         for name, module in list(sys.modules.items()):
             if (name.split(".")[0] == "plimpton"
-                    and getattr(module, "factor_2_3_5", None) is factor_2_3_5):
-                monkeypatch.setattr(module, "factor_2_3_5", counting_factor)
-        return factored
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, counting)
+        return called
 
     @pytest.mark.parametrize("argv", [
         ("rows", "--hypothesis", "phillips"),
@@ -543,8 +544,8 @@ class TestWorkCeilings:
         ("tablet", "diff", "--hypothesis", "bruins1949"),
     ])
     def test_ceiling(self, capsys, monkeypatch, argv):
-        built = self.count_pairs(monkeypatch)
-        factored = self.count_factorizations(monkeypatch)
+        built = self.count_built(monkeypatch)
+        factored = self.count_calls(monkeypatch)
         assert run(capsys, *argv)[0] == 0
         assert built, "no pair was counted"
         assert len(built) <= self.CEILING
@@ -553,7 +554,7 @@ class TestWorkCeilings:
     def test_tablet_range_builds_its_pairs_once(self, capsys, monkeypatch):
         # over the tablet's range the correction log reuses the listed
         # pairs: both members' rule is tested before a pair is built
-        built = self.count_pairs(monkeypatch)
+        built = self.count_built(monkeypatch)
         assert run(capsys, "pairs", "--criterion", "mult10",
                    "--from", "1;48", "--to", "2;24")[0] == 0
         assert len(built) == 15
@@ -565,17 +566,32 @@ class TestWorkCeilings:
         (("extend", "--side", "upper"), 28),
     ])
     def test_builds_exactly_what_it_prints(self, capsys, monkeypatch, argv, count):
-        built = self.count_pairs(monkeypatch)
+        built = self.count_built(monkeypatch)
         assert run(capsys, *argv)[0] == 0
         assert len(built) == count
+
+    @pytest.mark.parametrize("argv,ceiling", [
+        (("rows", "--hypothesis", "phillips"), 110),     # 182 by division
+        (("rows", "--hypothesis", "friberg2007"), 270),  # 456 by division
+    ])
+    def test_rows_read_their_pairs_off_the_index(
+            self, capsys, monkeypatch, argv, ceiling):
+        # each pair is built from its two four-place index entries, with no
+        # reciprocal divided out again, and each row's X and Y from one
+        # aligned pair: six values a row, besides the printed S and D
+        values = self.count_built(monkeypatch, SexValue)
+        divided = self.count_calls(monkeypatch, reciprocal)
+        assert run(capsys, *argv)[0] == 0
+        assert divided == []
+        assert len(values) <= ceiling
 
     @pytest.mark.parametrize("criterion,count", [("places4", 21), ("bruins", 15)])
     def test_excluded_pairs_are_built_by_the_enumeration(
             self, capsys, monkeypatch, criterion, count):
         # the listed pairs, and the six excluded pairs of the correction
         # log, enumerated from the four-place table: nothing is factorized
-        built = self.count_pairs(monkeypatch)
-        factored = self.count_factorizations(monkeypatch)
+        built = self.count_built(monkeypatch)
+        factored = self.count_calls(monkeypatch)
         assert run(capsys, "pairs", "--criterion", criterion,
                    "--from", "1;48", "--to", "2;24")[0] == 0
         assert len(built) == count + 6
@@ -585,13 +601,13 @@ class TestWorkCeilings:
                                      "friberg1981", "friberg2007"])
     def test_pq_theories_factorize_nothing(self, capsys, monkeypatch, tag):
         # P and Q come with their triples from the four-place table
-        factored = self.count_factorizations(monkeypatch)
+        factored = self.count_calls(monkeypatch)
         assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
         assert factored == []
 
     def test_link_factorizes_its_input_once(self, capsys, monkeypatch):
         # the standard table and the linked pairs are built from triples
-        factored = self.count_factorizations(monkeypatch)
+        factored = self.count_calls(monkeypatch)
         assert run(capsys, "link", "2 09 36", "--format", "json")[0] == 0
         assert len(factored) <= 1
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plimpton.hypotheses import (
     EXCLUDED_PAIRS_PRINTED,
@@ -18,6 +18,7 @@ from plimpton.pairs import (
     CRITERIA,
     ReciprocalPair,
     _both_ways,
+    _four_place_index,
     _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
@@ -28,6 +29,7 @@ from plimpton import sexagesimal
 from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
+    SexagesimalError,
     factor_2_3_5,
     parse_sex,
     reciprocal,
@@ -462,6 +464,25 @@ _KEEPS = {kind: _both_ways(kind) for kind in CRITERIA}
 _KEEPS["buck1980"] = _pq_keep(*THEORIES["buck1980"])
 
 
+class TestPairsFromTheIndex:
+    """_four_place_pairs builds each pair from its two index entries, with
+    no reciprocal: the pair must be the one from_triple divides out."""
+
+    def test_every_entry_with_a_tbar_equals_from_triple(self):
+        _, index = _four_place_index()
+        entries = [t for t, tbar in index if tbar]
+        assert len(entries) == 271
+        for padded, triple in entries:
+            assert _four_place_pairs(padded, padded, lambda t, tbar: True) == \
+                [ReciprocalPair.from_triple(triple)], triple
+
+    def test_t_one_is_its_own_tbar(self):
+        # Tbar = 1/T sits one place right of T everywhere but at T = 1
+        (pair,) = _four_place_pairs(60**3, 60**3, lambda t, tbar: True)
+        assert pair == ReciprocalPair.from_triple((0, 0, 0))
+        assert pair.T.value == pair.Tbar.value == SexValue(1)
+
+
 class TestBisectedIndex:
     """_four_place_pairs bisects an index sorted by padded T and visits only
     the entries of its range."""
@@ -498,8 +519,9 @@ def _oracle_corrections(table, printed, pairs):
         for column, text, m in zip(("T", "Tbar"), texts,
                                    (pair.T.mantissa, pair.Tbar.mantissa)):
             digits = [int(d) for d in text.split()]
-            while digits[-1] == 0:
+            while digits and digits[-1] == 0:
                 digits.pop()
+            # zero places only leave [], which no mantissa's digits are
             if digits != oracle.digits60(m):
                 out.append((table, label, column, text, oracle.render(m)))
     return out
@@ -508,13 +530,14 @@ def _oracle_corrections(table, printed, pairs):
 @st.composite
 def _printed(draw, m):
     """A printed form of mantissa m: maybe trailing zero places, maybe one
-    place misprinted (64 included), each place padded to two characters or
-    not."""
+    place misprinted (64 included), maybe every place 0, each place padded
+    to two characters or not."""
     digits = oracle.digits60(m) + [0] * draw(st.integers(0, 2))
     if draw(st.booleans()):
         digits[draw(st.integers(0, len(digits) - 1))] = draw(
             st.one_of(st.just(64), st.integers(0, 59)))
-    assume(any(digits))
+    if draw(st.booleans()):
+        digits = [0] * len(digits)
     return " ".join(f"{d:02d}" if draw(st.booleans()) else str(d) for d in digits)
 
 
@@ -527,6 +550,19 @@ class TestPairCorrections:
         got = [(c.label, c.column, c.printed, c.computed)
                for c in pair_corrections("t", printed, [pair] * 3)]
         assert got == [("64", "Tbar", "28 64 30", "28 07 30")]
+
+    def test_a_member_of_zero_places_only_is_logged(self):
+        pair = ReciprocalPair.from_T_mantissa(2)
+        printed = [("a", "00 00", "30"), ("b", "2", "0")]
+        got = [(c.label, c.column, c.printed, c.computed)
+               for c in pair_corrections("t", printed, [pair] * 2)]
+        assert got == [("a", "T", "00 00", "2"), ("b", "Tbar", "0", "30")]
+
+    @pytest.mark.parametrize("text", ["", " ", "\t"])
+    def test_a_member_with_no_digits_is_a_domain_error(self, text):
+        pair = ReciprocalPair.from_T_mantissa(2)
+        with pytest.raises(SexagesimalError, match=r"\[t\] row a T: no digits printed"):
+            pair_corrections("t", [("a", text, "30")], [pair])
 
     @settings(deadline=None)
     @given(st.data())

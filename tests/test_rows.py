@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plimpton.hypotheses import TABLE1_PQ, generate
 from plimpton.pairs import ReciprocalPair
 from plimpton.rows import (
+    RowCandidate,
     XYPair,
     build_row,
     column_A,
@@ -14,11 +15,13 @@ from plimpton.rows import (
     xy_from_pair,
 )
 from plimpton.sexagesimal import (
+    RegularNumber,
     SexValue,
     SexagesimalError,
     add,
     factor_2_3_5,
     from_fraction,
+    halve,
     mul,
     parse_sex,
     reciprocal,
@@ -88,14 +91,14 @@ class TestReduction:
 
 class TestColumnA:
     def test_row4_eight_place_value(self):
-        a, x2 = column_A(xy_from_pair(ROW4))
+        xy = xy_from_pair(ROW4)
+        a = column_A(xy)
         assert render_sex(a) == "1 53 10 29 32 52 16"
-        assert add(x2, SexValue(1)) == a
+        assert add(mul(xy.x, xy.x), SexValue(1)) == a
 
     def test_a_is_y_squared(self):
         xy = xy_from_pair(ROW1)
-        a, _ = column_A(xy)
-        assert a == mul(xy.y, xy.y)
+        assert column_A(xy) == mul(xy.y, xy.y)
 
 
 def pq_pair(p, q):
@@ -180,3 +183,77 @@ class TestBuildRow:
         bad = ReciprocalPair(ROW1.T, ROW11.Tbar)
         with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
             build_row(bad, 1, reduction)
+
+
+# The X/Y step, column A and the row as the sub/halve/add/mul composition
+# they were before X and Y were read off one aligned pair: the reference of
+# the integer construction.
+
+def _composed_xy(p):
+    t, tbar = p.T.value, p.Tbar.value
+    if tbar.fraction >= t.fraction:
+        raise SexagesimalError("pair is not in T > Tbar orientation")
+    return XYPair(halve(sub(t, tbar)), halve(add(t, tbar)))
+
+
+def _composed_row(p, n, reduction):
+    xy = _composed_xy(p)
+    a = mul(xy.y, xy.y)
+    if add(mul(xy.x, xy.x), SexValue(1)) != a:
+        raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
+    s, d, factor = reduce_factorization(xy)
+    if reduction == "tablet_faithful" and s * factor < 3600 and d * factor < 3600:
+        return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
+    return RowCandidate(n, p, xy, s, d, a, factor, True)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+_wide = st.integers(-2000, 2000)
+
+
+class TestAgainstTheComposition:
+    @settings(deadline=None)
+    @given(st.tuples(_wide, _wide, _wide),
+           st.sampled_from(["full", "tablet_faithful"]))
+    @example((2, 0, 0), "full")
+    @example((0, 0, 2), "tablet_faithful")
+    @example((-1, 0, 0), "full")
+    def test_rows_of_pairs_from_triples(self, triple, reduction):
+        p = ReciprocalPair.from_triple(triple)
+        assume(p.T.mantissa != 1)
+        xy = xy_from_pair(p)
+        assert xy == _composed_xy(p)
+        assert column_A(xy) == mul(xy.y, xy.y)
+        assert build_row(p, 7, reduction) == _composed_row(p, 7, reduction)
+
+    @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
+    def test_generated_rows(self, reduction):
+        for tag in ("phillips", "friberg2007", "buck1980"):
+            for row in generate(tag, reduction):
+                assert row == _composed_row(row.pair, row.n, reduction)
+
+    @pytest.mark.parametrize("pair", [
+        ReciprocalPair(ROW1.Tbar, ROW1.T),                # swapped
+        ReciprocalPair(ROW4.Tbar, ROW4.T),
+        ReciprocalPair(ROW1.T, ROW1.T),                   # (T, T)
+        ReciprocalPair.from_T_mantissa(1),                # (1, 1)
+        ReciprocalPair(ROW1.T, ROW11.Tbar),               # T * Tbar = 1;12
+        ReciprocalPair(ROW4.T, ROW1.Tbar),
+        ReciprocalPair(ROW11.Tbar, ROW1.Tbar),            # not reciprocal, swapped
+        # T = 2 00 and Tbar = 1 00: aligned at exponent 1, product 2 00 00
+        ReciprocalPair(RegularNumber(SexValue(2, 1), 1, 0, 0),
+                       RegularNumber(SexValue(1, 1), 0, 0, 0)),
+        # aligned exponent 400: the check is on integers, not 60**-800
+        ReciprocalPair(RegularNumber(SexValue(3, 401), 0, 1, 0),
+                       RegularNumber(SexValue(2, 400), 1, 0, 0)),
+    ])
+    @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
+    def test_bad_pairs_raise_as_before(self, pair, reduction):
+        expected = _raised(_composed_row, pair, 1, reduction)
+        assert _raised(build_row, pair, 1, reduction) == expected
+        assert expected[0] is SexagesimalError
