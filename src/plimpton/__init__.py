@@ -5,10 +5,8 @@ from .sexagesimal import (
     RegularNumber,
     SexValue,
     SexagesimalError,
-    add,
     factor_2_3_5,
     from_fraction,
-    halve,
     is_regular,
     mul,
     parse_sex,

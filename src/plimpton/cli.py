@@ -12,11 +12,9 @@ Exit codes: 0 success or expected findings, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from . import hypotheses, pairs, tablet
 from .pairs import Correction, ReciprocalPair, enumerate_pairs
@@ -25,6 +23,9 @@ from .sexagesimal import (
     ONE,
     SexValue,
     SexagesimalError,
+    _exceeds,
+    _ratio,
+    _ratio_text,
     _split_2_3_5,
     is_regular,
     parse_sex,
@@ -63,11 +64,6 @@ def _decimal(field: str, value) -> str:
                         "string conversion") from None
 
 
-def _correction_dict(c: Correction) -> dict:
-    return {"table": c.table, "label": c.label, "column": c.column,
-            "printed": c.printed, "computed": c.computed}
-
-
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, on a line that
     ``indent`` (newline and spaces) opens; dict keys are str.  A ``SexValue``
@@ -76,12 +72,10 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, SexValue):
-        m, e = value.mantissa, value.exponent
-        num, den = m * 60**max(e, 0), 60**max(-e, 0)
-        g = gcd(num, den)
+        num, den = _ratio(value)
         return (f'{{{inner}"digits": "{render_sex(value)}",'
-                f'{inner}"numerator": "{_decimal("numerator", num // g)}",'
-                f'{inner}"denominator": "{_decimal("denominator", den // g)}"{indent}}}')
+                f'{inner}"numerator": "{_decimal("numerator", num)}",'
+                f'{inner}"denominator": "{_decimal("denominator", den)}"{indent}}}')
     if isinstance(value, dict):
         items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                        for k, v in value.items()], "{}"
@@ -110,17 +104,18 @@ def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
     if fmt == "json":
         _print_json(command, {
             "rows": rows,
-            "corrections": [_correction_dict(c) for c in corrections],
+            "corrections": [dict(zip(c.__slots__, c._fields(c))) for c in corrections],
             **(extra or {})})
         return
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell_text(row.get(col)) for col in columns])
+            writer.writerow([_cell_text(row[col]) for col in columns])
     else:
         for row in rows:
-            print("  ".join(_cell_text(row.get(col)) for col in columns))
+            print("  ".join(_cell_text(row[col]) for col in columns))
         if extra:
             for key, value in extra.items():
                 print(f"{key}: {value}")
@@ -129,11 +124,7 @@ def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
 
 
 def _cell_text(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, SexValue):
-        return render_sex(cell)
-    return str(cell)
+    return render_sex(cell) if isinstance(cell, SexValue) else str(cell)
 
 
 # Trial division names a non-regular input's smallest prime factor only
@@ -179,7 +170,7 @@ def cmd_pairs(args) -> int:
         hi = parse_sex(args.range_to, "fixed")
     except SexagesimalError as e:
         raise DataError(f"malformed range: {e}")
-    if lo.fraction > hi.fraction:
+    if _exceeds(lo, hi):
         lo, hi = hi, lo
     found = enumerate_pairs(args.criterion, lo, hi)
     rows = [_pair_row(i, p) for i, p in enumerate(found, 1)]
@@ -243,11 +234,9 @@ def cmd_tablet(args) -> int:
         reduction = args.reduction.replace("-", "_")
         candidates = hypotheses.generate(args.hypothesis, reduction)
         report = tablet.diff_against(candidates, args.edition, args.matching)
-        rows = []
-        for d in report.rows:
-            rows.append({"label": str(d.n), "status": d.status,
-                         "ratio": str(d.ratio.value.fraction) if d.ratio else "",
-                         "cells": " ".join(d.cells)})
+        rows = [{"label": str(d.n), "status": d.status,
+                 "ratio": _ratio_text(*_ratio(d.ratio.value)) if d.ratio else "",
+                 "cells": " ".join(d.cells)} for d in report.rows]
         _emit(args.format, "tablet-diff", rows,
               ["label", "status", "ratio", "cells"], [],
               extra={"summary": report.summary()})
@@ -274,14 +263,14 @@ def cmd_link(args) -> int:
     pair = ReciprocalPair.from_triple(_parse_regular_arg(args.value).triple)
     chain = hypotheses.link_to_standard(pair)
     if args.format == "json":
-        f = chain.factor_fraction
+        num, den = chain.factor_ratio
         _print_json("link", {
             "pair": _pair_row("", pair),
             "in_table": chain.in_table,
             "start": _pair_row("", chain.start),
             "factor": chain.factor,
-            "factor_value": {"numerator": _decimal("numerator", f.numerator),
-                             "denominator": _decimal("denominator", f.denominator)},
+            "factor_value": {"numerator": _decimal("numerator", num),
+                             "denominator": _decimal("denominator", den)},
             "steps": chain.steps})
     else:
         print(_decimal("link factor", chain))

@@ -14,7 +14,6 @@ Links are computed in closed form on the exponent lattice (see
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import gcd
 
@@ -29,7 +28,7 @@ from .pairs import (
     plimpton_range,
 )
 from .rows import RowCandidate, build_row, column_A, xy_from_pair
-from .sexagesimal import RegularNumber, _Value
+from .sexagesimal import RegularNumber, _ratio_text, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -109,24 +108,24 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
 
 # The fifteen reciprocal pairs with their links to the standard table, as
 # printed.  Row 12's T is misprinted ("1 55 2"); the computed value is
-# 1 55 12.  Links are (first member, second member, factor applied to the
-# first member) or None for pairs already in the standard table.
+# 1 55 12.  Links are (first member, second member, exponent triple of the
+# factor applied to the first member) or None for pairs in the table.
 PLIMPTON_PAIRS_PRINTED = [
     ("1", "2 24", "25", None),
-    ("2", "2 22 13 20", "25 18 45", ("1 04", "56 15", Fraction(1, 27))),
-    ("3", "2 20 37 30", "25 36", ("1 15", "48", Fraction(1, 32))),
-    ("4", "2 18 53 20", "25 55 12", ("54", "1 06 40", Fraction(1, 125))),
-    ("5", "2 15", "26 40", ("9", "6 40", Fraction(1, 4))),
+    ("2", "2 22 13 20", "25 18 45", ("1 04", "56 15", (0, -3, 0))),
+    ("3", "2 20 37 30", "25 36", ("1 15", "48", (-5, 0, 0))),
+    ("4", "2 18 53 20", "25 55 12", ("54", "1 06 40", (0, 0, -3))),
+    ("5", "2 15", "26 40", ("9", "6 40", (-2, 0, 0))),
     ("6", "2 13 20", "27", None),
-    ("7", "2 09 36", "27 46 40", ("54", "1 06 40", Fraction(1, 25))),
-    ("8", "2 08", "28 07 30", ("1 04", "56 15", Fraction(2))),
-    ("9", "2 05", "28 48", ("1 06 40", "54", Fraction(1, 32))),
-    ("10", "2 01 30", "29 37 46 40", ("1 21", "44 26 40", Fraction(3, 2))),
+    ("7", "2 09 36", "27 46 40", ("54", "1 06 40", (0, 0, -2))),
+    ("8", "2 08", "28 07 30", ("1 04", "56 15", (1, 0, 0))),
+    ("9", "2 05", "28 48", ("1 06 40", "54", (-5, 0, 0))),
+    ("10", "2 01 30", "29 37 46 40", ("1 21", "44 26 40", (-1, 1, 0))),
     ("11", "2", "30", None),
-    ("12", "1 55 2", "31 15", ("54", "1 06 40", Fraction(128))),
+    ("12", "1 55 2", "31 15", ("54", "1 06 40", (7, 0, 0))),
     ("13", "1 52 30", "32", None),
-    ("14", "1 51 06 40", "32 24", ("16 40", "3 36", Fraction(1, 9))),
-    ("15", "1 48", "33 20", ("54", "1 06 40", Fraction(2))),
+    ("14", "1 51 06 40", "32 24", ("16 40", "3 36", (0, -2, 0))),
+    ("15", "1 48", "33 20", ("54", "1 06 40", (1, 0, 0))),
 ]
 
 # The six pairs present in a plain four-place table of the tablet's range
@@ -243,8 +242,8 @@ def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     printed, compute = _printed_table(table)
     pairs = compute()
     if len(pairs) != len(printed):
-        raise AssertionError(f"{table}: computed {len(pairs)} pairs, "
-                             f"printed table has {len(printed)}")
+        raise ValueError(f"{table}: computed {len(pairs)} pairs, "
+                         f"printed table has {len(printed)}")
     return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
 
 
@@ -283,11 +282,12 @@ class LinkChain(_Value):
         return self.factor == (0, 0, 0)
 
     @property
-    def factor_fraction(self) -> Fraction:
-        f = Fraction(1)
-        for p, e in zip((2, 3, 5), self.factor):
-            f *= Fraction(p) ** e
-        return f
+    def factor_ratio(self) -> tuple[int, int]:
+        """The factor as coprime (numerator, denominator): the primes of
+        positive exponent make the numerator, the others the denominator."""
+        a, b, c = self.factor
+        return (2 ** max(a, 0) * 3 ** max(b, 0) * 5 ** max(c, 0),
+                2 ** max(-a, 0) * 3 ** max(-b, 0) * 5 ** max(-c, 0))
 
     def replay(self) -> ReciprocalPair:
         return ReciprocalPair.from_triple(
@@ -296,9 +296,8 @@ class LinkChain(_Value):
     def __str__(self) -> str:
         if self.in_table:
             return "in table"
-        f = self.factor_fraction
-        inv = 1 / f
-        return f"{self.start} × ({f}, {inv})"
+        num, den = self.factor_ratio
+        return f"{self.start} × ({_ratio_text(num, den)}, {_ratio_text(den, num)})"
 
 
 def standard_table() -> list[ReciprocalPair]:

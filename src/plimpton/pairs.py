@@ -11,14 +11,13 @@ mantissas before any pair is built.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import cache
 
 from .sexagesimal import (
     RegularNumber,
     SexagesimalError,
     SexValue,
-    _aligned,
+    _exceeds,
     _places,
     _set,
     _Value,
@@ -72,10 +71,6 @@ class ReciprocalPair(_Value):
         return cls(t, RegularNumber(
             SexValue(tbar.mantissa, places - 1 - (t.gamma + tbar.gamma)),
             *tbar.triple))
-
-    @property
-    def t_fraction(self) -> Fraction:
-        return self.T.value.fraction
 
     def __str__(self) -> str:
         return f"({render_sex(self.T.value)}, {render_sex(self.Tbar.value)})"
@@ -160,6 +155,16 @@ def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
     return found
 
 
+def _padded(v: SexValue, up: bool) -> int:
+    """v * 60**3 rounded up or down, clamped to [0, 60**4] by its exponent
+    (every padded T lies in [60**3, 60**4)) to bound the powers of 60."""
+    m, k = v.mantissa, v.exponent + 3
+    if k >= 0:
+        return min(m * 60 ** min(k, 4), 60**4)
+    q = 60 ** min(-k, m.bit_length())  # past m.bit_length(), q > m either way
+    return -(-m // q) if up else m // q
+
+
 def enumerate_pairs(kind: str, lower: SexValue,
                     upper: SexValue) -> list[ReciprocalPair]:
     """All four-place pairs whose T lies in [lower, upper] (fixed reading,
@@ -167,12 +172,10 @@ def enumerate_pairs(kind: str, lower: SexValue,
     :data:`CRITERIA`, by decreasing T."""
     if kind not in CRITERIA:
         raise ValueError(f"unknown criterion kind {kind!r}")
-    ml, mu, e = _aligned(lower, upper)
-    if ml > mu:
+    if _exceeds(lower, upper):
         raise ValueError("empty range: lower bound exceeds upper bound")
-    # each end times 60**3 is m * up / down, rounded into the range
-    up, down = 60 ** max(e + 3, 0), 60 ** max(-3 - e, 0)
-    return _four_place_pairs(-(-ml * up // down), mu * up // down, _both_ways(kind))
+    return _four_place_pairs(_padded(lower, True), _padded(upper, False),
+                             _both_ways(kind))
 
 
 class Correction(_Value):

@@ -13,7 +13,7 @@ which makes floating equality a plain mantissa comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 
@@ -83,13 +83,6 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
-def _split_base60(mantissa: int, exponent: int) -> tuple[int, int]:
-    if mantissa == 0:
-        return 0, 0
-    e, mantissa = _valuation(mantissa, 60)
-    return mantissa, exponent + e
-
-
 class SexValue(_Value):
     """A terminating sexagesimal number, mantissa * 60**exponent.
 
@@ -102,19 +95,22 @@ class SexValue(_Value):
     __slots__ = ("mantissa", "exponent")
 
     def __init__(self, mantissa: int, exponent: int = 0) -> None:
+        if type(mantissa) is not int or type(exponent) is not int:  # bool too
+            raise SexagesimalError(f"mantissa and exponent must be int, not "
+                                   f"{type(mantissa).__name__} and {type(exponent).__name__}")
         if mantissa < 0:
             raise SexagesimalError("negative values are out of domain")
-        if mantissa % 60 == 0:  # zero, or not canonical
-            mantissa, exponent = _split_base60(mantissa, exponent)
+        if mantissa % 60 == 0:  # zero (exponent 0), or not canonical
+            e, mantissa = _valuation(mantissa, 60) if mantissa else (-exponent, 0)
+            exponent += e
         _set(self, "mantissa", mantissa)
         _set(self, "exponent", exponent)
 
     @property
     def fraction(self) -> Fraction:
-        """Fixed-reading value as an exact rational."""
-        if self.exponent >= 0:
-            return Fraction(self.mantissa * 60**self.exponent)
-        return Fraction(self.mantissa, 60**-self.exponent)
+        """Fixed-reading value as an exact ``fractions.Fraction``."""
+        from fractions import Fraction
+        return Fraction(*_ratio(self))
 
     def __str__(self) -> str:
         return render_sex(self)
@@ -123,19 +119,38 @@ class SexValue(_Value):
 ONE = SexValue(1)
 
 
+def _ratio(v: SexValue) -> tuple[int, int]:
+    """The fixed reading in lowest terms, (numerator, denominator)."""
+    num, den = v.mantissa * 60**max(v.exponent, 0), 60**max(-v.exponent, 0)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms as ``str(Fraction)`` writes it: n or n/d."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _from_ratio(num: int, den: int) -> SexValue:
+    """num/den, den > 0, exactly: its lowest-terms denominator divides 60**64."""
+    if num < 0:
+        raise SexagesimalError("negative values are out of domain")
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    alpha, beta, gamma, cofactor = _split_2_3_5(den)
+    k = _places(alpha, beta, gamma)
+    if cofactor != 1 or k > 64:
+        raise SexagesimalError(f"{_ratio_text(num, den)} has no terminating base-60 form")
+    return SexValue(num * (60**k // den), -k)
+
+
 def from_fraction(value: Fraction | int) -> SexValue:
     """Exact conversion; the denominator in lowest terms must divide 60**64.
     A float is refused: its binary value is rarely the number meant."""
     if isinstance(value, float):
         raise SexagesimalError(f"{value!r} is a float; pass an exact int or Fraction")
-    f = Fraction(value)
-    if f < 0:
-        raise SexagesimalError("negative values are out of domain")
-    alpha, beta, gamma, cofactor = _split_2_3_5(f.denominator)
-    k = _places(alpha, beta, gamma)
-    if cofactor != 1 or k > 64:
-        raise SexagesimalError(f"{f} has no terminating base-60 form")
-    return SexValue(f.numerator * (60**k // f.denominator), -k)
+    from fractions import Fraction
+    return _from_ratio(*Fraction(value).as_integer_ratio())
 
 
 # each base-60 place below the leading one, two characters wide
@@ -172,6 +187,8 @@ def parse_sex(text: str, mode: str = "floating") -> SexValue:
     units place is the first digit.  Floating mode strips trailing zero
     digits into the exponent.
     """
+    if not isinstance(text, str):
+        raise SexagesimalError(f"digit text must be a str, not {type(text).__name__}")
     text = text.strip()
     if not text:
         raise SexagesimalError("empty input")
@@ -226,9 +243,16 @@ def _aligned(a: SexValue, b: SexValue) -> tuple[int, int, int]:
     return a.mantissa * 60 ** (a.exponent - e), b.mantissa * 60 ** (b.exponent - e), e
 
 
-def add(a: SexValue, b: SexValue) -> SexValue:
-    ma, mb, e = _aligned(a, b)
-    return SexValue(ma + mb, e)
+def _exceeds(a: SexValue, b: SexValue) -> bool:
+    """a > b in the fixed reading, unaligned when the exponents are far apart:
+    a mantissa m > 0 at exponent e lies in [60**e, 60**(e + m.bit_length()))."""
+    if not (a.mantissa and b.mantissa):
+        return a.mantissa > b.mantissa
+    gap = a.exponent - b.exponent
+    if not -a.mantissa.bit_length() < gap < b.mantissa.bit_length():
+        return gap > 0
+    ma, mb, _ = _aligned(a, b)
+    return ma > mb
 
 
 def sub(a: SexValue, b: SexValue) -> SexValue:
@@ -236,14 +260,6 @@ def sub(a: SexValue, b: SexValue) -> SexValue:
     if ma < mb:
         raise SexagesimalError("subtraction underflow")
     return SexValue(ma - mb, e)
-
-
-_HALF = SexValue(30, -1)
-
-
-def halve(a: SexValue) -> SexValue:
-    """Exact halving; 1/2 terminates in base 60."""
-    return mul(a, _HALF)
 
 
 class RegularNumber(_Value):

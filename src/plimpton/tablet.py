@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
@@ -18,8 +17,8 @@ from .rows import RowCandidate
 from .sexagesimal import (
     SexValue,
     SexagesimalError,
+    _from_ratio,
     _Value,
-    from_fraction,
     is_regular,
     parse_sex,
     render_sex,
@@ -121,17 +120,10 @@ class PropertyResult(_Value):
 
 
 def _int_value(v: SexValue) -> int:
-    f = v.fraction
-    if f.denominator != 1:
+    # canonical: an integer exactly when the exponent is not negative
+    if v.exponent < 0:
         raise SexagesimalError(f"{v} is not an integer in the fixed reading")
-    return f.numerator
-
-
-def _read(row: TabletRowRecord, use: str = "corrected") -> tuple:
-    """A row's number, its A as a fraction, and its S and D as integers,
-    in one reading."""
-    return (row.n, row.a.value(use).fraction,
-            _int_value(row.s.value(use)), _int_value(row.d.value(use)))
+    return v.mantissa * 60**v.exponent
 
 
 def _is_square(x: Fraction | int) -> bool:
@@ -156,7 +148,9 @@ def verify_properties(rows: list[TabletRowRecord],
     """The five arithmetic properties of the columns: column A strictly
     decreases down the rows, and every row passes each test of PROPERTIES.
     A failure lists the numbers of the rows that break the property."""
-    read = [_read(r, use) for r in rows]
+    # each row's number, its A as a fraction, and its S and D as integers
+    read = [(r.n, r.a.value(use).fraction, _int_value(r.s.value(use)),
+             _int_value(r.d.value(use))) for r in rows]
     decreasing = tuple(n for (n, a, _, _), (_, above, _, _) in zip(read[1:], read)
                        if a >= above)
     return [PropertyResult(1, "column A strictly decreases", decreasing)] + [
@@ -210,11 +204,10 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             diffs.append(RowDiff(row.n, "exact", None, ()))
             continue
         if matching == "similarity" and "A" not in cells:
-            _, _, ts, td = _read(row)
-            ratio = Fraction(ts, cand.s)
-            if ratio == Fraction(td, cand.d):
+            ts, td = _int_value(row.s.corrected), _int_value(row.d.corrected)
+            if cand.s > 0 and ts * cand.d == td * cand.s:  # ts/s == td/d
                 try:
-                    scaled = is_regular(from_fraction(ratio))
+                    scaled = is_regular(_from_ratio(ts, cand.s))
                 except SexagesimalError:
                     scaled = None
                 if scaled is not None:

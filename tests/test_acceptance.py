@@ -36,7 +36,6 @@ from plimpton.pairs import (
 from plimpton.rows import build_row, reduce_factorization, xy_from_pair, XYPair
 from plimpton.sexagesimal import (
     SexValue,
-    factor_2_3_5,
     mul,
     parse_sex,
     regular_from_int,
@@ -162,14 +161,10 @@ MINIMAL_LINK_FACTORS = {
 }
 
 
-def _exponents(f: Fraction) -> tuple[int, int, int]:
-    num, den = factor_2_3_5(f.numerator), factor_2_3_5(f.denominator)
-    return tuple(a - b for a, b in zip(num, den))
-
-
 def _magnitude(chain: LinkChain) -> Fraction:
-    f = chain.factor_fraction
-    return max(f, 1 / f)
+    """The factor or its inverse, whichever is at least 1."""
+    num, den = chain.factor_ratio
+    return Fraction(max(num, den), min(num, den))
 
 
 def _same_pair(a: ReciprocalPair, b: ReciprocalPair) -> bool:
@@ -196,7 +191,7 @@ def test_criterion_7_linkage():
         if render_sex(start.Tbar.value) != start_tbar:
             problems.append(f"row {n}: printed start ({start_t}, {start_tbar})"
                             " is not a reciprocal pair")
-        printed = LinkChain(start, _exponents(factor))
+        printed = LinkChain(start, factor)
         if not _same_pair(printed.replay(), pair):
             problems.append(f"row {n}: printed link does not reach {pair}")
         if chain.steps > printed.steps:
@@ -294,7 +289,7 @@ def test_criterion_9_oracle_equivalence():
                     if m >= 60**4 or m % 60 == 0:
                         continue
                     p = ReciprocalPair.from_T_mantissa(m)
-                    if (lo.fraction <= p.t_fraction <= hi.fraction
+                    if (lo.fraction <= p.T.value.fraction <= hi.fraction
                             and mult10_digits(p.T)
                             and mult10_digits(p.Tbar)):
                         expected.add(m)

@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,10 +42,16 @@ TIME_BUDGET_S = 20
 
 
 def run_bounded(*argv):
+    return run_python_bounded("-m", "plimpton.cli", *argv)
+
+
+def run_python_bounded(*args):
+    """The interpreter run with ``args`` in a child process, the package on
+    its path: (exit code, stdout, stderr)."""
     package_root = str(Path(plimpton.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "plimpton.cli", *argv],
+    done = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           timeout=TIME_BUDGET_S)
     return done.returncode, done.stdout, done.stderr
@@ -278,6 +286,34 @@ class TestExtendAndLink:
         code, out, _ = run(capsys, "link", "2 09 36")
         assert code == 0
         assert out.strip() == "(54, 1 06 40) × (1/25, 25)"
+
+    _exponent = st.integers(-200, 200)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(_exponent, _exponent, _exponent))
+    @example((0, 0, 0))
+    @example((-5, 0, 0))
+    @example((0, 0, -2))
+    @example((-1, 1, 0))
+    @example((7, -3, 0))
+    @example((-200, 200, -200))
+    def test_factor_text_is_the_fractions_text(self, factor):
+        # the factor's integers against fractions.Fraction: str(chain)
+        # and link's JSON factor_value, for a chain of any factor
+        a, b, c = factor
+        f = Fraction(2) ** a * Fraction(3) ** b * Fraction(5) ** c
+        start = ReciprocalPair.from_T_mantissa(54)
+        chain = hypotheses.LinkChain(start, factor)
+        assert str(chain) == ("in table" if factor == (0, 0, 0)
+                              else f"{start} × ({f}, {1 / f})")
+        out = io.StringIO()
+        with mock.patch.object(hypotheses, "link_to_standard", lambda pair: chain), \
+                contextlib.redirect_stdout(out):
+            assert main(["link", "2 09 36", "--format", "json"]) == 0
+        doc = json.loads(out.getvalue())
+        assert doc["factor"] == list(factor)
+        assert doc["factor_value"] == {"numerator": str(f.numerator),
+                                       "denominator": str(f.denominator)}
 
     def test_link_in_table(self, capsys):
         _, out, _ = run(capsys, "link", "2 24")
@@ -652,23 +688,23 @@ class TestWorkCeilings:
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_rows_render_only_the_printed_columns(self, capsys, monkeypatch, fmt):
-        # A, S and D of 15 rows; the range's four reads are the only fractions
+        # A, S and D of 15 rows, and no value read as a Fraction
         rendered = self.count_renders(monkeypatch)
         reads = self.count_fraction_reads(monkeypatch)
         assert run(capsys, "rows", "--hypothesis", "phillips",
                    "--format", fmt)[0] == 0
         assert len(rendered) == 45
-        assert len(reads) <= 4
+        assert reads == []
 
     def test_rows_json_renders_every_value(self, capsys, monkeypatch):
         # T, Tbar, X, Y, S, D and A of 15 rows, their exact fractions taken
-        # from mantissa and exponent: the range's four reads are the only ones
+        # from mantissa and exponent, none read as a Fraction
         rendered = self.count_renders(monkeypatch)
         reads = self.count_fraction_reads(monkeypatch)
         assert run(capsys, "rows", "--hypothesis", "phillips",
                    "--format", "json")[0] == 0
         assert len(rendered) == 105
-        assert len(reads) <= 4
+        assert reads == []
 
     @pytest.mark.parametrize("argv", [
         ("rows", "--hypothesis", "phillips", "--format", "json"),
@@ -687,10 +723,18 @@ class TestWorkCeilings:
         assert run(capsys, *argv)[0] == 0
         assert made == []
 
-    def test_tablet_diff_compares_without_fractions(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ("tablet", "diff", "--hypothesis", "phillips"),
+        # row 11's ratio 15 is written from integers
+        ("tablet", "diff", "--matching", "similarity", "--reduction", "full",
+         "--format", "json"),
+        ("pairs", "--from", "2;24", "--to", "1;48"),  # ends given high first
+        ("link", "2 09 36", "--format", "json"),
+    ])
+    def test_commands_compare_without_fractions(self, capsys, monkeypatch, argv):
         reads = self.count_fraction_reads(monkeypatch)
-        assert run(capsys, "tablet", "diff", "--hypothesis", "phillips")[0] == 0
-        assert len(reads) <= 4
+        assert run(capsys, *argv)[0] == 0
+        assert reads == []
 
 
 class TestSetupReuse:

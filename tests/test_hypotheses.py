@@ -129,7 +129,7 @@ def pq_walk(least_q, q_limit, p_limit, test):
             if gcd(ms[j], q) == 1 and test(ms[j], q):
                 pairs.append(ReciprocalPair.from_triple(
                     tuple(e - f for e, f in zip(triples[j], triples[i]))))
-    return sorted(pairs, key=lambda p: p.t_fraction, reverse=True)
+    return sorted(pairs, key=lambda p: p.T.value.fraction, reverse=True)
 
 
 PQ_THEORIES = {"ns1945": 15, "price1964": 14, "buck1980": 15,
@@ -248,7 +248,7 @@ class TestPrintedTables:
         printed, _ = PRINTED_TABLES[table]
         got = printed_pairs(table)
         assert [label for label, _ in got] == [label for label, *_ in printed]
-        ts = [pair.t_fraction for _, pair in got]
+        ts = [pair.T.value.fraction for _, pair in got]
         assert all(a > b for a, b in zip(ts, ts[1:]))
 
     def test_names_are_the_logged_table_names(self):
@@ -263,6 +263,15 @@ class TestPrintedTables:
             printed_pairs(table)
         with pytest.raises(ValueError, match="unknown printed table"):
             printed_corrections(table, [])
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_length_mismatch_is_a_value_error(self, monkeypatch, rows):
+        # PRINTED_TABLES is public: a table one row short or one row long
+        printed, compute = PRINTED_TABLES["excluded-pairs"]
+        changed = (printed * 2)[:rows]
+        monkeypatch.setitem(PRINTED_TABLES, "excluded-pairs", (changed, compute))
+        with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
+            printed_pairs("excluded-pairs")
 
     def test_empty_pair_list_logs_nothing(self):
         assert printed_corrections("standard-15", []) == []
@@ -370,11 +379,10 @@ class TestStandardTableAndLinks:
                 for i, p in enumerate(phillips_pairs())}
         assert str(by_n[7]) == "(54, 1 06 40) × (1/25, 25)"
         for n, magnitude in ((2, 27), (4, 125), (8, 2)):
-            f = by_n[n].factor_fraction
-            assert max(f, 1 / f) == magnitude
-        assert by_n[10].factor_fraction == Fraction(3, 2)
+            assert max(by_n[n].factor_ratio) == magnitude
+        assert by_n[10].factor_ratio == (3, 2)
         # ties at one step prefer doubling over tripling or quintupling
-        assert by_n[15].factor_fraction == 2
+        assert by_n[15].factor_ratio == (2, 1)
         assert by_n[15].start.T.mantissa == 54
 
     def test_minimality_against_independent_oracle(self):

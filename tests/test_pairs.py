@@ -37,6 +37,7 @@ from plimpton.sexagesimal import (
     render_sex,
 )
 from bench_oracle import oracle
+from test_cli import run_python_bounded
 
 # The fifteen pairs of the tablet's range under the multiple-of-10 rule.
 PHILLIPS_15 = [
@@ -106,7 +107,7 @@ class TestReciprocalPair:
     def test_fixed_product_is_exactly_one(self, a, b, c):
         p = ReciprocalPair.from_T_mantissa(2**a * 3**b * 5**c)
         assert p.T.value.fraction * p.Tbar.value.fraction == 1
-        assert 1 <= p.t_fraction < 60
+        assert 1 <= p.T.value.fraction < 60
         for member in (p.T, p.Tbar):
             assert member.triple == factor_2_3_5(member.mantissa)
 
@@ -159,7 +160,7 @@ class TestFromTriple:
         assert p.T.mantissa == _canonical_mantissa(a, b, c)
         assert p.Tbar.mantissa == _canonical_mantissa(-a, -b, -c)
         assert p.T.value.fraction * p.Tbar.value.fraction == 1
-        assert 1 <= p.t_fraction < 60
+        assert 1 <= p.T.value.fraction < 60
         for member in (p.T, p.Tbar):
             assert member.triple == factor_2_3_5(member.mantissa)
 
@@ -169,7 +170,7 @@ class TestFromTriple:
     @example(-14290, 0, 0)
     def test_wide_triples(self, a, b, c):
         p = ReciprocalPair.from_triple((a, b, c))
-        assert 1 <= p.t_fraction < 60
+        assert 1 <= p.T.value.fraction < 60
         assert p.T.value.fraction * p.Tbar.value.fraction == 1
 
     @pytest.mark.parametrize("prime,top", [(0, 1800), (1, 1140), (2, 780)])
@@ -178,7 +179,7 @@ class TestFromTriple:
         for e in range(top):
             triple = tuple(e * (i == prime) for i in range(3))
             p = ReciprocalPair.from_triple(triple)
-            assert 1 <= p.t_fraction < 60, e
+            assert 1 <= p.T.value.fraction < 60, e
 
 
 class TestRegularEnumeration:
@@ -279,6 +280,42 @@ class TestCriteria:
         with pytest.raises(ValueError, match="unknown criterion kind 'nope'"):
             enumerate_pairs("nope", lo, hi)
 
+    # (lower, upper) as (mantissa, exponent) with an exponent of +-10**9,
+    # each with small ends that select the same pairs (None: empty range)
+    FAR_ENDS = [
+        (((1, 0), (2, 10**9)), ((1, 0), (1, 1))),
+        (((0, 0), (2, 10**9)), ((0, 0), (1, 1))),
+        (((1, -10**9), (2, 0)), ((0, 0), (2, 0))),
+        (((1, -10**9), (1, -10**9 + 1)), ((0, 0), (0, 0))),
+        (((7, 10**9), (1, 10**9 + 1)), ((1, 1), (1, 1))),
+        (((3, 10**9), (2, 10**9)), None),
+        (((1, 10**9), (1, -10**9)), None),
+        (((1, -10**9), (0, 0)), None),
+    ]
+
+    def test_far_ends_take_bounded_work(self):
+        # at most 432 pairs, whatever the ends: building 60**(10**9) to align
+        # them would not finish within the budget
+        code = ("from plimpton.pairs import enumerate_pairs\n"
+                "from plimpton.sexagesimal import SexValue\n"
+                f"for lo, hi in {[far for far, _ in self.FAR_ENDS]!r}:\n"
+                "    try:\n"
+                "        found = enumerate_pairs('mult10', SexValue(*lo), SexValue(*hi))\n"
+                "        print(' '.join(str(p.T.mantissa) for p in found))\n"
+                "    except ValueError as e:\n"
+                "        print(e)\n")
+        status, out, err = run_python_bounded("-c", code)
+        assert status == 0, err
+        expected = []
+        for _, near in self.FAR_ENDS:
+            if near is None:
+                expected.append("empty range: lower bound exceeds upper bound")
+            else:
+                found = enumerate_pairs("mult10", SexValue(*near[0]), SexValue(*near[1]))
+                expected.append(" ".join(str(p.T.mantissa) for p in found))
+        assert out.splitlines() == expected
+        assert len(expected[0].split()) == 205  # full_mult10 and (1, 1)
+
     def test_single_point_range(self):
         v = parse_sex("2;24", "fixed")
         assert len(enumerate_pairs("mult10", v, v)) == 1
@@ -302,7 +339,7 @@ class TestFullList:
 
     def test_strictly_decreasing(self):
         full = full_mult10()
-        assert all(a.t_fraction > b.t_fraction
+        assert all(a.T.value.fraction > b.T.value.fraction
                    for a, b in zip(full, full[1:]))
 
 
@@ -326,7 +363,7 @@ class TestOracleSweep:
                     if m >= 60**4 or m % 60 == 0:
                         continue
                     p = ReciprocalPair.from_T_mantissa(m)
-                    if not (lo_v.fraction <= p.t_fraction <= hi_v.fraction):
+                    if not (lo_v.fraction <= p.T.value.fraction <= hi_v.fraction):
                         continue
                     if mult10_digits(p.T) and mult10_digits(p.Tbar):
                         expected.add(m)
@@ -340,7 +377,7 @@ class TestOracleSweep:
 @cache
 def _oracle_all() -> tuple[ReciprocalPair, ...]:
     pairs = [ReciprocalPair.from_T_mantissa(m) for m in regular_mantissas(4)]
-    return tuple(sorted(pairs, key=lambda p: p.t_fraction, reverse=True))
+    return tuple(sorted(pairs, key=lambda p: p.T.value.fraction, reverse=True))
 
 
 def _oracle_passes(kind, p):
@@ -353,7 +390,7 @@ def _oracle_passes(kind, p):
 
 def _oracle(kind, lo, hi):
     return [p for p in _oracle_all()
-            if lo.fraction <= p.t_fraction <= hi.fraction
+            if lo.fraction <= p.T.value.fraction <= hi.fraction
             and _oracle_passes(kind, p)]
 
 
@@ -405,7 +442,7 @@ class TestFastPathOracle:
     @pytest.mark.parametrize("side,count", [("lower", 24), ("upper", 28)])
     def test_extension_sides_are_slices_of_the_full_list(self, side, count):
         full = _oracle_full_mult10()
-        at = [p.t_fraction for p in full].index
+        at = [p.T.value.fraction for p in full].index
         if side == "lower":  # 3;54 22 30 down to above 2;24
             expected = full[at(Fraction(843750, 60**3)):at(Fraction(12, 5))]
         else:  # below 1;48 to the end

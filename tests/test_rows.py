@@ -18,10 +18,8 @@ from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
     SexagesimalError,
-    add,
     factor_2_3_5,
     from_fraction,
-    halve,
     mul,
     parse_sex,
     reciprocal,
@@ -94,7 +92,7 @@ class TestColumnA:
         xy = xy_from_pair(ROW4)
         a = column_A(xy)
         assert render_sex(a) == "1 53 10 29 32 52 16"
-        assert add(mul(xy.x, xy.x), SexValue(1)) == a
+        assert sub(a, mul(xy.x, xy.x)) == SexValue(1)
 
     def test_a_is_y_squared(self):
         xy = xy_from_pair(ROW1)
@@ -185,22 +183,30 @@ class TestBuildRow:
             build_row(bad, 1, reduction)
 
 
-# The X/Y step, column A and the row as the sub/halve/add/mul composition
-# they were before X and Y were read off one aligned pair: the reference of
-# the integer construction.
+# X, Y and A computed in Fractions from T and Tbar's exact values: the
+# reference of the integer construction, which reads X and Y off one
+# aligned pair.
 
 def _composed_xy(p):
-    t, tbar = p.T.value, p.Tbar.value
-    if tbar.fraction >= t.fraction:
+    t, tbar = p.T.value.fraction, p.Tbar.value.fraction
+    if tbar >= t:
         raise SexagesimalError("pair is not in T > Tbar orientation")
-    return XYPair(halve(sub(t, tbar)), halve(add(t, tbar)))
+    return (t - tbar) / 2, (t + tbar) / 2
+
+
+def _fractions(xy):
+    return xy.x.fraction, xy.y.fraction
 
 
 def _composed_row(p, n, reduction):
-    xy = _composed_xy(p)
-    a = mul(xy.y, xy.y)
-    if add(mul(xy.x, xy.x), SexValue(1)) != a:
+    """The row with X, Y and A checked against Fractions; S, D and the
+    factor are cast out of the X and Y that match them."""
+    x, y = _composed_xy(p)
+    if y * y - x * x != 1:
         raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
+    xy = xy_from_pair(p)
+    a = mul(xy.y, xy.y)
+    assert _fractions(xy) == (x, y) and a.fraction == y * y
     s, d, factor = reduce_factorization(xy)
     if reduction == "tablet_faithful" and s * factor < 3600 and d * factor < 3600:
         return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
@@ -227,8 +233,8 @@ class TestAgainstTheComposition:
         p = ReciprocalPair.from_triple(triple)
         assume(p.T.mantissa != 1)
         xy = xy_from_pair(p)
-        assert xy == _composed_xy(p)
-        assert column_A(xy) == mul(xy.y, xy.y)
+        assert _fractions(xy) == _composed_xy(p)
+        assert column_A(xy).fraction == xy.y.fraction ** 2
         assert build_row(p, 7, reduction) == _composed_row(p, 7, reduction)
 
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])

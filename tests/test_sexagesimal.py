@@ -14,11 +14,10 @@ from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
     _digit,
+    _exceeds,
     _valuation,
-    add,
     factor_2_3_5,
     from_fraction,
-    halve,
     is_regular,
     mul,
     parse_sex,
@@ -209,6 +208,26 @@ class TestValuation:
         with pytest.raises(SexagesimalError):
             SexValue(-1)
 
+    @pytest.mark.parametrize("mantissa, exponent", [
+        (0.5, 0), (2.0, 0), (True, 0), (False, 0), (Fraction(1, 2), 0),
+        (Decimal(1), 0), ("1", 0), (None, 0),
+        (1, 0.5), (1, True), (1, False), (1, Fraction(1)), (1, None),
+    ])
+    def test_only_int_fields(self, mantissa, exponent):
+        # a bool is an int to Python, but True is not a digit
+        with pytest.raises(SexagesimalError, match="must be int"):
+            SexValue(mantissa, exponent)
+
+    def test_refusal_names_types_not_digits(self):
+        # a long int's digits would exceed the int string conversion limit
+        with pytest.raises(SexagesimalError, match="not int and float"):
+            SexValue(10**5000, -0.5)
+
+    def test_refused_bool_does_not_render(self):
+        # True used to build, and render_sex printed "True"
+        with pytest.raises(SexagesimalError):
+            render_sex(SexValue(True))
+
     @given(st.integers(1, 10**12), st.integers(-6, 6))
     def test_canonical_mantissa_never_divisible_by_60(self, m, e):
         v = SexValue(m, e)
@@ -229,6 +248,12 @@ class TestParseRender:
     ])
     def test_parse_floating(self, text, mantissa):
         assert parse_sex(text).mantissa == mantissa
+
+    @pytest.mark.parametrize("text", [None, 125, b"2 05", ["2", "05"]])
+    @pytest.mark.parametrize("mode", ["floating", "fixed"])
+    def test_parse_non_text_is_a_domain_error(self, text, mode):
+        with pytest.raises(SexagesimalError, match="digit text must be a str"):
+            parse_sex(text, mode)
 
     def test_parse_fixed_units_marker(self):
         assert parse_sex("2;24", "fixed").fraction == Fraction(12, 5)
@@ -305,19 +330,34 @@ class TestParseRender:
 class TestArithmetic:
     @given(st.integers(0, 10**9), st.integers(0, 10**9),
            st.integers(-4, 4), st.integers(-4, 4))
-    def test_mul_add_match_fractions(self, ma, mb, ea, eb):
+    def test_mul_sub_match_fractions(self, ma, mb, ea, eb):
         a, b = SexValue(ma, ea), SexValue(mb, eb)
         assert mul(a, b).fraction == a.fraction * b.fraction
-        assert add(a, b).fraction == a.fraction + b.fraction
+        lo, hi = sorted((a, b), key=lambda v: v.fraction)
+        assert sub(hi, lo).fraction == hi.fraction - lo.fraction
+
+    _far = st.builds(SexValue, st.integers(0, 60**5), st.integers(-40, 40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_far, _far)
+    @example(SexValue(1, 1), SexValue(63))  # 63 = 1 03: bit_length 6
+    @example(SexValue(63, -5), SexValue(1, 0))
+    @example(SexValue(1, 6), SexValue(63))
+    @example(SexValue(0), SexValue(1, -40))
+    def test_order_check_matches_fractions(self, a, b):
+        assert _exceeds(a, b) is (a.fraction > b.fraction)
 
     def test_sub_underflow(self):
         with pytest.raises(SexagesimalError):
             sub(SexValue(1), SexValue(2))
 
     @given(st.integers(0, 10**9), st.integers(-4, 4))
-    def test_halve_is_exact(self, m, e):
+    def test_half_is_exact(self, m, e):
+        # 1/2 terminates in base 60: 0;30, the half X and Y are taken with
         v = SexValue(m, e)
-        assert add(halve(v), halve(v)) == v
+        half = mul(v, SexValue(30, -1))
+        assert half.fraction * 2 == v.fraction
+        assert mul(half, SexValue(2)) == v
 
     def test_from_fraction(self):
         assert from_fraction(Fraction(12, 5)) == SexValue(144, -1)
