@@ -28,7 +28,7 @@ from .pairs import (
     plimpton_range,
 )
 from .rows import RowCandidate, build_row, column_A, xy_from_pair
-from .sexagesimal import RegularNumber, _ratio_text, _Value
+from .sexagesimal import RegularNumber, SexagesimalError, _ratio_text, _set, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -273,6 +273,12 @@ class LinkChain(_Value):
 
     __slots__ = ("start", "factor")
 
+    def __init__(self, start: ReciprocalPair, factor: tuple[int, int, int]) -> None:
+        if type(factor) is not tuple or tuple(map(type, factor)) != (int, int, int):
+            raise SexagesimalError("a factor must be a tuple of three ints")
+        _set(self, "start", start)
+        _set(self, "factor", factor)
+
     @property
     def steps(self) -> int:
         return sum(abs(e) for e in self.factor)
@@ -315,10 +321,10 @@ def _lattice_class(r: RegularNumber) -> tuple[int, int]:
 
 
 @cache
-def _start_classes() -> dict[tuple[int, int], RegularNumber]:
-    """Lattice class -> every member of a standard-table pair; a member's
-    reciprocal has the opposite class."""
-    return {_lattice_class(r): r
+def _start_classes() -> dict[tuple[int, int], ReciprocalPair]:
+    """Lattice class -> the start pair whose T is either member of a
+    standard-table pair (a member's reciprocal has the opposite class)."""
+    return {_lattice_class(r): ReciprocalPair.from_triple(r.triple)
             for p in standard_table() for r in (p.T, p.Tbar)}
 
 
@@ -328,9 +334,14 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
 
     Closed form on the exponent lattice: from a start of class s, the
     factors reaching p's class t are (d1 + 2j, d2 + j, j) for d = t - s and
-    any integer j, at |d1 + 2j| + |d2 + j| + |j| steps.  That sum, like each
-    exponent's size, is convex and piecewise linear in j, so j = 0, -d2 and
-    either side of -d1/2 reach the fewest steps and the tie-break's choice.
+    any integer j, at |d1 + 2j| + |d2 + j| + |j| steps.  The fewest are
+    max(|d1 - d2|, |d2| + d1 mod 2): for j between 0 and -d2 the last two
+    terms sum to |d2|, and the first is least, d1 mod 2, where -d1 lies
+    between 0 and -2 d2; outside, it is least at the nearer end.  Only the
+    starts that reach the fewest steps so far are scored further.  The sum,
+    like each exponent's size, is convex and piecewise linear in j, so
+    j = 0, -d2 and either side of -d1/2 reach the fewest steps and the
+    tie-break's choice.
 
     Ties at minimal length prefer the chain using the smaller primes
     (doubling over tripling over quintupling), then the lexicographically
@@ -341,14 +352,16 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))
     fewest, ties = None, []
-    for (s1, s2), r in starts.items():
+    for (s1, s2), start in starts.items():
         d1, d2 = t1 - s1, t2 - s2
+        steps = max(abs(d1 - d2), abs(d2) + (d1 & 1))
+        if fewest is None or steps < fewest:
+            fewest, ties = steps, []
+        elif steps > fewest:
+            continue
         for j in {0, -d2, -d1 // 2, -(d1 // 2)}:
-            steps = abs(d1 + 2 * j) + abs(d2 + j) + abs(j)
-            if fewest is None or steps < fewest:
-                fewest, ties = steps, []
-            if steps == fewest:
-                ties.append(((d1 + 2 * j, d2 + j, j), r))
-    factor, r = min(ties, key=lambda c: (
-        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1].mantissa))
-    return LinkChain(ReciprocalPair.from_triple(r.triple), factor)
+            if abs(d1 + 2 * j) + abs(d2 + j) + abs(j) == steps:
+                ties.append(((d1 + 2 * j, d2 + j, j), start))
+    factor, start = min(ties, key=lambda c: (
+        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1].T.mantissa))
+    return LinkChain(start, factor)

@@ -57,6 +57,8 @@ class ReciprocalPair(_Value):
         Mantissas multiply to 60**k with k the sum of the two 5-exponents, so
         Tbar's units place is set to make the fixed product exactly 1.
         """
+        if tuple(map(type, triple)) != (int, int, int):  # bool too
+            raise SexagesimalError("an exponent triple must be three ints")
         a, b, c = triple
         n = min(a // 2, b, c)
         a, b, c = a - 2 * n, b - n, c - n
@@ -172,6 +174,9 @@ def enumerate_pairs(kind: str, lower: SexValue,
     :data:`CRITERIA`, by decreasing T."""
     if kind not in CRITERIA:
         raise ValueError(f"unknown criterion kind {kind!r}")
+    if not (type(lower) is type(upper) is SexValue):
+        raise SexagesimalError(f"the bounds must be SexValues, not "
+                               f"{type(lower).__name__} and {type(upper).__name__}")
     if _exceeds(lower, upper):
         raise ValueError("empty range: lower bound exceeds upper bound")
     return _four_place_pairs(_padded(lower, True), _padded(upper, False),

@@ -292,6 +292,8 @@ def _split_2_3_5(n: int) -> tuple[int, int, int, int]:
 
 def factor_2_3_5(n: int) -> tuple[int, int, int] | None:
     """Exponent triple of n when n is 60-smooth, else None."""
+    if type(n) is not int:  # bool too
+        raise SexagesimalError(f"factorization is defined for ints, not {type(n).__name__}")
     if n <= 0:
         return None
     alpha, beta, gamma, cofactor = _split_2_3_5(n)
@@ -301,6 +303,8 @@ def factor_2_3_5(n: int) -> tuple[int, int, int] | None:
 def is_regular(v: SexValue) -> RegularNumber | None:
     """The exponent triple of the canonical mantissa, or None if a prime
     factor other than 2, 3, 5 divides it."""
+    if type(v) is not SexValue:
+        raise SexagesimalError(f"regularity is defined for SexValues, not {type(v).__name__}")
     if v.mantissa <= 0:
         raise SexagesimalError("regularity is defined for positive values")
     triple = factor_2_3_5(v.mantissa)

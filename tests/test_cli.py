@@ -647,6 +647,13 @@ class TestWorkCeilings:
         assert run(capsys, "link", "2 09 36", "--format", "json")[0] == 0
         assert len(factored) <= 1
 
+    def test_link_builds_only_its_input_pair(self, capsys, monkeypatch):
+        # the start pairs are built once per process, on the first link
+        assert run(capsys, "link", "2 09 36")[0] == 0
+        built = self.count_built(monkeypatch)
+        assert run(capsys, "link", "2 09 36")[0] == 0
+        assert len(built) == 1
+
     @pytest.mark.parametrize("tag", ["buck1980", "friberg1981"])
     def test_pq_theories_convert_no_fraction(self, capsys, monkeypatch, tag):
         # the bounds on P/Q are integer tests: no candidate becomes a SexValue

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plimpton import hypotheses
 from plimpton.hypotheses import (
@@ -25,8 +25,9 @@ from plimpton.hypotheses import (
 )
 from plimpton.hypotheses import LinkChain
 from plimpton.pairs import ReciprocalPair, _both_ways, _four_place_pairs
-from plimpton.sexagesimal import factor_2_3_5, parse_sex, render_sex
+from plimpton.sexagesimal import SexagesimalError, factor_2_3_5, parse_sex, render_sex
 from test_pairs import regular_mantissas
+from test_sexagesimal import traced
 
 
 def _t_set(tag):
@@ -558,26 +559,31 @@ FOUR_PLACE_PAIRS = [ReciprocalPair.from_T_mantissa(m)
 START_CLASSES = 42
 
 
-def count_scored(p) -> int:
-    """How many candidates ``link_to_standard(p)`` scores: the times its
-    line ``steps = ...`` runs, counted by a line tracer on that function."""
-    lines, first = inspect.getsourcelines(link_to_standard)
-    target = first + next(i for i, line in enumerate(lines)
-                          if line.lstrip().startswith("steps = "))
-    code, count = link_to_standard.__code__, 0
+def count_runs(p, prefix: str) -> int:
+    """How often the lines of ``link_to_standard`` that start with
+    ``prefix`` run while it links p, counted by a line tracer."""
+    _, ran = traced(link_to_standard, lambda: link_to_standard(p))
+    return sum(n for line, n in ran.items() if line.startswith(prefix))
 
-    def on_line(frame, event, arg):
-        nonlocal count
-        count += event == "line" and frame.f_lineno == target
-        return on_line
 
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
-    try:
-        link_to_standard(p)
-    finally:
-        sys.settrace(previous)
-    return count
+# the line that computes the fewest steps from one start class, and the
+# line that scores one candidate j
+STEPS_LINE, SCORE_LINE = "steps = ", "if abs(d1 + 2 * j)"
+
+
+def fewest_steps_expression():
+    """The right-hand side of link_to_standard's ``steps = ...`` line as a
+    function of (d1, d2): the code itself, not a copy of it, is checked."""
+    lines, _ = inspect.getsourcelines(link_to_standard)
+    line = next(line for line in lines if line.lstrip().startswith(STEPS_LINE))
+    return eval(f"lambda d1, d2: {line.split('=', 1)[1].strip()}")
+
+
+def brute_fewest_steps(d1, d2):
+    """min over j of |d1 + 2j| + |d2 + j| + |j|, trying every integer j
+    between the breakpoints -d1/2, -d2 and 0."""
+    lo, hi = min(0, -d2, -d1 // 2), max(0, -d2, -(d1 // 2))
+    return min(abs(d1 + 2 * j) + abs(d2 + j) + abs(j) for j in range(lo, hi + 1))
 
 
 class TestClosedFormLinks:
@@ -619,12 +625,79 @@ class TestClosedFormLinks:
         assert chain.factor == (n - 6, 0, 0) and chain.steps == n - 6
 
     def test_scores_at_most_four_candidates_per_start_class(self):
-        # j = 0, -d2 and the integers either side of -d1/2, for each class;
+        # one step count for each class; j = 0, -d2 and the integers either
+        # side of -d1/2 only for the classes that reach the fewest so far;
         # a pair of the table itself scores none
         deep = [ReciprocalPair.from_triple((e, 0, 0)) for e in (50000, -50000)]
         for p in FOUR_PLACE_PAIRS + deep:
-            scored = count_scored(p)
+            counted = count_runs(p, STEPS_LINE)
+            scored = count_runs(p, SCORE_LINE)
             if link_to_standard(p).in_table:
-                assert scored == 0, str(p)
+                assert counted == scored == 0, str(p)
             else:
-                assert START_CLASSES <= scored <= 4 * START_CLASSES, str(p)
+                assert counted == START_CLASSES, str(p)
+                assert 1 <= scored <= 4 * START_CLASSES, str(p)
+
+    def test_scores_few_candidates_over_the_four_place_pairs(self):
+        # 9,074 j scored over the 390 pairs not in the table; scoring every
+        # class's four candidates scored 53,141.  Counts do not jitter.
+        linked = [p for p in FOUR_PLACE_PAIRS if not link_to_standard(p).in_table]
+        assert len(linked) == 390
+        assert sum(count_runs(p, SCORE_LINE) for p in linked) <= 9100
+
+    def test_ties_between_start_classes_go_to_the_tie_break(self):
+        # 128 pairs not in the table reach their fewest steps from more than
+        # one start class; for 110 of them the tie-break picks a class that
+        # comes after the first such class in the table's order, so a class
+        # at the fewest steps so far is scored, not skipped
+        starts = hypotheses._start_classes()
+        tied = later = 0
+        for p in FOUR_PLACE_PAIRS:
+            chain = link_to_standard(p)
+            if chain.in_table:
+                continue
+            t1, t2 = hypotheses._lattice_class(p.T)
+            steps = {(s1, s2): brute_fewest_steps(t1 - s1, t2 - s2)
+                     for s1, s2 in starts}
+            at_fewest = [c for c, n in steps.items() if n == chain.steps]
+            if len(at_fewest) > 1:
+                tied += 1
+                later += hypotheses._lattice_class(chain.start.T) != at_fewest[0]
+        assert (tied, later) == (128, 110)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(*[st.one_of(st.integers(-5, 5), st.integers(-10**6, 10**6))] * 2)
+    @example(7, 3)
+    @example(-999_999, 10**6)
+    def test_fewest_steps_in_closed_form(self, d1, d2):
+        assert fewest_steps_expression()(d1, d2) == brute_fewest_steps(d1, d2)
+
+    def test_start_pairs_are_built_once_from_their_own_member(self):
+        # each class maps to the pair whose T is that member: a standard
+        # pair itself for its T's class, the pair turned round for Tbar's
+        members = {r.mantissa for q in standard_table() for r in (q.T, q.Tbar)}
+        starts = hypotheses._start_classes()
+        assert len(starts) == START_CLASSES
+        assert hypotheses._start_classes() is starts
+        for cls, start in starts.items():
+            assert hypotheses._lattice_class(start.T) == cls
+            assert start.T.mantissa in members
+            assert start == ReciprocalPair.from_triple(start.T.triple)
+
+
+class TestLinkChainFactor:
+    @pytest.mark.parametrize("factor", [
+        (0.5, 0, 0), (1, 0, 2.0), (True, 0, 0), (0, False, 0), (1, 0),
+        (1, 0, 0, 0), (), [1, 0, 0], (Fraction(1), 0, 0), "abc", None,
+    ])
+    def test_refuses_anything_but_three_ints(self, factor):
+        # a float exponent printed (2, 30) × (1.4142135623730951, ...)
+        start = ReciprocalPair.from_T_mantissa(2)
+        with pytest.raises(SexagesimalError, match="three ints"):
+            LinkChain(start, factor)
+
+    def test_keeps_its_fields(self):
+        start = ReciprocalPair.from_T_mantissa(54)
+        chain = LinkChain(start, (0, 0, -2))
+        assert (chain.start, chain.factor) == (start, (0, 0, -2))
+        assert LinkChain(factor=(0, 0, -2), start=start) == chain

@@ -173,6 +173,15 @@ class TestFromTriple:
         assert 1 <= p.T.value.fraction < 60
         assert p.T.value.fraction * p.Tbar.value.fraction == 1
 
+    @pytest.mark.parametrize("triple", [
+        (0.5, 0, 0), (0, 0, 1.0), (True, 0, 0), (0, 0, False), (Fraction(1), 0, 0),
+        (1, 0), (1, 0, 0, 0), (), ("1", 0, 0),
+    ])
+    def test_refuses_anything_but_three_ints(self, triple):
+        # (0.5, 0, 0) raised AttributeError
+        with pytest.raises(SexagesimalError, match="three ints"):
+            ReciprocalPair.from_triple(triple)
+
     @pytest.mark.parametrize("prime,top", [(0, 1800), (1, 1140), (2, 780)])
     def test_place_count_across_powers_of_60(self, prime, top):
         # the powers of 2, 3 and 5 below top cross every 60**k, k < 300
@@ -279,6 +288,13 @@ class TestCriteria:
         lo, hi = plimpton_range()
         with pytest.raises(ValueError, match="unknown criterion kind 'nope'"):
             enumerate_pairs("nope", lo, hi)
+
+    @pytest.mark.parametrize("ends", [(1, 2), (SexValue(1), 2), (0.5, SexValue(2)),
+                                      ("1;48", "2;24")])
+    def test_bounds_must_be_sexvalues(self, ends):
+        # ints raised AttributeError
+        with pytest.raises(SexagesimalError, match="bounds must be SexValues"):
+            enumerate_pairs("mult10", *ends)
 
     # (lower, upper) as (mantissa, exponent) with an exponent of +-10**9,
     # each with small ends that select the same pairs (None: empty range)

@@ -386,6 +386,18 @@ class TestRegulars:
         r = is_regular(SexValue(45))
         assert r.triple == (0, 2, 1)
 
+    @pytest.mark.parametrize("n", [0.5, 2.0, True, False, Fraction(2), Decimal(2), "2", None])
+    def test_factor_2_3_5_takes_only_an_int(self, n):
+        # True factored as (0, 0, 0) and 0.5 raised TypeError
+        with pytest.raises(SexagesimalError, match="defined for ints"):
+            factor_2_3_5(n)
+
+    @pytest.mark.parametrize("v", [2, 0.5, True, Fraction(2), "2", None])
+    def test_is_regular_takes_only_a_sexvalue(self, v):
+        # an int raised AttributeError
+        with pytest.raises(SexagesimalError, match="defined for SexValues"):
+            is_regular(v)
+
     @pytest.mark.parametrize("n,recip_m", [
         (1, 1), (2, 30), (3, 20), (48, 75), (81, 160000),
         (125, 1728), (512000, 91125),
