@@ -1,5 +1,4 @@
 import inspect
-import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
