@@ -181,7 +181,7 @@ def cmd_pairs(args) -> int:
     else:
         checked = [pair for _, pair in hypotheses.printed_pairs(table)]
     # log only the printed rows whose computed pair is listed
-    printed, _ = hypotheses.PRINTED_TABLES[table]
+    printed = hypotheses.PRINTED_TABLES[table][0]
     shown = set(found)
     listed = {label for (label, *_), pair in zip(printed, checked) if pair in shown}
     corrections = [c for c in hypotheses.printed_corrections(table, checked)

@@ -6,26 +6,26 @@ as P/Q in lowest terms.  Also here: the printed tables of pairs (the
 fifteen, the excluded six and the extensions above and below them) with the
 computed pairs each is checked against, and the minimal chain linking any
 regular pair to the standard reciprocal table by doubling/tripling/
-quintupling steps.  Every computed table of pairs is one enumeration,
-``pairs._four_place_pairs``, with its own T range and test of both members.
+quintupling steps.  Theories and printed tables are data: each selects its
+pairs by a record (lo, hi, keep) of ``pairs._four_place_pairs``, a padded T
+range and a test of both members.
 Links are computed in closed form on the exponent lattice (see
 :func:`link_to_standard`), in bounded time at any chain depth.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import gcd
 
 from .pairs import (
+    CRITERIA,
+    PLIMPTON_PADDED,
     Correction,
     ReciprocalPair,
-    _both_ways,
     _four_place_members,
     _four_place_pairs,
-    enumerate_pairs,
     pair_corrections,
-    plimpton_range,
 )
 from .rows import RowCandidate, build_row, column_A, xy_from_pair
 from .sexagesimal import RegularNumber, SexagesimalError, _ratio_text, _set, _Value
@@ -37,43 +37,46 @@ TABLE1_PQ = [
     (2, 1), (48, 25), (15, 8), (50, 27), (9, 5),
 ]
 
-def phillips_pairs() -> list[ReciprocalPair]:
-    return enumerate_pairs("mult10", *plimpton_range())
+
+def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test, t, tbar) -> bool:
+    """A (P, Q) theory's row as a test of a pair whose T is in (1, 3]:
+    T = P/Q in lowest terms, read off T's padded value, with
+    least Q <= Q < Q limit, P < P limit (None: no limit) and test(P, Q)."""
+    g = gcd(t[0], 60**3)
+    p, q = t[0] // g, 60**3 // g
+    return least_q <= q < q_limit and (p_limit is None or p < p_limit) and test(p, q)
 
 
-# Every theory, in survey order, with how it chooses its rows:
-# - a key of pairs.CRITERIA: the pairs of the tablet's T range it selects;
-# - (least Q, Q limit, P limit, test): T = P/Q in (1, 3], in lowest terms,
-#   with least Q <= Q < Q limit, P < P limit (None: no limit), test(P, Q).
-# ns1945's test is membership in TABLE1_PQ; its rows keep the formulas' raw
-# S and D (see _table1_row).
+def _pq(*args):
+    """A (P, Q) theory's record: T in (1, 3], as every surveyed bound on P/Q
+    is below 3, and its row test, whose ``.args`` are the published ones."""
+    return 60**3 + 1, 3 * 60**3, partial(_pq_keep, *args)
+
+
+# Every theory, in survey order, as its selection record (lo, hi, keep) of
+# pairs._four_place_pairs: either a pairs.CRITERIA test over the tablet's T
+# range, or a (P, Q) row test (see _pq).  ns1945's test is membership in
+# TABLE1_PQ; its rows keep the formulas' raw S and D (see _table1_row).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
 # P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
 # and P/Q < 1 + sqrt(2).  Price's text misprints his upper bound 12/5 as
 # 2;25, which admits no further regular ratio (tests/test_hypotheses.py).
 THEORIES = {
-    "ns1945": (1, 60, None, lambda p, q: (p, q) in TABLE1_PQ),
-    "bruins1949": "bruins",
-    "price1964": (2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q),
-    "buck1980": (1, 100, 100,
-                 lambda p, q: p * p > 3 * q * q and (p - q) ** 2 < 2 * q * q),
-    "friberg1981": (1, 60, None,
-                    lambda p, q: 5 * p >= 9 * q and (p - q) ** 2 < 2 * q * q),
-    "friberg2007": (1, 60, None, lambda p, q: 12 * p < 29 * q),
-    "phillips": "mult10",
+    "ns1945": _pq(1, 60, None, lambda p, q: (p, q) in TABLE1_PQ),
+    "bruins1949": (*PLIMPTON_PADDED, CRITERIA["bruins"]),
+    "price1964": _pq(2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q),
+    "buck1980": _pq(1, 100, 100,
+                    lambda p, q: p * p > 3 * q * q and (p - q) ** 2 < 2 * q * q),
+    "friberg1981": _pq(1, 60, None,
+                       lambda p, q: 5 * p >= 9 * q and (p - q) ** 2 < 2 * q * q),
+    "friberg2007": _pq(1, 60, None, lambda p, q: 12 * p < 29 * q),
+    "phillips": (*PLIMPTON_PADDED, CRITERIA["mult10"]),
 }
 
 
-def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test):
-    """A (P, Q) theory's row as a test of a pair whose T is in (1, 3]:
-    T = P/Q in lowest terms, read off T's padded value."""
-    def keep(t, tbar):
-        g = gcd(t[0], 60**3)
-        p, q = t[0] // g, 60**3 // g
-        return (least_q <= q < q_limit and (p_limit is None or p < p_limit)
-                and test(p, q))
-    return keep
+def phillips_pairs() -> list[ReciprocalPair]:
+    return _four_place_pairs(*THEORIES["phillips"])
 
 
 def _table1_row(n: int, pair: ReciprocalPair) -> RowCandidate:
@@ -93,11 +96,7 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
         raise ValueError(f"unknown hypothesis {tag!r}")
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
-    rule = THEORIES[tag]
-    if isinstance(rule, str):
-        pairs = enumerate_pairs(rule, *plimpton_range())
-    else:  # every surveyed bound on P/Q is below 3
-        pairs = _four_place_pairs(60**3 + 1, 3 * 60**3, _pq_keep(*rule))
+    pairs = _four_place_pairs(*THEORIES[tag])
     if tag == "ns1945":
         return [_table1_row(n, p) for n, p in enumerate(pairs, 1)]
     return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
@@ -209,23 +208,21 @@ UPPER_EXTENSION_PRINTED = [
 MINUS_17_VARIANT_PRINTED = [("-17", "3 29 10")]
 
 # Every printed table of pairs, by the name its correction log carries: its
-# rows as printed, (label, T, Tbar, ...), and how the pairs it is checked
-# against are computed: the four-place pairs of a T range, given as
-# T * 60**3, that pass a test of both members, by decreasing T.  The
-# excluded pairs fail the multiple-of-10 rule over the tablet's range; each
-# extension passes it over its own, lower from the printed top down to above
-# the tablet's first row, upper from below its last row down to above 1.
-# The functions are looked up when called, so a rebound phillips_pairs (a
-# test's patch, a tracer's wrapper) is the one that runs.
+# rows as printed, (label, T, Tbar, ...), then the selection record (lo, hi,
+# keep) of the pairs it is checked against, by decreasing T.  The fifteen
+# are the phillips theory's pairs; the excluded pairs fail the
+# multiple-of-10 rule over the tablet's range; each extension passes it over
+# its own, lower from the printed top down to above the tablet's first row,
+# upper from below its last row down to above 1.
+_mult10 = CRITERIA["mult10"]
 PRINTED_TABLES = {
-    "standard-15": (PLIMPTON_PAIRS_PRINTED, lambda: phillips_pairs()),
-    "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, lambda: _four_place_pairs(
-        388800, 518400,  # 1;48 <= T <= 2;24
-        lambda t, tbar: not _both_ways("mult10")(t, tbar))),
-    "extension-lower": (LOWER_EXTENSION_PRINTED, lambda: _four_place_pairs(
-        518401, 843750, _both_ways("mult10"))),  # 2;24 < T <= 3;54 22 30
-    "extension-upper": (UPPER_EXTENSION_PRINTED, lambda: _four_place_pairs(
-        216001, 388799, _both_ways("mult10"))),  # 1 < T < 1;48
+    "standard-15": (PLIMPTON_PAIRS_PRINTED, *THEORIES["phillips"]),
+    "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, *PLIMPTON_PADDED,
+                       lambda t, tbar: not _mult10(t, tbar)),
+    # 2;24 < T <= 3;54 22 30
+    "extension-lower": (LOWER_EXTENSION_PRINTED, 518401, 843750, _mult10),
+    # 1 < T < 1;48
+    "extension-upper": (UPPER_EXTENSION_PRINTED, 216001, 388799, _mult10),
 }
 
 
@@ -239,8 +236,8 @@ def _printed_table(table: str):
 def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     """The computed pairs of one printed table, each with its printed
     label, in printed order."""
-    printed, compute = _printed_table(table)
-    pairs = compute()
+    printed, *record = _printed_table(table)
+    pairs = _four_place_pairs(*record)
     if len(pairs) != len(printed):
         raise ValueError(f"{table}: computed {len(pairs)} pairs, "
                          f"printed table has {len(printed)}")
@@ -251,7 +248,7 @@ def printed_corrections(table: str,
                         pairs: list[ReciprocalPair]) -> list[Correction]:
     """Printed-vs-computed digit log of one printed table against
     ``pairs``, its computed pairs in printed order."""
-    printed, _ = _printed_table(table)
+    printed = _printed_table(table)[0]
     out = pair_corrections(table, printed, pairs)
     if table == "extension-lower":
         at = [label for label, *_ in printed].index("-17")
@@ -274,6 +271,8 @@ class LinkChain(_Value):
     __slots__ = ("start", "factor")
 
     def __init__(self, start: ReciprocalPair, factor: tuple[int, int, int]) -> None:
+        if type(start) is not ReciprocalPair:
+            raise SexagesimalError(f"a start must be a ReciprocalPair, not {type(start).__name__}")
         if type(factor) is not tuple or tuple(map(type, factor)) != (int, int, int):
             raise SexagesimalError("a factor must be a tuple of three ints")
         _set(self, "start", start)
@@ -347,6 +346,8 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     (doubling over tripling over quintupling), then the lexicographically
     largest exponent triple, then the smallest start mantissa.
     """
+    if type(p) is not ReciprocalPair:
+        raise SexagesimalError(f"a link is defined for ReciprocalPairs, not {type(p).__name__}")
     t1, t2 = _lattice_class(p.T)
     starts = _start_classes()
     if (t1, t2) in starts:

@@ -3,9 +3,10 @@
 The central selection rule: a reciprocal pair belongs to the table when both
 members, padded with trailing zeros to four sexagesimal places, are divisible
 by 10.  The plain four-place table and Bruins's exponent-based exclusion are
-the alternative rules; all three are entries of one table, ``CRITERIA``,
-tested on the members of the one enumeration of four-place regular
-mantissas before any pair is built.
+the alternative rules; all three are tests of both members, the entries of
+one table, ``CRITERIA``.  Every table of pairs is a record (lo, hi, keep):
+the pairs of padded T in [lo, hi] that pass keep, tested on the one
+enumeration of four-place regular mantissas before any pair is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .sexagesimal import (
     _places,
     _set,
     _Value,
-    parse_sex,
     reciprocal,
     regular_from_int,
     render_sex,
@@ -57,8 +57,8 @@ class ReciprocalPair(_Value):
         Mantissas multiply to 60**k with k the sum of the two 5-exponents, so
         Tbar's units place is set to make the fixed product exactly 1.
         """
-        if tuple(map(type, triple)) != (int, int, int):  # bool too
-            raise SexagesimalError("an exponent triple must be three ints")
+        if type(triple) is not tuple or tuple(map(type, triple)) != (int, int, int):
+            raise SexagesimalError("an exponent triple must be a tuple of three ints")
         a, b, c = triple
         n = min(a // 2, b, c)
         a, b, c = a - 2 * n, b - n, c - n
@@ -78,21 +78,26 @@ class ReciprocalPair(_Value):
         return f"({render_sex(self.T.value)}, {render_sex(self.Tbar.value)})"
 
 
+# The tablet's T range, 1;48 <= T <= 2;24, as T * 60**3.
+PLIMPTON_PADDED = (388800, 518400)
+
+
 def plimpton_range() -> tuple[SexValue, SexValue]:
     """The fixed-reading T range covering the fifteen tablet rows."""
-    return parse_sex("1;48", "fixed"), parse_sex("2;24", "fixed")
+    return tuple(SexValue(t, -3) for t in PLIMPTON_PADDED)
 
 
-# The selection rules, by the CLI's names.  Each tests one member of a pair
-# against the other, both given as (padded, triple): the mantissa padded
-# with zero places to four digits, and the exponent triple.  A pair passes
-# when both members pass; a member of more than four places fails it.
-# places4 is the plain four-place table; bruins excludes a member with
-# alpha+beta+gamma > 13 whose other member has gamma > 3.
+# The selection rules, by the CLI's names.  Each tests a pair (T, Tbar),
+# both members given as (padded, triple): the mantissa padded with zero
+# places to four digits, and the exponent triple.  A member of more than
+# four places is in no table of pairs.  places4 is the plain four-place
+# table; bruins excludes a pair where either member has
+# alpha+beta+gamma > 13 while the other has gamma > 3.
 CRITERIA = {
-    "mult10": lambda member, other: member[0] % 10 == 0,
-    "places4": lambda member, other: True,
-    "bruins": lambda member, other: not (sum(member[1]) > 13 and other[1][2] > 3),
+    "mult10": lambda t, tbar: t[0] % 10 == 0 and tbar[0] % 10 == 0,
+    "places4": lambda t, tbar: True,
+    "bruins": lambda t, tbar: not (sum(t[1]) > 13 and tbar[1][2] > 3
+                                   or sum(tbar[1]) > 13 and t[1][2] > 3),
 }
 
 
@@ -118,12 +123,6 @@ def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
             p23, b = p23 * 3, b + 1
         p2, a = p2 * 2, a + 1
     return dict(sorted(found))
-
-
-def _both_ways(kind: str):
-    """Criterion ``kind`` as a test of (T, Tbar): both members pass it."""
-    rule = CRITERIA[kind]
-    return lambda t, tbar: rule(t, tbar) and rule(tbar, t)
 
 
 @cache
@@ -180,7 +179,7 @@ def enumerate_pairs(kind: str, lower: SexValue,
     if _exceeds(lower, upper):
         raise ValueError("empty range: lower bound exceeds upper bound")
     return _four_place_pairs(_padded(lower, True), _padded(upper, False),
-                             _both_ways(kind))
+                             CRITERIA[kind])
 
 
 class Correction(_Value):

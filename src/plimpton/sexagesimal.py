@@ -331,6 +331,8 @@ def reciprocal(r: RegularNumber) -> RegularNumber:
     exponent triple (2k - alpha, k - beta, k - gamma).  Since k is minimal,
     60 does not divide the quotient: it is already canonical.
     """
+    if type(r) is not RegularNumber:
+        raise SexagesimalError(f"a reciprocal is defined for RegularNumbers, not {type(r).__name__}")
     k = _places(r.alpha, r.beta, r.gamma)
     return RegularNumber(SexValue(60**k // r.mantissa),
                          2 * k - r.alpha, k - r.beta, k - r.gamma)

@@ -214,8 +214,11 @@ class TestCriterionVocabulary:
         assert not hasattr(hypotheses, "HYPOTHESIS_TAGS")
 
     def test_theories_name_criteria(self):
-        rules = [rule for rule in THEORIES.values() if isinstance(rule, str)]
-        assert rules and all(rule in CRITERIA for rule in rules)
+        # each theory's test is a CRITERIA entry or a (P, Q) row test
+        keeps = [keep for _, _, keep in THEORIES.values()]
+        rules = [keep for keep in keeps if keep in CRITERIA.values()]
+        assert rules and all(keep in rules or keep.func is hypotheses._pq_keep
+                             for keep in keeps)
 
     def test_no_second_name(self):
         lo, hi = plimpton_range()

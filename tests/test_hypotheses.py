@@ -1,6 +1,7 @@
 import inspect
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -23,7 +24,7 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
-from plimpton.pairs import ReciprocalPair, _both_ways, _four_place_pairs
+from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs
 from plimpton.sexagesimal import SexagesimalError, factor_2_3_5, parse_sex, render_sex
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
@@ -83,7 +84,7 @@ REFERENCE_BOUNDS = {
 class TestTheoryBounds:
     @pytest.mark.parametrize("tag", sorted(REFERENCE_BOUNDS))
     def test_integer_test_agrees_with_fraction_reference(self, tag):
-        test = THEORIES[tag][3]
+        test = THEORIES[tag][2].args[3]
         regs = regular_mantissas(4)
         checked = 0
         for q in (q for q in regs if q < 100):
@@ -110,7 +111,7 @@ class TestTheoryBounds:
         ("friberg2007", 29, 12, False),
     ])
     def test_exact_at_the_bounds(self, tag, p, q, selected):
-        assert THEORIES[tag][3](p, q) is selected
+        assert THEORIES[tag][2].args[3](p, q) is selected
         assert REFERENCE_BOUNDS[tag](Fraction(p, q)) is selected
 
 
@@ -137,13 +138,23 @@ PQ_THEORIES = {"ns1945": 15, "price1964": 14, "buck1980": 15,
 
 
 class TestOneEnumeration:
-    def test_pq_theories_are_the_tuple_rows(self):
-        assert PQ_THEORIES.keys() == {
-            tag for tag, rule in THEORIES.items() if isinstance(rule, tuple)}
+    def test_pq_theories_are_the_pq_rows(self):
+        # a (P, Q) row's test holds its published parameters as .args, and
+        # every such row selects from T in (1, 3]
+        pq = {tag for tag, (_, _, keep) in THEORIES.items()
+              if getattr(keep, "func", None) is hypotheses._pq_keep}
+        assert PQ_THEORIES.keys() == pq
+        assert {THEORIES[tag][:2] for tag in pq} == {(60**3 + 1, 3 * 60**3)}
+        assert all(len(THEORIES[tag][2].args) == 4 for tag in pq)
+
+    def test_criterion_theories_select_the_tablet_range(self):
+        assert {tag: THEORIES[tag] for tag in THEORIES.keys() - PQ_THEORIES.keys()} == {
+            "bruins1949": (388800, 518400, CRITERIA["bruins"]),
+            "phillips": (388800, 518400, CRITERIA["mult10"])}
 
     @pytest.mark.parametrize("tag", list(PQ_THEORIES))
     def test_pq_theory_equals_the_q_by_p_walk(self, tag):
-        walked = pq_walk(*THEORIES[tag])
+        walked = pq_walk(*THEORIES[tag][2].args)
         assert [r.pair for r in generate(tag)] == walked
         assert len(walked) == PQ_THEORIES[tag]
 
@@ -151,7 +162,7 @@ class TestOneEnumeration:
     def test_every_selected_pair_is_in_the_table(self, tag):
         # the enumeration sees only pairs whose Tbar has at most four places
         table = set(regular_mantissas(4))
-        for p in pq_walk(*THEORIES[tag]):
+        for p in pq_walk(*THEORIES[tag][2].args):
             assert {p.T.mantissa, p.Tbar.mantissa} <= table, str(p)
 
     # T = 12/5 = 2;24 at a theory row's bounds: least Q is inclusive, the
@@ -163,8 +174,9 @@ class TestOneEnumeration:
     def test_pq_bounds_at_12_over_5(self, least_q, q_limit, p_limit, kept):
         seen = []
         padded = 12 * 60**3 // 5
-        got = _four_place_pairs(padded, padded, hypotheses._pq_keep(
-            least_q, q_limit, p_limit, lambda p, q: seen.append((p, q)) or True))
+        got = _four_place_pairs(padded, padded, partial(
+            hypotheses._pq_keep, least_q, q_limit, p_limit,
+            lambda p, q: seen.append((p, q)) or True))
         assert got == ([ReciprocalPair.from_T_mantissa(144)] if kept else [])
         if kept:
             assert seen == [(12, 5)]  # P/Q in lowest terms
@@ -245,7 +257,7 @@ class TestPrintedFifteen:
 class TestPrintedTables:
     @pytest.mark.parametrize("table", list(PRINTED_TABLES))
     def test_one_pair_per_printed_row_by_decreasing_t(self, table):
-        printed, _ = PRINTED_TABLES[table]
+        printed = PRINTED_TABLES[table][0]
         got = printed_pairs(table)
         assert [label for label, _ in got] == [label for label, *_ in printed]
         ts = [pair.T.value.fraction for _, pair in got]
@@ -267,25 +279,19 @@ class TestPrintedTables:
     @pytest.mark.parametrize("rows", [5, 7])
     def test_length_mismatch_is_a_value_error(self, monkeypatch, rows):
         # PRINTED_TABLES is public: a table one row short or one row long
-        printed, compute = PRINTED_TABLES["excluded-pairs"]
+        printed, *record = PRINTED_TABLES["excluded-pairs"]
         changed = (printed * 2)[:rows]
-        monkeypatch.setitem(PRINTED_TABLES, "excluded-pairs", (changed, compute))
+        monkeypatch.setitem(PRINTED_TABLES, "excluded-pairs", (changed, *record))
         with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
             printed_pairs("excluded-pairs")
 
     def test_empty_pair_list_logs_nothing(self):
         assert printed_corrections("standard-15", []) == []
 
-    def test_standard_15_calls_the_current_phillips_pairs(self, monkeypatch):
-        called = []
-
-        def fake_phillips_pairs():
-            called.append(1)
-            return phillips_pairs()
-
-        monkeypatch.setattr(hypotheses, "phillips_pairs", fake_phillips_pairs)
-        assert [p for _, p in printed_pairs("standard-15")] == phillips_pairs()
-        assert called == [1]
+    def test_standard_15_is_the_phillips_theory(self):
+        assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"]
+        assert [p for _, p in printed_pairs("standard-15")] == \
+            [r.pair for r in generate("phillips")] == phillips_pairs()
 
 
 class TestExtensions:
@@ -318,7 +324,7 @@ class TestExtensions:
 
     def test_extensions_partition_the_full_list(self):
         full = {p.T.mantissa for p in
-                _four_place_pairs(216001, 12959999, _both_ways("mult10"))}
+                _four_place_pairs(216001, 12959999, CRITERIA["mult10"])}
         fifteen = set(PHILLIPS_T)
         lower = {p.T.mantissa for _, p in printed_pairs("extension-lower")}
         upper = {p.T.mantissa for _, p in printed_pairs("extension-upper")}
@@ -586,6 +592,13 @@ def brute_fewest_steps(d1, d2):
 
 
 class TestClosedFormLinks:
+    @pytest.mark.parametrize("p", [2, None, (0, 0, 0),
+                                   ReciprocalPair.from_T_mantissa(2).T])
+    def test_links_only_a_pair(self, p):
+        # link_to_standard(2) raised AttributeError
+        with pytest.raises(SexagesimalError, match="defined for ReciprocalPairs"):
+            link_to_standard(p)
+
     def test_same_chain_as_the_search_up_to_depth_5(self):
         depths = _lattice_depths()
         shallow = [p for p in FOUR_PLACE_PAIRS
@@ -694,6 +707,14 @@ class TestLinkChainFactor:
         start = ReciprocalPair.from_T_mantissa(2)
         with pytest.raises(SexagesimalError, match="three ints"):
             LinkChain(start, factor)
+
+    @pytest.mark.parametrize("start", [2, None, (0, 0, 0),
+                                       ReciprocalPair.from_T_mantissa(2).T])
+    def test_refuses_a_start_that_is_not_a_pair(self, start):
+        # LinkChain(2, (0, 0, 0)) was accepted, and its replay() raised
+        # AttributeError
+        with pytest.raises(SexagesimalError, match="start must be a ReciprocalPair"):
+            LinkChain(start, (0, 0, 0))
 
     def test_keeps_its_fields(self):
         start = ReciprocalPair.from_T_mantissa(54)

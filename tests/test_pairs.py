@@ -8,16 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from plimpton.hypotheses import (
     EXCLUDED_PAIRS_PRINTED,
+    PRINTED_TABLES,
     THEORIES,
-    _pq_keep,
     printed_corrections,
     printed_pairs,
 )
 
 from plimpton.pairs import (
     CRITERIA,
+    PLIMPTON_PADDED,
     ReciprocalPair,
-    _both_ways,
     _four_place_index,
     _four_place_members,
     _four_place_pairs,
@@ -87,10 +87,26 @@ def bruins_excluded(p):
                for a, b in ((p.T, p.Tbar), (p.Tbar, p.T)))
 
 
+# The criteria as member rules, the reference for CRITERIA's pair tests:
+# each tests one member against the other, and a pair passes when both
+# members pass.
+MEMBER_RULES = {
+    "mult10": lambda member, other: member[0] % 10 == 0,
+    "places4": lambda member, other: True,
+    "bruins": lambda member, other: not (sum(member[1]) > 13 and other[1][2] > 3),
+}
+
+
+def both_ways(kind):
+    """Member rule ``kind`` as a test of (T, Tbar): both members pass it."""
+    rule = MEMBER_RULES[kind]
+    return lambda t, tbar: rule(t, tbar) and rule(tbar, t)
+
+
 def full_mult10():
     """Every pair whose members both pass the multiple-of-10 rule, over the
     whole floating range but the self-reciprocal 1, by decreasing T."""
-    return _four_place_pairs(60**3 + 1, 60**4 - 1, _both_ways("mult10"))
+    return _four_place_pairs(60**3 + 1, 60**4 - 1, CRITERIA["mult10"])
 
 
 class TestReciprocalPair:
@@ -175,10 +191,11 @@ class TestFromTriple:
 
     @pytest.mark.parametrize("triple", [
         (0.5, 0, 0), (0, 0, 1.0), (True, 0, 0), (0, 0, False), (Fraction(1), 0, 0),
-        (1, 0), (1, 0, 0, 0), (), ("1", 0, 0),
+        (1, 0), (1, 0, 0, 0), (), ("1", 0, 0), 5, None, [1, 0, 0], "abc",
     ])
     def test_refuses_anything_but_three_ints(self, triple):
-        # (0.5, 0, 0) raised AttributeError
+        # (0.5, 0, 0) raised AttributeError, 5 TypeError: 'int' object is
+        # not iterable
         with pytest.raises(SexagesimalError, match="three ints"):
             ReciprocalPair.from_triple(triple)
 
@@ -228,6 +245,29 @@ class TestRegularEnumeration:
             assert triple == factor_2_3_5(m)
 
 
+class TestPairCriteria:
+    """CRITERIA test both members of a pair at once: each against its member
+    rule applied both ways, over every index entry that has a Tbar."""
+
+    ENTRIES = [(t, tbar) for t, tbar in _four_place_index()[1] if tbar]
+
+    def test_every_entry_with_a_tbar_and_every_criterion(self):
+        assert len(self.ENTRIES) == 271
+        assert list(CRITERIA) == list(MEMBER_RULES)
+
+    @pytest.mark.parametrize("kind", list(MEMBER_RULES))
+    def test_criterion_is_its_member_rule_both_ways(self, kind):
+        reference = both_ways(kind)
+        kept = [reference(t, tbar) for t, tbar in self.ENTRIES]
+        assert [CRITERIA[kind](t, tbar) for t, tbar in self.ENTRIES] == kept
+
+    def test_excluded_pairs_keep_is_the_complement_of_mult10(self):
+        keep = PRINTED_TABLES["excluded-pairs"][3]
+        reference = both_ways("mult10")
+        assert [keep(t, tbar) for t, tbar in self.ENTRIES] == \
+            [not reference(t, tbar) for t, tbar in self.ENTRIES]
+
+
 class TestCriteria:
     def test_mult10_equals_padded_divisibility_up_to_six_places(self):
         # the digit rule against CRITERIA's on the table's padded values; a
@@ -235,8 +275,8 @@ class TestCriteria:
         members = _four_place_members()
         for m in regular_mantissas(6):
             r = regular_from_int(m)
-            if m in members:  # mult10 reads only the member itself
-                assert CRITERIA["mult10"](members[m], None) == mult10_digits(r)
+            if m in members:  # mult10 reads each member alone: pair it with itself
+                assert CRITERIA["mult10"](members[m], members[m]) == mult10_digits(r)
             else:
                 assert oracle.places(m) > 4 and not mult10_digits(r)
 
@@ -278,6 +318,10 @@ class TestCriteria:
         assert [label for label, *_ in EXCLUDED_PAIRS_PRINTED] == \
             [label for label, _ in printed_pairs("excluded-pairs")] == \
             ["4a", "6a", "8a", "9a", "11a", "12a"]
+
+    def test_tablet_range_is_1_48_to_2_24(self):
+        assert plimpton_range() == (parse_sex("1;48", "fixed"), parse_sex("2;24", "fixed"))
+        assert PLIMPTON_PADDED == tuple(v.fraction * 60**3 for v in plimpton_range())
 
     def test_empty_range_rejected(self):
         lo, hi = plimpton_range()
@@ -513,8 +557,7 @@ _bound = st.one_of(
     st.integers(-60**4, 60**3 - 1),
     st.integers(60**4, 2 * 60**4),
 )
-_KEEPS = {kind: _both_ways(kind) for kind in CRITERIA}
-_KEEPS["buck1980"] = _pq_keep(*THEORIES["buck1980"])
+_KEEPS = dict(CRITERIA, buck1980=THEORIES["buck1980"][2])
 
 
 class TestPairsFromTheIndex:
@@ -548,7 +591,7 @@ class TestBisectedIndex:
     def test_visits_only_the_range(self, lo, hi, visits):
         # the members whose padded T is in the range, of all 432
         assert sum(lo <= p <= hi for p in _PADDED) == visits
-        assert count_visits(lo, hi, _both_ways("mult10")) == visits
+        assert count_visits(lo, hi, CRITERIA["mult10"]) == visits
 
     @settings(max_examples=300, deadline=None)
     @given(keep=st.sampled_from(sorted(_KEEPS)), lo=_bound, hi=_bound)

@@ -398,6 +398,12 @@ class TestRegulars:
         with pytest.raises(SexagesimalError, match="defined for SexValues"):
             is_regular(v)
 
+    @pytest.mark.parametrize("r", [SexValue(2), 2, (1, 0, 0), None])
+    def test_reciprocal_takes_only_a_regular_number(self, r):
+        # SexValue(2) and 2 raised AttributeError
+        with pytest.raises(SexagesimalError, match="defined for RegularNumbers"):
+            reciprocal(r)
+
     @pytest.mark.parametrize("n,recip_m", [
         (1, 1), (2, 30), (3, 20), (48, 75), (81, 160000),
         (125, 1728), (512000, 91125),
