@@ -175,17 +175,7 @@ def cmd_pairs(args) -> int:
     found = enumerate_pairs(args.criterion, lo, hi)
     rows = [_pair_row(i, p) for i, p in enumerate(found, 1)]
     table = "standard-15" if args.criterion == "mult10" else "excluded-pairs"
-    # over the tablet's own range the mult10 listing is its fifteen pairs
-    if table == "standard-15" and (lo, hi) == pairs.plimpton_range():
-        checked = found
-    else:
-        checked = [pair for _, pair in hypotheses.printed_pairs(table)]
-    # log only the printed rows whose computed pair is listed
-    printed = hypotheses.PRINTED_TABLES[table][0]
-    shown = set(found)
-    listed = {label for (label, *_), pair in zip(printed, checked) if pair in shown}
-    corrections = [c for c in hypotheses.printed_corrections(table, checked)
-                   if c.label in listed]
+    corrections = hypotheses.printed_corrections(table, found)
     _emit(args.format, "pairs", rows, ["T", "Tbar"], corrections)
     return EXIT_OK
 
@@ -253,8 +243,7 @@ def cmd_extend(args) -> int:
     table = f"extension-{args.side}"
     extension = hypotheses.printed_pairs(table)
     rows = [_pair_row(label, pair) for label, pair in extension]
-    corrections = hypotheses.printed_corrections(
-        table, [pair for _, pair in extension])
+    corrections = hypotheses.printed_corrections(table, [p for _, p in extension])
     _emit(args.format, "extend", rows, ["label", "T", "Tbar"], corrections)
     return EXIT_OK
 

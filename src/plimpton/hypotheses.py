@@ -23,12 +23,13 @@ from .pairs import (
     PLIMPTON_PADDED,
     Correction,
     ReciprocalPair,
+    _four_place_entries,
     _four_place_members,
     _four_place_pairs,
     pair_corrections,
 )
 from .rows import RowCandidate, build_row, column_A, xy_from_pair
-from .sexagesimal import RegularNumber, SexagesimalError, _ratio_text, _set, _Value
+from .sexagesimal import RegularNumber, SexagesimalError, _ratio, _ratio_text, _set, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -82,9 +83,7 @@ def phillips_pairs() -> list[ReciprocalPair]:
 def _table1_row(n: int, pair: ReciprocalPair) -> RowCandidate:
     """A row of the formulas' raw values S = P**2 - Q**2, D = P**2 + Q**2
     for T = P/Q in lowest terms, left unreduced as published."""
-    m, q = pair.T.mantissa, 60 ** -pair.T.value.exponent  # T in (1, 3]
-    g = gcd(m, q)
-    p, q = m // g, q // g
+    p, q = _ratio(pair.T.value)
     s, d = p * p - q * q, p * p + q * q
     xy = xy_from_pair(pair)
     return RowCandidate(n, pair, xy, s, d, column_A(xy), 1, gcd(s, d) == 1)
@@ -226,34 +225,40 @@ PRINTED_TABLES = {
 }
 
 
-def _printed_table(table: str):
+def _printed_table(table: str) -> tuple[list[tuple], list[tuple]]:
+    """One printed table's rows as printed, and the index entries (T, Tbar)
+    of their computed pairs, row by row; no pair is built."""
     try:
-        return PRINTED_TABLES[table]
+        printed, *record = PRINTED_TABLES[table]
     except KeyError:
         raise ValueError(f"unknown printed table {table!r}") from None
+    entries = _four_place_entries(*record)
+    if len(entries) != len(printed):
+        raise ValueError(f"{table}: computed {len(entries)} pairs, "
+                         f"printed table has {len(printed)}")
+    return printed, entries
 
 
 def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     """The computed pairs of one printed table, each with its printed
     label, in printed order."""
-    printed, *record = _printed_table(table)
-    pairs = _four_place_pairs(*record)
-    if len(pairs) != len(printed):
-        raise ValueError(f"{table}: computed {len(pairs)} pairs, "
-                         f"printed table has {len(printed)}")
-    return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
+    labels = [label for label, *_ in _printed_table(table)[0]]
+    return list(zip(labels, _four_place_pairs(*PRINTED_TABLES[table][1:])))
 
 
 def printed_corrections(table: str,
                         pairs: list[ReciprocalPair]) -> list[Correction]:
-    """Printed-vs-computed digit log of one printed table against
-    ``pairs``, its computed pairs in printed order."""
-    printed = _printed_table(table)[0]
-    out = pair_corrections(table, printed, pairs)
+    """Printed-vs-computed digit log of the rows of one printed table whose
+    computed pair is among ``pairs``, in any order.  A pair is keyed by T's
+    exponent triple, that is by T's canonical mantissa."""
+    printed, entries = _printed_table(table)
+    listed = {pair.T.triple: pair for pair in pairs}
+    logged = [(row, listed[t[1]]) for row, (t, _) in zip(printed, entries)
+              if t[1] in listed]
+    out = pair_corrections(table, [row for row, _ in logged], [pair for _, pair in logged])
     if table == "extension-lower":
-        at = [label for label, *_ in printed].index("-17")
         out += pair_corrections(f"{table}(variant)", MINUS_17_VARIANT_PRINTED,
-                                pairs[at:at + 1])
+                                [pair for (label, *_), pair in logged if label == "-17"])
     return out
 
 

@@ -38,6 +38,8 @@ class ReciprocalPair(_Value):
     __slots__ = ("T", "Tbar")
 
     def __init__(self, T: RegularNumber, Tbar: RegularNumber) -> None:
+        if not (type(T) is type(Tbar) is RegularNumber):
+            raise SexagesimalError("both members of a pair must be RegularNumbers")
         _set(self, "T", T)
         _set(self, "Tbar", Tbar)
 
@@ -138,22 +140,26 @@ def _four_place_index() -> tuple[list[int], list[tuple]]:
     return [t[0] for t, _ in index], index
 
 
-def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
-    """The pairs of regular T of at most four places with lo <= padded T
-    <= hi and keep(T, Tbar) true, both members given as (padded, triple),
-    by decreasing T.  Only the index entries of that range are visited,
-    and both tests come before a pair is built from its two entries: T is
-    padded / 60**3, and Tbar = 1/T one place further right, padded / 60**4,
-    except at T = Tbar = 1."""
+def _four_place_entries(lo: int, hi: int, keep) -> list[tuple]:
+    """The index entries (T, Tbar), each member (padded, triple), of regular
+    T of at most four places with lo <= padded T <= hi and keep(T, Tbar)
+    true, by decreasing T.  Only that range is visited; no pair is built."""
     padded, index = _four_place_index()
     found = []
     for i in range(bisect_right(padded, hi) - 1, bisect_left(padded, lo) - 1, -1):
         t, tbar = index[i]
         if tbar and keep(t, tbar):
-            found.append(ReciprocalPair(
-                RegularNumber(SexValue(t[0], -3), *t[1]),
-                RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1])))
+            found.append((t, tbar))
     return found
+
+
+def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
+    """The pairs of :func:`_four_place_entries`: T is padded / 60**3, and
+    Tbar = 1/T one place further right, padded / 60**4 (/ 60**3 at T = 1)."""
+    return [ReciprocalPair(
+                RegularNumber(SexValue(t[0], -3), *t[1]),
+                RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1]))
+            for t, tbar in _four_place_entries(lo, hi, keep)]
 
 
 def _padded(v: SexValue, up: bool) -> int:

@@ -591,8 +591,8 @@ class TestWorkCeilings:
         assert len(factored) <= self.CEILING
 
     def test_tablet_range_builds_its_pairs_once(self, capsys, monkeypatch):
-        # over the tablet's range the correction log reuses the listed
-        # pairs: both members' rule is tested before a pair is built
+        # the correction log looks the listed pairs up and builds none:
+        # both members' rule is tested before a pair is built
         built = self.count_built(monkeypatch)
         assert run(capsys, "pairs", "--criterion", "mult10",
                    "--from", "1;48", "--to", "2;24")[0] == 0
@@ -627,13 +627,14 @@ class TestWorkCeilings:
     @pytest.mark.parametrize("criterion,count", [("places4", 21), ("bruins", 15)])
     def test_excluded_pairs_are_built_by_the_enumeration(
             self, capsys, monkeypatch, criterion, count):
-        # the listed pairs, and the six excluded pairs of the correction
-        # log, enumerated from the four-place table: nothing is factorized
+        # the listed pairs, enumerated from the four-place table; the
+        # correction log selects the excluded six as index entries and
+        # builds no pair: nothing is factorized
         built = self.count_built(monkeypatch)
         factored = self.count_calls(monkeypatch)
         assert run(capsys, "pairs", "--criterion", criterion,
                    "--from", "1;48", "--to", "2;24")[0] == 0
-        assert len(built) == count + 6
+        assert len(built) == count
         assert factored == []
 
     @pytest.mark.parametrize("tag", ["ns1945", "price1964", "buck1980",

@@ -1,4 +1,5 @@
 import inspect
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
@@ -11,6 +12,7 @@ from plimpton import hypotheses
 from plimpton.hypotheses import (
     EXCLUDED_PAIRS_PRINTED,
     LOWER_EXTENSION_PRINTED,
+    MINUS_17_VARIANT_PRINTED,
     PLIMPTON_PAIRS_PRINTED,
     PRINTED_TABLES,
     TABLE1_PQ,
@@ -24,7 +26,7 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
-from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs
+from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs, pair_corrections
 from plimpton.sexagesimal import SexagesimalError, factor_2_3_5, parse_sex, render_sex
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
@@ -254,6 +256,25 @@ class TestPrintedFifteen:
             assert render_sex(pair.Tbar.value) == want_tbar
 
 
+_ALL_PRINTED_PAIRS = [pair for table in PRINTED_TABLES for _, pair in printed_pairs(table)]
+
+
+def _positional_then_filtered(table, listed):
+    """The log of the positional rule, kept as a reference: every row of the
+    table against its own computed pair in printed order, then only the
+    rows whose computed pair is in ``listed``, by label."""
+    printed = PRINTED_TABLES[table][0]
+    own = [pair for _, pair in printed_pairs(table)]
+    out = pair_corrections(table, printed, own)
+    if table == "extension-lower":
+        at = [label for label, *_ in printed].index("-17")
+        out += pair_corrections(f"{table}(variant)", MINUS_17_VARIANT_PRINTED,
+                                own[at:at + 1])
+    shown = set(listed)
+    labels = {label for (label, *_), pair in zip(printed, own) if pair in shown}
+    return [c for c in out if c.label in labels]
+
+
 class TestPrintedTables:
     @pytest.mark.parametrize("table", list(PRINTED_TABLES))
     def test_one_pair_per_printed_row_by_decreasing_t(self, table):
@@ -284,6 +305,28 @@ class TestPrintedTables:
         monkeypatch.setitem(PRINTED_TABLES, "excluded-pairs", (changed, *record))
         with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
             printed_pairs("excluded-pairs")
+        with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
+            printed_corrections("excluded-pairs", [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), table=st.sampled_from(list(PRINTED_TABLES)))
+    def test_logs_the_listed_rows_in_any_order(self, data, table):
+        # any subset of the printed tables' pairs, in any order: the rows
+        # logged are those the positional rule and a label filter log
+        listed = data.draw(st.lists(st.sampled_from(_ALL_PRINTED_PAIRS), unique=True))
+        assert printed_corrections(table, listed) == _positional_then_filtered(table, listed)
+
+    @pytest.mark.parametrize("minus_17", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_variant_is_logged_only_with_row_minus_17(self, minus_17, seed):
+        rng = random.Random(seed)
+        listed = [pair for label, pair in printed_pairs("extension-lower")
+                  if (minus_17 if label == "-17" else rng.random() < 0.5)]
+        rng.shuffle(listed)
+        got = printed_corrections("extension-lower", listed)
+        assert got == _positional_then_filtered("extension-lower", listed)
+        variant = [(c.label, c.computed) for c in got if c.table.endswith("(variant)")]
+        assert variant == ([("-17", "3 28 20")] if minus_17 else [])
 
     def test_empty_pair_list_logs_nothing(self):
         assert printed_corrections("standard-15", []) == []

@@ -18,6 +18,7 @@ from plimpton.pairs import (
     CRITERIA,
     PLIMPTON_PADDED,
     ReciprocalPair,
+    _four_place_entries,
     _four_place_index,
     _four_place_members,
     _four_place_pairs,
@@ -150,6 +151,16 @@ class TestReciprocalPair:
         swapped = ReciprocalPair.from_triple(p.Tbar.triple)
         assert swapped.T.mantissa == 25
         assert ReciprocalPair.from_triple(swapped.Tbar.triple) == p
+
+    @pytest.mark.parametrize("members", [
+        (1, 2), (None, None), (SexValue(2), SexValue(30)),
+        ("T", regular_from_int(2)), (regular_from_int(2), (1, 0, 0)),
+    ])
+    def test_refuses_members_that_are_not_regular_numbers(self, members):
+        # ReciprocalPair(1, 2) was accepted; its str() and its link raised
+        # AttributeError
+        with pytest.raises(SexagesimalError, match="must be RegularNumbers"):
+            ReciprocalPair(*members)
 
 
 def _canonical_mantissa(a, b, c):
@@ -526,12 +537,12 @@ def _scan(lo, hi, keep):
 
 
 def count_visits(lo, hi, keep) -> int:
-    """How many index entries ``_four_place_pairs`` visits: the times its
+    """How many index entries ``_four_place_entries`` visits: the times its
     line ``t, tbar = index[i]`` runs, counted by a line tracer."""
-    lines, first = inspect.getsourcelines(_four_place_pairs)
+    lines, first = inspect.getsourcelines(_four_place_entries)
     target = first + next(i for i, line in enumerate(lines)
                           if line.strip() == "t, tbar = index[i]")
-    code, count = _four_place_pairs.__code__, 0
+    code, count = _four_place_entries.__code__, 0
 
     def on_line(frame, event, arg):
         nonlocal count
@@ -541,7 +552,7 @@ def count_visits(lo, hi, keep) -> int:
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
     try:
-        _four_place_pairs(lo, hi, keep)
+        _four_place_entries(lo, hi, keep)
     finally:
         sys.settrace(previous)
     return count
@@ -580,8 +591,8 @@ class TestPairsFromTheIndex:
 
 
 class TestBisectedIndex:
-    """_four_place_pairs bisects an index sorted by padded T and visits only
-    the entries of its range."""
+    """_four_place_entries bisects an index sorted by padded T and visits
+    only the entries of its range."""
 
     @pytest.mark.parametrize("lo,hi,visits", [
         (388800, 518400, 28),  # 1;48 <= T <= 2;24, the tablet's range
