@@ -23,13 +23,14 @@ from .pairs import (
     PLIMPTON_PADDED,
     Correction,
     ReciprocalPair,
+    _entry_pairs,
     _four_place_entries,
     _four_place_members,
     _four_place_pairs,
     pair_corrections,
 )
 from .rows import RowCandidate, build_row, column_A, xy_from_pair
-from .sexagesimal import RegularNumber, SexagesimalError, _ratio, _ratio_text, _set, _Value
+from .sexagesimal import RegularNumber, SexagesimalError, _ratio, _ratio_text, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -242,8 +243,8 @@ def _printed_table(table: str) -> tuple[list[tuple], list[tuple]]:
 def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     """The computed pairs of one printed table, each with its printed
     label, in printed order."""
-    labels = [label for label, *_ in _printed_table(table)[0]]
-    return list(zip(labels, _four_place_pairs(*PRINTED_TABLES[table][1:])))
+    printed, entries = _printed_table(table)
+    return [(label, pair) for (label, *_), pair in zip(printed, _entry_pairs(entries))]
 
 
 def printed_corrections(table: str,
@@ -280,8 +281,9 @@ class LinkChain(_Value):
             raise SexagesimalError(f"a start must be a ReciprocalPair, not {type(start).__name__}")
         if type(factor) is not tuple or tuple(map(type, factor)) != (int, int, int):
             raise SexagesimalError("a factor must be a tuple of three ints")
-        _set(self, "start", start)
-        _set(self, "factor", factor)
+        set_start, set_factor = self._setters
+        set_start(self, start)
+        set_factor(self, factor)
 
     @property
     def steps(self) -> int:

@@ -20,7 +20,6 @@ from .sexagesimal import (
     SexValue,
     _exceeds,
     _places,
-    _set,
     _Value,
     reciprocal,
     regular_from_int,
@@ -40,8 +39,9 @@ class ReciprocalPair(_Value):
     def __init__(self, T: RegularNumber, Tbar: RegularNumber) -> None:
         if not (type(T) is type(Tbar) is RegularNumber):
             raise SexagesimalError("both members of a pair must be RegularNumbers")
-        _set(self, "T", T)
-        _set(self, "Tbar", Tbar)
+        set_T, set_Tbar = self._setters
+        set_T(self, T)
+        set_Tbar(self, Tbar)
 
     @classmethod
     def from_T_mantissa(cls, mantissa: int) -> "ReciprocalPair":
@@ -153,13 +153,17 @@ def _four_place_entries(lo: int, hi: int, keep) -> list[tuple]:
     return found
 
 
-def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
-    """The pairs of :func:`_four_place_entries`: T is padded / 60**3, and
-    Tbar = 1/T one place further right, padded / 60**4 (/ 60**3 at T = 1)."""
+def _entry_pairs(entries: list[tuple]) -> list[ReciprocalPair]:
+    """The pairs of index entries (T, Tbar): T is padded / 60**3, and Tbar
+    = 1/T one place further right, padded / 60**4 (/ 60**3 at T = 1)."""
     return [ReciprocalPair(
                 RegularNumber(SexValue(t[0], -3), *t[1]),
                 RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1]))
-            for t, tbar in _four_place_entries(lo, hi, keep)]
+            for t, tbar in entries]
+
+
+def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
+    return _entry_pairs(_four_place_entries(lo, hi, keep))
 
 
 def _padded(v: SexValue, up: bool) -> int:
@@ -203,9 +207,9 @@ def pair_corrections(table: str, printed: list[tuple],
     """Digit log of printed rows (label, T, Tbar, ...) against the pairs.
 
     A printed member matches when its digits, trailing zero places dropped,
-    are the computed mantissa's digits (which never end in a zero place).
-    Printed digits are read as written, so a misprinted 64 compares too, and
-    a member of zero places only is logged: no computed member is 0.
+    read as one integer, are the computed mantissa (which never ends in a
+    zero place).  A digit outside 0..59 (the misprinted 64s) or a leading 0
+    never matches, so a member of zero places only is logged.
     """
     out = []
     for (label, *texts), pair in zip(printed, pairs):
@@ -215,7 +219,10 @@ def pair_corrections(table: str, printed: list[tuple],
                 raise SexagesimalError(f"[{table}] row {label} {column}: no digits printed")
             while len(digits) > 1 and digits[-1] == 0:
                 digits.pop()
-            computed = render_sex(member.value)
-            if digits != [int(d) for d in computed.split()]:
-                out.append(Correction(table, label, column, text, computed))
+            value = 0
+            for d in digits:
+                value = value * 60 + d
+            if not (digits[0] and min(digits) >= 0 and max(digits) < 60
+                    and value == member.mantissa):
+                out.append(Correction(table, label, column, text, render_sex(member.value)))
     return out

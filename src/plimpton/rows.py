@@ -24,13 +24,19 @@ class RowCandidate(_Value):
     _defaults = {"reduced": True}  # False when the scribal small-number form is kept
 
 
-def xy_from_pair(p: ReciprocalPair) -> XYPair:
-    """X = (T - Tbar)/2, Y = (T + Tbar)/2, exact in the fixed reading: with
-    T and Tbar at one exponent e, a half is 30 at exponent e - 1."""
+def _xy(p: ReciprocalPair) -> tuple[int, int, int, int, int, XYPair]:
+    """(mt, mtbar, e, mx, my, xy): T and Tbar as integers at one exponent e;
+    X = (T - Tbar)/2 and Y = (T + Tbar)/2 at e - 1, where a half is 30."""
     mt, mtbar, e = _aligned(p.T.value, p.Tbar.value)
     if mtbar >= mt:
         raise SexagesimalError("pair is not in T > Tbar orientation")
-    return XYPair(SexValue(30 * (mt - mtbar), e - 1), SexValue(30 * (mt + mtbar), e - 1))
+    mx, my = 30 * (mt - mtbar), 30 * (mt + mtbar)
+    return mt, mtbar, e, mx, my, XYPair(SexValue(mx, e - 1), SexValue(my, e - 1))
+
+
+def xy_from_pair(p: ReciprocalPair) -> XYPair:
+    """X = (T - Tbar)/2, Y = (T + Tbar)/2, exact in the fixed reading."""
+    return _xy(p)[-1]
 
 
 def reduce_factorization(xy: XYPair) -> tuple[int, int, int]:
@@ -60,20 +66,22 @@ _SCRIBAL_PLACE_LIMIT = 60**2
 
 def build_row(p: ReciprocalPair, n: int = 0,
               reduction: str = "full") -> RowCandidate:
-    """Compose the X/Y step, the factor reduction and column A.
+    """The X/Y step, the factor reduction and column A, from one aligned
+    pair: equal to composing xy_from_pair, reduce_factorization and column_A.
 
     ``reduction="tablet_faithful"`` keeps the unreduced mantissas whenever
     both already fit in two places; ``"full"`` always reduces.
     """
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
-    xy = xy_from_pair(p)
+    mt, mtbar, e, mx, my, xy = _xy(p)
     # Y**2 - X**2 = T * Tbar = mt * mtbar * 60**(2e): 1 only when e <= 0
-    mt, mtbar, e = _aligned(p.T.value, p.Tbar.value)
     if e > 0 or mt * mtbar != 60 ** (-2 * e):
         raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
+    # the factor is X and Y's gcd at the lesser of their canonical exponents
+    g = gcd(mx, my)
+    s, d, factor = mx // g, my // g, g // 60 ** (min(xy.x.exponent, xy.y.exponent) + 1 - e)
     a = column_A(xy)
-    s, d, factor = reduce_factorization(xy)
     if (reduction == "tablet_faithful" and s * factor < _SCRIBAL_PLACE_LIMIT
             and d * factor < _SCRIBAL_PLACE_LIMIT):
         return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)

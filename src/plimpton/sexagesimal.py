@@ -21,9 +21,6 @@ class SexagesimalError(ValueError):
     """Malformed digit string or an operation leaving the domain."""
 
 
-_set = object.__setattr__
-
-
 class _Value:
     """An immutable value whose fields are its ``__slots__``: built from them
     positionally or by keyword, with ``_defaults`` for trailing fields;
@@ -34,6 +31,8 @@ class _Value:
 
     def __init_subclass__(cls) -> None:
         cls._fields = attrgetter(*cls.__slots__)
+        # __init__ sets each field by its slot's own __set__, in slot order
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
@@ -44,8 +43,8 @@ class _Value:
             if kwargs or len(args) > len(names) or _Value in tail:
                 raise TypeError(f"{type(self).__name__} takes the fields {names}")
             args += tuple(tail)
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -103,8 +102,8 @@ class SexValue(_Value):
         if mantissa % 60 == 0:  # zero (exponent 0), or not canonical
             e, mantissa = _valuation(mantissa, 60) if mantissa else (-exponent, 0)
             exponent += e
-        _set(self, "mantissa", mantissa)
-        _set(self, "exponent", exponent)
+        _set_mantissa(self, mantissa)
+        _set_exponent(self, exponent)
 
     @property
     def fraction(self) -> Fraction:
@@ -116,6 +115,7 @@ class SexValue(_Value):
         return render_sex(self)
 
 
+_set_mantissa, _set_exponent = SexValue._setters  # module names: the class built most
 ONE = SexValue(1)
 
 
@@ -268,10 +268,11 @@ class RegularNumber(_Value):
     __slots__ = ("value", "alpha", "beta", "gamma")
 
     def __init__(self, value: SexValue, alpha: int, beta: int, gamma: int) -> None:
-        _set(self, "value", value)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "gamma", gamma)
+        set_value, set_alpha, set_beta, set_gamma = self._setters
+        set_value(self, value)
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_gamma(self, gamma)
 
     @property
     def mantissa(self) -> int:

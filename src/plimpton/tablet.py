@@ -196,18 +196,20 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             f"row-count mismatch: {len(candidates)} generated vs {len(attested)} attested")
     diffs = []
     for cand, row in zip(candidates, attested):
-        # canonical values: field equality is fixed-reading equality
-        cells = tuple(name for name, got, cell in zip(
-            "ASD", (cand.a, SexValue(cand.s), SexValue(cand.d)), (row.a, row.s, row.d))
-            if got != cell.corrected)
+        s, d = cand.s, cand.d
+        if not (type(s) is type(d) is int and s >= 0 and d >= 0):  # bool too
+            raise SexagesimalError(f"S and D must be non-negative ints, not {s!r} and {d!r}")
+        # canonical A: field equality is fixed-reading equality
+        ts, td = _int_value(row.s.corrected), _int_value(row.d.corrected)
+        cells = tuple(name for name, got, want in (("A", cand.a, row.a.corrected),
+                      ("S", s, ts), ("D", d, td)) if got != want)
         if not cells:
             diffs.append(RowDiff(row.n, "exact", None, ()))
             continue
         if matching == "similarity" and "A" not in cells:
-            ts, td = _int_value(row.s.corrected), _int_value(row.d.corrected)
-            if cand.s > 0 and ts * cand.d == td * cand.s:  # ts/s == td/d
+            if s > 0 and ts * d == td * s:  # ts/s == td/d
                 try:
-                    scaled = is_regular(_from_ratio(ts, cand.s))
+                    scaled = is_regular(_from_ratio(ts, s))
                 except SexagesimalError:
                     scaled = None
                 if scaled is not None:

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import plimpton
-from plimpton import cli, hypotheses, tablet
+from plimpton import cli, hypotheses, pairs, sexagesimal, tablet
 from plimpton.cli import main
 from plimpton.hypotheses import THEORIES
 from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs, plimpton_range
@@ -623,6 +624,39 @@ class TestWorkCeilings:
         assert run(capsys, *argv)[0] == 0
         assert divided == []
         assert len(values) <= ceiling
+
+    @pytest.mark.parametrize("argv", [
+        ("rows", "--hypothesis", "phillips"),
+        ("tablet", "diff", "--hypothesis", "bruins1949"),
+    ])
+    def test_rows_align_each_pair_once(self, capsys, monkeypatch, argv):
+        # build_row aligns T and Tbar once and reads X, Y, S, D, A and the
+        # factor off those integers (45 alignments by composition)
+        aligned = self.count_calls(monkeypatch, sexagesimal._aligned)
+        assert run(capsys, *argv)[0] == 0
+        assert len(aligned) <= 15
+
+    def test_diff_compares_s_and_d_as_integers(self, capsys, monkeypatch):
+        # five values a row: T, Tbar, X, Y and A (105 with S and D as
+        # values), once the first call has read the tablet
+        assert run(capsys, "tablet", "diff")[0] == 0
+        values = self.count_built(monkeypatch, SexValue)
+        assert run(capsys, "tablet", "diff")[0] == 0
+        assert len(values) <= 75
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_extend_selects_its_table_once_per_use(self, capsys, monkeypatch, side):
+        # one selection for the listed pairs, one for the correction log
+        selected = self.count_calls(monkeypatch, pairs._four_place_entries)
+        assert run(capsys, "extend", "--side", side)[0] == 0
+        assert len(selected) == 2
+
+    def test_value_fields_are_set_by_their_slots(self):
+        # each _Value sets its fields by its slot descriptors' __set__
+        for path in sorted(Path(plimpton.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "object.__setattr__" not in text, path.name
+            assert not re.search(r"\b_set\b", text), path.name
 
     @pytest.mark.parametrize("criterion,count", [("places4", 21), ("bruins", 15)])
     def test_excluded_pairs_are_built_by_the_enumeration(

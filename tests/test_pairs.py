@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,7 +27,7 @@ from plimpton.pairs import (
     pair_corrections,
     plimpton_range,
 )
-from plimpton import sexagesimal
+from plimpton import pairs as pairs_module, sexagesimal
 from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
@@ -619,13 +620,15 @@ class TestBisectedIndex:
 
 def _oracle_corrections(table, printed, pairs):
     """pair_corrections' rule on the oracle's digits: a printed member
-    matches when its digits, trailing zero places dropped, are those of the
-    computed mantissa."""
+    matches when its digit list, trailing zero places dropped, is that of
+    the computed mantissa; a member with no digits is an error."""
     out = []
     for (label, *texts), pair in zip(printed, pairs):
         for column, text, m in zip(("T", "Tbar"), texts,
                                    (pair.T.mantissa, pair.Tbar.mantissa)):
             digits = [int(d) for d in text.split()]
+            if not digits:
+                raise SexagesimalError(f"[{table}] row {label} {column}: no digits printed")
             while digits and digits[-1] == 0:
                 digits.pop()
             # zero places only leave [], which no mantissa's digits are
@@ -636,15 +639,17 @@ def _oracle_corrections(table, printed, pairs):
 
 @st.composite
 def _printed(draw, m):
-    """A printed form of mantissa m: maybe trailing zero places, maybe one
-    place misprinted (64 included), maybe every place 0, each place padded
-    to two characters or not."""
+    """A printed form of mantissa m: maybe trailing zero places, maybe a
+    leading 0, maybe one place misprinted (64 and others past 59 included),
+    maybe every place 0 or no place at all, each place padded to two
+    characters or not."""
     digits = oracle.digits60(m) + [0] * draw(st.integers(0, 2))
     if draw(st.booleans()):
-        digits[draw(st.integers(0, len(digits) - 1))] = draw(
-            st.one_of(st.just(64), st.integers(0, 59)))
+        digits.insert(0, 0)
     if draw(st.booleans()):
-        digits = [0] * len(digits)
+        digits[draw(st.integers(0, len(digits) - 1))] = draw(
+            st.one_of(st.just(64), st.integers(60, 99), st.integers(0, 59)))
+    digits = draw(st.sampled_from([digits, digits, [0] * len(digits), []]))
     return " ".join(f"{d:02d}" if draw(st.booleans()) else str(d) for d in digits)
 
 
@@ -671,15 +676,47 @@ class TestPairCorrections:
         with pytest.raises(SexagesimalError, match=r"\[t\] row a T: no digits printed"):
             pair_corrections("t", [("a", text, "30")], [pair])
 
-    @settings(deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_the_rule_on_the_oracle_digits(self, data):
+        # pair_corrections reads a member as one integer, the oracle
+        # compares digit lists
         pairs = data.draw(st.lists(st.sampled_from(_oracle_all()),
                                    min_size=1, max_size=4))
         # columns past T and Tbar are not compared
         printed = [(str(i), data.draw(_printed(p.T.mantissa)),
                     data.draw(_printed(p.Tbar.mantissa)), "extra")
                    for i, p in enumerate(pairs)]
+        try:
+            expected = _oracle_corrections("t", printed, pairs)
+        except SexagesimalError as error:
+            with pytest.raises(SexagesimalError, match=re.escape(str(error))):
+                pair_corrections("t", printed, pairs)
+            return
         got = [(c.table, c.label, c.column, c.printed, c.computed)
                for c in pair_corrections("t", printed, pairs)]
-        assert got == _oracle_corrections("t", printed, pairs)
+        assert got == expected
+
+    @pytest.mark.parametrize("t_text,logged", [
+        ("1 04", False), ("01 4 00 00", False),
+        # read as integers these are 64 too
+        ("64", True), ("0 1 04", True), ("0 64 00", True), ("00 01 04", True),
+        ("2 -56", True),
+    ])
+    def test_a_leading_0_or_a_digit_outside_0_to_59_is_logged(self, t_text, logged):
+        pair = ReciprocalPair.from_T_mantissa(64)  # (1 04, 56 15)
+        got = [(c.printed, c.computed)
+               for c in pair_corrections("t", [("a", t_text, "56 15")], [pair])]
+        assert got == ([(t_text, "1 04")] if logged else [])
+
+    @pytest.mark.parametrize("table", list(PRINTED_TABLES))
+    def test_renders_only_the_logged_members(self, monkeypatch, table):
+        rendered = []
+
+        def counting_render(v):
+            rendered.append(v)
+            return render_sex(v)
+
+        monkeypatch.setattr(pairs_module, "render_sex", counting_render)
+        logged = printed_corrections(table, [p for _, p in printed_pairs(table)])
+        assert len(rendered) == len(logged)

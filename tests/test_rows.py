@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from plimpton.hypotheses import TABLE1_PQ, generate
-from plimpton.pairs import ReciprocalPair
+from plimpton.pairs import ReciprocalPair, _four_place_pairs
 from plimpton.rows import (
     RowCandidate,
     XYPair,
@@ -199,13 +199,14 @@ def _fractions(xy):
 
 
 def _composed_row(p, n, reduction):
-    """The row with X, Y and A checked against Fractions; S, D and the
-    factor are cast out of the X and Y that match them."""
+    """build_row as the composition xy_from_pair -> reduce_factorization ->
+    column_A, which aligns three times, with X, Y and A checked against
+    Fractions; S, D and the factor are cast out of the X and Y that match."""
     x, y = _composed_xy(p)
     if y * y - x * x != 1:
         raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
     xy = xy_from_pair(p)
-    a = mul(xy.y, xy.y)
+    a = column_A(xy)
     assert _fractions(xy) == (x, y) and a.fraction == y * y
     s, d, factor = reduce_factorization(xy)
     if reduction == "tablet_faithful" and s * factor < 3600 and d * factor < 3600:
@@ -236,6 +237,18 @@ class TestAgainstTheComposition:
         assert _fractions(xy) == _composed_xy(p)
         assert column_A(xy).fraction == xy.y.fraction ** 2
         assert build_row(p, 7, reduction) == _composed_row(p, 7, reduction)
+
+    @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
+    def test_every_four_place_pair(self, reduction):
+        # the 271 whose Tbar has four places too; (1, 1) has no orientation
+        pairs = _four_place_pairs(60**3, 60**4 - 1, lambda t, tbar: True)
+        assert len(pairs) == 271
+        for n, p in enumerate(pairs, 1):
+            if p.T.mantissa == 1:
+                assert _raised(build_row, p, n, reduction) == \
+                    _raised(_composed_row, p, n, reduction)
+            else:
+                assert build_row(p, n, reduction) == _composed_row(p, n, reduction), p
 
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
     def test_generated_rows(self, reduction):

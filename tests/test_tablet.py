@@ -271,6 +271,17 @@ class TestDiffComparesFixedValues:
         row = diff_against(rows, "robson", "similarity").rows[4]
         assert (row.status, row.cells) == ("mismatch", ("S", "D"))
 
+    @pytest.mark.parametrize("matching", ["exact", "similarity"])
+    @pytest.mark.parametrize("field", ["s", "d"])
+    @pytest.mark.parametrize("bad", [119.0, True, False, -1])
+    def test_s_and_d_are_non_negative_ints(self, matching, field, bad):
+        # compared as integers, refused where SexValue(S) refused them
+        rows = _with_row(generate("phillips"), 4, **{field: bad})
+        with pytest.raises(SexagesimalError, match="S and D must be non-negative ints"):
+            diff_against(rows, "robson", matching)
+        with pytest.raises(SexagesimalError):
+            SexValue(bad)
+
 
 class TestErrorAnnotations:
     def test_robson(self):
