@@ -20,15 +20,11 @@ from .pairs import (
     Correction,
     ReciprocalPair,
     enumerate_pairs,
-    plimpton_range,
 )
 from .rows import (
     RowCandidate,
     XYPair,
     build_row,
-    column_A,
-    reduce_factorization,
-    xy_from_pair,
 )
 from .hypotheses import (
     PRINTED_TABLES,

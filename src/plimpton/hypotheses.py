@@ -29,8 +29,8 @@ from .pairs import (
     _four_place_pairs,
     pair_corrections,
 )
-from .rows import RowCandidate, build_row, column_A, xy_from_pair
-from .sexagesimal import RegularNumber, SexagesimalError, _ratio, _ratio_text, _Value
+from .rows import RowCandidate, build_row
+from .sexagesimal import RegularNumber, SexagesimalError, _ratio_text, _Value
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -58,7 +58,7 @@ def _pq(*args):
 # Every theory, in survey order, as its selection record (lo, hi, keep) of
 # pairs._four_place_pairs: either a pairs.CRITERIA test over the tablet's T
 # range, or a (P, Q) row test (see _pq).  ns1945's test is membership in
-# TABLE1_PQ; its rows keep the formulas' raw S and D (see _table1_row).
+# TABLE1_PQ; its rows keep the formulas' raw S and D (see generate).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
 # P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
@@ -81,15 +81,6 @@ def phillips_pairs() -> list[ReciprocalPair]:
     return _four_place_pairs(*THEORIES["phillips"])
 
 
-def _table1_row(n: int, pair: ReciprocalPair) -> RowCandidate:
-    """A row of the formulas' raw values S = P**2 - Q**2, D = P**2 + Q**2
-    for T = P/Q in lowest terms, left unreduced as published."""
-    p, q = _ratio(pair.T.value)
-    s, d = p * p - q * q, p * p + q * q
-    xy = xy_from_pair(pair)
-    return RowCandidate(n, pair, xy, s, d, column_A(xy), 1, gcd(s, d) == 1)
-
-
 def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
     if tag not in THEORIES:
@@ -97,9 +88,18 @@ def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
     pairs = _four_place_pairs(*THEORIES[tag])
-    if tag == "ns1945":
-        return [_table1_row(n, p) for n, p in enumerate(pairs, 1)]
-    return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
+    if tag != "ns1945":
+        return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
+    # Table 1 publishes the formulas' raw S = P**2 - Q**2, D = P**2 + Q**2
+    # for T = P/Q in lowest terms, whatever the reduction: the coprime S and
+    # D times their gcd g, which is 2 when P and Q are both odd (the coprime
+    # S is then even) and 1 otherwise
+    rows = []
+    for n, p in enumerate(pairs, 1):
+        row = build_row(p, n)
+        g = 2 - row.s % 2
+        rows.append(RowCandidate(n, p, row.xy, row.s * g, row.d * g, row.a, 1, g == 1))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +356,8 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     if type(p) is not ReciprocalPair:
         raise SexagesimalError(f"a link is defined for ReciprocalPairs, not {type(p).__name__}")
     t1, t2 = _lattice_class(p.T)
+    if _lattice_class(p.Tbar) != (-t1, -t2):  # T * Tbar is no power of 60
+        raise SexagesimalError(f"{p} is not a reciprocal pair")
     starts = _start_classes()
     if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))

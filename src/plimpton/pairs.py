@@ -84,11 +84,6 @@ class ReciprocalPair(_Value):
 PLIMPTON_PADDED = (388800, 518400)
 
 
-def plimpton_range() -> tuple[SexValue, SexValue]:
-    """The fixed-reading T range covering the fifteen tablet rows."""
-    return tuple(SexValue(t, -3) for t in PLIMPTON_PADDED)
-
-
 # The selection rules, by the CLI's names.  Each tests a pair (T, Tbar),
 # both members given as (padded, triple): the mantissa padded with zero
 # places to four digits, and the exponent triple.  A member of more than

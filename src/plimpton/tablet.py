@@ -84,7 +84,7 @@ def tablet_data(edition: str = "robson") -> list[TabletRowRecord]:
         raise ValueError(f"edition must be one of {EDITIONS}, not {edition!r}")
     rows = list(_parsed_rows(edition))
     if len(rows) != 15:
-        raise AssertionError(f"expected 15 rows, parsed {len(rows)}")
+        raise ValueError(f"expected 15 rows, parsed {len(rows)}")
     return rows
 
 

@@ -30,18 +30,16 @@ from plimpton.pairs import (
     _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
-    plimpton_range,
 )
-from plimpton.rows import build_row, reduce_factorization, xy_from_pair, XYPair
+from plimpton.rows import build_row
 from plimpton.sexagesimal import (
-    SexValue,
-    mul,
     parse_sex,
     regular_from_int,
     render_sex,
 )
 from plimpton.tablet import diff_against, error_annotations, tablet_data, verify_properties
-from test_pairs import mult10_digits, regular_mantissas
+from test_pairs import TABLET_RANGE, mult10_digits, regular_mantissas
+from test_rows import gcd_reduced
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -86,7 +84,7 @@ def test_criterion_2_tablet_regeneration():
 
 
 def test_criterion_3_exclusions():
-    lo, hi = plimpton_range()
+    lo, hi = TABLET_RANGE
     places4 = {p.T.mantissa
                for p in enumerate_pairs("places4", lo, hi)}
     mult10 = {p.T.mantissa
@@ -239,17 +237,15 @@ def test_criterion_8_property_suite():
 
     # reduction invariance under regular pre-scaling
     for m in (144, 512000, 2, 108):
-        xy = xy_from_pair(ReciprocalPair.from_T_mantissa(m))
-        base = reduce_factorization(xy)[:2]
+        row = build_row(ReciprocalPair.from_T_mantissa(m))
+        x, y = row.xy.x.fraction, row.xy.y.fraction
         for scale in (2, 45, 3600, 1728):
-            scaled = XYPair(mul(xy.x, SexValue(scale)),
-                            mul(xy.y, SexValue(scale)))
-            if reduce_factorization(scaled)[:2] != base:
+            if gcd_reduced(scale * x, scale * y) != (row.s, row.d):
                 problems.append(("scaling", m, scale))
 
     full = _four_place_pairs(216001, 12959999, CRITERIA["mult10"])
-    sd = [(reduce_factorization(xy_from_pair(p))[:2])
-          for p in full if p.T.mantissa != p.Tbar.mantissa]
+    sd = [(row.s, row.d) for row in map(build_row, full)
+          if row.pair.T.mantissa != row.pair.Tbar.mantissa]
     if len(sd) != len(set(sd)):
         problems.append(("full list", "duplicate (S, D)", ""))
 

@@ -19,7 +19,7 @@ import plimpton
 from plimpton import cli, hypotheses, pairs, sexagesimal, tablet
 from plimpton.cli import main
 from plimpton.hypotheses import THEORIES
-from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs, plimpton_range
+from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs
 from plimpton.sexagesimal import (
     SexValue,
     factor_2_3_5,
@@ -222,7 +222,7 @@ class TestCriterionVocabulary:
                              for keep in keeps)
 
     def test_no_second_name(self):
-        lo, hi = plimpton_range()
+        lo, hi = (SexValue(t, -3) for t in pairs.PLIMPTON_PADDED)
         with pytest.raises(ValueError, match="unknown criterion kind 'places_only'"):
             enumerate_pairs("places_only", lo, hi)
 

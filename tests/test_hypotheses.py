@@ -27,7 +27,13 @@ from plimpton.hypotheses import (
 )
 from plimpton.hypotheses import LinkChain
 from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs, pair_corrections
-from plimpton.sexagesimal import SexagesimalError, factor_2_3_5, parse_sex, render_sex
+from plimpton.sexagesimal import (
+    SexagesimalError,
+    factor_2_3_5,
+    parse_sex,
+    regular_from_int,
+    render_sex,
+)
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
 
@@ -237,6 +243,8 @@ class TestAgreements:
         # row 11: (2, 1) gives the already-coprime (3, 5)
         assert (by_n[11].s, by_n[11].d) == (3, 5)
         assert (by_n[1].s, by_n[1].d) == (119, 169)
+        # Table 1's rows are as published under either reduction
+        assert generate("ns1945", "tablet_faithful") == rows
 
     def test_table1_order_matches_phillips_order(self):
         assert [r.pair.T.mantissa for r in generate("ns1945")] == PHILLIPS_T
@@ -641,6 +649,22 @@ class TestClosedFormLinks:
         # link_to_standard(2) raised AttributeError
         with pytest.raises(SexagesimalError, match="defined for ReciprocalPairs"):
             link_to_standard(p)
+
+    @pytest.mark.parametrize("t, tbar", [(3, 2), (2, 3), (144, 144), (1, 2)])
+    def test_refuses_a_pair_that_is_not_reciprocal(self, t, tbar):
+        # (3, 2) was linked "in table": Tbar's lattice class must be the
+        # negative of T's
+        p = ReciprocalPair(regular_from_int(t), regular_from_int(tbar))
+        with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
+            link_to_standard(p)
+
+    def test_links_every_four_place_pair_either_way_round(self):
+        assert len(FOUR_PLACE_PAIRS) == 432
+        for p in FOUR_PLACE_PAIRS:
+            swapped = ReciprocalPair(p.Tbar, p.T)
+            # a swapped pair links as the pair whose T is its first member
+            assert link_to_standard(swapped).factor == \
+                link_to_standard(ReciprocalPair.from_triple(p.Tbar.triple)).factor, str(p)
 
     def test_same_chain_as_the_search_up_to_depth_5(self):
         depths = _lattice_depths()

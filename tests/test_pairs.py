@@ -25,7 +25,6 @@ from plimpton.pairs import (
     _four_place_pairs,
     enumerate_pairs,
     pair_corrections,
-    plimpton_range,
 )
 from plimpton import pairs as pairs_module, sexagesimal
 from plimpton.sexagesimal import (
@@ -60,9 +59,12 @@ PHILLIPS_15 = [
     ("1 48", "33 20"),
 ]
 
+# The tablet's T range as two fixed-reading values, 1;48 and 2;24.
+TABLET_RANGE = tuple(SexValue(t, -3) for t in PLIMPTON_PADDED)
+
 
 def _pairs(kind):
-    lo, hi = plimpton_range()
+    lo, hi = TABLET_RANGE
     return enumerate_pairs(kind, lo, hi)
 
 
@@ -332,16 +334,15 @@ class TestCriteria:
             ["4a", "6a", "8a", "9a", "11a", "12a"]
 
     def test_tablet_range_is_1_48_to_2_24(self):
-        assert plimpton_range() == (parse_sex("1;48", "fixed"), parse_sex("2;24", "fixed"))
-        assert PLIMPTON_PADDED == tuple(v.fraction * 60**3 for v in plimpton_range())
+        assert TABLET_RANGE == (parse_sex("1;48", "fixed"), parse_sex("2;24", "fixed"))
 
     def test_empty_range_rejected(self):
-        lo, hi = plimpton_range()
+        lo, hi = TABLET_RANGE
         with pytest.raises(ValueError, match="empty range"):
             enumerate_pairs("mult10", hi, lo)
 
     def test_unknown_kind_rejected(self):
-        lo, hi = plimpton_range()
+        lo, hi = TABLET_RANGE
         with pytest.raises(ValueError, match="unknown criterion kind 'nope'"):
             enumerate_pairs("nope", lo, hi)
 

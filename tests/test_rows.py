@@ -6,22 +6,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from plimpton.hypotheses import TABLE1_PQ, generate
 from plimpton.pairs import ReciprocalPair, _four_place_pairs
-from plimpton.rows import (
-    RowCandidate,
-    XYPair,
-    build_row,
-    column_A,
-    reduce_factorization,
-    xy_from_pair,
-)
+from plimpton.rows import RowCandidate, XYPair, build_row
 from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
     SexagesimalError,
     factor_2_3_5,
-    from_fraction,
     mul,
-    parse_sex,
     reciprocal,
     regular_from_int,
     render_sex,
@@ -36,41 +27,47 @@ ROW4 = ReciprocalPair.from_T_mantissa(500000)    # (2 18 53 20, 25 55 12)
 
 class TestXY:
     def test_half_difference_half_sum(self):
-        xy = xy_from_pair(ROW1)
+        xy = build_row(ROW1).xy
         assert xy.x.fraction == Fraction(12, 5) / 2 - Fraction(5, 12) / 2
         assert xy.y.fraction == Fraction(12, 5) / 2 + Fraction(5, 12) / 2
 
     def test_defining_identity(self):
         for m in (144, 2, 500000, 512000, 108):
-            xy = xy_from_pair(ReciprocalPair.from_T_mantissa(m))
+            xy = build_row(ReciprocalPair.from_T_mantissa(m)).xy
             assert xy.y.fraction ** 2 - xy.x.fraction ** 2 == 1
 
     def test_degenerate_unit_pair_rejected(self):
+        # (1, 1) would give X = 0: refused by orientation
         with pytest.raises(SexagesimalError, match="orientation"):
-            xy_from_pair(ReciprocalPair.from_T_mantissa(1))
+            build_row(ReciprocalPair.from_T_mantissa(1))
 
     def test_orientation_is_compared_in_the_fixed_reading(self):
         # (2, 30): Tbar's mantissa is the larger, its fixed value 1/2 is not
-        assert xy_from_pair(ROW11).x == SexValue(45, -1)
+        assert build_row(ROW11).xy.x == SexValue(45, -1)
         for p in (ROW1, ROW11, ROW4):
             with pytest.raises(SexagesimalError, match="orientation"):
-                xy_from_pair(ReciprocalPair(p.Tbar, p.T))
+                build_row(ReciprocalPair(p.Tbar, p.T))
+
+
+def gcd_reduced(x, y):
+    """(X, Y), two Fractions, as integers at a common denominator,
+    divided by their gcd: the coprime (S, D) of any pair (k X, k Y)."""
+    den = x.denominator * y.denominator
+    mx, my = int(x * den), int(y * den)
+    g = gcd(mx, my)
+    return mx // g, my // g
 
 
 class TestReduction:
     def test_row1(self):
-        s, d, factor = reduce_factorization(xy_from_pair(ROW1))
-        assert (s, d) == (119, 169)
-        assert factor == 30
-        assert gcd(s, d) == 1
+        row = build_row(ROW1)
+        assert (row.s, row.d) == (119, 169)
+        assert row.reduction_factor == 30
+        assert gcd(row.s, row.d) == 1
 
     def test_row11_reduces_to_3_5(self):
-        s, d, factor = reduce_factorization(xy_from_pair(ROW11))
-        assert (s, d, factor) == (3, 5, 15)
-
-    def test_degenerate_isosceles_rejected(self):
-        with pytest.raises(SexagesimalError):
-            reduce_factorization(XYPair(SexValue(0), SexValue(1)))
+        row = build_row(ROW11)
+        assert (row.s, row.d, row.reduction_factor) == (3, 5, 15)
 
     @given(st.integers(0, 8), st.integers(0, 5), st.integers(0, 4),
            st.integers(1, 400))
@@ -80,23 +77,20 @@ class TestReduction:
         m = ms[seed % len(ms)]
         if m == 1:
             m = 144
-        pair = ReciprocalPair.from_T_mantissa(m)
-        xy = xy_from_pair(pair)
-        scale = SexValue(2**a * 3**b * 5**c)
-        scaled = XYPair(mul(xy.x, scale), mul(xy.y, scale))
-        assert reduce_factorization(xy)[:2] == reduce_factorization(scaled)[:2]
+        row = build_row(ReciprocalPair.from_T_mantissa(m))
+        k = 2**a * 3**b * 5**c
+        assert (row.s, row.d) == gcd_reduced(k * row.xy.x.fraction, k * row.xy.y.fraction)
 
 
 class TestColumnA:
     def test_row4_eight_place_value(self):
-        xy = xy_from_pair(ROW4)
-        a = column_A(xy)
-        assert render_sex(a) == "1 53 10 29 32 52 16"
-        assert sub(a, mul(xy.x, xy.x)) == SexValue(1)
+        row = build_row(ROW4)
+        assert render_sex(row.a) == "1 53 10 29 32 52 16"
+        assert sub(row.a, mul(row.xy.x, row.xy.x)) == SexValue(1)
 
     def test_a_is_y_squared(self):
-        xy = xy_from_pair(ROW1)
-        assert column_A(xy) == mul(xy.y, xy.y)
+        row = build_row(ROW1)
+        assert row.a == mul(row.xy.y, row.xy.y)
 
 
 def pq_pair(p, q):
@@ -113,6 +107,7 @@ class TestPQ:
         assert [r.pair for r in rows] == [pq_pair(p, q) for p, q in TABLE1_PQ]
         for row, (p, q) in zip(rows, TABLE1_PQ):
             assert (row.s, row.d) == (p * p - q * q, p * p + q * q)
+            assert row.reduction_factor == 1 and row.reduced == (gcd(row.s, row.d) == 1)
             assert row.s ** 2 + (2 * p * q) ** 2 == row.d ** 2
         assert (rows[0].s, rows[0].d) == (119, 169)    # (12, 5): L = 120
         assert (rows[10].s, rows[10].d) == (3, 5)      # (2, 1): L = 4
@@ -143,9 +138,10 @@ class TestPQ:
         if p == 60 * q:  # P/Q = 60, the one power of 60 in range: no triple
             assert pair.T.mantissa == 1
             with pytest.raises(SexagesimalError, match="orientation"):
-                xy_from_pair(pair)
+                build_row(pair)
             return
-        s, d, _ = reduce_factorization(xy_from_pair(pair))
+        row = build_row(pair)
+        s, d = row.s, row.d
         l, ps, pd = 2 * p * q, p * p - q * q, p * p + q * q
         g = gcd(ps, pd)
         assert (s, d) == (ps // g, pd // g)
@@ -183,9 +179,9 @@ class TestBuildRow:
             build_row(bad, 1, reduction)
 
 
-# X, Y and A computed in Fractions from T and Tbar's exact values: the
-# reference of the integer construction, which reads X and Y off one
-# aligned pair.
+# X, Y, A, S, D and the factor computed in Fractions from T and Tbar's
+# exact values: the reference of build_row's integer construction, which
+# reads them off one aligned pair.
 
 def _composed_xy(p):
     t, tbar = p.T.value.fraction, p.Tbar.value.fraction
@@ -198,17 +194,25 @@ def _fractions(xy):
     return xy.x.fraction, xy.y.fraction
 
 
+def _sex(f):
+    """A terminating Fraction as a SexValue: its denominator 2**a 3**b 5**c
+    has a, b, c below its bit length k, so it divides 60**k."""
+    k = f.denominator.bit_length()
+    return SexValue(f.numerator * 60**k // f.denominator, -k)
+
+
 def _composed_row(p, n, reduction):
-    """build_row as the composition xy_from_pair -> reduce_factorization ->
-    column_A, which aligns three times, with X, Y and A checked against
-    Fractions; S, D and the factor are cast out of the X and Y that match."""
+    """build_row composed in Fractions: X and Y from T and Tbar, A = Y**2,
+    (S, D) as X/Y in lowest terms, and the factor X / S at the lesser of X's
+    and Y's canonical exponents."""
     x, y = _composed_xy(p)
     if y * y - x * x != 1:
         raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
-    xy = xy_from_pair(p)
-    a = column_A(xy)
-    assert _fractions(xy) == (x, y) and a.fraction == y * y
-    s, d, factor = reduce_factorization(xy)
+    xy, a = XYPair(_sex(x), _sex(y)), _sex(y * y)
+    s, d = gcd_reduced(x, y)
+    factor = x / s / Fraction(60) ** min(xy.x.exponent, xy.y.exponent)
+    assert factor.denominator == 1
+    factor = int(factor)
     if reduction == "tablet_faithful" and s * factor < 3600 and d * factor < 3600:
         return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
     return RowCandidate(n, p, xy, s, d, a, factor, True)
@@ -233,10 +237,10 @@ class TestAgainstTheComposition:
     def test_rows_of_pairs_from_triples(self, triple, reduction):
         p = ReciprocalPair.from_triple(triple)
         assume(p.T.mantissa != 1)
-        xy = xy_from_pair(p)
-        assert _fractions(xy) == _composed_xy(p)
-        assert column_A(xy).fraction == xy.y.fraction ** 2
-        assert build_row(p, 7, reduction) == _composed_row(p, 7, reduction)
+        row = build_row(p, 7, reduction)
+        assert _fractions(row.xy) == _composed_xy(p)
+        assert row.a.fraction == row.xy.y.fraction ** 2
+        assert row == _composed_row(p, 7, reduction)
 
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
     def test_every_four_place_pair(self, reduction):
@@ -264,6 +268,7 @@ class TestAgainstTheComposition:
         ReciprocalPair(ROW1.T, ROW11.Tbar),               # T * Tbar = 1;12
         ReciprocalPair(ROW4.T, ROW1.Tbar),
         ReciprocalPair(ROW11.Tbar, ROW1.Tbar),            # not reciprocal, swapped
+        ReciprocalPair(ROW1.Tbar, ROW11.T),               # not reciprocal, Tbar > T
         # T = 2 00 and Tbar = 1 00: aligned at exponent 1, product 2 00 00
         ReciprocalPair(RegularNumber(SexValue(2, 1), 1, 0, 0),
                        RegularNumber(SexValue(1, 1), 0, 0, 0)),

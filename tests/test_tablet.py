@@ -6,6 +6,8 @@ from math import isqrt
 import pytest
 from hypothesis import example, given, strategies as st
 
+from plimpton import tablet
+from plimpton.cli import main
 from plimpton.hypotheses import generate
 from plimpton.rows import RowCandidate
 from plimpton.sexagesimal import (
@@ -55,6 +57,21 @@ class TestDataResource:
     def test_unknown_edition_rejected(self):
         with pytest.raises(ValueError):
             tablet_data("neugebauer")
+
+    def test_a_short_transcription_is_a_value_error(self, monkeypatch, capsys):
+        # a domain error, never AssertionError: the CLI exits 2 on it
+        lines = tablet._read_resource()
+        monkeypatch.setattr(tablet, "_read_resource", lambda: lines[1:])
+        tablet._parsed_rows.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="expected 15 rows, parsed 14"):
+                tablet_data("robson")
+            assert main(["tablet", "verify"]) == 2
+            assert "expected 15 rows, parsed 14" in capsys.readouterr().err
+        finally:
+            monkeypatch.undo()
+            tablet._parsed_rows.cache_clear()
+        assert len(tablet_data("robson")) == 15
 
 
 class TestCellsAndFlags:
