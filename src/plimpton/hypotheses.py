@@ -8,7 +8,7 @@ computed pairs each is checked against, and the minimal chain linking any
 regular pair to the standard reciprocal table by doubling/tripling/
 quintupling steps.  Theories and printed tables are data: each selects its
 pairs by a record (lo, hi, keep) of ``pairs._four_place_pairs``, a padded T
-range and a test of both members.
+range and a test of both members, from the one shared set of pairs.
 Links are computed in closed form on the exponent lattice (see
 :func:`link_to_standard`), in bounded time at any chain depth.
 """
@@ -23,8 +23,6 @@ from .pairs import (
     PLIMPTON_PADDED,
     Correction,
     ReciprocalPair,
-    _entry_pairs,
-    _four_place_entries,
     _four_place_members,
     _four_place_pairs,
     pair_corrections,
@@ -226,36 +224,37 @@ PRINTED_TABLES = {
 }
 
 
-def _printed_table(table: str) -> tuple[list[tuple], list[tuple]]:
-    """One printed table's rows as printed, and the index entries (T, Tbar)
-    of their computed pairs, row by row; no pair is built."""
+def _printed_table(table: str) -> tuple[list[tuple], list[ReciprocalPair]]:
+    """One printed table's rows as printed, and their computed pairs."""
     try:
         printed, *record = PRINTED_TABLES[table]
     except KeyError:
         raise ValueError(f"unknown printed table {table!r}") from None
-    entries = _four_place_entries(*record)
-    if len(entries) != len(printed):
-        raise ValueError(f"{table}: computed {len(entries)} pairs, "
+    pairs = _four_place_pairs(*record)
+    if len(pairs) != len(printed):
+        raise ValueError(f"{table}: computed {len(pairs)} pairs, "
                          f"printed table has {len(printed)}")
-    return printed, entries
+    return printed, pairs
 
 
 def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     """The computed pairs of one printed table, each with its printed
     label, in printed order."""
-    printed, entries = _printed_table(table)
-    return [(label, pair) for (label, *_), pair in zip(printed, _entry_pairs(entries))]
+    printed, pairs = _printed_table(table)
+    return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
 
 
 def printed_corrections(table: str,
                         pairs: list[ReciprocalPair]) -> list[Correction]:
     """Printed-vs-computed digit log of the rows of one printed table whose
-    computed pair is among ``pairs``, in any order.  A pair is keyed by T's
-    exponent triple, that is by T's canonical mantissa."""
-    printed, entries = _printed_table(table)
+    computed pair is among ``pairs``, in any order, keyed by T's exponent
+    triple (T's canonical mantissa) and logged as listed."""
+    printed, computed = _printed_table(table)
+    if any(type(pair) is not ReciprocalPair for pair in pairs):
+        raise SexagesimalError("every listed pair must be a ReciprocalPair")
     listed = {pair.T.triple: pair for pair in pairs}
-    logged = [(row, listed[t[1]]) for row, (t, _) in zip(printed, entries)
-              if t[1] in listed]
+    logged = [(row, listed[c.T.triple]) for row, c in zip(printed, computed)
+              if c.T.triple in listed]
     out = pair_corrections(table, [row for row, _ in logged], [pair for _, pair in logged])
     if table == "extension-lower":
         out += pair_corrections(f"{table}(variant)", MINUS_17_VARIANT_PRINTED,
@@ -281,6 +280,7 @@ class LinkChain(_Value):
             raise SexagesimalError(f"a start must be a ReciprocalPair, not {type(start).__name__}")
         if type(factor) is not tuple or tuple(map(type, factor)) != (int, int, int):
             raise SexagesimalError("a factor must be a tuple of three ints")
+        _pair_class(start)
         set_start, set_factor = self._setters
         set_start(self, start)
         set_factor(self, factor)
@@ -326,6 +326,14 @@ def _lattice_class(r: RegularNumber) -> tuple[int, int]:
     return r.alpha - 2 * r.gamma, r.beta - r.gamma
 
 
+def _pair_class(p: ReciprocalPair) -> tuple[int, int]:
+    """T's lattice class, once Tbar's is checked to be its opposite."""
+    t1, t2 = _lattice_class(p.T)
+    if _lattice_class(p.Tbar) != (-t1, -t2):  # T * Tbar is no power of 60
+        raise SexagesimalError(f"{p} is not a reciprocal pair")
+    return t1, t2
+
+
 @cache
 def _start_classes() -> dict[tuple[int, int], ReciprocalPair]:
     """Lattice class -> the start pair whose T is either member of a
@@ -355,9 +363,7 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     """
     if type(p) is not ReciprocalPair:
         raise SexagesimalError(f"a link is defined for ReciprocalPairs, not {type(p).__name__}")
-    t1, t2 = _lattice_class(p.T)
-    if _lattice_class(p.Tbar) != (-t1, -t2):  # T * Tbar is no power of 60
-        raise SexagesimalError(f"{p} is not a reciprocal pair")
+    t1, t2 = _pair_class(p)
     starts = _start_classes()
     if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))

@@ -5,8 +5,8 @@ members, padded with trailing zeros to four sexagesimal places, are divisible
 by 10.  The plain four-place table and Bruins's exponent-based exclusion are
 the alternative rules; all three are tests of both members, the entries of
 one table, ``CRITERIA``.  Every table of pairs is a record (lo, hi, keep):
-the pairs of padded T in [lo, hi] that pass keep, tested on the one
-enumeration of four-place regular mantissas before any pair is built.
+the pairs of padded T in [lo, hi] that pass keep, selected from the one set
+of four-place pairs, built once per process.
 """
 
 from __future__ import annotations
@@ -124,41 +124,30 @@ def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
 
 @cache
 def _four_place_index() -> tuple[list[int], list[tuple]]:
-    """The four-place members as (T, Tbar) by ascending padded T, with the
-    padded values apart for bisection.  Tbar's mantissa, 60**k over T's as
-    in :func:`reciprocal`, is looked up once in the four-place table
-    (absent: more than four places, and Tbar is None)."""
+    """Every four-place pair once, as (T, Tbar, pair) by ascending padded T,
+    with the padded values apart for bisection.  Tbar's mantissa, 60**k over
+    T's as in :func:`reciprocal`, is looked up in the four-place table; a T
+    whose Tbar has more places has no entry.  The pair is T = padded / 60**3
+    and Tbar = 1/T one place further right, padded / 60**4 (/ 60**3 at
+    T = 1).  Built once per process on first use; callers share the pairs."""
     members = _four_place_members()
-    # padded values are distinct, so sorting compares no two Tbar
-    index = sorted((t, members.get(60 ** _places(*t[1]) // m))
-                   for m, t in members.items())
-    return [t[0] for t, _ in index], index
-
-
-def _four_place_entries(lo: int, hi: int, keep) -> list[tuple]:
-    """The index entries (T, Tbar), each member (padded, triple), of regular
-    T of at most four places with lo <= padded T <= hi and keep(T, Tbar)
-    true, by decreasing T.  Only that range is visited; no pair is built."""
-    padded, index = _four_place_index()
-    found = []
-    for i in range(bisect_right(padded, hi) - 1, bisect_left(padded, lo) - 1, -1):
-        t, tbar = index[i]
-        if tbar and keep(t, tbar):
-            found.append((t, tbar))
-    return found
-
-
-def _entry_pairs(entries: list[tuple]) -> list[ReciprocalPair]:
-    """The pairs of index entries (T, Tbar): T is padded / 60**3, and Tbar
-    = 1/T one place further right, padded / 60**4 (/ 60**3 at T = 1)."""
-    return [ReciprocalPair(
+    index = []
+    for m, t in sorted(members.items(), key=lambda item: item[1]):  # by padded T
+        if tbar := members.get(60 ** _places(*t[1]) // m):
+            index.append((t, tbar, ReciprocalPair(
                 RegularNumber(SexValue(t[0], -3), *t[1]),
-                RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1]))
-            for t, tbar in entries]
+                RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1]))))
+    return [t[0] for t, _, _ in index], index
 
 
 def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
-    return _entry_pairs(_four_place_entries(lo, hi, keep))
+    """The shared pairs of regular T of at most four places with lo <= padded
+    T <= hi and keep(T, Tbar) true, each member given as (padded, triple), by
+    decreasing T.  Only that range's entries are visited."""
+    padded, index = _four_place_index()
+    return [pair for t, tbar, pair in
+            reversed(index[bisect_left(padded, lo):bisect_right(padded, hi)])
+            if keep(t, tbar)]
 
 
 def _padded(v: SexValue, up: bool) -> int:

@@ -41,6 +41,8 @@ def build_row(p: ReciprocalPair, n: int = 0,
     """
     if reduction not in ("full", "tablet_faithful"):
         raise ValueError(f"unknown reduction mode {reduction!r}")
+    if type(p) is not ReciprocalPair:
+        raise SexagesimalError(f"a row is built from a ReciprocalPair, not {type(p).__name__}")
     mt, mtbar, e = _aligned(p.T.value, p.Tbar.value)  # T, Tbar at one exponent e
     if mtbar >= mt:
         raise SexagesimalError("pair is not in T > Tbar orientation")

@@ -196,6 +196,9 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             f"row-count mismatch: {len(candidates)} generated vs {len(attested)} attested")
     diffs = []
     for cand, row in zip(candidates, attested):
+        if type(cand) is not RowCandidate:
+            raise SexagesimalError(f"a generated row must be a RowCandidate, "
+                                   f"not {type(cand).__name__}")
         s, d = cand.s, cand.d
         if not (type(s) is type(d) is int and s >= 0 and d >= 0):  # bool too
             raise SexagesimalError(f"S and D must be non-negative ints, not {s!r} and {d!r}")

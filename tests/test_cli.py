@@ -542,12 +542,10 @@ class TestJsonEmitter:
 
 
 class TestWorkCeilings:
-    """Pairs built and factorizations made by one command.  The four-place
-    enumerations test T's range and both members' rule before they build a
-    pair, so each of these commands builds the pairs it prints (and a
-    correction log's), not all 432 (or 864)."""
-
-    CEILING = 50
+    """Pairs built and factorizations made by one command.  Every table of
+    pairs is selected from the four-place index, which builds each of its
+    271 pairs once per process on first use, so a command after that
+    builds none."""
 
     @staticmethod
     def count_built(monkeypatch, cls=ReciprocalPair) -> list:
@@ -576,49 +574,47 @@ class TestWorkCeilings:
                 monkeypatch.setattr(module, fn.__name__, counting)
         return called
 
-    @pytest.mark.parametrize("argv", [
+    SELECTING = [
         ("rows", "--hypothesis", "phillips"),
+        ("rows", "--hypothesis", "bruins1949"),
         ("pairs", "--criterion", "mult10", "--from", "1;48", "--to", "2;24"),
+        ("pairs", "--criterion", "places4", "--from", "1;48", "--to", "2;24"),
+        ("pairs", "--criterion", "bruins", "--from", "1;48", "--to", "2;24"),
         ("extend", "--side", "lower"),
         ("extend", "--side", "upper"),
         ("tablet", "diff", "--hypothesis", "bruins1949"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", SELECTING)
     def test_ceiling(self, capsys, monkeypatch, argv):
+        # after one warm call: the listed pairs and a correction log's are
+        # the index's, and P, Q and both members come with their triples
+        assert run(capsys, *argv)[0] == 0
         built = self.count_built(monkeypatch)
         factored = self.count_calls(monkeypatch)
         assert run(capsys, *argv)[0] == 0
-        assert built, "no pair was counted"
-        assert len(built) <= self.CEILING
-        assert len(factored) <= self.CEILING
+        assert built == []
+        assert factored == []
 
-    def test_tablet_range_builds_its_pairs_once(self, capsys, monkeypatch):
-        # the correction log looks the listed pairs up and builds none:
-        # both members' rule is tested before a pair is built
-        built = self.count_built(monkeypatch)
-        assert run(capsys, "pairs", "--criterion", "mult10",
-                   "--from", "1;48", "--to", "2;24")[0] == 0
-        assert len(built) == 15
-
-    @pytest.mark.parametrize("argv,count", [
-        (("rows", "--hypothesis", "phillips"), 15),
-        (("rows", "--hypothesis", "bruins1949"), 15),
-        (("extend", "--side", "lower"), 24),
-        (("extend", "--side", "upper"), 28),
-    ])
-    def test_builds_exactly_what_it_prints(self, capsys, monkeypatch, argv, count):
+    @pytest.mark.parametrize("argv", SELECTING)
+    def test_first_use_builds_each_four_place_pair_once(self, capsys, monkeypatch, argv):
+        # the 271 four-place T whose Tbar has at most four places
+        pairs._four_place_index.cache_clear()
         built = self.count_built(monkeypatch)
         assert run(capsys, *argv)[0] == 0
-        assert len(built) == count
+        assert len(built) == 271
 
     @pytest.mark.parametrize("argv,ceiling", [
-        (("rows", "--hypothesis", "phillips"), 110),     # 182 by division
-        (("rows", "--hypothesis", "friberg2007"), 270),  # 456 by division
+        (("rows", "--hypothesis", "phillips"), 75),      # 182 by division
+        (("rows", "--hypothesis", "friberg2007"), 190),  # 456 by division
     ])
     def test_rows_read_their_pairs_off_the_index(
             self, capsys, monkeypatch, argv, ceiling):
-        # each pair is built from its two four-place index entries, with no
-        # reciprocal divided out again, and each row's X and Y from one
-        # aligned pair: six values a row, besides the printed S and D
+        # after one warm call the pairs are the index's, with no reciprocal
+        # divided out again, and each row's X and Y come from one aligned
+        # pair: X, Y and A a row, and the printed S and D (seven a row when
+        # each call built its pairs)
+        assert run(capsys, *argv)[0] == 0
         values = self.count_built(monkeypatch, SexValue)
         divided = self.count_calls(monkeypatch, reciprocal)
         assert run(capsys, *argv)[0] == 0
@@ -647,7 +643,7 @@ class TestWorkCeilings:
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_extend_selects_its_table_once_per_use(self, capsys, monkeypatch, side):
         # one selection for the listed pairs, one for the correction log
-        selected = self.count_calls(monkeypatch, pairs._four_place_entries)
+        selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
         assert run(capsys, "extend", "--side", side)[0] == 0
         assert len(selected) == 2
 
@@ -657,19 +653,6 @@ class TestWorkCeilings:
             text = path.read_text(encoding="utf-8")
             assert "object.__setattr__" not in text, path.name
             assert not re.search(r"\b_set\b", text), path.name
-
-    @pytest.mark.parametrize("criterion,count", [("places4", 21), ("bruins", 15)])
-    def test_excluded_pairs_are_built_by_the_enumeration(
-            self, capsys, monkeypatch, criterion, count):
-        # the listed pairs, enumerated from the four-place table; the
-        # correction log selects the excluded six as index entries and
-        # builds no pair: nothing is factorized
-        built = self.count_built(monkeypatch)
-        factored = self.count_calls(monkeypatch)
-        assert run(capsys, "pairs", "--criterion", criterion,
-                   "--from", "1;48", "--to", "2;24")[0] == 0
-        assert len(built) == count
-        assert factored == []
 
     @pytest.mark.parametrize("tag", ["ns1945", "price1964", "buck1980",
                                      "friberg1981", "friberg2007"])

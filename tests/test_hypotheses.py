@@ -27,6 +27,7 @@ from plimpton.hypotheses import (
 )
 from plimpton.hypotheses import LinkChain
 from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs, pair_corrections
+from plimpton.rows import build_row
 from plimpton.sexagesimal import (
     SexagesimalError,
     factor_2_3_5,
@@ -34,6 +35,7 @@ from plimpton.sexagesimal import (
     regular_from_int,
     render_sex,
 )
+from plimpton.tablet import diff_against
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
 
@@ -783,8 +785,28 @@ class TestLinkChainFactor:
         with pytest.raises(SexagesimalError, match="start must be a ReciprocalPair"):
             LinkChain(start, (0, 0, 0))
 
+    @pytest.mark.parametrize("t, tbar", [(3, 2), (2, 3), (144, 144), (1, 2)])
+    def test_refuses_a_start_that_is_not_reciprocal(self, t, tbar):
+        # (3, 2) was accepted with factor (1, 0, 0): its text read
+        # "(3, 2) × (2, 1/2)", and its replay() gave (6, 10)
+        start = ReciprocalPair(regular_from_int(t), regular_from_int(tbar))
+        with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
+            LinkChain(start, (1, 0, 0))
+
     def test_keeps_its_fields(self):
         start = ReciprocalPair.from_T_mantissa(54)
         chain = LinkChain(start, (0, 0, -2))
         assert (chain.start, chain.factor) == (start, (0, 0, -2))
         assert LinkChain(factor=(0, 0, -2), start=start) == chain
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: build_row(1), "a row is built from a ReciprocalPair, not int"),
+    (lambda: printed_corrections("standard-15", [1]),
+     "every listed pair must be a ReciprocalPair"),
+    (lambda: diff_against([1] * 15), "a generated row must be a RowCandidate, not int"),
+])
+def test_a_value_of_the_wrong_type_is_a_domain_error(call, match):
+    # each raised AttributeError on the int's missing fields
+    with pytest.raises(SexagesimalError, match=match):
+        call()

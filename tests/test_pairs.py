@@ -1,6 +1,4 @@
-import inspect
 import re
-import sys
 from fractions import Fraction
 from functools import cache
 
@@ -19,7 +17,6 @@ from plimpton.pairs import (
     CRITERIA,
     PLIMPTON_PADDED,
     ReciprocalPair,
-    _four_place_entries,
     _four_place_index,
     _four_place_members,
     _four_place_pairs,
@@ -263,7 +260,7 @@ class TestPairCriteria:
     """CRITERIA test both members of a pair at once: each against its member
     rule applied both ways, over every index entry that has a Tbar."""
 
-    ENTRIES = [(t, tbar) for t, tbar in _four_place_index()[1] if tbar]
+    ENTRIES = [(t, tbar) for t, tbar, _ in _four_place_index()[1]]
 
     def test_every_entry_with_a_tbar_and_every_criterion(self):
         assert len(self.ENTRIES) == 271
@@ -367,7 +364,7 @@ class TestCriteria:
     ]
 
     def test_far_ends_take_bounded_work(self):
-        # at most 432 pairs, whatever the ends: building 60**(10**9) to align
+        # at most 271 pairs, whatever the ends: building 60**(10**9) to align
         # them would not finish within the budget
         code = ("from plimpton.pairs import enumerate_pairs\n"
                 "from plimpton.sexagesimal import SexValue\n"
@@ -392,6 +389,15 @@ class TestCriteria:
     def test_single_point_range(self):
         v = parse_sex("2;24", "fixed")
         assert len(enumerate_pairs("mult10", v, v)) == 1
+
+    def test_clearing_a_returned_list_leaves_the_next_call_unchanged(self):
+        # the pairs are shared by every call, the list holding them is not
+        lo, hi = TABLET_RANGE
+        found = enumerate_pairs("mult10", lo, hi)
+        expected = list(found)
+        found.clear()
+        assert enumerate_pairs("mult10", lo, hi) == expected
+        assert len(expected) == 15
 
 
 class TestFullList:
@@ -539,25 +545,11 @@ def _scan(lo, hi, keep):
 
 
 def count_visits(lo, hi, keep) -> int:
-    """How many index entries ``_four_place_entries`` visits: the times its
-    line ``t, tbar = index[i]`` runs, counted by a line tracer."""
-    lines, first = inspect.getsourcelines(_four_place_entries)
-    target = first + next(i for i, line in enumerate(lines)
-                          if line.strip() == "t, tbar = index[i]")
-    code, count = _four_place_entries.__code__, 0
-
-    def on_line(frame, event, arg):
-        nonlocal count
-        count += event == "line" and frame.f_lineno == target
-        return on_line
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
-    try:
-        _four_place_entries(lo, hi, keep)
-    finally:
-        sys.settrace(previous)
-    return count
+    """How many index entries ``_four_place_pairs`` visits: the times it
+    tests one with keep."""
+    visits = []
+    _four_place_pairs(lo, hi, lambda t, tbar: visits.append(1) or keep(t, tbar))
+    return len(visits)
 
 
 _PADDED = sorted(t[0] for t in _four_place_members().values())
@@ -574,16 +566,21 @@ _KEEPS = dict(CRITERIA, buck1980=THEORIES["buck1980"][2])
 
 
 class TestPairsFromTheIndex:
-    """_four_place_pairs builds each pair from its two index entries, with
-    no reciprocal: the pair must be the one from_triple divides out."""
+    """_four_place_index builds each pair from its two members, with no
+    reciprocal: the pair must be the one from_triple divides out."""
 
     def test_every_entry_with_a_tbar_equals_from_triple(self):
         _, index = _four_place_index()
-        entries = [t for t, tbar in index if tbar]
-        assert len(entries) == 271
-        for padded, triple in entries:
+        assert len(index) == 271
+        for (padded, triple), _, pair in index:
             assert _four_place_pairs(padded, padded, lambda t, tbar: True) == \
-                [ReciprocalPair.from_triple(triple)], triple
+                [pair] == [ReciprocalPair.from_triple(triple)], triple
+
+    def test_selections_share_the_index_pairs(self):
+        # two selections hold the same pair objects, built once
+        pairs = {id(pair) for _, _, pair in _four_place_index()[1]}
+        assert {id(p) for p in full_mult10()} <= pairs
+        assert [id(p) for p in full_mult10()] == [id(p) for p in full_mult10()]
 
     def test_t_one_is_its_own_tbar(self):
         # Tbar = 1/T sits one place right of T everywhere but at T = 1
@@ -593,17 +590,19 @@ class TestPairsFromTheIndex:
 
 
 class TestBisectedIndex:
-    """_four_place_entries bisects an index sorted by padded T and visits
+    """_four_place_pairs bisects an index sorted by padded T and visits
     only the entries of its range."""
 
-    @pytest.mark.parametrize("lo,hi,visits", [
-        (388800, 518400, 28),  # 1;48 <= T <= 2;24, the tablet's range
-        (60**3 + 1, 3 * 60**3, 95),  # 1 < T <= 3, the (P, Q) theories' range
-        (518400, 388800, 0),
+    @pytest.mark.parametrize("lo,hi,members,visits", [
+        (388800, 518400, 28, 21),  # 1;48 <= T <= 2;24, the tablet's range
+        (60**3 + 1, 3 * 60**3, 95, 73),  # 1 < T <= 3, the (P, Q) theories' range
+        (518400, 388800, 0, 0),
     ])
-    def test_visits_only_the_range(self, lo, hi, visits):
-        # the members whose padded T is in the range, of all 432
-        assert sum(lo <= p <= hi for p in _PADDED) == visits
+    def test_visits_only_the_range(self, lo, hi, members, visits):
+        # of the members whose padded T is in the range (of all 432), only
+        # those whose Tbar has at most four places have an entry (of 271)
+        assert sum(lo <= p <= hi for p in _PADDED) == members
+        assert sum(lo <= p <= hi for p in _four_place_index()[0]) == visits
         assert count_visits(lo, hi, CRITERIA["mult10"]) == visits
 
     @settings(max_examples=300, deadline=None)
