@@ -20,8 +20,8 @@ class XYPair(_Value):
 
 
 class RowCandidate(_Value):
+    # reduced: False when the scribal small-number form is kept
     __slots__ = ("n", "pair", "xy", "s", "d", "a", "reduction_factor", "reduced")
-    _defaults = {"reduced": True}  # False when the scribal small-number form is kept
 
 
 # A scribe working in two-place cells has no reason to reduce numbers that

@@ -22,27 +22,20 @@ class SexagesimalError(ValueError):
 
 
 class _Value:
-    """An immutable value whose fields are its ``__slots__``: built from them
-    positionally or by keyword, with ``_defaults`` for trailing fields;
-    equal and hashed by them within one type; copied and pickled by them."""
+    """An immutable value whose fields are its ``__slots__``: built from all
+    of them in slot order; equal and hashed by them within one type; copied
+    and pickled by them."""
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
         cls._fields = attrgetter(*cls.__slots__)
         # __init__ sets each field by its slot's own __set__, in slot order
         cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
-    def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
-            # the class _Value itself marks a field that was given no value
-            tail = [kwargs.pop(name, self._defaults.get(name, _Value))
-                    for name in names[len(args):]]
-            if kwargs or len(args) > len(names) or _Value in tail:
-                raise TypeError(f"{type(self).__name__} takes the fields {names}")
-            args += tuple(tail)
+    def __init__(self, *args) -> None:
+        if len(args) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
         for setter, value in zip(self._setters, args):
             setter(self, value)
 
@@ -127,7 +120,7 @@ def _ratio(v: SexValue) -> tuple[int, int]:
 
 
 def _ratio_text(num: int, den: int) -> str:
-    """num/den in lowest terms as ``str(Fraction)`` writes it: n or n/d."""
+    """num/den in lowest terms as the fractions module writes it: n or n/d."""
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -224,6 +217,8 @@ def render_sex(v: SexValue) -> str:
     The leading digit is unpadded, the others are two characters wide, all
     one space apart.  Round-trips with :func:`parse_sex` (floating reading).
     """
+    if type(v) is not SexValue:
+        raise SexagesimalError(f"rendering is defined for SexValues, not {type(v).__name__}")
     m = v.mantissa
     places = []
     while m >= 60:
@@ -235,6 +230,9 @@ def render_sex(v: SexValue) -> str:
 
 
 def mul(a: SexValue, b: SexValue) -> SexValue:
+    if not (type(a) is type(b) is SexValue):
+        raise SexagesimalError(f"a product is defined for SexValues, "
+                               f"not {type(b if type(a) is SexValue else a).__name__}")
     return SexValue(a.mantissa * b.mantissa, a.exponent + b.exponent)
 
 
@@ -256,6 +254,9 @@ def _exceeds(a: SexValue, b: SexValue) -> bool:
 
 
 def sub(a: SexValue, b: SexValue) -> SexValue:
+    if not (type(a) is type(b) is SexValue):
+        raise SexagesimalError(f"a difference is defined for SexValues, "
+                               f"not {type(b if type(a) is SexValue else a).__name__}")
     ma, mb, e = _aligned(a, b)
     if ma < mb:
         raise SexagesimalError("subtraction underflow")

@@ -18,6 +18,7 @@ from .sexagesimal import (
     SexValue,
     SexagesimalError,
     _from_ratio,
+    _ratio,
     _Value,
     is_regular,
     parse_sex,
@@ -35,7 +36,6 @@ class TabletCell(_Value):
     when the editions disagree with it."""
 
     __slots__ = ("corrected", "as_written")
-    _defaults = {"as_written": None}
 
     @property
     def corrected_error(self) -> bool:
@@ -67,7 +67,7 @@ def _cell_digits(text: str) -> str:
 
 def _parse_a(text: str) -> TabletCell:
     # fixed reading: the (implied) leading 1 is the units digit
-    return TabletCell(parse_sex(_cell_digits(text), "fixed"))
+    return TabletCell(parse_sex(_cell_digits(text), "fixed"), None)
 
 
 # Scribal originals, (row, column) -> written digits, where not as transcribed.
@@ -102,8 +102,7 @@ def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
             digits = _cell_digits(text)
             corrected = parse_sex(_CORRECTED[edition].get((n, col), digits))
             written = parse_sex(_WRITTEN.get((n, col), digits))
-            cells[col] = TabletCell(corrected, as_written=None
-                                    if written == corrected else written)
+            cells[col] = TabletCell(corrected, None if written == corrected else written)
         rows.append(TabletRowRecord(n, cells["a"], cells["s"], cells["d"]))
     return tuple(sorted(rows, key=lambda r: r.n))
 
@@ -126,20 +125,21 @@ def _int_value(v: SexValue) -> int:
     return v.mantissa * 60**v.exponent
 
 
-def _is_square(x: Fraction | int) -> bool:
-    """Whether x is a rational square: in lowest terms, both parts are."""
-    return x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+def _is_square(k: int) -> bool:
+    return k >= 0 and isqrt(k) ** 2 == k
 
 
-# Properties 2-5, number -> (description, test of one row's A, S and D).
+# Properties 2-5, number -> (description, test of one row's A, S and D), with
+# A = n/m as the integers (n, m), m > 0, and S and D as integers.  n/m is a
+# square exactly when n*m = (n/m) * m**2 is, in lowest terms or not.
 # Property 1 compares each row's A with the row before, in verify_properties.
 PROPERTIES = {
     2: ("A and A-1 are perfect squares",
-        lambda a, s, d: _is_square(a) and _is_square(a - 1)),
+        lambda a, s, d: _is_square(a[0] * a[1]) and _is_square((a[0] - a[1]) * a[1])),
     3: ("S and D are coprime", lambda a, s, d: gcd(s, d) == 1),
     4: ("D^2 - S^2 is a perfect square",
         lambda a, s, d: d * d > s * s and _is_square(d * d - s * s)),
-    5: ("A * (D^2 - S^2) = D^2", lambda a, s, d: a * (d * d - s * s) == d * d),
+    5: ("A * (D^2 - S^2) = D^2", lambda a, s, d: a[0] * (d * d - s * s) == a[1] * d * d),
 }
 
 
@@ -148,11 +148,16 @@ def verify_properties(rows: list[TabletRowRecord],
     """The five arithmetic properties of the columns: column A strictly
     decreases down the rows, and every row passes each test of PROPERTIES.
     A failure lists the numbers of the rows that break the property."""
-    # each row's number, its A as a fraction, and its S and D as integers
-    read = [(r.n, r.a.value(use).fraction, _int_value(r.s.value(use)),
-             _int_value(r.d.value(use))) for r in rows]
+    read = []  # each row's number, its A as (n, m), and its S and D as integers
+    for r in rows:
+        if type(r) is not TabletRowRecord:
+            raise SexagesimalError(f"a verified row must be a TabletRowRecord, "
+                                   f"not {type(r).__name__}")
+        read.append((r.n, _ratio(r.a.value(use)), _int_value(r.s.value(use)),
+                     _int_value(r.d.value(use))))
+    # a row fails when its A, n/m, is not below the A above, n'/m': n*m' >= n'*m
     decreasing = tuple(n for (n, a, _, _), (_, above, _, _) in zip(read[1:], read)
-                       if a >= above)
+                       if a[0] * above[1] >= above[0] * a[1])
     return [PropertyResult(1, "column A strictly decreases", decreasing)] + [
         PropertyResult(number, description,
                        tuple(n for n, a, s, d in read if not test(a, s, d)))
@@ -165,7 +170,6 @@ def verify_properties(rows: list[TabletRowRecord],
 class RowDiff(_Value):
     # status: "exact" | "similarity" | "mismatch"; ratio: a RegularNumber
     __slots__ = ("n", "status", "ratio", "cells")
-    _defaults = {"ratio": None, "cells": ()}
 
 
 class DiffReport(_Value):

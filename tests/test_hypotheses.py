@@ -30,12 +30,15 @@ from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs, pair_cor
 from plimpton.rows import build_row
 from plimpton.sexagesimal import (
     SexagesimalError,
+    SexValue,
     factor_2_3_5,
+    mul,
     parse_sex,
     regular_from_int,
     render_sex,
+    sub,
 )
-from plimpton.tablet import diff_against
+from plimpton.tablet import diff_against, verify_properties
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
 
@@ -805,6 +808,10 @@ class TestLinkChainFactor:
     (lambda: printed_corrections("standard-15", [1]),
      "every listed pair must be a ReciprocalPair"),
     (lambda: diff_against([1] * 15), "a generated row must be a RowCandidate, not int"),
+    (lambda: render_sex(3), "rendering is defined for SexValues, not int"),
+    (lambda: mul(1, 2), "a product is defined for SexValues, not int"),
+    (lambda: sub(SexValue(1), 2), "a difference is defined for SexValues, not int"),
+    (lambda: verify_properties([1]), "a verified row must be a TabletRowRecord, not int"),
 ])
 def test_a_value_of_the_wrong_type_is_a_domain_error(call, match):
     # each raised AttributeError on the int's missing fields

@@ -2,7 +2,7 @@
 standard library's ast, so that deleting code also deletes its imports.
 ``__init__`` is exempt, since it imports to re-export; but each name it
 re-exports has a caller in the package or the benchmark.  And importing the
-CLI loads no module that only a rarely used path needs."""
+CLI, or running a command, loads no module that only a rarely used path needs."""
 
 import ast
 import re
@@ -79,3 +79,25 @@ def test_importing_the_cli_loads_no_fractions_decimal_numbers_or_csv():
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[] []"
+
+
+@pytest.mark.parametrize("argv", [
+    ["recip", "2 05"],
+    ["pairs", "--criterion", "mult10", "--from", "2 24", "--to", "1 48"],
+    ["rows", "--hypothesis", "phillips"],
+    ["tablet", "verify"],
+    ["tablet", "diff"],
+    ["tablet", "errors"],
+    ["extend", "--side", "upper"],
+    ["link", "2 09 36"],
+], ids=" ".join)
+def test_a_command_loads_no_fractions_decimal_or_numbers(argv):
+    # the core computes on integers: only SexValue.fraction and
+    # from_fraction import fractions, and no command calls them
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); from plimpton.cli import main; "
+            "out, sys.stdout = sys.stdout, io.StringIO(); code = main(sys.argv[2:]); "
+            "sys.stdout = out; "
+            "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
+                          *argv], capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "0 []"

@@ -1,10 +1,10 @@
 import hashlib
 from fractions import Fraction
 from importlib import resources
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plimpton import tablet
 from plimpton.cli import main
@@ -13,6 +13,7 @@ from plimpton.rows import RowCandidate
 from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
+    _ratio,
     mul,
     parse_sex,
     render_sex,
@@ -25,6 +26,7 @@ from plimpton.tablet import (
     TabletCell,
     TabletRowRecord,
     _classify,
+    _int_value,
     _is_square,
     _parse_a,
     diff_against,
@@ -144,16 +146,16 @@ class TestVerification:
             assert failing - {11} == corrected_rows
 
     def test_leading_one_variant_also_passes(self):
-        # A read without its leading 1 is A - 1: A - 1 and A are squares,
-        # and (A - 1)(D^2 - S^2) = S^2, the same facts as properties 2 and 5
+        # A read without its leading 1 is A - 1 = n/m: A - 1 and A = (n + m)/m
+        # are squares, and (A - 1)(D^2 - S^2) = S^2, the same facts as
+        # properties 2 and 5
         for edition in EDITIONS:
             for row in tablet_data(edition):
-                a = row.a.corrected
-                s, d = (int(cell.corrected.fraction) for cell in (row.s, row.d))
-                without_one = sub(a, SexValue(1))
-                assert _is_square(without_one.fraction), (edition, row.n)
-                assert _is_square(a.fraction), (edition, row.n)
-                assert without_one.fraction * (d * d - s * s) == s * s, (edition, row.n)
+                s, d = (_int_value(cell.corrected) for cell in (row.s, row.d))
+                n, m = _ratio(sub(row.a.corrected, SexValue(1)))
+                assert _is_square(n * m), (edition, row.n)
+                assert _is_square((n + m) * m), (edition, row.n)
+                assert n * (d * d - s * s) == m * s * s, (edition, row.n)
 
     def test_properties_are_one_table(self):
         results = verify_properties(tablet_data("robson"))
@@ -169,10 +171,12 @@ class TestVerification:
         (5, 2, 3, 5),               # 2 * 16 != 25
     ])
     def test_each_property_rejects_its_counterexample(self, number, a, s, d):
-        # the (3, 4, 5) row, A = 25/16 = 1;33 45, passes every test
+        # the (3, 4, 5) row, A = 25/16 = 1;33 45, passes every test, with A
+        # in lowest terms or not: 50 and 32 are no squares, but 50/32 is
         _, test = PROPERTIES[number]
-        assert test(parse_sex("1;33 45", "fixed").fraction, 3, 5)
-        assert not test(Fraction(a), s, d)
+        assert _ratio(parse_sex("1;33 45", "fixed")) == (25, 16)
+        assert test((25, 16), 3, 5) and test((50, 32), 3, 5)
+        assert not test((a, 1), s, d)
 
     def test_column_a_must_strictly_decrease(self):
         rows = tablet_data("robson")
@@ -180,8 +184,8 @@ class TestVerification:
         assert verify_properties([rows[0], rows[0]])[0].failures == (1,)
 
     def test_non_integer_side_is_a_domain_error(self):
-        row = TabletRowRecord(1, TabletCell(SexValue(3)),
-                              TabletCell(SexValue(90, -1)), TabletCell(SexValue(5)))
+        row = TabletRowRecord(1, TabletCell(SexValue(3), None),
+                              TabletCell(SexValue(90, -1), None), TabletCell(SexValue(5), None))
         with pytest.raises(SexagesimalError, match="1 30 is not an integer"):
             verify_properties([row])
 
@@ -192,25 +196,76 @@ class TestVerification:
 
 
 class TestIsSquare:
-    """The one rational square test, behind properties 2 and 4."""
+    """The one square test, on integers, behind properties 2 and 4: a ratio
+    n/m, m > 0, is a square exactly when n*m is."""
 
     @pytest.mark.parametrize("x,square", [
-        (13500**2, True), (1, True), (0, True), (Fraction(25, 16), True),
+        (13500**2, True), (1, True), (0, True), (25 * 16, True),  # 25/16
         (2, False),
-        (SexValue(1, 1).fraction, False),  # 1 00 is no square in the fixed reading
-        (Fraction(1, 2), False), (Fraction(9, 8), False),  # square numerator only
-        (Fraction(2, 9), False), (-1, False), (Fraction(-1, 4), False),
+        (60, False),  # 1 00 is no square in the fixed reading
+        (1 * 2, False), (9 * 8, False),  # 1/2, 9/8: square numerator only
+        (2 * 9, False), (-1, False), (-1 * 4, False),  # 2/9, -1, -1/4
     ])
     def test_cases(self, x, square):
         assert _is_square(x) is square
 
     @given(st.integers(1, 10**12), st.integers(1, 10**12))
     def test_rational_squares(self, p, q):
-        x = Fraction(p, q) ** 2
-        assert _is_square(x)
-        assert not _is_square(-x)
-        assert not _is_square(2 * x)
-        assert not _is_square(x / 2)
+        # (p/q)**2 = p*p / (q*q), and 2 (p/q)**2 is no square
+        assert _is_square(p * p * q * q)
+        assert not _is_square(-p * p * q * q)
+        assert not _is_square(2 * p * p * q * q)
+
+
+def fraction_properties(rows, use):
+    """The properties by their first statement, on Fractions: the oracle of
+    verify_properties.  Property number -> the numbers of the failing rows."""
+    def square(x):
+        return x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+
+    rules = {2: lambda a, s, d: square(a) and square(a - 1),
+             3: lambda a, s, d: gcd(s, d) == 1,
+             4: lambda a, s, d: d * d > s * s and square(d * d - s * s),
+             5: lambda a, s, d: a * (d * d - s * s) == d * d}
+    read = [(r.n, r.a.value(use).fraction, int(r.s.value(use).fraction),
+             int(r.d.value(use).fraction)) for r in rows]
+    failures = {1: tuple(n for (n, a, _, _), (_, above, _, _) in zip(read[1:], read)
+                         if a >= above)}
+    for number, rule in rules.items():
+        failures[number] = tuple(n for n, a, s, d in read if not rule(a, s, d))
+    return failures
+
+
+_ROOTS = st.builds(SexValue, st.integers(0, 60**2), st.integers(-2, 1))
+# A from a random mantissa and exponent: below 1, 1, above 1; its square;
+# or a tablet row's A, which passes property 2
+_A = st.one_of(st.builds(SexValue, st.integers(0, 60**4), st.integers(-4, 1)),
+               st.just(SexValue(1)), _ROOTS.map(lambda v: mul(v, v)),
+               st.sampled_from([r.a.corrected for r in tablet_data()]))
+_SIDE = st.integers(0, 10**5)  # S and D, either one the larger, or 0
+_ROW = st.one_of(
+    st.builds(lambda a, s, d: (TabletCell(a, None), TabletCell(SexValue(s), None),
+                               TabletCell(SexValue(d), None)), _A, _SIDE, _SIDE),
+    st.sampled_from([(r.a, r.s, r.d) for e in EDITIONS for r in tablet_data(e)]))
+
+
+class TestIntegerProperties:
+    """verify_properties and PROPERTIES on integers against the same
+    properties on Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ROW, max_size=6), st.sampled_from(["corrected", "as_written"]))
+    def test_matches_the_fraction_oracle(self, cells, use):
+        rows = [TabletRowRecord(n, *row) for n, row in enumerate(cells, 1)]
+        got = {r.number: r.failures for r in verify_properties(rows, use)}
+        assert got == fraction_properties(rows, use)
+
+    @given(_A, _SIDE, _SIDE, st.integers(1, 10**6))
+    @example(parse_sex("1;33 45", "fixed"), 3, 5, 2)  # 50/32: 50 and 32 are no squares
+    def test_a_in_lowest_terms_or_not(self, a, s, d, k):
+        n, m = _ratio(a)
+        for number, (_, test) in PROPERTIES.items():
+            assert test((k * n, k * m), s, d) == test((n, m), s, d), number
 
 
 class TestDiff:
@@ -254,8 +309,8 @@ class TestDiff:
 def _with_row(candidates, at, **fields):
     """The candidates with row ``at`` (0-based) given new field values."""
     c = candidates[at]
-    values = {name: getattr(c, name) for name in RowCandidate.__slots__}
-    return candidates[:at] + [RowCandidate(**{**values, **fields})] + candidates[at + 1:]
+    values = [fields.get(name, getattr(c, name)) for name in RowCandidate.__slots__]
+    return candidates[:at] + [RowCandidate(*values)] + candidates[at + 1:]
 
 
 class TestDiffComparesFixedValues:
@@ -268,7 +323,7 @@ class TestDiffComparesFixedValues:
         shifted = mul(rows[3].a, SexValue(60))
         assert shifted.mantissa == rows[3].a.mantissa  # floating-equal
         report = diff_against(_with_row(rows, 3, a=shifted), "robson", matching)
-        assert report.rows[3] == RowDiff(4, "mismatch", cells=("A",))
+        assert report.rows[3] == RowDiff(4, "mismatch", None, ("A",))
         assert report.count("exact") == 14
 
     @pytest.mark.parametrize("scale,ratio", [(2, SexValue(30, -1)),

@@ -10,9 +10,7 @@ from pathlib import Path
 import pytest
 
 from plimpton import (
-    RowCandidate,
     SexValue,
-    TabletCell,
     XYPair,
     build_row,
     diff_against,
@@ -54,6 +52,10 @@ def _samples():
 
 
 SAMPLES = {type(v).__name__: v for v in _samples()}
+# the values callers build as inputs, each with its own checked constructor;
+# every other class is a record, built from all of its fields in slot order
+VALUE_CLASSES = {"SexValue", "RegularNumber", "ReciprocalPair", "LinkChain"}
+RECORDS = sorted(set(SAMPLES) - VALUE_CLASSES)
 
 
 def _fields(value):
@@ -76,7 +78,12 @@ class TestValueSemantics:
         assert twin is not value
         assert twin == value and not twin != value
         assert hash(twin) == hash(value)
-        assert cls(**dict(zip(cls.__slots__, _fields(value)))) == value
+        by_keyword = dict(zip(cls.__slots__, _fields(value)))
+        if name in VALUE_CLASSES:
+            assert cls(**by_keyword) == value
+        else:
+            with pytest.raises(TypeError):
+                cls(**by_keyword)
 
     def test_a_different_type_is_not_equal(self, name):
         value = SAMPLES[name]
@@ -125,26 +132,22 @@ class TestConstruction:
         assert SexValue(mantissa=3600) == SexValue(1, exponent=2)
         assert pickle.loads(pickle.dumps(SexValue(3600))) == SexValue(1, 2)
 
-    def test_defaults_apply_when_a_keyword_is_omitted(self):
-        v = SexValue(1)
-        assert v.exponent == 0
-        assert TabletCell(v).as_written is None
-        diff = RowDiff(3, "exact")
-        assert (diff.ratio, diff.cells) == (None, ())
-        assert RowDiff(n=3, status="mismatch", cells=("A",)).cells == ("A",)
-        row = SAMPLES["RowCandidate"]
-        fields = _fields(row)[:-1]
-        assert RowCandidate(*fields).reduced is True
-        assert RowCandidate(*fields, reduced=False).reduced is False
+    def test_omitting_a_record_field_is_a_type_error(self):
+        assert SexValue(1).exponent == 0  # a value class keeps its own defaults
+        for name in RECORDS:
+            fields = _fields(SAMPLES[name])
+            with pytest.raises(TypeError, match=f"{name} takes the fields"):
+                type(SAMPLES[name])(*fields[:-1])
 
     @pytest.mark.parametrize("args, kwargs", [
-        ((3,), {}),                          # a field without a default
+        ((3,), {}),                          # too few values
         ((3, "exact", None, (), 4), {}),     # one value too many
-        ((3, "exact"), {"n": 4}),            # a field given twice
-        ((3, "exact"), {"rows": ()}),        # no such field
+        ((3, "exact"), {"n": 4}),            # a keyword: a record takes none
+        ((3, "exact"), {"rows": ()}),
     ])
     def test_bad_fields_are_a_type_error(self, args, kwargs):
-        with pytest.raises(TypeError, match="RowDiff takes the fields"):
+        match = "keyword argument" if kwargs else "RowDiff takes the fields"
+        with pytest.raises(TypeError, match=match):
             RowDiff(*args, **kwargs)
 
 
