@@ -17,7 +17,6 @@ from .sexagesimal import (
 )
 from .pairs import (
     CRITERIA,
-    Correction,
     ReciprocalPair,
     enumerate_pairs,
 )
@@ -28,6 +27,7 @@ from .rows import (
 )
 from .hypotheses import (
     PRINTED_TABLES,
+    Correction,
     LinkChain,
     generate,
     link_to_standard,

@@ -6,18 +6,21 @@ and link, which print one value.  Whenever computed values differ from the
 printed source tables, a correction log is emitted (stderr for text/csv,
 embedded for json) — printed values are never silently fixed.
 
-Exit codes: 0 success or expected findings, 1 usage error, 2 data error.
+Exit codes: 0 success or expected findings, 1 usage error, 2 data error,
+141 (128 + SIGPIPE), with no traceback, when stdout's or stderr's reader
+is gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import hypotheses, pairs, tablet
-from .pairs import Correction, ReciprocalPair, enumerate_pairs
+from .pairs import ReciprocalPair, enumerate_pairs
 from .rows import RowCandidate
 from .sexagesimal import (
     ONE,
@@ -39,6 +42,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +101,7 @@ def _print_json(command: str, fields: dict) -> None:
 
 
 def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
-          corrections: list[Correction], extra: dict | None = None) -> None:
+          corrections: list[hypotheses.Correction], extra: dict | None = None) -> None:
     """Uniform emission: same values in every format.  Rows hold values
     (a ``SexValue`` or text); each format encodes them, json as digits and
     exact fraction, text and csv as digits of the printed columns only."""
@@ -333,10 +337,19 @@ def main(argv: list[str] | None = None) -> int:
     # tracer's wrapper) runs even though the parser outlives the binding
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit's flush
+    except BrokenPipeError:  # what is left unwritten to a closed pipe goes to devnull
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return EXIT_PIPE
     except (DataError, SexagesimalError, ValueError) as e:
         print(f"plimpton: error: {e}", file=sys.stderr)
         return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":

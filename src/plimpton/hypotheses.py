@@ -4,31 +4,37 @@ Each hypothesis produces an ordered list of row candidates from reciprocal
 pairs, chosen either by a criterion on both members or by a test of T read
 as P/Q in lowest terms.  Also here: the printed tables of pairs (the
 fifteen, the excluded six and the extensions above and below them) with the
-computed pairs each is checked against, and the minimal chain linking any
-regular pair to the standard reciprocal table by doubling/tripling/
-quintupling steps.  Theories and printed tables are data: each selects its
-pairs by a record (lo, hi, keep) of ``pairs._four_place_pairs``, a padded T
-range and a test of both members, from the one shared set of pairs.
-Links are computed in closed form on the exponent lattice (see
-:func:`link_to_standard`), in bounded time at any chain depth.
+computed pairs each is checked against and the log of their misprints, and
+the minimal chain linking any regular pair to the standard reciprocal table
+by doubling/tripling/quintupling steps.  Theories and printed tables are
+data: each selects its pairs by a record (lo, hi, keep) of
+``pairs._four_place_pairs``, a padded T range and a test of both members,
+from the one shared set of pairs.  Links are computed in closed form on the
+exponent lattice (see :func:`link_to_standard`), at any chain depth.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache, partial
 from math import gcd
 
 from .pairs import (
     CRITERIA,
     PLIMPTON_PADDED,
-    Correction,
     ReciprocalPair,
     _four_place_members,
     _four_place_pairs,
-    pair_corrections,
 )
 from .rows import RowCandidate, build_row
-from .sexagesimal import RegularNumber, SexagesimalError, _ratio_text, _Value
+from .sexagesimal import (
+    RegularNumber,
+    SexagesimalError,
+    _ratio_text,
+    _Value,
+    parse_sex,
+    render_sex,
+)
 
 # (P, Q) generators for the fifteen rows, as first published.
 TABLE1_PQ = [
@@ -202,8 +208,10 @@ UPPER_EXTENSION_PRINTED = [
 ]
 
 # A cited earlier reconstruction gives row -17's T as 3 29 10; computation
-# confirms the tabulated 3 28 20 (the reciprocal of 17 16 48).
+# confirms the tabulated 3 28 20 (the reciprocal of 17 16 48).  A table's
+# variant rows are logged after its own, each against its label's row.
 MINUS_17_VARIANT_PRINTED = [("-17", "3 29 10")]
+PRINTED_VARIANTS = {"extension-lower": MINUS_17_VARIANT_PRINTED}
 
 # Every printed table of pairs, by the name its correction log carries: its
 # rows as printed, (label, T, Tbar, ...), then the selection record (lo, hi,
@@ -244,21 +252,55 @@ def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
 
 
+class Correction(_Value):
+    """A printed source value that disagrees with the computed one."""
+
+    __slots__ = ("table", "label", "column", "printed", "computed")
+
+    def __str__(self) -> str:
+        return (f"[{self.table}] row {self.label} {self.column}: "
+                f"printed {self.printed!r}, computed {self.computed}")
+
+
+@cache
+def _printed_members(table: str) -> tuple[tuple, ...]:
+    """Every printed member of one table, then of its variants, as (log name,
+    label, column, text, reading, row), read once per process on first use:
+    reading is its parse_sex mantissa, or None where it does not parse (the
+    misprinted 64s); row indexes the printed row whose pair it is checked by."""
+    printed = PRINTED_TABLES[table][0]
+    at = {label: i for i, (label, *_) in enumerate(printed)}
+    rows = [(table, i, row) for i, row in enumerate(printed)] + [
+        (f"{table}(variant)", at[row[0]], row) for row in PRINTED_VARIANTS.get(table, [])]
+    members = []
+    for name, i, (label, *texts) in rows:
+        for column, text in zip(("T", "Tbar"), texts):
+            try:
+                reading = parse_sex(text).mantissa
+            except SexagesimalError:
+                reading = None
+            members.append((name, label, column, text, reading, i))
+    return tuple(members)
+
+
 def printed_corrections(table: str,
-                        pairs: list[ReciprocalPair]) -> list[Correction]:
+                        pairs: Iterable[ReciprocalPair]) -> list[Correction]:
     """Printed-vs-computed digit log of the rows of one printed table whose
     computed pair is among ``pairs``, in any order, keyed by T's exponent
-    triple (T's canonical mantissa) and logged as listed."""
-    printed, computed = _printed_table(table)
-    if any(type(pair) is not ReciprocalPair for pair in pairs):
-        raise SexagesimalError("every listed pair must be a ReciprocalPair")
-    listed = {pair.T.triple: pair for pair in pairs}
-    logged = [(row, listed[c.T.triple]) for row, c in zip(printed, computed)
-              if c.T.triple in listed]
-    out = pair_corrections(table, [row for row, _ in logged], [pair for _, pair in logged])
-    if table == "extension-lower":
-        out += pair_corrections(f"{table}(variant)", MINUS_17_VARIANT_PRINTED,
-                                [pair for (label, *_), pair in logged if label == "-17"])
+    triple: each printed member that does not read as the listed member's
+    mantissa, logged as listed."""
+    _, computed = _printed_table(table)
+    listed = {}
+    for pair in pairs:
+        if type(pair) is not ReciprocalPair:
+            raise SexagesimalError("every listed pair must be a ReciprocalPair")
+        listed[pair.T.triple] = pair
+    out = []
+    for name, label, column, text, reading, row in _printed_members(table):
+        if pair := listed.get(computed[row].T.triple):
+            member = getattr(pair, column)
+            if reading != member.mantissa:
+                out.append(Correction(name, label, column, text, render_sex(member.value)))
     return out
 
 

@@ -174,39 +174,3 @@ def enumerate_pairs(kind: str, lower: SexValue,
         raise ValueError("empty range: lower bound exceeds upper bound")
     return _four_place_pairs(_padded(lower, True), _padded(upper, False),
                              CRITERIA[kind])
-
-
-class Correction(_Value):
-    """A printed source value that disagrees with the computed one."""
-
-    __slots__ = ("table", "label", "column", "printed", "computed")
-
-    def __str__(self) -> str:
-        return (f"[{self.table}] row {self.label} {self.column}: "
-                f"printed {self.printed!r}, computed {self.computed}")
-
-
-def pair_corrections(table: str, printed: list[tuple],
-                     pairs: list[ReciprocalPair]) -> list[Correction]:
-    """Digit log of printed rows (label, T, Tbar, ...) against the pairs.
-
-    A printed member matches when its digits, trailing zero places dropped,
-    read as one integer, are the computed mantissa (which never ends in a
-    zero place).  A digit outside 0..59 (the misprinted 64s) or a leading 0
-    never matches, so a member of zero places only is logged.
-    """
-    out = []
-    for (label, *texts), pair in zip(printed, pairs):
-        for column, text, member in zip(("T", "Tbar"), texts, (pair.T, pair.Tbar)):
-            digits = [int(d) for d in text.split()]
-            if not digits:
-                raise SexagesimalError(f"[{table}] row {label} {column}: no digits printed")
-            while len(digits) > 1 and digits[-1] == 0:
-                digits.pop()
-            value = 0
-            for d in digits:
-                value = value * 60 + d
-            if not (digits[0] and min(digits) >= 0 and max(digits) < 60
-                    and value == member.mantissa):
-                out.append(Correction(table, label, column, text, render_sex(member.value)))
-    return out

@@ -148,6 +148,8 @@ def verify_properties(rows: list[TabletRowRecord],
     """The five arithmetic properties of the columns: column A strictly
     decreases down the rows, and every row passes each test of PROPERTIES.
     A failure lists the numbers of the rows that break the property."""
+    if use not in ("corrected", "as_written"):  # checked with no rows too
+        raise ValueError(f"use must be 'corrected' or 'as_written', not {use!r}")
     read = []  # each row's number, its A as (n, m), and its S and D as integers
     for r in rows:
         if type(r) is not TabletRowRecord:

@@ -353,6 +353,39 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "invalid choice: 'csv'" in err
 
+    @staticmethod
+    def run_with_a_closed_pipe(argv, closed):
+        """main(argv) in a child process, its output buffered as by default,
+        whose stdout or stderr pipe (``closed``) is closed before it writes:
+        (exit code, stdout, stderr), the closed one None.  The child waits
+        for stdin's end, which comes after the close."""
+        package_root = str(Path(plimpton.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        code = ("import sys; sys.stdin.read(); from plimpton.cli import main; "
+                f"sys.exit(main({argv!r}))")
+        child = subprocess.Popen([sys.executable, "-c", code], env=env, stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        getattr(child, closed).close()
+        out, err = child.communicate(b"", timeout=TIME_BUDGET_S)
+        return child.returncode, out, err
+
+    @pytest.mark.parametrize("argv", [
+        ["tablet", "verify", "--format", "json"],
+        ["tablet", "errors"],
+        ["pairs", "--criterion", "bruins", "--from", "1;48", "--to", "2;24", "--format", "csv"],
+    ])
+    def test_a_closed_stdout_exits_141_in_silence(self, argv):
+        # it printed a BrokenPipeError traceback and exited 1
+        assert self.run_with_a_closed_pipe(argv, "stdout")[::2] == (141, b"")
+        assert cli.EXIT_PIPE == 141
+
+    def test_a_closed_stderr_keeps_stdout_whole(self):
+        # the rows, then the log's one line to the closed stderr
+        code, out, _ = self.run_with_a_closed_pipe(["rows", "--hypothesis", "phillips"], "stderr")
+        assert (code, len(out.decode().splitlines())) == (141, 15)
+
 
 class TestNonAsciiDigits:
     @pytest.mark.parametrize("argv", [
@@ -646,6 +679,48 @@ class TestWorkCeilings:
         selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
         assert run(capsys, "extend", "--side", side)[0] == 0
         assert len(selected) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("extend", "--side", "lower"),
+        ("extend", "--side", "upper"),
+        ("rows", "--hypothesis", "phillips"),
+        *[("pairs", "--criterion", kind, "--from", "1;48", "--to", "2;24")
+          for kind in ("mult10", "places4", "bruins")],
+    ])
+    def test_the_log_reads_no_printed_digit_after_a_warm_call(
+            self, capsys, monkeypatch, argv):
+        # every printed member counts the reads of its text: split or strip
+        # starts each reader of its digits
+        read = []
+
+        class Counted(str):
+            def split(self, *args):
+                read.append(self)
+                return str.split(self, *args)
+
+            def strip(self, *args):
+                read.append(self)
+                return str.strip(self, *args)
+
+        def counted(rows):
+            return [(label, Counted(t), Counted(tbar), *rest)
+                    for label, t, tbar, *rest in rows]
+
+        for table, (printed, *record) in list(hypotheses.PRINTED_TABLES.items()):
+            monkeypatch.setitem(hypotheses.PRINTED_TABLES, table, (counted(printed), *record))
+        monkeypatch.setitem(hypotheses.PRINTED_VARIANTS, "extension-lower",
+                            [(label, Counted(t)) for label, t in
+                             hypotheses.PRINTED_VARIANTS["extension-lower"]])
+        hypotheses._printed_members.cache_clear()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            assert read
+            read.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert read == []
+        finally:
+            monkeypatch.undo()
+            hypotheses._printed_members.cache_clear()
 
     def test_value_fields_are_set_by_their_slots(self):
         # each _Value sets its fields by its slot descriptors' __set__

@@ -4,6 +4,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,9 +13,9 @@ from plimpton import hypotheses
 from plimpton.hypotheses import (
     EXCLUDED_PAIRS_PRINTED,
     LOWER_EXTENSION_PRINTED,
-    MINUS_17_VARIANT_PRINTED,
     PLIMPTON_PAIRS_PRINTED,
     PRINTED_TABLES,
+    PRINTED_VARIANTS,
     TABLE1_PQ,
     THEORIES,
     UPPER_EXTENSION_PRINTED,
@@ -26,7 +27,7 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
-from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs, pair_corrections
+from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs
 from plimpton.rows import build_row
 from plimpton.sexagesimal import (
     SexagesimalError,
@@ -39,6 +40,7 @@ from plimpton.sexagesimal import (
     sub,
 )
 from plimpton.tablet import diff_against, verify_properties
+from bench_oracle import oracle
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
 
@@ -272,20 +274,88 @@ class TestPrintedFifteen:
 _ALL_PRINTED_PAIRS = [pair for table in PRINTED_TABLES for _, pair in printed_pairs(table)]
 
 
+def _oracle_logs(text, m):
+    """The digit rule on the oracle's digits: a printed member is logged
+    unless its digit list, trailing zero places dropped, is that of the
+    computed mantissa m; a member with no digits is an error."""
+    digits = [int(d) for d in text.split()]
+    if not digits:
+        raise SexagesimalError("no digits printed")
+    while digits and digits[-1] == 0:
+        digits.pop()
+    # zero places only leave [], which no mantissa's digits are
+    return digits != oracle.digits60(m)
+
+
+def _oracle_corrections(table, printed, pairs):
+    """The digit rule's log of printed rows (label, T, Tbar, ...) against
+    their pairs, as (table, label, column, printed, computed)."""
+    return [(table, label, column, text, oracle.render(m))
+            for (label, *texts), pair in zip(printed, pairs)
+            for column, text, m in zip(("T", "Tbar"), texts,
+                                       (pair.T.mantissa, pair.Tbar.mantissa))
+            if _oracle_logs(text, m)]
+
+
+def _variant_log(table):
+    """The digit rule's log of a table's printed variants, each against the
+    pair of its label's row."""
+    own = dict(printed_pairs(table))
+    variants = PRINTED_VARIANTS.get(table, [])
+    return _oracle_corrections(f"{table}(variant)", variants,
+                               [own[label] for label, *_ in variants])
+
+
+def _fields(log):
+    return [(c.table, c.label, c.column, c.printed, c.computed) for c in log]
+
+
 def _positional_then_filtered(table, listed):
     """The log of the positional rule, kept as a reference: every row of the
-    table against its own computed pair in printed order, then only the
-    rows whose computed pair is in ``listed``, by label."""
+    table against its own computed pair in printed order, then its variants,
+    then only the rows whose computed pair is in ``listed``, by label."""
     printed = PRINTED_TABLES[table][0]
     own = [pair for _, pair in printed_pairs(table)]
-    out = pair_corrections(table, printed, own)
-    if table == "extension-lower":
-        at = [label for label, *_ in printed].index("-17")
-        out += pair_corrections(f"{table}(variant)", MINUS_17_VARIANT_PRINTED,
-                                own[at:at + 1])
+    out = _oracle_corrections(table, printed, own) + _variant_log(table)
     shown = set(listed)
     labels = {label for (label, *_), pair in zip(printed, own) if pair in shown}
-    return [c for c in out if c.label in labels]
+    return [c for c in out if c[1] in labels]
+
+
+def _log_as(table, printed):
+    """The whole log of one printed table, its rows printed as ``printed``
+    and read afresh, as (table, label, column, printed, computed)."""
+    hypotheses._printed_members.cache_clear()
+    try:
+        with patch.dict(PRINTED_TABLES, {table: (printed, *PRINTED_TABLES[table][1:])}):
+            return _fields(_log(table))
+    finally:
+        hypotheses._printed_members.cache_clear()
+
+
+def _row_log(table, label, t_text, tbar_text):
+    """The log of one printed row, its T and Tbar printed as given, as
+    (column, printed, computed)."""
+    printed = [(label, t_text, tbar_text) if row[0] == label else row
+               for row in PRINTED_TABLES[table][0]]
+    return [c[2:] for c in _log_as(table, printed) if c[:2] == (table, label)]
+
+
+@st.composite
+def _printed(draw, m):
+    """A printed form of mantissa m: maybe trailing zero places, maybe a
+    leading 0, maybe one place misprinted (64 and others past 59 included),
+    maybe every place 0 or no place at all, each place padded to two
+    characters or not, maybe the places two spaces apart."""
+    digits = oracle.digits60(m) + [0] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        digits.insert(0, 0)
+    if draw(st.booleans()):
+        digits[draw(st.integers(0, len(digits) - 1))] = draw(
+            st.one_of(st.just(64), st.integers(60, 99), st.integers(0, 59)))
+    digits = draw(st.sampled_from([digits, digits, [0] * len(digits), []]))
+    separator = draw(st.sampled_from([" ", " ", " ", "  "]))
+    return separator.join(f"{d:02d}" if draw(st.booleans()) else str(d) for d in digits)
 
 
 class TestPrintedTables:
@@ -316,10 +386,15 @@ class TestPrintedTables:
         printed, *record = PRINTED_TABLES["excluded-pairs"]
         changed = (printed * 2)[:rows]
         monkeypatch.setitem(PRINTED_TABLES, "excluded-pairs", (changed, *record))
-        with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
-            printed_pairs("excluded-pairs")
-        with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
-            printed_corrections("excluded-pairs", [])
+        hypotheses._printed_members.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
+                printed_pairs("excluded-pairs")
+            with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
+                printed_corrections("excluded-pairs", [])
+        finally:
+            monkeypatch.undo()
+            hypotheses._printed_members.cache_clear()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), table=st.sampled_from(list(PRINTED_TABLES)))
@@ -327,7 +402,8 @@ class TestPrintedTables:
         # any subset of the printed tables' pairs, in any order: the rows
         # logged are those the positional rule and a label filter log
         listed = data.draw(st.lists(st.sampled_from(_ALL_PRINTED_PAIRS), unique=True))
-        assert printed_corrections(table, listed) == _positional_then_filtered(table, listed)
+        assert _fields(printed_corrections(table, listed)) == \
+            _positional_then_filtered(table, listed)
 
     @pytest.mark.parametrize("minus_17", [True, False])
     @pytest.mark.parametrize("seed", range(3))
@@ -336,13 +412,114 @@ class TestPrintedTables:
         listed = [pair for label, pair in printed_pairs("extension-lower")
                   if (minus_17 if label == "-17" else rng.random() < 0.5)]
         rng.shuffle(listed)
-        got = printed_corrections("extension-lower", listed)
+        got = _fields(printed_corrections("extension-lower", listed))
         assert got == _positional_then_filtered("extension-lower", listed)
-        variant = [(c.label, c.computed) for c in got if c.table.endswith("(variant)")]
+        variant = [(c[1], c[4]) for c in got if c[0].endswith("(variant)")]
         assert variant == ([("-17", "3 28 20")] if minus_17 else [])
+
+    @pytest.mark.parametrize("as_iterator", [iter, lambda ps: (p for p in ps)])
+    def test_reads_the_listed_pairs_once(self, as_iterator):
+        # the type check used up an iterator, so no pair was listed
+        listed = [p for _, p in printed_pairs("extension-upper")]
+        got = printed_corrections("extension-upper", as_iterator(listed))
+        assert got == printed_corrections("extension-upper", listed)
+        assert [(c.label, c.column) for c in got] == [("33", "T")]
 
     def test_empty_pair_list_logs_nothing(self):
         assert printed_corrections("standard-15", []) == []
+
+
+class TestPrintedReadings:
+    """Each printed member is read once per process by parse_sex, and
+    matches when it reads as the listed member's mantissa."""
+
+    def test_trailing_zeros_unpadded_places_and_a_64(self):
+        # row 8 prints (2 08, 28 07 30)
+        assert _row_log("standard-15", "8", "2 08 00", "28 07 30 00 00") == []
+        assert _row_log("standard-15", "8", "2 8", "28 7 30") == []
+        assert _row_log("standard-15", "8", "2 08", "28 64 30") == \
+            [("Tbar", "28 64 30", "28 07 30")]
+
+    def test_a_member_of_zero_places_only_is_logged(self):
+        # row 11 prints (2, 30)
+        assert _row_log("standard-15", "11", "00 00", "30") == [("T", "00 00", "2")]
+        assert _row_log("standard-15", "11", "2", "0") == [("Tbar", "0", "30")]
+
+    @pytest.mark.parametrize("text", ["", " ", "\t"])
+    def test_a_member_with_no_digits_is_logged(self, text):
+        # it raised SexagesimalError before parse_sex read the members
+        assert _row_log("standard-15", "11", text, "30") == [("T", text, "2")]
+
+    @pytest.mark.parametrize("t_text,logged", [
+        ("1 04", False), ("01 4 00 00", False), ("1:04", False),
+        # a leading zero place reads as nothing (it was logged before)
+        ("0 1 04", False), ("00 01 04", False),
+        # read as integers these are 64 too
+        ("64", True), ("0 64 00", True), ("2 -56", True),
+        # places not one space apart, or signed, do not parse (they
+        # matched before)
+        ("1  04", True), ("1 04  00", True), ("1\t04", True), ("+1 04", True),
+    ])
+    def test_a_member_is_logged_unless_it_parses_to_the_mantissa(self, t_text, logged):
+        # row 37 prints (1 4 0 0, 56 15 0 0)
+        got = _row_log("extension-upper", "37", t_text, "56 15")
+        assert got == ([("T", t_text, "1 04")] if logged else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), table=st.sampled_from(list(PRINTED_TABLES)))
+    def test_matches_the_rule_on_the_oracle_digits(self, data, table):
+        # the oracle's digit rule but for the reader's three stated
+        # departures: a leading zero place reads as nothing, and a member
+        # with no digits or with a doubled space is logged; up to four rows
+        # are drawn, and columns past T and Tbar are not compared
+        own = [pair for _, pair in printed_pairs(table)]
+        printed = list(PRINTED_TABLES[table][0])
+        for i in data.draw(st.sets(st.integers(0, len(own) - 1), max_size=4)):
+            printed[i] = (printed[i][0], data.draw(_printed(own[i].T.mantissa)),
+                          data.draw(_printed(own[i].Tbar.mantissa)), "extra")
+        expected = []
+        for (label, *texts), pair in zip(printed, own):
+            for column, text, m in zip(("T", "Tbar"), texts,
+                                       (pair.T.mantissa, pair.Tbar.mantissa)):
+                places = text.split()
+                while len(places) > 1 and int(places[0]) == 0:
+                    places.pop(0)
+                if not places or "  " in text or _oracle_logs(" ".join(places), m):
+                    expected.append((table, label, column, text, oracle.render(m)))
+        assert _log_as(table, printed) == expected + _variant_log(table)
+
+    @pytest.mark.parametrize("table", list(PRINTED_TABLES))
+    def test_renders_only_the_logged_members(self, monkeypatch, table):
+        rendered = []
+
+        def counting_render(v):
+            rendered.append(v)
+            return render_sex(v)
+
+        monkeypatch.setattr(hypotheses, "render_sex", counting_render)
+        logged = _log(table)
+        assert len(rendered) == len(logged)
+
+    def test_reads_each_printed_member_once_per_process(self, monkeypatch):
+        # 24 rows of two members, then the variant's one
+        read = []
+
+        def counting_parse(text):
+            read.append(text)
+            return parse_sex(text)
+
+        hypotheses._printed_members.cache_clear()
+        monkeypatch.setattr(hypotheses, "parse_sex", counting_parse)
+        try:
+            counts = []
+            for _ in range(2):
+                _log("extension-lower")
+                counts.append(len(read))
+                read.clear()
+            assert counts == [49, 0]
+        finally:
+            monkeypatch.undo()
+            hypotheses._printed_members.cache_clear()
 
     def test_standard_15_is_the_phillips_theory(self):
         assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"]

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 from functools import cache
 
@@ -21,9 +20,8 @@ from plimpton.pairs import (
     _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
-    pair_corrections,
 )
-from plimpton import pairs as pairs_module, sexagesimal
+from plimpton import sexagesimal
 from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
@@ -616,107 +614,3 @@ class TestBisectedIndex:
     @example(keep="mult10", lo=-1, hi=10**9)
     def test_equals_a_scan_of_the_table(self, keep, lo, hi):
         assert _four_place_pairs(lo, hi, _KEEPS[keep]) == _scan(lo, hi, _KEEPS[keep])
-
-
-def _oracle_corrections(table, printed, pairs):
-    """pair_corrections' rule on the oracle's digits: a printed member
-    matches when its digit list, trailing zero places dropped, is that of
-    the computed mantissa; a member with no digits is an error."""
-    out = []
-    for (label, *texts), pair in zip(printed, pairs):
-        for column, text, m in zip(("T", "Tbar"), texts,
-                                   (pair.T.mantissa, pair.Tbar.mantissa)):
-            digits = [int(d) for d in text.split()]
-            if not digits:
-                raise SexagesimalError(f"[{table}] row {label} {column}: no digits printed")
-            while digits and digits[-1] == 0:
-                digits.pop()
-            # zero places only leave [], which no mantissa's digits are
-            if digits != oracle.digits60(m):
-                out.append((table, label, column, text, oracle.render(m)))
-    return out
-
-
-@st.composite
-def _printed(draw, m):
-    """A printed form of mantissa m: maybe trailing zero places, maybe a
-    leading 0, maybe one place misprinted (64 and others past 59 included),
-    maybe every place 0 or no place at all, each place padded to two
-    characters or not."""
-    digits = oracle.digits60(m) + [0] * draw(st.integers(0, 2))
-    if draw(st.booleans()):
-        digits.insert(0, 0)
-    if draw(st.booleans()):
-        digits[draw(st.integers(0, len(digits) - 1))] = draw(
-            st.one_of(st.just(64), st.integers(60, 99), st.integers(0, 59)))
-    digits = draw(st.sampled_from([digits, digits, [0] * len(digits), []]))
-    return " ".join(f"{d:02d}" if draw(st.booleans()) else str(d) for d in digits)
-
-
-class TestPairCorrections:
-    def test_trailing_zeros_unpadded_places_and_a_64(self):
-        pair = ReciprocalPair.from_T_mantissa(parse_sex("2 08").mantissa)
-        printed = [("zeros", "2 08 00", "28 07 30 00 00"),
-                   ("unpadded", "2 8", "28 7 30"),
-                   ("64", "2 08", "28 64 30")]
-        got = [(c.label, c.column, c.printed, c.computed)
-               for c in pair_corrections("t", printed, [pair] * 3)]
-        assert got == [("64", "Tbar", "28 64 30", "28 07 30")]
-
-    def test_a_member_of_zero_places_only_is_logged(self):
-        pair = ReciprocalPair.from_T_mantissa(2)
-        printed = [("a", "00 00", "30"), ("b", "2", "0")]
-        got = [(c.label, c.column, c.printed, c.computed)
-               for c in pair_corrections("t", printed, [pair] * 2)]
-        assert got == [("a", "T", "00 00", "2"), ("b", "Tbar", "0", "30")]
-
-    @pytest.mark.parametrize("text", ["", " ", "\t"])
-    def test_a_member_with_no_digits_is_a_domain_error(self, text):
-        pair = ReciprocalPair.from_T_mantissa(2)
-        with pytest.raises(SexagesimalError, match=r"\[t\] row a T: no digits printed"):
-            pair_corrections("t", [("a", text, "30")], [pair])
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_matches_the_rule_on_the_oracle_digits(self, data):
-        # pair_corrections reads a member as one integer, the oracle
-        # compares digit lists
-        pairs = data.draw(st.lists(st.sampled_from(_oracle_all()),
-                                   min_size=1, max_size=4))
-        # columns past T and Tbar are not compared
-        printed = [(str(i), data.draw(_printed(p.T.mantissa)),
-                    data.draw(_printed(p.Tbar.mantissa)), "extra")
-                   for i, p in enumerate(pairs)]
-        try:
-            expected = _oracle_corrections("t", printed, pairs)
-        except SexagesimalError as error:
-            with pytest.raises(SexagesimalError, match=re.escape(str(error))):
-                pair_corrections("t", printed, pairs)
-            return
-        got = [(c.table, c.label, c.column, c.printed, c.computed)
-               for c in pair_corrections("t", printed, pairs)]
-        assert got == expected
-
-    @pytest.mark.parametrize("t_text,logged", [
-        ("1 04", False), ("01 4 00 00", False),
-        # read as integers these are 64 too
-        ("64", True), ("0 1 04", True), ("0 64 00", True), ("00 01 04", True),
-        ("2 -56", True),
-    ])
-    def test_a_leading_0_or_a_digit_outside_0_to_59_is_logged(self, t_text, logged):
-        pair = ReciprocalPair.from_T_mantissa(64)  # (1 04, 56 15)
-        got = [(c.printed, c.computed)
-               for c in pair_corrections("t", [("a", t_text, "56 15")], [pair])]
-        assert got == ([(t_text, "1 04")] if logged else [])
-
-    @pytest.mark.parametrize("table", list(PRINTED_TABLES))
-    def test_renders_only_the_logged_members(self, monkeypatch, table):
-        rendered = []
-
-        def counting_render(v):
-            rendered.append(v)
-            return render_sex(v)
-
-        monkeypatch.setattr(pairs_module, "render_sex", counting_render)
-        logged = printed_corrections(table, [p for _, p in printed_pairs(table)])
-        assert len(rendered) == len(logged)

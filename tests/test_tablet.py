@@ -183,6 +183,12 @@ class TestVerification:
         assert verify_properties(rows[::-1])[0].failures == tuple(range(14, 0, -1))
         assert verify_properties([rows[0], rows[0]])[0].failures == (1,)
 
+    @pytest.mark.parametrize("rows", [[], tablet_data("robson")])
+    def test_an_unknown_use_is_a_value_error(self, rows):
+        # checked before any row is read: with no rows it returned five results
+        with pytest.raises(ValueError, match="use must be 'corrected' or 'as_written', not 'bogus'"):
+            verify_properties(rows, use="bogus")
+
     def test_non_integer_side_is_a_domain_error(self):
         row = TabletRowRecord(1, TabletCell(SexValue(3), None),
                               TabletCell(SexValue(90, -1), None), TabletCell(SexValue(5), None))
