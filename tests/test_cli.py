@@ -46,14 +46,18 @@ def run_bounded(*argv):
     return run_python_bounded("-m", "plimpton.cli", *argv)
 
 
+def package_env() -> dict:
+    """This process's environment with the package on the path."""
+    package_root = str(Path(plimpton.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def run_python_bounded(*args):
     """The interpreter run with ``args`` in a child process, the package on
     its path: (exit code, stdout, stderr)."""
-    package_root = str(Path(plimpton.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=package_env(),
                           timeout=TIME_BUDGET_S)
     return done.returncode, done.stdout, done.stderr
 
@@ -359,10 +363,8 @@ class TestExitCodes:
         whose stdout or stderr pipe (``closed``) is closed before it writes:
         (exit code, stdout, stderr), the closed one None.  The child waits
         for stdin's end, which comes after the close."""
-        package_root = str(Path(plimpton.__file__).parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
         code = ("import sys; sys.stdin.read(); from plimpton.cli import main; "
                 f"sys.exit(main({argv!r}))")
         child = subprocess.Popen([sys.executable, "-c", code], env=env, stdin=subprocess.PIPE,
