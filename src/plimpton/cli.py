@@ -17,7 +17,11 @@ import argparse
 import os
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
+
+try:  # the C encoder json.encoder would load, without loading json
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from . import hypotheses, pairs, tablet
 from .pairs import ReciprocalPair, enumerate_pairs
@@ -68,18 +72,30 @@ def _decimal(field: str, value) -> str:
                         "string conversion") from None
 
 
+class _Encoded(str):
+    """JSON text already written at its place in a document: ``_json``
+    copies it as it is."""
+
+
+def _sex_json(v: SexValue, indent: str) -> str:
+    """A ``SexValue`` as ``_json`` writes it: an object of its digits and
+    its exact fraction, on a line that ``indent`` opens."""
+    num, den = _ratio(v)
+    inner = indent + "  "
+    return (f'{{{inner}"digits": "{render_sex(v)}",'
+            f'{inner}"numerator": "{_decimal("numerator", num)}",'
+            f'{inner}"denominator": "{_decimal("denominator", den)}"{indent}}}')
+
+
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, on a line that
     ``indent`` (newline and spaces) opens; dict keys are str.  A ``SexValue``
-    is written as an object of its digits and its exact fraction."""
+    is written by ``_sex_json``, an ``_Encoded`` text as it is."""
     inner = indent + "  "
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Encoded else encode_basestring_ascii(value)
     if isinstance(value, SexValue):
-        num, den = _ratio(value)
-        return (f'{{{inner}"digits": "{render_sex(value)}",'
-                f'{inner}"numerator": "{_decimal("numerator", num)}",'
-                f'{inner}"denominator": "{_decimal("denominator", den)}"{indent}}}')
+        return _sex_json(value, indent)
     if isinstance(value, dict):
         items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                        for k, v in value.items()], "{}"
@@ -92,6 +108,20 @@ def _json(value, indent: str = "\n") -> str:
     if not items:
         return ends
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """``rows`` as ``_json`` writes them as a field of a document, by one
+    template: every row has the first row's keys, at least one, in its
+    order, and each key's head is encoded once."""
+    if not rows:
+        return "[]"
+    heads = {key: f"\n      {encode_basestring_ascii(key)}: " for key in rows[0]}
+    return "[\n    {" + "\n    },\n    {".join(
+        ",".join([heads[key] + (_sex_json(cell, "\n      ") if type(cell) is SexValue
+                                else _json(cell, "\n      "))
+                  for key, cell in row.items()])
+        for row in rows) + "\n    }\n  ]"
 
 
 def _print_json(command: str, fields: dict) -> None:
@@ -107,7 +137,7 @@ def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
     exact fraction, text and csv as digits of the printed columns only."""
     if fmt == "json":
         _print_json(command, {
-            "rows": rows,
+            "rows": _Encoded(_json_rows(rows)),
             "corrections": [dict(zip(c.__slots__, c._fields(c))) for c in corrections],
             **(extra or {})})
         return
@@ -118,11 +148,9 @@ def _emit(fmt: str, command: str, rows: list[dict], columns: list[str],
         for row in rows:
             writer.writerow([_cell_text(row[col]) for col in columns])
     else:
-        for row in rows:
-            print("  ".join(_cell_text(row[col]) for col in columns))
-        if extra:
-            for key, value in extra.items():
-                print(f"{key}: {value}")
+        lines = ["  ".join(_cell_text(row[col]) for col in columns) + "\n" for row in rows]
+        lines += [f"{key}: {value}\n" for key, value in (extra or {}).items()]
+        sys.stdout.write("".join(lines))
     for c in corrections:
         print(f"correction: {c}", file=sys.stderr)
 
@@ -328,7 +356,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
@@ -337,7 +365,15 @@ def main(argv: list[str] | None = None) -> int:
     # tracer's wrapper) runs even though the parser outlives the binding
     command = globals()[f"cmd_{args.command}"]
     try:
-        code = command(args)
+        return command(args)
+    except (DataError, SexagesimalError, ValueError) as e:
+        print(f"plimpton: error: {e}", file=sys.stderr)
+        return EXIT_DATA
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
         sys.stdout.flush()  # a closed pipe raises here, not in the exit's flush
     except BrokenPipeError:  # what is left unwritten to a closed pipe goes to devnull
         for stream in (sys.stdout, sys.stderr):
@@ -346,9 +382,6 @@ def main(argv: list[str] | None = None) -> int:
             except BrokenPipeError:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return EXIT_PIPE
-    except (DataError, SexagesimalError, ValueError) as e:
-        print(f"plimpton: error: {e}", file=sys.stderr)
-        return EXIT_DATA
     return code
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd
 
 from .pairs import ReciprocalPair
-from .sexagesimal import SexValue, SexagesimalError, _aligned, _Value, mul
+from .sexagesimal import SexagesimalError, _aligned, _canonical, _Value, mul
 
 
 class XYPair(_Value):
@@ -50,7 +50,7 @@ def build_row(p: ReciprocalPair, n: int = 0,
     if e > 0 or mt * mtbar != 60 ** (-2 * e):
         raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
     mx, my = 30 * (mt - mtbar), 30 * (mt + mtbar)  # X, Y at e - 1: a half is 30
-    xy = XYPair(SexValue(mx, e - 1), SexValue(my, e - 1))
+    xy = XYPair(_canonical(mx, e - 1), _canonical(my, e - 1))
     # the factor is X and Y's gcd at the lesser of their canonical exponents
     g = gcd(mx, my)
     s, d, factor = mx // g, my // g, g // 60 ** (min(xy.x.exponent, xy.y.exponent) + 1 - e)

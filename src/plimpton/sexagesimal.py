@@ -92,11 +92,7 @@ class SexValue(_Value):
                                    f"{type(mantissa).__name__} and {type(exponent).__name__}")
         if mantissa < 0:
             raise SexagesimalError("negative values are out of domain")
-        if mantissa % 60 == 0:  # zero (exponent 0), or not canonical
-            e, mantissa = _valuation(mantissa, 60) if mantissa else (-exponent, 0)
-            exponent += e
-        _set_mantissa(self, mantissa)
-        _set_exponent(self, exponent)
+        _set_canonical(self, mantissa, exponent)
 
     @property
     def fraction(self) -> Fraction:
@@ -109,14 +105,37 @@ class SexValue(_Value):
 
 
 _set_mantissa, _set_exponent = SexValue._setters  # module names: the class built most
+
+
+def _set_canonical(v: SexValue, mantissa: int, exponent: int) -> None:
+    """Set v's fields to mantissa * 60**exponent with the factors of 60
+    stripped from the mantissa into the exponent."""
+    if mantissa % 60 == 0:  # zero (exponent 0), or not canonical
+        e, mantissa = _valuation(mantissa, 60) if mantissa else (-exponent, 0)
+        exponent += e
+    _set_mantissa(v, mantissa)
+    _set_exponent(v, exponent)
+
+
+def _canonical(mantissa: int, exponent: int) -> SexValue:
+    """``SexValue(mantissa, exponent)`` without its checks, for the ints
+    mantissa >= 0 and exponent that the library derived itself."""
+    v = object.__new__(SexValue)
+    _set_canonical(v, mantissa, exponent)
+    return v
+
+
 ONE = SexValue(1)
 
 
 def _ratio(v: SexValue) -> tuple[int, int]:
     """The fixed reading in lowest terms, (numerator, denominator)."""
-    num, den = v.mantissa * 60**max(v.exponent, 0), 60**max(-v.exponent, 0)
-    g = gcd(num, den)
-    return num // g, den // g
+    m, e = v.mantissa, v.exponent
+    if e >= 0:  # an integer: no denominator to reduce
+        return m * 60**e, 1
+    den = 60**-e
+    g = gcd(m, den)
+    return m // g, den // g
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -233,7 +252,7 @@ def mul(a: SexValue, b: SexValue) -> SexValue:
     if not (type(a) is type(b) is SexValue):
         raise SexagesimalError(f"a product is defined for SexValues, "
                                f"not {type(b if type(a) is SexValue else a).__name__}")
-    return SexValue(a.mantissa * b.mantissa, a.exponent + b.exponent)
+    return _canonical(a.mantissa * b.mantissa, a.exponent + b.exponent)
 
 
 def _aligned(a: SexValue, b: SexValue) -> tuple[int, int, int]:

@@ -377,11 +377,18 @@ class TestExitCodes:
         ["tablet", "verify", "--format", "json"],
         ["tablet", "errors"],
         ["pairs", "--criterion", "bruins", "--from", "1;48", "--to", "2;24", "--format", "csv"],
+        ["--help"],
     ])
     def test_a_closed_stdout_exits_141_in_silence(self, argv):
-        # it printed a BrokenPipeError traceback and exited 1
+        # it printed a BrokenPipeError traceback and exited 1 (--help: the
+        # interpreter's failed flush at exit, 120)
         assert self.run_with_a_closed_pipe(argv, "stdout")[::2] == (141, b"")
         assert cli.EXIT_PIPE == 141
+
+    @pytest.mark.parametrize("argv", [["recip", "7"], ["frobnicate"]], ids=" ".join)
+    def test_an_error_to_a_closed_stderr_exits_141(self, argv):
+        # a data or usage error's message raised out of main and exited 120
+        assert self.run_with_a_closed_pipe(argv, "stderr")[:2] == (141, b"")
 
     def test_a_closed_stderr_keeps_stdout_whole(self):
         # the rows, then the log's one line to the closed stderr
@@ -538,6 +545,36 @@ _JSON_TREES = st.recursive(
     max_leaves=30)
 
 
+# SexValues at the place boundaries, and at exponents of both signs
+_JSON_CELLS = st.builds(SexValue, st.sampled_from([0, 1, 59, 60, 3599, 3600])
+                        | st.integers(0, 60**6), st.integers(-8, 8))
+_ENVELOPE = ("schema_version", "command", "rows", "corrections")
+
+
+@st.composite
+def _json_rows_documents(draw):
+    """(command, rows, extra) as a command hands them to ``_emit``: every
+    row has the same keys in the same order, and each cell is text or a
+    SexValue."""
+    keys = draw(st.lists(_JSON_TEXT, min_size=1, max_size=5, unique=True))
+    rows = [dict(zip(keys, draw(st.lists(st.one_of(_JSON_TEXT, _JSON_CELLS),
+                                         min_size=len(keys), max_size=len(keys)))))
+            for _ in range(draw(st.integers(0, 4)))]
+    extra = draw(st.dictionaries(_JSON_TEXT.filter(lambda k: k not in _ENVELOPE),
+                                 _JSON_TREES, max_size=2))
+    return draw(_JSON_TEXT), rows, extra
+
+
+def _expanded(cell):
+    """A cell as the JSON document holds it: a SexValue is an object of its
+    digits and its exact value's lowest terms, computed here by Fraction."""
+    if not isinstance(cell, SexValue):
+        return cell
+    value = Fraction(cell.mantissa) * Fraction(60) ** cell.exponent
+    return {"digits": render_sex(cell), "numerator": str(value.numerator),
+            "denominator": str(value.denominator)}
+
+
 def bench_reproduce_commands(monkeypatch) -> list[list[str]]:
     """The commands of the benchmark's reproduce workload, imported
     read-only as tests/test_golden.py does: no bytecode is written into
@@ -561,6 +598,20 @@ class TestJsonEmitter:
     @example({"a\u2028\U0001f600": [-(10**30), True, False, None, "\\\"\x00"]})
     def test_matches_json_dumps(self, doc):
         assert cli._json(doc) == json.dumps(doc, indent=2)
+
+    @given(_json_rows_documents())
+    @example(("rows", [], {}))
+    @example(("rows", [{"a": SexValue(3599, -1), "b": "\\\""},
+                       {"a": SexValue(0), "b": "\x00\u20ac"}], {"summary": "x"}))
+    def test_rows_template_matches_json_dumps(self, document):
+        command, rows, extra = document
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit("json", command, rows, [], [], extra)
+        expected = {"schema_version": cli.SCHEMA_VERSION, "command": command,
+                    "rows": [{k: _expanded(v) for k, v in row.items()} for row in rows],
+                    "corrections": [], **extra}
+        assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
 
     def test_every_json_command_reads_back_as_written(self, capsys, monkeypatch):
         commands = [argv for argv in bench_reproduce_commands(monkeypatch)
@@ -593,6 +644,13 @@ class TestWorkCeilings:
 
         monkeypatch.setattr(cls, "__init__", counting_init)
         return built
+
+    @classmethod
+    def count_values(cls, monkeypatch) -> tuple[list, list]:
+        """The SexValues built by the checking constructor, and those the
+        library builds unchecked from its own integers."""
+        return (cls.count_built(monkeypatch, SexValue),
+                cls.count_calls(monkeypatch, sexagesimal._canonical))
 
     @staticmethod
     def count_calls(monkeypatch, fn=factor_2_3_5) -> list:
@@ -639,22 +697,23 @@ class TestWorkCeilings:
         assert run(capsys, *argv)[0] == 0
         assert len(built) == 271
 
-    @pytest.mark.parametrize("argv,ceiling", [
-        (("rows", "--hypothesis", "phillips"), 75),      # 182 by division
-        (("rows", "--hypothesis", "friberg2007"), 190),  # 456 by division
+    @pytest.mark.parametrize("argv,ceiling,checked", [
+        (("rows", "--hypothesis", "phillips"), 75, 30),      # 182 by division
+        (("rows", "--hypothesis", "friberg2007"), 190, 76),  # 456 by division
     ])
     def test_rows_read_their_pairs_off_the_index(
-            self, capsys, monkeypatch, argv, ceiling):
+            self, capsys, monkeypatch, argv, ceiling, checked):
         # after one warm call the pairs are the index's, with no reciprocal
         # divided out again, and each row's X and Y come from one aligned
-        # pair: X, Y and A a row, and the printed S and D (seven a row when
-        # each call built its pairs)
+        # pair: X, Y and A a row, built unchecked, and the printed S and D
+        # (seven a row when each call built its pairs)
         assert run(capsys, *argv)[0] == 0
-        values = self.count_built(monkeypatch, SexValue)
+        built, canonical = self.count_values(monkeypatch)
         divided = self.count_calls(monkeypatch, reciprocal)
         assert run(capsys, *argv)[0] == 0
         assert divided == []
-        assert len(values) <= ceiling
+        assert len(built) + len(canonical) <= ceiling
+        assert len(built) <= checked
 
     @pytest.mark.parametrize("argv", [
         ("rows", "--hypothesis", "phillips"),
@@ -668,12 +727,14 @@ class TestWorkCeilings:
         assert len(aligned) <= 15
 
     def test_diff_compares_s_and_d_as_integers(self, capsys, monkeypatch):
-        # five values a row: T, Tbar, X, Y and A (105 with S and D as
-        # values), once the first call has read the tablet
+        # at most five values a row: T, Tbar, X, Y and A (105 with S and D
+        # as values), once the first call has read the tablet; T and Tbar
+        # are the index's, and X, Y and A are built unchecked
         assert run(capsys, "tablet", "diff")[0] == 0
-        values = self.count_built(monkeypatch, SexValue)
+        built, canonical = self.count_values(monkeypatch)
         assert run(capsys, "tablet", "diff")[0] == 0
-        assert len(values) <= 75
+        assert len(built) + len(canonical) <= 75
+        assert built == []
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_extend_selects_its_table_once_per_use(self, capsys, monkeypatch, side):

@@ -13,8 +13,10 @@ from plimpton import sexagesimal
 from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
+    _canonical,
     _digit,
     _exceeds,
+    _ratio,
     _valuation,
     factor_2_3_5,
     from_fraction,
@@ -233,6 +235,24 @@ class TestValuation:
         v = SexValue(m, e)
         assert v.mantissa % 60 != 0
         assert v.fraction == Fraction(m) * Fraction(60) ** e
+
+    @given(st.integers(0, 10**12), st.integers(0, 4), st.integers(-9, 9))
+    @example(0, 0, 5)
+    @example(7, 3, -2)
+    def test_unchecked_builder_matches_the_constructor(self, m, k, e):
+        # the library's own builder strips 60**k as the checking one does
+        v = _canonical(m * 60**k, e)
+        assert (type(v), v) == (SexValue, SexValue(m * 60**k, e))
+        assert v.mantissa % 60 != 0 or v == SexValue(0)
+        assert v.fraction == Fraction(m * 60**k) * Fraction(60) ** e
+
+    @given(st.integers(0, 10**12), st.integers(-5, 5))
+    @example(59, -1)
+    @example(3600, -1)
+    @example(0, 0)
+    def test_ratio_is_the_fraction_in_lowest_terms(self, m, e):
+        value = Fraction(m) * Fraction(60) ** e
+        assert _ratio(SexValue(m, e)) == (value.numerator, value.denominator)
 
     def test_floating_eq_ignores_exponent(self):
         # floating equality is equality of the canonical mantissas
