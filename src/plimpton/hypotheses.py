@@ -322,7 +322,6 @@ class LinkChain(_Value):
             raise SexagesimalError(f"a start must be a ReciprocalPair, not {type(start).__name__}")
         if type(factor) is not tuple or tuple(map(type, factor)) != (int, int, int):
             raise SexagesimalError("a factor must be a tuple of three ints")
-        _pair_class(start)
         set_start, set_factor = self._setters
         set_start(self, start)
         set_factor(self, factor)
@@ -368,14 +367,6 @@ def _lattice_class(r: RegularNumber) -> tuple[int, int]:
     return r.alpha - 2 * r.gamma, r.beta - r.gamma
 
 
-def _pair_class(p: ReciprocalPair) -> tuple[int, int]:
-    """T's lattice class, once Tbar's is checked to be its opposite."""
-    t1, t2 = _lattice_class(p.T)
-    if _lattice_class(p.Tbar) != (-t1, -t2):  # T * Tbar is no power of 60
-        raise SexagesimalError(f"{p} is not a reciprocal pair")
-    return t1, t2
-
-
 @cache
 def _start_classes() -> dict[tuple[int, int], ReciprocalPair]:
     """Lattice class -> the start pair whose T is either member of a
@@ -405,7 +396,7 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     """
     if type(p) is not ReciprocalPair:
         raise SexagesimalError(f"a link is defined for ReciprocalPairs, not {type(p).__name__}")
-    t1, t2 = _pair_class(p)
+    t1, t2 = _lattice_class(p.T)  # Tbar's is the opposite, by the pair's type
     starts = _start_classes()
     if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))

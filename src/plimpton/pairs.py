@@ -28,10 +28,10 @@ from .sexagesimal import (
 
 
 class ReciprocalPair(_Value):
-    """Ordered (T, Tbar) with exact fixed product 1.
+    """Ordered (T, Tbar) with exact fixed product 1, refused otherwise.
 
-    T carries its units place at the first digit; Tbar is read one
-    sexagesimal place further right, so T_fixed * Tbar_fixed == 1 exactly.
+    From :meth:`from_triple`, T carries its units place at the first digit
+    and Tbar is read one sexagesimal place further right.
     """
 
     __slots__ = ("T", "Tbar")
@@ -39,6 +39,11 @@ class ReciprocalPair(_Value):
     def __init__(self, T: RegularNumber, Tbar: RegularNumber) -> None:
         if not (type(T) is type(Tbar) is RegularNumber):
             raise SexagesimalError("both members of a pair must be RegularNumbers")
+        t, tbar = T.value, Tbar.value
+        # T * Tbar = product / 60**k, and 60**k > 2**k > product past product's bit length
+        product, k = t.mantissa * tbar.mantissa, -(t.exponent + tbar.exponent)
+        if not (0 <= k <= product.bit_length() and product == 60**k):
+            raise SexagesimalError("(T, T̄) is not a reciprocal pair")
         set_T, set_Tbar = self._setters
         set_T(self, T)
         set_Tbar(self, Tbar)

@@ -33,8 +33,9 @@ _SCRIBAL_PLACE_LIMIT = 60**2
 def build_row(p: ReciprocalPair, n: int = 0,
               reduction: str = "full") -> RowCandidate:
     """The X/Y step, the factor reduction and column A = Y**2, from one
-    aligned pair.  Any common factor of X and Y divides both T = X + Y and
-    Tbar = Y - X and is therefore regular, so S and D end up coprime.
+    aligned pair with T > Tbar; Y**2 - X**2 = T * Tbar = 1 by the pair's
+    type.  Any common factor of X and Y divides both T = X + Y and Tbar =
+    Y - X and is therefore regular, so S and D end up coprime.
 
     ``reduction="tablet_faithful"`` keeps the unreduced mantissas whenever
     both already fit in two places; ``"full"`` always reduces.
@@ -46,9 +47,6 @@ def build_row(p: ReciprocalPair, n: int = 0,
     mt, mtbar, e = _aligned(p.T.value, p.Tbar.value)  # T, Tbar at one exponent e
     if mtbar >= mt:
         raise SexagesimalError("pair is not in T > Tbar orientation")
-    # Y**2 - X**2 = T * Tbar = mt * mtbar * 60**(2e): 1 only when e <= 0
-    if e > 0 or mt * mtbar != 60 ** (-2 * e):
-        raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
     mx, my = 30 * (mt - mtbar), 30 * (mt + mtbar)  # X, Y at e - 1: a half is 30
     xy = XYPair(_canonical(mx, e - 1), _canonical(my, e - 1))
     # the factor is X and Y's gcd at the lesser of their canonical exponents

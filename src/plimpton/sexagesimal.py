@@ -158,9 +158,9 @@ def _from_ratio(num: int, den: int) -> SexValue:
 
 def from_fraction(value: Fraction | int) -> SexValue:
     """Exact conversion; the denominator in lowest terms must divide 60**64.
-    A float is refused: its binary value is rarely the number meant."""
-    if isinstance(value, float):
-        raise SexagesimalError(f"{value!r} is a float; pass an exact int or Fraction")
+    A float is refused (its binary value is rarely the number meant), and so is a bool."""
+    if isinstance(value, (float, bool)):
+        raise SexagesimalError(f"{value!r} is a {type(value).__name__}; pass an int or Fraction")
     from fractions import Fraction
     return _from_ratio(*Fraction(value).as_integer_ratio())
 

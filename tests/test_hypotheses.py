@@ -832,13 +832,12 @@ class TestClosedFormLinks:
         with pytest.raises(SexagesimalError, match="defined for ReciprocalPairs"):
             link_to_standard(p)
 
-    @pytest.mark.parametrize("t, tbar", [(3, 2), (2, 3), (144, 144), (1, 2)])
+    @pytest.mark.parametrize("t, tbar", [(3, 2), (2, 3), (144, 144), (1, 2), (2, 30)])
     def test_refuses_a_pair_that_is_not_reciprocal(self, t, tbar):
-        # (3, 2) was linked "in table": Tbar's lattice class must be the
-        # negative of T's
-        p = ReciprocalPair(regular_from_int(t), regular_from_int(tbar))
+        # (3, 2) was linked "in table", and so was (2, 30), whose lattice
+        # classes cancel but whose product is 60: no such pair is built
         with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
-            link_to_standard(p)
+            link_to_standard(ReciprocalPair(regular_from_int(t), regular_from_int(tbar)))
 
     def test_links_every_four_place_pair_either_way_round(self):
         assert len(FOUR_PLACE_PAIRS) == 432
@@ -965,13 +964,13 @@ class TestLinkChainFactor:
         with pytest.raises(SexagesimalError, match="start must be a ReciprocalPair"):
             LinkChain(start, (0, 0, 0))
 
-    @pytest.mark.parametrize("t, tbar", [(3, 2), (2, 3), (144, 144), (1, 2)])
+    @pytest.mark.parametrize("t, tbar", [(3, 2), (2, 3), (144, 144), (1, 2), (2, 30)])
     def test_refuses_a_start_that_is_not_reciprocal(self, t, tbar):
         # (3, 2) was accepted with factor (1, 0, 0): its text read
-        # "(3, 2) × (2, 1/2)", and its replay() gave (6, 10)
-        start = ReciprocalPair(regular_from_int(t), regular_from_int(tbar))
+        # "(3, 2) × (2, 1/2)", and its replay() gave (6, 10).  No such start
+        # is built.
         with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
-            LinkChain(start, (1, 0, 0))
+            LinkChain(ReciprocalPair(regular_from_int(t), regular_from_int(tbar)), (1, 0, 0))
 
     def test_keeps_its_fields(self):
         start = ReciprocalPair.from_T_mantissa(54)

@@ -160,6 +160,62 @@ class TestReciprocalPair:
         with pytest.raises(SexagesimalError, match="must be RegularNumbers"):
             ReciprocalPair(*members)
 
+    # members of any mantissa and exponent: the constructor reads neither
+    # member's triple, so each member keeps the triple it is drawn with
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(-50, 50),
+           st.integers(0, 10**6), st.integers(-50, 50))
+    @example(144, -1, 25, -1)   # (2 24, 25) at one exponent: 144 * 25 = 60**2
+    @example(1, 25, 1, -25)
+    @example(2, 0, 30, 0)       # lattice classes cancel, the product is 60
+    @example(2, 0, 30, -2)      # a product of 1/60
+    @example(0, 0, 1, 0)
+    def test_accepts_exactly_a_fixed_product_of_one(self, mt, et, mtbar, etbar):
+        t, tbar = SexValue(mt, et), SexValue(mtbar, etbar)
+        members = RegularNumber(t, 0, 0, 0), RegularNumber(tbar, 0, 0, 0)
+        if t.fraction * tbar.fraction == 1:
+            assert ReciprocalPair(*members).T.value == t
+        else:
+            with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
+                ReciprocalPair(*members)
+
+    @given(st.tuples(*[st.integers(-60, 60)] * 3), st.sampled_from(["T", "Tbar"]),
+           st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    @example((0, 0, 0), "T", (-1, 0))  # mantissa 0
+    @example((4, 1, 0), "Tbar", (1, 0))
+    def test_refuses_a_pair_one_step_off(self, triple, side, step):
+        # from_triple's pair is built; one member's mantissa or exponent
+        # moved by one is not its reciprocal's partner
+        p = ReciprocalPair.from_triple(triple)
+        assert p.T.value.fraction * p.Tbar.value.fraction == 1
+        dm, de = step
+        member = getattr(p, side)
+        moved = RegularNumber(SexValue(member.mantissa + dm, member.value.exponent + de),
+                              *member.triple)
+        members = (moved, p.Tbar) if side == "T" else (p.T, moved)
+        with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
+            ReciprocalPair(*members)
+
+    @pytest.mark.parametrize("exponents, accepted", [
+        # 2 * 60**(-2 * 10**7) would be compared with 60**(2 * 10**7):
+        # ~74 s to build, and 1.5 GiB at an exponent of 10**9
+        (((2, -10**7), (1, -10**7)), False),
+        (((1, 10**7), (1, -10**7)), True),
+    ])
+    def test_far_exponents_take_bounded_work(self, exponents, accepted):
+        code = ("from plimpton.pairs import ReciprocalPair\n"
+                "from plimpton.sexagesimal import RegularNumber, SexValue, SexagesimalError\n"
+                f"t, tbar = {exponents!r}\n"
+                "try:\n"
+                "    ReciprocalPair(RegularNumber(SexValue(*t), 1, 0, 0),\n"
+                "                   RegularNumber(SexValue(*tbar), 0, 0, 0))\n"
+                "    print('accepted')\n"
+                "except SexagesimalError as e:\n"
+                "    print('refused' if 'not a reciprocal pair' in str(e) else e)\n")
+        status, out, err = run_python_bounded("-c", code)
+        assert status == 0, err
+        assert out.strip() == ("accepted" if accepted else "refused")
+
 
 def _canonical_mantissa(a, b, c):
     # scale 2**a 3**b 5**c by powers of 60 to an integer not divisible by 60

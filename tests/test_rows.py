@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +24,7 @@ from test_pairs import regular_mantissas
 ROW1 = ReciprocalPair.from_T_mantissa(144)       # (2 24, 25)
 ROW11 = ReciprocalPair.from_T_mantissa(2)        # (2, 30)
 ROW4 = ReciprocalPair.from_T_mantissa(500000)    # (2 18 53 20, 25 55 12)
+UNIT = ReciprocalPair.from_T_mantissa(1)         # (1, 1)
 
 
 class TestXY:
@@ -172,11 +174,11 @@ class TestBuildRow:
 
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
     def test_non_reciprocal_pair_rejected(self, reduction):
-        # (2 24, 30) multiplies to 1;12, not 1: Y**2 - X**2 != 1.  An
-        # explicit raise, so the check holds under python -O as well.
-        bad = ReciprocalPair(ROW1.T, ROW11.Tbar)
+        # (2 24, 30) multiplies to 1;12, not 1: Y**2 - X**2 != 1.  The pair
+        # is refused where it is built, by an explicit raise that holds
+        # under python -O as well, so no row is built from it.
         with pytest.raises(SexagesimalError, match="not a reciprocal pair"):
-            build_row(bad, 1, reduction)
+            build_row(ReciprocalPair(ROW1.T, ROW11.Tbar), 1, reduction)
 
 
 # X, Y, A, S, D and the factor computed in Fractions from T and Tbar's
@@ -202,12 +204,14 @@ def _sex(f):
 
 
 def _composed_row(p, n, reduction):
-    """build_row composed in Fractions: X and Y from T and Tbar, A = Y**2,
-    (S, D) as X/Y in lowest terms, and the factor X / S at the lesser of X's
-    and Y's canonical exponents."""
+    """A pair's construction and build_row composed in Fractions, from any p
+    with members T and Tbar: refused where Y**2 - X**2 != 1, then X and Y
+    from T and Tbar, A = Y**2, (S, D) as X/Y in lowest terms, and the factor
+    X / S at the lesser of X's and Y's canonical exponents."""
+    t, tbar = p.T.value.fraction, p.Tbar.value.fraction
+    if ((t + tbar) / 2) ** 2 - ((t - tbar) / 2) ** 2 != 1:
+        raise SexagesimalError("(T, T̄) is not a reciprocal pair")
     x, y = _composed_xy(p)
-    if y * y - x * x != 1:
-        raise SexagesimalError(f"{p} is not a reciprocal pair: Y**2 - X**2 != 1")
     xy, a = XYPair(_sex(x), _sex(y)), _sex(y * y)
     s, d = gcd_reduced(x, y)
     factor = x / s / Fraction(60) ** min(xy.x.exponent, xy.y.exponent)
@@ -216,6 +220,10 @@ def _composed_row(p, n, reduction):
     if reduction == "tablet_faithful" and s * factor < 3600 and d * factor < 3600:
         return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
     return RowCandidate(n, p, xy, s, d, a, factor, True)
+
+
+# two members, read as a pair is, with no pair built from them
+Members = namedtuple("Members", "T Tbar")
 
 
 def _raised(fn, *args):
@@ -260,24 +268,28 @@ class TestAgainstTheComposition:
             for row in generate(tag, reduction):
                 assert row == _composed_row(row.pair, row.n, reduction)
 
-    @pytest.mark.parametrize("pair", [
-        ReciprocalPair(ROW1.Tbar, ROW1.T),                # swapped
-        ReciprocalPair(ROW4.Tbar, ROW4.T),
-        ReciprocalPair(ROW1.T, ROW1.T),                   # (T, T)
-        ReciprocalPair.from_T_mantissa(1),                # (1, 1)
-        ReciprocalPair(ROW1.T, ROW11.Tbar),               # T * Tbar = 1;12
-        ReciprocalPair(ROW4.T, ROW1.Tbar),
-        ReciprocalPair(ROW11.Tbar, ROW1.Tbar),            # not reciprocal, swapped
-        ReciprocalPair(ROW1.Tbar, ROW11.T),               # not reciprocal, Tbar > T
+    @pytest.mark.parametrize("members, refusal", [
+        ((ROW1.Tbar, ROW1.T), "orientation"),                # swapped
+        ((ROW4.Tbar, ROW4.T), "orientation"),
+        ((ROW1.T, ROW1.T), "not a reciprocal pair"),        # (T, T)
+        ((UNIT.T, UNIT.Tbar), "orientation"),                # (1, 1)
+        ((ROW1.T, ROW11.Tbar), "not a reciprocal pair"),    # T * Tbar = 1;12
+        ((ROW4.T, ROW1.Tbar), "not a reciprocal pair"),
+        ((ROW11.Tbar, ROW1.Tbar), "not a reciprocal pair"),  # not reciprocal, swapped
+        ((ROW1.Tbar, ROW11.T), "not a reciprocal pair"),    # not reciprocal, Tbar > T
         # T = 2 00 and Tbar = 1 00: aligned at exponent 1, product 2 00 00
-        ReciprocalPair(RegularNumber(SexValue(2, 1), 1, 0, 0),
-                       RegularNumber(SexValue(1, 1), 0, 0, 0)),
+        ((RegularNumber(SexValue(2, 1), 1, 0, 0),
+          RegularNumber(SexValue(1, 1), 0, 0, 0)), "not a reciprocal pair"),
         # aligned exponent 400: the check is on integers, not 60**-800
-        ReciprocalPair(RegularNumber(SexValue(3, 401), 0, 1, 0),
-                       RegularNumber(SexValue(2, 400), 1, 0, 0)),
+        ((RegularNumber(SexValue(3, 401), 0, 1, 0),
+          RegularNumber(SexValue(2, 400), 1, 0, 0)), "not a reciprocal pair"),
+        # floating product 1, fixed product 60: the lattice classes cancel
+        ((regular_from_int(2), regular_from_int(30)), "not a reciprocal pair"),
     ])
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
-    def test_bad_pairs_raise_as_before(self, pair, reduction):
-        expected = _raised(_composed_row, pair, 1, reduction)
-        assert _raised(build_row, pair, 1, reduction) == expected
-        assert expected[0] is SexagesimalError
+    def test_bad_pairs_raise_as_before(self, members, refusal, reduction):
+        # the reference reads the two members before any pair is built; the
+        # library refuses a pair where it is built, an orientation in build_row
+        expected = _raised(_composed_row, Members(*members), 1, reduction)
+        assert _raised(lambda: build_row(ReciprocalPair(*members), 1, reduction)) == expected
+        assert expected[0] is SexagesimalError and refusal in expected[1]

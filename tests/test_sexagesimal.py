@@ -394,6 +394,12 @@ class TestArithmetic:
         with pytest.raises(SexagesimalError, match="is a float"):
             from_fraction(value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_refused(self, value):
+        # True was read as SexValue(1) and False as SexValue(0)
+        with pytest.raises(SexagesimalError, match="is a bool"):
+            from_fraction(value)
+
 
 class TestRegulars:
     def test_factor_2_3_5(self):
