@@ -9,8 +9,8 @@ the minimal chain linking any regular pair to the standard reciprocal table
 by doubling/tripling/quintupling steps.  Theories and printed tables are
 data: each selects its pairs by a record (lo, hi, keep) of
 ``pairs._four_place_pairs``, a padded T range and a test of both members,
-from the one shared set of pairs.  Links are computed in closed form on the
-exponent lattice (see :func:`link_to_standard`), at any chain depth.
+from the one shared set of pairs.  The standard table and link starts come
+from it too; links are computed in closed form on the exponent lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .pairs import (
     CRITERIA,
     PLIMPTON_PADDED,
     ReciprocalPair,
-    _four_place_members,
+    _four_place_index,
     _four_place_pairs,
 )
 from .rows import RowCandidate, build_row
@@ -354,11 +354,11 @@ class LinkChain(_Value):
 
 
 def standard_table() -> list[ReciprocalPair]:
-    """The conventional school list: regular numbers 2 through 81 with
-    their reciprocals.  (60 reads as the unit and is omitted: its canonical
-    mantissa is 1.)"""
-    return [ReciprocalPair.from_triple(triple)
-            for m, (_, triple) in _four_place_members().items() if 1 < m < 82]
+    """The conventional school list: the shared pairs whose T's canonical
+    mantissa is a regular number 2 through 81, ascending.  (60 reads as the
+    unit and is omitted: its canonical mantissa is 1.)"""
+    return sorted((pair for *_, pair in _four_place_index()[1] if 1 < pair.T.mantissa < 82),
+                  key=lambda pair: pair.T.mantissa)
 
 
 def _lattice_class(r: RegularNumber) -> tuple[int, int]:
@@ -369,10 +369,10 @@ def _lattice_class(r: RegularNumber) -> tuple[int, int]:
 
 @cache
 def _start_classes() -> dict[tuple[int, int], ReciprocalPair]:
-    """Lattice class -> the start pair whose T is either member of a
+    """Lattice class -> the shared pair whose T is either member of a
     standard-table pair (a member's reciprocal has the opposite class)."""
-    return {_lattice_class(r): ReciprocalPair.from_triple(r.triple)
-            for p in standard_table() for r in (p.T, p.Tbar)}
+    pairs = {pair.T.mantissa: pair for *_, pair in _four_place_index()[1]}
+    return {_lattice_class(r): pairs[r.mantissa] for p in standard_table() for r in (p.T, p.Tbar)}
 
 
 def link_to_standard(p: ReciprocalPair) -> LinkChain:

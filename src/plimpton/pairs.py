@@ -6,7 +6,7 @@ by 10.  The plain four-place table and Bruins's exponent-based exclusion are
 the alternative rules; all three are tests of both members, the entries of
 one table, ``CRITERIA``.  Every table of pairs is a record (lo, hi, keep):
 the pairs of padded T in [lo, hi] that pass keep, selected from the one set
-of four-place pairs, built once per process.
+of four-place pairs (built once per process) that holds the standard table.
 """
 
 from __future__ import annotations

@@ -697,6 +697,20 @@ class TestWorkCeilings:
         assert run(capsys, *argv)[0] == 0
         assert len(built) == 271
 
+    def test_first_link_divides_out_only_its_argument(self, capsys, monkeypatch):
+        # the standard table and the start pairs are the index's own pairs,
+        # so the pairs built are the index's 271 and the linked pair, and
+        # the one reciprocal divided out is the linked pair's (88 when the
+        # 29 table pairs and a start pair per member, 58, were each built
+        # from a triple)
+        pairs._four_place_index.cache_clear()
+        hypotheses._start_classes.cache_clear()
+        built = self.count_built(monkeypatch)
+        divided = self.count_calls(monkeypatch, reciprocal)
+        assert run(capsys, "link", "2 09 36")[0] == 0
+        assert len(divided) == 1
+        assert len(built) == 272
+
     @pytest.mark.parametrize("argv,ceiling,checked", [
         (("rows", "--hypothesis", "phillips"), 75, 30),      # 182 by division
         (("rows", "--hypothesis", "friberg2007"), 190, 76),  # 456 by division

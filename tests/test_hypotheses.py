@@ -27,7 +27,7 @@ from plimpton.hypotheses import (
     standard_table,
 )
 from plimpton.hypotheses import LinkChain
-from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_pairs
+from plimpton.pairs import CRITERIA, ReciprocalPair, _four_place_index, _four_place_pairs
 from plimpton.rows import build_row
 from plimpton.sexagesimal import (
     SexagesimalError,
@@ -943,6 +943,14 @@ class TestClosedFormLinks:
             assert hypotheses._lattice_class(start.T) == cls
             assert start.T.mantissa in members
             assert start == ReciprocalPair.from_triple(start.T.triple)
+
+    def test_table_and_start_pairs_are_the_index_pairs(self):
+        # one set of four-place pairs: each standard-table pair and each
+        # start pair is the object the shared index holds
+        hypotheses._start_classes.cache_clear()
+        held = {id(pair) for *_, pair in _four_place_index()[1]}
+        assert [id(p) in held for p in standard_table()] == [True] * 29
+        assert [id(p) in held for p in hypotheses._start_classes().values()] == [True] * 42
 
 
 class TestLinkChainFactor:
