@@ -7,10 +7,11 @@ fifteen, the excluded six and the extensions above and below them) with the
 computed pairs each is checked against and the log of their misprints, and
 the minimal chain linking any regular pair to the standard reciprocal table
 by doubling/tripling/quintupling steps.  Theories and printed tables are
-data: each selects its pairs by a record (lo, hi, keep) of
-``pairs._four_place_pairs``, a padded T range and a test of both members,
-from the one shared set of pairs.  The standard table and link starts come
-from it too; links are computed in closed form on the exponent lattice.
+data: a theory's row rule or a printed table's rows, then the record (lo,
+hi, keep) of ``pairs._four_place_pairs``, a padded T range and a test of
+both members, that selects its pairs from the one shared set of pairs.  The
+standard table and link starts come from it too; links are computed in
+closed form on the exponent lattice.
 """
 
 from __future__ import annotations
@@ -59,51 +60,50 @@ def _pq(*args):
     return 60**3 + 1, 3 * 60**3, partial(_pq_keep, *args)
 
 
-# Every theory, in survey order, as its selection record (lo, hi, keep) of
+def _table1_row(p: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
+    """Table 1's row: the formulas' raw S = P**2 - Q**2, D = P**2 + Q**2 for
+    T = P/Q in lowest terms, whatever the reduction: the coprime S and D
+    times their gcd g, which is 2 when P and Q are both odd (the coprime S
+    is then even) and 1 otherwise."""
+    row = build_row(p, n, reduction)
+    k = gcd(row.s, row.d)
+    g = 2 - row.s // k % 2
+    return RowCandidate(n, p, row.xy, row.s // k * g, row.d // k * g, row.a, 1, g == 1)
+
+
+# Every theory, in survey order, as its row rule (pair, n, reduction) ->
+# RowCandidate, then its selection record (lo, hi, keep) of
 # pairs._four_place_pairs: either a pairs.CRITERIA test over the tablet's T
 # range, or a (P, Q) row test (see _pq).  ns1945's test is membership in
-# TABLE1_PQ; its rows keep the formulas' raw S and D (see generate).
+# TABLE1_PQ; its rows keep the formulas' raw S and D (see _table1_row).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
 # P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
 # and P/Q < 1 + sqrt(2).  Price's text misprints his upper bound 12/5 as
 # 2;25, which admits no further regular ratio (tests/test_hypotheses.py).
 THEORIES = {
-    "ns1945": _pq(1, 60, None, lambda p, q: (p, q) in TABLE1_PQ),
-    "bruins1949": (*PLIMPTON_PADDED, CRITERIA["bruins"]),
-    "price1964": _pq(2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q),
-    "buck1980": _pq(1, 100, 100,
-                    lambda p, q: p * p > 3 * q * q and (p - q) ** 2 < 2 * q * q),
-    "friberg1981": _pq(1, 60, None,
-                       lambda p, q: 5 * p >= 9 * q and (p - q) ** 2 < 2 * q * q),
-    "friberg2007": _pq(1, 60, None, lambda p, q: 12 * p < 29 * q),
-    "phillips": (*PLIMPTON_PADDED, CRITERIA["mult10"]),
+    "ns1945": (_table1_row, *_pq(1, 60, None, lambda p, q: (p, q) in TABLE1_PQ)),
+    "bruins1949": (build_row, *PLIMPTON_PADDED, CRITERIA["bruins"]),
+    "price1964": (build_row, *_pq(2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q)),
+    "buck1980": (build_row, *_pq(1, 100, 100,
+                                 lambda p, q: p * p > 3 * q * q and (p - q) ** 2 < 2 * q * q)),
+    "friberg1981": (build_row, *_pq(1, 60, None,
+                                    lambda p, q: 5 * p >= 9 * q and (p - q) ** 2 < 2 * q * q)),
+    "friberg2007": (build_row, *_pq(1, 60, None, lambda p, q: 12 * p < 29 * q)),
+    "phillips": (build_row, *PLIMPTON_PADDED, CRITERIA["mult10"]),
 }
 
 
 def phillips_pairs() -> list[ReciprocalPair]:
-    return _four_place_pairs(*THEORIES["phillips"])
+    return _four_place_pairs(*THEORIES["phillips"][1:])
 
 
 def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
     if tag not in THEORIES:
         raise ValueError(f"unknown hypothesis {tag!r}")
-    if reduction not in ("full", "tablet_faithful"):
-        raise ValueError(f"unknown reduction mode {reduction!r}")
-    pairs = _four_place_pairs(*THEORIES[tag])
-    if tag != "ns1945":
-        return [build_row(p, n, reduction) for n, p in enumerate(pairs, 1)]
-    # Table 1 publishes the formulas' raw S = P**2 - Q**2, D = P**2 + Q**2
-    # for T = P/Q in lowest terms, whatever the reduction: the coprime S and
-    # D times their gcd g, which is 2 when P and Q are both odd (the coprime
-    # S is then even) and 1 otherwise
-    rows = []
-    for n, p in enumerate(pairs, 1):
-        row = build_row(p, n)
-        g = 2 - row.s % 2
-        rows.append(RowCandidate(n, p, row.xy, row.s * g, row.d * g, row.a, 1, g == 1))
-    return rows
+    row, *record = THEORIES[tag]
+    return [row(p, n, reduction) for n, p in enumerate(_four_place_pairs(*record), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ PRINTED_VARIANTS = {"extension-lower": MINUS_17_VARIANT_PRINTED}
 # upper from below its last row down to above 1.
 _mult10 = CRITERIA["mult10"]
 PRINTED_TABLES = {
-    "standard-15": (PLIMPTON_PAIRS_PRINTED, *THEORIES["phillips"]),
+    "standard-15": (PLIMPTON_PAIRS_PRINTED, *THEORIES["phillips"][1:]),
     "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, *PLIMPTON_PADDED,
                        lambda t, tbar: not _mult10(t, tbar)),
     # 2;24 < T <= 3;54 22 30

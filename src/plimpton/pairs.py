@@ -103,12 +103,10 @@ CRITERIA = {
 }
 
 
-@cache
 def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
     """Every canonical regular mantissa of at most four places, ascending,
     mapped to (padded, triple): padded is a T's fixed value times 60**3,
-    triple its exponents.  Built once per process on first use; every
-    caller shares the dict, so none may change it."""
+    triple its exponents.  Not cached: its one reader, the index, is."""
     found = []
     p2, a = 1, 0
     while p2 < 60**4:

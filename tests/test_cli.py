@@ -20,6 +20,7 @@ from plimpton import cli, hypotheses, pairs, sexagesimal, tablet
 from plimpton.cli import main
 from plimpton.hypotheses import THEORIES
 from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs
+from plimpton.rows import build_row
 from plimpton.sexagesimal import (
     SexValue,
     factor_2_3_5,
@@ -219,11 +220,14 @@ class TestCriterionVocabulary:
         assert not hasattr(hypotheses, "HYPOTHESIS_TAGS")
 
     def test_theories_name_criteria(self):
-        # each theory's test is a CRITERIA entry or a (P, Q) row test
-        keeps = [keep for _, _, keep in THEORIES.values()]
+        # each theory's test is a CRITERIA entry or a (P, Q) row test, and
+        # its row rule is build_row but for Table 1's
+        keeps = [keep for _, _, _, keep in THEORIES.values()]
         rules = [keep for keep in keeps if keep in CRITERIA.values()]
         assert rules and all(keep in rules or keep.func is hypotheses._pq_keep
                              for keep in keeps)
+        assert {tag: row for tag, (row, *_) in THEORIES.items()} == dict.fromkeys(
+            THEORIES, build_row) | {"ns1945": hypotheses._table1_row}
 
     def test_no_second_name(self):
         lo, hi = (SexValue(t, -3) for t in pairs.PLIMPTON_PADDED)
@@ -691,8 +695,10 @@ class TestWorkCeilings:
 
     @pytest.mark.parametrize("argv", SELECTING)
     def test_first_use_builds_each_four_place_pair_once(self, capsys, monkeypatch, argv):
-        # the 271 four-place T whose Tbar has at most four places
+        # the 271 four-place T whose Tbar has at most four places; the start
+        # pairs hold the index's objects, so they are cleared with it
         pairs._four_place_index.cache_clear()
+        hypotheses._start_classes.cache_clear()
         built = self.count_built(monkeypatch)
         assert run(capsys, *argv)[0] == 0
         assert len(built) == 271

@@ -99,7 +99,7 @@ REFERENCE_BOUNDS = {
 class TestTheoryBounds:
     @pytest.mark.parametrize("tag", sorted(REFERENCE_BOUNDS))
     def test_integer_test_agrees_with_fraction_reference(self, tag):
-        test = THEORIES[tag][2].args[3]
+        test = THEORIES[tag][3].args[3]
         regs = regular_mantissas(4)
         checked = 0
         for q in (q for q in regs if q < 100):
@@ -126,7 +126,7 @@ class TestTheoryBounds:
         ("friberg2007", 29, 12, False),
     ])
     def test_exact_at_the_bounds(self, tag, p, q, selected):
-        assert THEORIES[tag][2].args[3](p, q) is selected
+        assert THEORIES[tag][3].args[3](p, q) is selected
         assert REFERENCE_BOUNDS[tag](Fraction(p, q)) is selected
 
 
@@ -156,20 +156,32 @@ class TestOneEnumeration:
     def test_pq_theories_are_the_pq_rows(self):
         # a (P, Q) row's test holds its published parameters as .args, and
         # every such row selects from T in (1, 3]
-        pq = {tag for tag, (_, _, keep) in THEORIES.items()
+        pq = {tag for tag, (_, _, _, keep) in THEORIES.items()
               if getattr(keep, "func", None) is hypotheses._pq_keep}
         assert PQ_THEORIES.keys() == pq
-        assert {THEORIES[tag][:2] for tag in pq} == {(60**3 + 1, 3 * 60**3)}
-        assert all(len(THEORIES[tag][2].args) == 4 for tag in pq)
+        assert {THEORIES[tag][1:3] for tag in pq} == {(60**3 + 1, 3 * 60**3)}
+        assert all(len(THEORIES[tag][3].args) == 4 for tag in pq)
+        # Table 1 keeps the raw S and D; every other row is build_row's
+        assert {tag: THEORIES[tag][0] for tag in pq} == dict.fromkeys(
+            pq, build_row) | {"ns1945": hypotheses._table1_row}
 
     def test_criterion_theories_select_the_tablet_range(self):
         assert {tag: THEORIES[tag] for tag in THEORIES.keys() - PQ_THEORIES.keys()} == {
-            "bruins1949": (388800, 518400, CRITERIA["bruins"]),
-            "phillips": (388800, 518400, CRITERIA["mult10"])}
+            "bruins1949": (build_row, 388800, 518400, CRITERIA["bruins"]),
+            "phillips": (build_row, 388800, 518400, CRITERIA["mult10"])}
+
+    def test_a_theory_is_generated_through_its_own_row_rule(self, monkeypatch):
+        # a theory is data: a new record with its own row rule needs no code
+        def tagged_row(p, n, reduction):
+            return (n, p, reduction)
+
+        monkeypatch.setitem(THEORIES, "stub", (tagged_row, *THEORIES["phillips"][1:]))
+        assert generate("stub", "tablet_faithful") == [
+            (n, p, "tablet_faithful") for n, p in enumerate(phillips_pairs(), 1)]
 
     @pytest.mark.parametrize("tag", list(PQ_THEORIES))
     def test_pq_theory_equals_the_q_by_p_walk(self, tag):
-        walked = pq_walk(*THEORIES[tag][2].args)
+        walked = pq_walk(*THEORIES[tag][3].args)
         assert [r.pair for r in generate(tag)] == walked
         assert len(walked) == PQ_THEORIES[tag]
 
@@ -177,7 +189,7 @@ class TestOneEnumeration:
     def test_every_selected_pair_is_in_the_table(self, tag):
         # the enumeration sees only pairs whose Tbar has at most four places
         table = set(regular_mantissas(4))
-        for p in pq_walk(*THEORIES[tag][2].args):
+        for p in pq_walk(*THEORIES[tag][3].args):
             assert {p.T.mantissa, p.Tbar.mantissa} <= table, str(p)
 
     # T = 12/5 = 2;24 at a theory row's bounds: least Q is inclusive, the
@@ -522,7 +534,8 @@ class TestPrintedReadings:
             hypotheses._printed_members.cache_clear()
 
     def test_standard_15_is_the_phillips_theory(self):
-        assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"]
+        assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"][1:]
+        assert THEORIES["phillips"][0] is build_row
         assert [p for _, p in printed_pairs("standard-15")] == \
             [r.pair for r in generate("phillips")] == phillips_pairs()
 

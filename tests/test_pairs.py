@@ -616,7 +616,7 @@ _bound = st.one_of(
     st.integers(-60**4, 60**3 - 1),
     st.integers(60**4, 2 * 60**4),
 )
-_KEEPS = dict(CRITERIA, buck1980=THEORIES["buck1980"][2])
+_KEEPS = dict(CRITERIA, buck1980=THEORIES["buck1980"][3])
 
 
 class TestPairsFromTheIndex:
