@@ -18,10 +18,11 @@ from .sexagesimal import (
     RegularNumber,
     SexagesimalError,
     SexValue,
+    _canonical,
+    _complement,
     _exceeds,
-    _places,
+    _product,
     _Value,
-    reciprocal,
     regular_from_int,
     render_sex,
 )
@@ -30,8 +31,8 @@ from .sexagesimal import (
 class ReciprocalPair(_Value):
     """Ordered (T, Tbar) with exact fixed product 1, refused otherwise.
 
-    From :meth:`from_triple`, T carries its units place at the first digit
-    and Tbar is read one sexagesimal place further right.
+    From :meth:`from_triple` and the four-place index, T carries its units
+    place at its first digit, and Tbar's units place makes the product 1.
     """
 
     __slots__ = ("T", "Tbar")
@@ -59,30 +60,37 @@ class ReciprocalPair(_Value):
         integer triple (a, b, c).
 
         Removing (2, 1, 1) n times, n = min(a//2, b, c) (adding it when n is
-        negative), gives T's canonical mantissa.  T's units place moves to
-        its first digit; Tbar's triple comes from :func:`reciprocal`.
-        Mantissas multiply to 60**k with k the sum of the two 5-exponents, so
-        Tbar's units place is set to make the fixed product exactly 1.
+        negative), gives T's canonical triple; :func:`_pair` builds both
+        members from it and T's place count.
         """
         if type(triple) is not tuple or tuple(map(type, triple)) != (int, int, int):
             raise SexagesimalError("an exponent triple must be a tuple of three ints")
         a, b, c = triple
         n = min(a // 2, b, c)
         a, b, c = a - 2 * n, b - n, c - n
-        mantissa = 2**a * 3**b * 5**c
-        # log2(60) < 5.906890596: a lower bound, a step or two short at most
-        places = (mantissa.bit_length() - 1) * 10**9 // 5_906_890_596 + 1
-        power = 60**places
-        while power <= mantissa:
-            power, places = power * 60, places + 1
-        t = RegularNumber(SexValue(mantissa, 1 - places), a, b, c)
-        tbar = reciprocal(t)
-        return cls(t, RegularNumber(
-            SexValue(tbar.mantissa, places - 1 - (t.gamma + tbar.gamma)),
-            *tbar.triple))
+        return _pair((a, b, c), _place_count(_product(a, b, c)))
 
     def __str__(self) -> str:
         return f"({render_sex(self.T.value)}, {render_sex(self.Tbar.value)})"
+
+
+def _place_count(mantissa: int) -> int:
+    """The base-60 places of mantissa > 0."""
+    # log2(60) < 5.906890596: a lower bound, a step or two short at most
+    places = (mantissa.bit_length() - 1) * 10**9 // 5_906_890_596 + 1
+    power = 60**places
+    while power <= mantissa:
+        power, places = power * 60, places + 1
+    return places
+
+
+def _pair(triple: tuple[int, int, int], places: int) -> ReciprocalPair:
+    """The pair whose T has this canonical triple and place count, units at
+    its first digit; Tbar, from the complement triple, has mantissas'
+    product 60**k, so its units place is places - 1 - k."""
+    k, bar = _complement(*triple)
+    return ReciprocalPair(RegularNumber(_canonical(_product(*triple), 1 - places), *triple),
+                          RegularNumber(_canonical(_product(*bar), places - 1 - k), *bar))
 
 
 # The tablet's T range, 1;48 <= T <= 2;24, as T * 60**3.
@@ -103,43 +111,29 @@ CRITERIA = {
 }
 
 
-def _four_place_members() -> dict[int, tuple[int, tuple[int, int, int]]]:
-    """Every canonical regular mantissa of at most four places, ascending,
-    mapped to (padded, triple): padded is a T's fixed value times 60**3,
-    triple its exponents.  Not cached: its one reader, the index, is."""
-    found = []
-    p2, a = 1, 0
-    while p2 < 60**4:
-        p23, b = p2, 0
-        while p23 < 60**4:
-            p235, c = p23, 0
-            while p235 < 60**4:
-                if p235 % 60:
-                    padded = p235
-                    while padded < 60**3:
-                        padded *= 60
-                    found.append((p235, (padded, (a, b, c))))
-                p235, c = p235 * 5, c + 1
-            p23, b = p23 * 3, b + 1
-        p2, a = p2 * 2, a + 1
-    return dict(sorted(found))
-
-
 @cache
 def _four_place_index() -> tuple[list[int], list[tuple]]:
     """Every four-place pair once, as (T, Tbar, pair) by ascending padded T,
-    with the padded values apart for bisection.  Tbar's mantissa, 60**k over
-    T's as in :func:`reciprocal`, is looked up in the four-place table; a T
-    whose Tbar has more places has no entry.  The pair is T = padded / 60**3
-    and Tbar = 1/T one place further right, padded / 60**4 (/ 60**3 at
-    T = 1).  Built once per process on first use; callers share the pairs."""
-    members = _four_place_members()
+    with the padded values apart for bisection; a member is (padded, triple),
+    its mantissa padded with zero places to four digits.  Of the canonical
+    triples of T below 60**4, those whose complement is below 60**4 too are
+    built by :func:`_pair`, as in :meth:`ReciprocalPair.from_triple`.  Built
+    once per process on first use; callers share the pairs."""
     index = []
-    for m, t in sorted(members.items(), key=lambda item: item[1]):  # by padded T
-        if tbar := members.get(60 ** _places(*t[1]) // m):
-            index.append((t, tbar, ReciprocalPair(
-                RegularNumber(SexValue(t[0], -3), *t[1]),
-                RegularNumber(SexValue(tbar[0], -3 if t[0] == 60**3 else -4), *tbar[1]))))
+    for a in range(24):  # 2**23 < 60**4 < 2**24
+        for b in range(15):  # 3**14 < 60**4 < 3**15
+            m = _product(a, b, 0)
+            for c in range(11):  # 5**10 < 60**4 < 5**11
+                if m >= 60**4:
+                    break
+                if m % 60 and (m_bar := _product(*_complement(a, b, c)[1])) < 60**4:
+                    places = _place_count(m)
+                    pair = _pair((a, b, c), places)
+                    index.append(((m * 60 ** (4 - places), pair.T.triple),
+                                  (m_bar * 60 ** (4 - _place_count(m_bar)), pair.Tbar.triple),
+                                  pair))
+                m *= 5
+    index.sort(key=lambda entry: entry[0][0])
     return [t[0] for t, _, _ in index], index
 
 

@@ -150,10 +150,10 @@ def _from_ratio(num: int, den: int) -> SexValue:
     g = gcd(num, den)
     num, den = num // g, den // g
     alpha, beta, gamma, cofactor = _split_2_3_5(den)
-    k = _places(alpha, beta, gamma)
+    k, triple = _complement(alpha, beta, gamma)
     if cofactor != 1 or k > 64:
         raise SexagesimalError(f"{_ratio_text(num, den)} has no terminating base-60 form")
-    return SexValue(num * (60**k // den), -k)
+    return SexValue(num * _product(*triple), -k)
 
 
 def from_fraction(value: Fraction | int) -> SexValue:
@@ -339,22 +339,27 @@ def regular_from_int(n: int) -> RegularNumber:
     return r
 
 
-def _places(alpha: int, beta: int, gamma: int) -> int:
-    """The least k with 2**alpha * 3**beta * 5**gamma dividing 60**k."""
-    return max((alpha + 1) // 2, beta, gamma)
+def _complement(alpha: int, beta: int, gamma: int) -> tuple[int, tuple[int, int, int]]:
+    """The least k with 2**alpha * 3**beta * 5**gamma dividing 60**k (all
+    three >= 0), and the exponent triple of the quotient, its reciprocal."""
+    k = max((alpha + 1) // 2, beta, gamma)
+    return k, (2 * k - alpha, k - beta, k - gamma)
+
+
+def _product(alpha: int, beta: int, gamma: int) -> int:
+    """2**alpha * 3**beta * 5**gamma, all three exponents >= 0."""
+    return 3**beta * 5**gamma << alpha
 
 
 def reciprocal(r: RegularNumber) -> RegularNumber:
-    """The unique regular s with floating product r*s = 1.
-
-    The mantissa of s is 60**k / mantissa(r) for the smallest k making the
-    quotient integral, k = max(ceil(alpha/2), beta, gamma), so s has the
-    exponent triple (2k - alpha, k - beta, k - gamma).  Since k is minimal,
-    60 does not divide the quotient: it is already canonical.
-    """
+    """The unique regular s with floating product r*s = 1, from r's triple
+    alone: the power product of its :func:`_complement`, with no division,
+    and canonical since k is minimal.  A triple of other than three ints
+    >= 0 is refused."""
     if type(r) is not RegularNumber:
         raise SexagesimalError(f"a reciprocal is defined for RegularNumbers, not {type(r).__name__}")
-    k = _places(r.alpha, r.beta, r.gamma)
-    return RegularNumber(SexValue(60**k // r.mantissa),
-                         2 * k - r.alpha, k - r.beta, k - r.gamma)
-
+    a, b, c = r.triple
+    if not (type(a) is type(b) is type(c) is int and min(a, b, c) >= 0):  # bool too
+        raise SexagesimalError(f"an exponent triple must be three ints >= 0, not {r.triple!r}")
+    _, triple = _complement(a, b, c)
+    return RegularNumber(_canonical(_product(*triple), 0), *triple)

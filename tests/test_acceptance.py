@@ -27,7 +27,6 @@ from plimpton.hypotheses import (
 from plimpton.pairs import (
     CRITERIA,
     ReciprocalPair,
-    _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
 )
@@ -38,7 +37,7 @@ from plimpton.sexagesimal import (
     render_sex,
 )
 from plimpton.tablet import diff_against, error_annotations, tablet_data, verify_properties
-from test_pairs import TABLET_RANGE, mult10_digits, regular_mantissas
+from test_pairs import MEMBERS, TABLET_RANGE, mult10_digits, regular_mantissas
 from test_rows import gcd_reduced
 
 
@@ -258,16 +257,15 @@ def test_criterion_8_property_suite():
 
 
 def test_criterion_9_oracle_equivalence():
-    # digit rule vs CRITERIA's on the four-place table's padded values, all
-    # regulars <= 6 places (those of five or six are not in the table);
-    # mult10 reads each member alone, so a member paired with itself is
-    # the member's own test
+    # digit rule vs CRITERIA's on the oracle's four-place table of padded
+    # values, all regulars <= 6 places (those of five or six are not in the
+    # table); mult10 reads each member alone, so a member paired with
+    # itself is the member's own test
     agree = True
-    members = _four_place_members()
     for m in regular_mantissas(6):
         r = regular_from_int(m)
-        if m in members:
-            agree &= CRITERIA["mult10"](members[m], members[m]) == mult10_digits(r)
+        if m in MEMBERS:
+            agree &= CRITERIA["mult10"](MEMBERS[m], MEMBERS[m]) == mult10_digits(r)
         else:
             agree &= not mult10_digits(r)
 

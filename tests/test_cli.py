@@ -703,18 +703,31 @@ class TestWorkCeilings:
         assert run(capsys, *argv)[0] == 0
         assert len(built) == 271
 
-    def test_first_link_divides_out_only_its_argument(self, capsys, monkeypatch):
+    def test_index_first_use_builds_from_triples(self, monkeypatch):
+        # each of the 271 pairs from its canonical triple: no reciprocal
+        # divided out (432 divisions when the index looked up 60**k // m)
+        # and no valuation stripping zero places (380 from padded mantissas)
+        pairs._four_place_index.cache_clear()
+        hypotheses._start_classes.cache_clear()
+        built = self.count_built(monkeypatch)
+        divided = self.count_calls(monkeypatch, reciprocal)
+        stripped = self.count_calls(monkeypatch, sexagesimal._valuation)
+        pairs._four_place_index()
+        assert len(built) == 271
+        assert divided == stripped == []
+
+    def test_first_link_calls_no_reciprocal(self, capsys, monkeypatch):
         # the standard table and the start pairs are the index's own pairs,
         # so the pairs built are the index's 271 and the linked pair, and
-        # the one reciprocal divided out is the linked pair's (88 when the
-        # 29 table pairs and a start pair per member, 58, were each built
-        # from a triple)
+        # no reciprocal is called: the linked pair's Tbar comes from its
+        # triple (one call when from_triple divided it out; 88 when the 29
+        # table pairs and a start pair per member, 58, were each built so)
         pairs._four_place_index.cache_clear()
         hypotheses._start_classes.cache_clear()
         built = self.count_built(monkeypatch)
         divided = self.count_calls(monkeypatch, reciprocal)
         assert run(capsys, "link", "2 09 36")[0] == 0
-        assert len(divided) == 1
+        assert divided == []
         assert len(built) == 272
 
     @pytest.mark.parametrize("argv,ceiling,checked", [

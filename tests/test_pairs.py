@@ -17,11 +17,11 @@ from plimpton.pairs import (
     PLIMPTON_PADDED,
     ReciprocalPair,
     _four_place_index,
-    _four_place_members,
     _four_place_pairs,
     enumerate_pairs,
 )
-from plimpton import sexagesimal
+from plimpton import hypotheses, sexagesimal
+from plimpton import pairs as pairs_module
 from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
@@ -72,6 +72,13 @@ def regular_mantissas(places):
     return sorted(n for a in range(6 * places) for b in range(4 * places)
                   for c in range(3 * places)
                   if (n := 2**a * 3**b * 5**c) < limit and n % 60)
+
+
+# The four-place members from the benchmark's oracle, as the index gives
+# them: each canonical regular mantissa below 60**4, ascending, mapped to
+# (padded, triple), padded being the mantissa with zero places to four digits.
+MEMBERS = {m: (m * 60 ** (4 - oracle.places(m)), oracle.factor235(m))
+           for m in oracle.regular_mantissas(60**4)}
 
 
 def mult10_digits(r):
@@ -275,13 +282,13 @@ class TestFromTriple:
 
 class TestRegularEnumeration:
     def test_one_place_regulars(self):
-        one_place = [m for m in _four_place_members() if m < 60]
+        one_place = [m for m in MEMBERS if m < 60]
         assert one_place == regular_mantissas(1) == [
             1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25,
             27, 30, 32, 36, 40, 45, 48, 50, 54]
 
     def test_four_place_count(self):
-        ms = list(_four_place_members())
+        ms = list(MEMBERS)
         assert len(ms) == 432
         assert 455625 in ms  # 3^6 * 5^4, a 4-place regular
         assert all(m % 60 for m in ms)
@@ -293,21 +300,39 @@ class TestRegularEnumeration:
             2**a * 3**b * 5**c
             for a in range(25) for b in range(16) for c in range(12)
             if 2**a * 3**b * 5**c < 60**4 and (2**a * 3**b * 5**c) % 60})
-        assert list(_four_place_members()) == regular_mantissas(4) == expected
+        assert list(MEMBERS) == regular_mantissas(4) == expected
 
     def test_members_are_padded_to_four_places(self):
-        members = _four_place_members()
-        assert list(members) == regular_mantissas(4)
-        for m, (padded, triple) in members.items():
-            assert padded == m * 60 ** (4 - oracle.places(m))
-            assert triple == factor_2_3_5(m)
+        # both members of every index entry, against the oracle's padding
+        for t, tbar, pair in _four_place_index()[1]:
+            assert (t, tbar) == (MEMBERS[pair.T.mantissa], MEMBERS[pair.Tbar.mantissa])
 
     def test_triple_lookup_matches_factorization(self):
-        # the shared four-place table against factorization
-        members = _four_place_members()
-        assert list(members) == regular_mantissas(4)
-        for m, (_, triple) in members.items():
+        # the oracle's four-place table against factorization
+        assert list(MEMBERS) == regular_mantissas(4)
+        for m, (_, triple) in MEMBERS.items():
             assert triple == factor_2_3_5(m)
+
+    def test_index_weighs_every_four_place_member(self, monkeypatch):
+        # the index takes the complement of each of the 432 canonical
+        # triples below 60**4 once, and _pair again of each of the 271 kept
+        weighed = []
+
+        def recording(*triple):
+            weighed.append(triple)
+            return complement(*triple)
+
+        complement = pairs_module._complement
+        monkeypatch.setattr(pairs_module, "_complement", recording)
+        _four_place_index.cache_clear()
+        hypotheses._start_classes.cache_clear()
+        try:
+            _four_place_index()
+        finally:
+            _four_place_index.cache_clear()
+            hypotheses._start_classes.cache_clear()
+        assert set(weighed) == {triple for _, triple in MEMBERS.values()}
+        assert len(weighed) == 432 + 271
 
 
 class TestPairCriteria:
@@ -337,11 +362,10 @@ class TestCriteria:
     def test_mult10_equals_padded_divisibility_up_to_six_places(self):
         # the digit rule against CRITERIA's on the table's padded values; a
         # mantissa of five or six places is not in the table and fails both
-        members = _four_place_members()
         for m in regular_mantissas(6):
             r = regular_from_int(m)
-            if m in members:  # mult10 reads each member alone: pair it with itself
-                assert CRITERIA["mult10"](members[m], members[m]) == mult10_digits(r)
+            if m in MEMBERS:  # mult10 reads each member alone: pair it with itself
+                assert CRITERIA["mult10"](MEMBERS[m], MEMBERS[m]) == mult10_digits(r)
             else:
                 assert oracle.places(m) > 4 and not mult10_digits(r)
 
@@ -586,13 +610,12 @@ class TestFastPathOracle:
 
 # The scan over the whole four-place table that the bisected index replaced:
 # every member's padded T is tested against the range, and Tbar is found by
-# its reciprocal's mantissa.
+# the oracle's division, 60**k // m.
 
 def _scan(lo, hi, keep):
-    members = _four_place_members()
     found = []
-    for m, t in members.items():
-        tbar = members.get(reciprocal(RegularNumber(SexValue(m), *t[1])).mantissa)
+    for m, t in MEMBERS.items():
+        tbar = MEMBERS.get(60 ** oracle.reciprocal_places(m) // m)
         if lo <= t[0] <= hi and tbar and keep(t, tbar):
             found.append(t)
     return [ReciprocalPair.from_triple(triple) for _, triple in sorted(found, reverse=True)]
@@ -606,7 +629,7 @@ def count_visits(lo, hi, keep) -> int:
     return len(visits)
 
 
-_PADDED = sorted(t[0] for t in _four_place_members().values())
+_PADDED = sorted(t[0] for t in MEMBERS.values())
 _bound = st.one_of(
     # exactly on a member's padded T, or one either side of it
     st.builds(lambda p, d: p + d, st.sampled_from(_PADDED), st.integers(-1, 1)),
@@ -620,8 +643,8 @@ _KEEPS = dict(CRITERIA, buck1980=THEORIES["buck1980"][3])
 
 
 class TestPairsFromTheIndex:
-    """_four_place_index builds each pair from its two members, with no
-    reciprocal: the pair must be the one from_triple divides out."""
+    """_four_place_index builds each pair through the builder from_triple
+    uses: the pair must be the one from_triple builds."""
 
     def test_every_entry_with_a_tbar_equals_from_triple(self):
         _, index = _four_place_index()
@@ -637,7 +660,8 @@ class TestPairsFromTheIndex:
         assert [id(p) for p in full_mult10()] == [id(p) for p in full_mult10()]
 
     def test_t_one_is_its_own_tbar(self):
-        # Tbar = 1/T sits one place right of T everywhere but at T = 1
+        # Tbar = 1/T sits at places - 1 - k: one place right of T's first
+        # digit everywhere but at T = 1, where k = 0
         (pair,) = _four_place_pairs(60**3, 60**3, lambda t, tbar: True)
         assert pair == ReciprocalPair.from_triple((0, 0, 0))
         assert pair.T.value == pair.Tbar.value == SexValue(1)

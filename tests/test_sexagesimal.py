@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from plimpton import sexagesimal
 from plimpton.sexagesimal import (
+    RegularNumber,
     SexValue,
     SexagesimalError,
     _canonical,
@@ -429,6 +430,14 @@ class TestRegulars:
         # SexValue(2) and 2 raised AttributeError
         with pytest.raises(SexagesimalError, match="defined for RegularNumbers"):
             reciprocal(r)
+
+    @pytest.mark.parametrize("triple", [(0, -1, 0), (True, 0, 0), (1.5, 0, 0), (-4, -1, -1)])
+    def test_reciprocal_refuses_a_bad_triple(self, triple):
+        # (0, -1, 0) gave mantissa 1 with the triple (0, 1, 0), and
+        # (True, 0, 0) 1 with (1, 1, 1); (1.5, 0, 0) and (-4, -1, -1) raised
+        # only because 60**k turned into a float
+        with pytest.raises(SexagesimalError, match="three ints >= 0"):
+            reciprocal(RegularNumber(SexValue(1), *triple))
 
     @pytest.mark.parametrize("n,recip_m", [
         (1, 1), (2, 30), (3, 20), (48, 75), (81, 160000),
