@@ -4,9 +4,10 @@ Each hypothesis produces an ordered list of row candidates from reciprocal
 pairs, chosen either by a criterion on both members or by a test of T read
 as P/Q in lowest terms.  Also here: the printed tables of pairs (the
 fifteen, the excluded six and the extensions above and below them) with the
-computed pairs each is checked against and the log of their misprints, and
-the minimal chain linking any regular pair to the standard reciprocal table
-by doubling/tripling/quintupling steps.  Theories and printed tables are
+computed pairs each is checked against and the log of their misprints, each
+table's whole log computed once per process and only filtered by a listing,
+and the minimal chain linking any regular pair to the standard reciprocal
+table by doubling/tripling/quintupling steps.  Theories and printed tables are
 data: a theory's row rule or a printed table's rows, then the record (lo,
 hi, keep) of ``pairs._four_place_pairs``, a padded T range and a test of
 both members, that selects its pairs from the one shared set of pairs.  The
@@ -31,6 +32,7 @@ from .rows import RowCandidate, build_row
 from .sexagesimal import (
     RegularNumber,
     SexagesimalError,
+    _product,
     _ratio_text,
     _Value,
     parse_sex,
@@ -232,26 +234,6 @@ PRINTED_TABLES = {
 }
 
 
-def _printed_table(table: str) -> tuple[list[tuple], list[ReciprocalPair]]:
-    """One printed table's rows as printed, and their computed pairs."""
-    try:
-        printed, *record = PRINTED_TABLES[table]
-    except KeyError:
-        raise ValueError(f"unknown printed table {table!r}") from None
-    pairs = _four_place_pairs(*record)
-    if len(pairs) != len(printed):
-        raise ValueError(f"{table}: computed {len(pairs)} pairs, "
-                         f"printed table has {len(printed)}")
-    return printed, pairs
-
-
-def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
-    """The computed pairs of one printed table, each with its printed
-    label, in printed order."""
-    printed, pairs = _printed_table(table)
-    return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
-
-
 class Correction(_Value):
     """A printed source value that disagrees with the computed one."""
 
@@ -262,46 +244,59 @@ class Correction(_Value):
                 f"printed {self.printed!r}, computed {self.computed}")
 
 
+def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
+    """The computed pairs of one printed table, each with its printed
+    label, in printed order."""
+    try:
+        printed, *record = PRINTED_TABLES[table]
+    except KeyError:
+        raise ValueError(f"unknown printed table {table!r}") from None
+    pairs = _four_place_pairs(*record)
+    if len(pairs) != len(printed):
+        raise ValueError(f"{table}: computed {len(pairs)} pairs, "
+                         f"printed table has {len(printed)}")
+    return [(label, pair) for (label, *_), pair in zip(printed, pairs)]
+
+
 @cache
-def _printed_members(table: str) -> tuple[tuple, ...]:
-    """Every printed member of one table, then of its variants, as (log name,
-    label, column, text, reading, row), read once per process on first use:
-    reading is its parse_sex mantissa, or None where it does not parse (the
-    misprinted 64s); row indexes the printed row whose pair it is checked by."""
-    printed = PRINTED_TABLES[table][0]
-    at = {label: i for i, (label, *_) in enumerate(printed)}
-    rows = [(table, i, row) for i, row in enumerate(printed)] + [
-        (f"{table}(variant)", at[row[0]], row) for row in PRINTED_VARIANTS.get(table, [])]
-    members = []
-    for name, i, (label, *texts) in rows:
+def _printed_log(table: str) -> tuple[tuple[tuple[int, int, int], Correction], ...]:
+    """The whole log of one printed table, then of its variants (each checked
+    against its label's row), built once per process on first use: every
+    printed member that parse_sex does not read as its own row's computed
+    member's mantissa (the misprinted 64s do not parse), keyed by the T
+    triple of that row's computed pair."""
+    own = printed_pairs(table)
+    labelled = dict(own)
+    rows = [(table, row, pair) for row, (_, pair) in zip(PRINTED_TABLES[table][0], own)]
+    rows += [(f"{table}(variant)", row, labelled[row[0]])
+             for row in PRINTED_VARIANTS.get(table, [])]
+    log = []
+    for name, (label, *texts), pair in rows:
         for column, text in zip(("T", "Tbar"), texts):
+            member = getattr(pair, column)
             try:
-                reading = parse_sex(text).mantissa
+                matches = parse_sex(text).mantissa == member.mantissa
             except SexagesimalError:
-                reading = None
-            members.append((name, label, column, text, reading, i))
-    return tuple(members)
+                matches = False
+            if not matches:
+                log.append((pair.T.triple,
+                            Correction(name, label, column, text, render_sex(member.value))))
+    return tuple(log)
 
 
 def printed_corrections(table: str,
                         pairs: Iterable[ReciprocalPair]) -> list[Correction]:
-    """Printed-vs-computed digit log of the rows of one printed table whose
-    computed pair is among ``pairs``, in any order, keyed by T's exponent
-    triple: each printed member that does not read as the listed member's
-    mantissa, logged as listed."""
-    _, computed = _printed_table(table)
-    listed = {}
+    """The entries of one printed table's log whose row's computed pair is
+    among ``pairs``, in any order, matched by T's exponent triple: a listed
+    pair only selects rows, and each printed member is checked against its
+    own row's computed member."""
+    log = _printed_log(table)
+    listed = set()
     for pair in pairs:
         if type(pair) is not ReciprocalPair:
             raise SexagesimalError("every listed pair must be a ReciprocalPair")
-        listed[pair.T.triple] = pair
-    out = []
-    for name, label, column, text, reading, row in _printed_members(table):
-        if pair := listed.get(computed[row].T.triple):
-            member = getattr(pair, column)
-            if reading != member.mantissa:
-                out.append(Correction(name, label, column, text, render_sex(member.value)))
-    return out
+        listed.add(pair.T.triple)
+    return [c for key, c in log if key in listed]
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +333,8 @@ class LinkChain(_Value):
     def factor_ratio(self) -> tuple[int, int]:
         """The factor as coprime (numerator, denominator): the primes of
         positive exponent make the numerator, the others the denominator."""
-        a, b, c = self.factor
-        return (2 ** max(a, 0) * 3 ** max(b, 0) * 5 ** max(c, 0),
-                2 ** max(-a, 0) * 3 ** max(-b, 0) * 5 ** max(-c, 0))
+        return (_product(*(max(e, 0) for e in self.factor)),
+                _product(*(max(-e, 0) for e in self.factor)))
 
     def replay(self) -> ReciprocalPair:
         return ReciprocalPair.from_triple(

@@ -82,17 +82,14 @@ def tablet_data(edition: str = "robson") -> list[TabletRowRecord]:
     scribal originals attached where they differ."""
     if edition not in EDITIONS:
         raise ValueError(f"edition must be one of {EDITIONS}, not {edition!r}")
-    rows = list(_parsed_rows(edition))
-    if len(rows) != 15:
-        raise ValueError(f"expected 15 rows, parsed {len(rows)}")
-    return rows
+    return list(_parsed_rows(edition))
 
 
 @cache
 def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
     """The transcription parsed for one edition, once per process on first
-    use.  The records are frozen; :func:`tablet_data` hands each caller its
-    own list of them."""
+    use, refused unless it has 15 rows.  The records are frozen;
+    :func:`tablet_data` hands each caller its own list of them."""
     rows = []
     for line in _read_resource():
         a_text, s_text, d_text, label = _COLUMN_SPLIT.split(line.strip())
@@ -104,6 +101,8 @@ def _parsed_rows(edition: str) -> tuple[TabletRowRecord, ...]:
             written = parse_sex(_WRITTEN.get((n, col), digits))
             cells[col] = TabletCell(corrected, None if written == corrected else written)
         rows.append(TabletRowRecord(n, cells["a"], cells["s"], cells["d"]))
+    if len(rows) != 15:
+        raise ValueError(f"expected 15 rows, parsed {len(rows)}")
     return tuple(sorted(rows, key=lambda r: r.n))
 
 

@@ -769,20 +769,47 @@ class TestWorkCeilings:
         assert len(built) + len(canonical) <= 75
         assert built == []
 
-    @pytest.mark.parametrize("side", ["lower", "upper"])
-    def test_extend_selects_its_table_once_per_use(self, capsys, monkeypatch, side):
-        # one selection for the listed pairs, one for the correction log
-        selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
-        assert run(capsys, "extend", "--side", side)[0] == 0
-        assert len(selected) == 2
-
-    @pytest.mark.parametrize("argv", [
+    # the commands that write a correction log
+    LOGGING = [
         ("extend", "--side", "lower"),
         ("extend", "--side", "upper"),
         ("rows", "--hypothesis", "phillips"),
         *[("pairs", "--criterion", kind, "--from", "1;48", "--to", "2;24")
           for kind in ("mult10", "places4", "bruins")],
-    ])
+    ]
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_extend_selects_its_table_once_per_use(self, capsys, monkeypatch, side):
+        # one selection for the listed pairs, and on the log's first use in
+        # a process one more for the rows it is built from
+        hypotheses._printed_log.cache_clear()
+        selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
+        counts = []
+        for _ in range(2):
+            assert run(capsys, "extend", "--side", side)[0] == 0
+            counts.append(len(selected))
+            selected.clear()
+        assert counts == [2, 1]
+
+    @pytest.mark.parametrize("argv", LOGGING)
+    def test_a_warm_log_selects_and_renders_nothing(self, capsys, monkeypatch, argv):
+        # after one warm call the log is a filter of its table's cached
+        # log: the listing's own selection is the only one, and no printed
+        # member is rendered again
+        assert run(capsys, *argv)[0] == 0
+        selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
+        rendered = []
+
+        def counting_render(v):
+            rendered.append(v)
+            return render_sex(v)
+
+        monkeypatch.setattr(hypotheses, "render_sex", counting_render)
+        assert run(capsys, *argv)[0] == 0
+        assert len(selected) == 1
+        assert rendered == []
+
+    @pytest.mark.parametrize("argv", LOGGING)
     def test_the_log_reads_no_printed_digit_after_a_warm_call(
             self, capsys, monkeypatch, argv):
         # every printed member counts the reads of its text: split or strip
@@ -807,7 +834,7 @@ class TestWorkCeilings:
         monkeypatch.setitem(hypotheses.PRINTED_VARIANTS, "extension-lower",
                             [(label, Counted(t)) for label, t in
                              hypotheses.PRINTED_VARIANTS["extension-lower"]])
-        hypotheses._printed_members.cache_clear()
+        hypotheses._printed_log.cache_clear()
         try:
             assert run(capsys, *argv)[0] == 0
             assert read
@@ -816,7 +843,7 @@ class TestWorkCeilings:
             assert read == []
         finally:
             monkeypatch.undo()
-            hypotheses._printed_members.cache_clear()
+            hypotheses._printed_log.cache_clear()
 
     def test_value_fields_are_set_by_their_slots(self):
         # each _Value sets its fields by its slot descriptors' __set__

@@ -337,12 +337,12 @@ def _positional_then_filtered(table, listed):
 def _log_as(table, printed):
     """The whole log of one printed table, its rows printed as ``printed``
     and read afresh, as (table, label, column, printed, computed)."""
-    hypotheses._printed_members.cache_clear()
+    hypotheses._printed_log.cache_clear()
     try:
         with patch.dict(PRINTED_TABLES, {table: (printed, *PRINTED_TABLES[table][1:])}):
             return _fields(_log(table))
     finally:
-        hypotheses._printed_members.cache_clear()
+        hypotheses._printed_log.cache_clear()
 
 
 def _row_log(table, label, t_text, tbar_text):
@@ -398,7 +398,7 @@ class TestPrintedTables:
         printed, *record = PRINTED_TABLES["excluded-pairs"]
         changed = (printed * 2)[:rows]
         monkeypatch.setitem(PRINTED_TABLES, "excluded-pairs", (changed, *record))
-        hypotheses._printed_members.cache_clear()
+        hypotheses._printed_log.cache_clear()
         try:
             with pytest.raises(ValueError, match="computed 6 pairs, printed table has"):
                 printed_pairs("excluded-pairs")
@@ -406,7 +406,7 @@ class TestPrintedTables:
                 printed_corrections("excluded-pairs", [])
         finally:
             monkeypatch.undo()
-            hypotheses._printed_members.cache_clear()
+            hypotheses._printed_log.cache_clear()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), table=st.sampled_from(list(PRINTED_TABLES)))
@@ -416,6 +416,17 @@ class TestPrintedTables:
         listed = data.draw(st.lists(st.sampled_from(_ALL_PRINTED_PAIRS), unique=True))
         assert _fields(printed_corrections(table, listed)) == \
             _positional_then_filtered(table, listed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), table=st.sampled_from(list(PRINTED_TABLES)))
+    def test_a_listing_filters_the_full_log(self, data, table):
+        # any subset of the table's own pairs, in any order, logs a
+        # subsequence of the log of every pair: the listed pairs select rows
+        # and are never compared themselves
+        listed = data.draw(st.permutations([p for _, p in printed_pairs(table)]))
+        listed = listed[:data.draw(st.integers(0, len(listed)))]
+        full = iter(_log(table))
+        assert all(c in full for c in printed_corrections(table, listed))
 
     @pytest.mark.parametrize("minus_17", [True, False])
     @pytest.mark.parametrize("seed", range(3))
@@ -502,15 +513,26 @@ class TestPrintedReadings:
 
     @pytest.mark.parametrize("table", list(PRINTED_TABLES))
     def test_renders_only_the_logged_members(self, monkeypatch, table):
+        # each logged member once, on the log's first use in a process;
+        # a warm call renders none
         rendered = []
 
         def counting_render(v):
             rendered.append(v)
             return render_sex(v)
 
+        hypotheses._printed_log.cache_clear()
         monkeypatch.setattr(hypotheses, "render_sex", counting_render)
-        logged = _log(table)
-        assert len(rendered) == len(logged)
+        try:
+            counts = []
+            for _ in range(2):
+                logged = _log(table)
+                counts.append(len(rendered))
+                rendered.clear()
+            assert counts == [len(logged), 0]
+        finally:
+            monkeypatch.undo()
+            hypotheses._printed_log.cache_clear()
 
     def test_reads_each_printed_member_once_per_process(self, monkeypatch):
         # 24 rows of two members, then the variant's one
@@ -520,7 +542,7 @@ class TestPrintedReadings:
             read.append(text)
             return parse_sex(text)
 
-        hypotheses._printed_members.cache_clear()
+        hypotheses._printed_log.cache_clear()
         monkeypatch.setattr(hypotheses, "parse_sex", counting_parse)
         try:
             counts = []
@@ -531,7 +553,7 @@ class TestPrintedReadings:
             assert counts == [49, 0]
         finally:
             monkeypatch.undo()
-            hypotheses._printed_members.cache_clear()
+            hypotheses._printed_log.cache_clear()
 
     def test_standard_15_is_the_phillips_theory(self):
         assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"][1:]
