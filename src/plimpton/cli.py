@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: recip, pairs, rows, tablet (verify|diff|errors), extend, link.
+Subcommands: the paths of ``COMMANDS``, each run by ``cmd_<path joined by "_">``.
 Output formats: text (default), json, and csv for every command but recip
 and link, which print one value.  Whenever computed values differ from the
 printed source tables, a correction log is emitted (stderr for text/csv,
@@ -226,9 +226,12 @@ def _row_record(c: RowCandidate, leading_one: bool) -> dict:
             "A": a, "flags": ";".join(flags)}
 
 
+def _candidates(args) -> list[RowCandidate]:
+    return hypotheses.generate(args.hypothesis, args.reduction.replace("-", "_"))
+
+
 def cmd_rows(args) -> int:
-    reduction = args.reduction.replace("-", "_")
-    candidates = hypotheses.generate(args.hypothesis, reduction)
+    candidates = _candidates(args)
     leading_one = args.leading_one == "on"
     rows = [_row_record(c, leading_one) for c in candidates]
     corrections = (hypotheses.printed_corrections(
@@ -238,31 +241,29 @@ def cmd_rows(args) -> int:
     return EXIT_OK
 
 
-def cmd_tablet(args) -> int:
-    if args.subcommand == "verify":
-        results = tablet.verify_properties(tablet.tablet_data(args.edition),
-                                           use=args.use)
-        rows = [{"label": str(r.number), "property": r.description,
-                 "status": "pass" if r.holds else "fail",
-                 "failing_rows": " ".join(str(n) for n in r.failures)}
-                for r in results]
-        _emit(args.format, "tablet-verify", rows,
-              ["label", "property", "status", "failing_rows"], [])
-        expected = all(
-            (r.holds if r.number != 3 else set(r.failures) == {11})
-            for r in results) if args.use == "corrected" else True
-        return EXIT_OK if expected else EXIT_DATA
-    if args.subcommand == "diff":
-        reduction = args.reduction.replace("-", "_")
-        candidates = hypotheses.generate(args.hypothesis, reduction)
-        report = tablet.diff_against(candidates, args.edition, args.matching)
-        rows = [{"label": str(d.n), "status": d.status,
-                 "ratio": _ratio_text(*_ratio(d.ratio.value)) if d.ratio else "",
-                 "cells": " ".join(d.cells)} for d in report.rows]
-        _emit(args.format, "tablet-diff", rows,
-              ["label", "status", "ratio", "cells"], [],
-              extra={"summary": report.summary()})
-        return EXIT_OK
+def cmd_tablet_verify(args) -> int:
+    results = tablet.verify_properties(tablet.tablet_data(args.edition), use=args.use)
+    rows = [{"label": str(r.number), "property": r.description,
+             "status": "pass" if r.holds else "fail",
+             "failing_rows": " ".join(map(str, r.failures))} for r in results]
+    _emit(args.format, "tablet-verify", rows,
+          ["label", "property", "status", "failing_rows"], [])
+    expected = args.use != "corrected" or all(
+        r.holds if r.number != 3 else set(r.failures) == {11} for r in results)
+    return EXIT_OK if expected else EXIT_DATA
+
+
+def cmd_tablet_diff(args) -> int:
+    report = tablet.diff_against(_candidates(args), args.edition, args.matching)
+    rows = [{"label": str(d.n), "status": d.status,
+             "ratio": _ratio_text(*_ratio(d.ratio.value)) if d.ratio else "",
+             "cells": " ".join(d.cells)} for d in report.rows]
+    _emit(args.format, "tablet-diff", rows, ["label", "status", "ratio", "cells"], [],
+          extra={"summary": report.summary()})
+    return EXIT_OK
+
+
+def cmd_tablet_errors(args) -> int:
     annotations = tablet.error_annotations(args.edition)
     rows = [{"label": str(a.n), "column": a.column, "as_written": a.as_written,
              "corrected": a.corrected, "kind": a.kind} for a in annotations]
@@ -299,61 +300,56 @@ def cmd_link(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Each path of command names: add_parser's keywords (no help for tablet's
+# subcommands), then its arguments in usage order as (name, add_argument keywords).
+
+_VALUE = ("value", {})
+_FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
+_VALUE_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_EDITION = ("--edition", {"choices": tablet.EDITIONS, "default": "robson"})
+_HYPOTHESIS = {"choices": tuple(hypotheses.THEORIES)}
+_REDUCTION = {"choices": ("full", "tablet-faithful")}
+
+COMMANDS = {
+    ("recip",): ({"help": "reciprocal of a regular number"}, [_VALUE, _VALUE_FORMAT]),
+    ("pairs",): ({"help": "enumerate reciprocal pairs in a range"}, [
+        ("--criterion", {"choices": tuple(pairs.CRITERIA), "default": "mult10"}),
+        ("--from", {"dest": "range_from", "required": True}),
+        ("--to", {"dest": "range_to", "required": True}), _FORMAT]),
+    ("rows",): ({"help": "generate rows under a hypothesis"}, [
+        ("--hypothesis", _HYPOTHESIS | {"required": True}),
+        ("--reduction", _REDUCTION | {"default": "full"}),
+        ("--leading-one", {"choices": ("on", "off"), "default": "on"}), _FORMAT]),
+    ("tablet",): ({"help": "verify, diff or list scribal errors"}, []),
+    ("tablet", "verify"): ({}, [_EDITION, _FORMAT, (
+        "--use", {"choices": ("corrected", "as_written"), "default": "corrected"})]),
+    ("tablet", "diff"): ({}, [
+        _EDITION, _FORMAT, ("--hypothesis", _HYPOTHESIS | {"default": "phillips"}),
+        ("--matching", {"choices": ("exact", "similarity"), "default": "exact"}),
+        ("--reduction", _REDUCTION | {"default": "tablet-faithful"})]),
+    ("tablet", "errors"): ({}, [_EDITION, _FORMAT]),
+    ("extend",): ({"help": "extension tables beyond the 15 rows"}, [
+        ("--side", {"choices": ("lower", "upper"), "required": True}), _FORMAT]),
+    ("link",): ({"help": "minimal chain to the standard table"}, [_VALUE, _VALUE_FORMAT]),
+}
+
 
 @cache
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process on first use."""
-    parser = _Parser(prog="plimpton",
-                     description="Exact sexagesimal reconstruction of Plimpton 322")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, formats=("text", "json", "csv")):
-        p.add_argument("--format", choices=formats, default="text")
-
-    p = sub.add_parser("recip", help="reciprocal of a regular number")
-    p.add_argument("value")
-    add_format(p, ("text", "json"))
-
-    p = sub.add_parser("pairs", help="enumerate reciprocal pairs in a range")
-    p.add_argument("--criterion", choices=tuple(pairs.CRITERIA), default="mult10")
-    p.add_argument("--from", dest="range_from", required=True)
-    p.add_argument("--to", dest="range_to", required=True)
-    add_format(p)
-
-    p = sub.add_parser("rows", help="generate rows under a hypothesis")
-    p.add_argument("--hypothesis", choices=tuple(hypotheses.THEORIES),
-                   required=True)
-    p.add_argument("--reduction", choices=("full", "tablet-faithful"),
-                   default="full")
-    p.add_argument("--leading-one", choices=("on", "off"), default="on")
-    add_format(p)
-
-    p = sub.add_parser("tablet", help="verify, diff or list scribal errors")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
-    for name in ("verify", "diff", "errors"):
-        tp = tsub.add_parser(name)
-        tp.add_argument("--edition", choices=tablet.EDITIONS, default="robson")
-        add_format(tp)
-        if name == "verify":
-            tp.add_argument("--use", choices=("corrected", "as_written"),
-                            default="corrected")
-        if name == "diff":
-            tp.add_argument("--hypothesis", choices=tuple(hypotheses.THEORIES),
-                            default="phillips")
-            tp.add_argument("--matching", choices=("exact", "similarity"),
-                            default="exact")
-            tp.add_argument("--reduction", choices=("full", "tablet-faithful"),
-                            default="tablet-faithful")
-
-    p = sub.add_parser("extend", help="extension tables beyond the 15 rows")
-    p.add_argument("--side", choices=("lower", "upper"), required=True)
-    add_format(p)
-
-    p = sub.add_parser("link", help="minimal chain to the standard table")
-    p.add_argument("value")
-    add_format(p, ("text", "json"))
-
-    return parser
+    """The argument parser, built from ``COMMANDS`` once per process on first
+    use; a path's names are its namespace's command, subcommand and so on."""
+    parsers = {(): _Parser(prog="plimpton",
+                           description="Exact sexagesimal reconstruction of Plimpton 322")}
+    subparsers = {}
+    for path, (keywords, arguments) in COMMANDS.items():
+        parent = path[:-1]
+        if parent not in subparsers:
+            subparsers[parent] = parsers[parent].add_subparsers(
+                dest="sub" * len(parent) + "command", required=True)
+        parser = parsers[path] = subparsers[parent].add_parser(path[-1], **keywords)
+        for name, options in arguments:
+            parser.add_argument(name, **options)
+    return parsers[()]
 
 
 def _run(argv: list[str] | None) -> int:
@@ -361,9 +357,10 @@ def _run(argv: list[str] | None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    path = [name for dest, name in vars(args).items() if dest.endswith("command")]
     # looked up on every call, so a rebound cmd_* (a test's patch, a
     # tracer's wrapper) runs even though the parser outlives the binding
-    command = globals()[f"cmd_{args.command}"]
+    command = globals()["cmd_" + "_".join(path)]
     try:
         return command(args)
     except (DataError, SexagesimalError, ValueError) as e:

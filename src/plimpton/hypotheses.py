@@ -268,8 +268,11 @@ def _printed_log(table: str) -> tuple[tuple[tuple[int, int, int], Correction], .
     own = printed_pairs(table)
     labelled = dict(own)
     rows = [(table, row, pair) for row, (_, pair) in zip(PRINTED_TABLES[table][0], own)]
-    rows += [(f"{table}(variant)", row, labelled[row[0]])
-             for row in PRINTED_VARIANTS.get(table, [])]
+    try:
+        rows += [(f"{table}(variant)", row, labelled[row[0]])
+                 for row in PRINTED_VARIANTS.get(table, [])]
+    except KeyError as e:
+        raise ValueError(f"{table}: a variant row's label {e} is not the table's") from None
     log = []
     for name, (label, *texts), pair in rows:
         for column, text in zip(("T", "Tbar"), texts):

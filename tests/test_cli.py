@@ -204,19 +204,26 @@ def _option(parser, dest: str, *path: str):
     return next(a for a in parser._actions if a.dest == dest)
 
 
+def _recorded(path: tuple[str, ...], name: str) -> dict:
+    """The add_argument keywords that ``COMMANDS`` records for ``name``."""
+    return dict(cli.COMMANDS[path][1])[name]
+
+
 class TestCriterionVocabulary:
-    """The criterion names are CRITERIA's keys everywhere: in the CLI, in
-    the hypotheses and in enumerate_pairs; the theory names are THEORIES'
-    keys in both options that take one."""
+    """The criterion names are CRITERIA's keys everywhere: in the CLI's
+    records and parser, in the hypotheses and in enumerate_pairs; the theory
+    names are THEORIES' keys in both options that take one."""
 
     def test_cli_choices_are_the_criteria(self):
         criterion = _option(cli._build_parser(), "criterion", "pairs")
         assert criterion.choices == tuple(CRITERIA) == ("mult10", "places4", "bruins")
+        assert _recorded(("pairs",), "--criterion")["choices"] == tuple(CRITERIA)
 
     @pytest.mark.parametrize("path", [("rows",), ("tablet", "diff")])
     def test_cli_choices_are_the_theories(self, path):
         hypothesis = _option(cli._build_parser(), "hypothesis", *path)
         assert hypothesis.choices == tuple(THEORIES)
+        assert _recorded(path, "--hypothesis")["choices"] == tuple(THEORIES)
         assert not hasattr(hypotheses, "HYPOTHESIS_TAGS")
 
     def test_theories_name_criteria(self):
@@ -233,6 +240,77 @@ class TestCriterionVocabulary:
         lo, hi = (SexValue(t, -3) for t in pairs.PLIMPTON_PADDED)
         with pytest.raises(ValueError, match="unknown criterion kind 'places_only'"):
             enumerate_pairs("places_only", lo, hi)
+
+
+def _describe(action) -> str:
+    """One argument as usage states it: its flag or name, its choices, then
+    its default or that it is required."""
+    text = action.option_strings[0] if action.option_strings else action.dest
+    if action.choices:
+        text += " " + "|".join(action.choices)
+    if action.default is not None:
+        text += f"={action.default}"
+    return text + (" required" if action.required and action.option_strings else "")
+
+
+_THEORY_NAMES = "|".join(THEORIES)
+# every leaf command's arguments in usage order, as _describe states them
+SURFACE = {
+    ("recip",): ["value", "--format text|json=text"],
+    ("pairs",): ["--criterion mult10|places4|bruins=mult10", "--from required",
+                 "--to required", "--format text|json|csv=text"],
+    ("rows",): [f"--hypothesis {_THEORY_NAMES} required", "--reduction full|tablet-faithful=full",
+                "--leading-one on|off=on", "--format text|json|csv=text"],
+    ("tablet", "verify"): ["--edition joyce|robson=robson", "--format text|json|csv=text",
+                           "--use corrected|as_written=corrected"],
+    ("tablet", "diff"): ["--edition joyce|robson=robson", "--format text|json|csv=text",
+                         f"--hypothesis {_THEORY_NAMES}=phillips",
+                         "--matching exact|similarity=exact",
+                         "--reduction full|tablet-faithful=tablet-faithful"],
+    ("tablet", "errors"): ["--edition joyce|robson=robson", "--format text|json|csv=text"],
+    ("extend",): ["--side lower|upper required", "--format text|json|csv=text"],
+    ("link",): ["value", "--format text|json=text"],
+}
+
+
+class TestCommandRecords:
+    """``COMMANDS`` builds the parser and names each runner: a leaf path
+    (one that no other path extends) runs as cmd_<path joined by "_">."""
+
+    @staticmethod
+    def leaves() -> list[tuple[str, ...]]:
+        return [path for path in cli.COMMANDS
+                if not any(other[:len(path)] == path != other for other in cli.COMMANDS)]
+
+    def test_every_leaf_has_a_runner_and_every_runner_is_a_leaf(self):
+        runners = {name for name in vars(cli) if name.startswith("cmd_")}
+        assert {"cmd_" + "_".join(path) for path in self.leaves()} == runners
+        assert all(callable(getattr(cli, name)) for name in runners)
+
+    def test_parser_has_every_leafs_arguments_in_usage_order(self):
+        # stated apart from argparse's help text, which differs between
+        # Python versions
+        assert self.leaves() == list(SURFACE)
+        for path, expected in SURFACE.items():
+            parser = cli._build_parser()
+            for name in path:
+                parser = next(a for a in parser._actions
+                              if isinstance(a, argparse._SubParsersAction)).choices[name]
+            assert [_describe(a) for a in parser._actions
+                    if not isinstance(a, argparse._HelpAction)] == expected, path
+
+    # the arguments each leaf needs, beyond its path
+    REQUIRED = {("recip",): ["2 05"], ("pairs",): ["--from", "1;48", "--to", "2;24"],
+                ("rows",): ["--hypothesis", "phillips"], ("extend",): ["--side", "lower"],
+                ("link",): ["2 05"]}
+
+    @pytest.mark.parametrize("path", list(SURFACE))
+    def test_each_leaf_runs_its_own_runner(self, capsys, monkeypatch, path):
+        called = []
+        monkeypatch.setattr(cli, "cmd_" + "_".join(path),
+                            lambda args: called.append(path) or 0)
+        assert run(capsys, *path, *self.REQUIRED.get(path, [])) == (0, "", "")
+        assert called == [path]
 
 
 class TestRows:

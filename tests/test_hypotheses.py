@@ -408,6 +408,21 @@ class TestPrintedTables:
             monkeypatch.undo()
             hypotheses._printed_log.cache_clear()
 
+    def test_variant_of_no_row_is_a_value_error(self, monkeypatch):
+        # PRINTED_VARIANTS is public: a variant row whose label the table
+        # does not have raised KeyError
+        monkeypatch.setitem(PRINTED_VARIANTS, "extension-upper", [("99", "1 2")])
+        hypotheses._printed_log.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="extension-upper: a variant row's "
+                                                 "label '99' is not the table's"):
+                printed_corrections("extension-upper", [])
+        finally:
+            monkeypatch.undo()
+            hypotheses._printed_log.cache_clear()
+        assert "extension-upper" not in PRINTED_VARIANTS
+        assert [c.label for c in _log("extension-upper")] == ["33"]
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), table=st.sampled_from(list(PRINTED_TABLES)))
     def test_logs_the_listed_rows_in_any_order(self, data, table):
