@@ -1,6 +1,9 @@
 """Command-line surface.
 
 Subcommands: the paths of ``COMMANDS``, each run by ``cmd_<path joined by "_">``.
+An argv of exact form (a command's path, then each flag in full, once, as
+``--flag value``) is read straight from ``COMMANDS``; every other argv,
+help and usage errors among them, goes to the argparse parser built from it.
 Output formats: text (default), json, and csv for every command but recip
 and link, which print one value.  Whenever computed values differ from the
 printed source tables, a correction log is emitted (stderr for text/csv,
@@ -352,9 +355,68 @@ def _build_parser() -> _Parser:
     return parsers[()]
 
 
+@cache
+def _leaf_specs() -> dict:
+    """Each leaf path's reading for ``_exact``, built from ``COMMANDS`` once
+    per process on first use: its namespace's defaults in argparse's order,
+    its options by flag and its positionals in order, each as (dest,
+    choices), and its required dests.  It knows only the keywords the
+    records use (dest, default, choices, required), each argument taking
+    one value."""
+    specs = {}
+    for path, (_, arguments) in COMMANDS.items():
+        if any(other[:len(path)] == path != other for other in COMMANDS):
+            continue
+        values = {"sub" * depth + "command": name for depth, name in enumerate(path)}
+        options, positionals, required = {}, [], set()
+        for name, keywords in arguments:
+            dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+            values[dest] = keywords.get("default")
+            reading, flag = (dest, keywords.get("choices")), name.startswith("-")
+            if flag:
+                options[name] = reading
+            else:
+                positionals.append(reading)
+            if keywords.get("required", not flag):
+                required.add(dest)
+        specs[path] = values, options, positionals, required
+    return specs
+
+
+def _exact(argv: list[str] | None) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read
+    straight from ``COMMANDS`` when argv has exact form: a leaf path, then
+    each flag in full at most once as ``--flag value``, no value led by
+    ``-``, every value one of its choices, every required argument and no
+    extra positional.  Any other argv is None, for argparse to read, so help,
+    usage and errors stay argparse's."""
+    argv = sys.argv[1:] if argv is None else argv
+    specs = _leaf_specs()
+    # a leaf path is one name or two (tablet's subcommands)
+    path = next((path for path in (tuple(argv[:1]), tuple(argv[:2])) if path in specs),
+                None)
+    if path is None:
+        return None
+    values, options, positionals, required = specs[path]
+    values, given = dict(values), set()
+    tokens, positionals = iter(argv[len(path):]), iter(positionals)
+    for token in tokens:
+        if token.startswith("-"):
+            dest, choices = options.get(token, (None, None))
+            token = next(tokens, "-")
+        else:
+            dest, choices = next(positionals, (None, None))
+        if (dest is None or dest in given or token.startswith("-")
+                or choices and token not in choices):
+            return None
+        values[dest] = token
+        given.add(dest)
+    return argparse.Namespace(**values) if required <= given else None
+
+
 def _run(argv: list[str] | None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _exact(argv) or _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     path = [name for dest, name in vars(args).items() if dest.endswith("command")]

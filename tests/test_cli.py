@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from unittest import mock
 
@@ -313,6 +314,137 @@ class TestCommandRecords:
         assert called == [path]
 
 
+def _parsed(argv) -> list | None:
+    """argparse's namespace for ``argv`` as (dest, value) items in its
+    order, or None where argparse exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return list(vars(cli._build_parser().parse_args(argv)).items())
+        except SystemExit:
+            return None
+
+
+# Values a record's argument may be given: text of exact form (the empty
+# text too, and names of commands), text led by "-", and a choice's near
+# misses (a prefix, another case, one letter more)
+_PLAIN = st.sampled_from(["2 05", "1;48", "", "rows", "tablet", "x=y"])
+_DASHED = st.sampled_from(["-", "-1", "--", "-h", "--format", "-2 05"])
+_LEAVES = TestCommandRecords.leaves()
+
+
+def _near_misses(choices) -> st.SearchStrategy:
+    return st.sampled_from(choices).flatmap(
+        lambda c: st.sampled_from([c[:-1], c.upper(), c + "s"]))
+
+
+@st.composite
+def _record_argv(draw):
+    """An argv drawn from the ``COMMANDS`` records, and whether it has exact
+    form.  Most are a leaf path and its arguments in some order, each given
+    in full with a plain value or a choice; now and then a value is a near
+    miss or led by "-", an argument is left out, a flag is abbreviated,
+    written ``--flag=value`` or repeated, or a positional, "--", "-h" or
+    "--help" is added.  The rest name no leaf."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([
+            [], ["tablet"], ["tablet", "nonesuch"], ["nonesuch"], ["rows-"], ["-h"],
+            ["--help"], ["--", "recip", "2 05"], ["tablet", "--edition", "joyce"]])), False
+    path = draw(st.sampled_from(_LEAVES))
+    exact, items = True, []
+    for name, keywords in cli.COMMANDS[path][1]:
+        choices, flag = keywords.get("choices"), name.startswith("-")
+        value = draw(st.sampled_from(choices) if choices else _PLAIN)
+        if draw(st.integers(0, 5)) == 0:
+            value = draw(st.one_of([_PLAIN, _DASHED] + [_near_misses(choices)] * bool(choices)))
+        form = draw(st.sampled_from(["full"] * 12 + ["omitted", "twice"]
+                                    + ["abbreviated", "="] * flag))
+        if form == "omitted":
+            exact &= flag and not keywords.get("required")
+        else:
+            exact &= (form == "full" and not value.startswith("-")
+                      and (not choices or value in choices))
+        if form == "=":
+            items.append([f"{name}={value}"])
+        elif form != "omitted":
+            tokens = [name[:-1] if form == "abbreviated" else name] * flag + [value]
+            items.append(tokens * (1 + (form == "twice")))
+    items = draw(st.permutations(items))
+    if draw(st.integers(0, 5)) == 0:
+        extra = draw(st.one_of(_PLAIN, st.sampled_from(["--", "-h", "--help"])))
+        items.insert(draw(st.integers(0, len(items))), [extra])
+        exact = False
+    return [*path, *(token for item in items for token in item)], exact
+
+
+class TestExactReader:
+    """``_exact`` reads an argv of exact form straight from ``COMMANDS``, to
+    the namespace argparse would return, and declines every other argv, for
+    argparse to read."""
+
+    def test_every_reproduce_command_is_read_exactly(self, monkeypatch):
+        commands = bench_reproduce_commands(monkeypatch)
+        assert len(commands) == 129
+        for argv in commands:
+            namespace = cli._exact(argv)
+            assert namespace is not None, argv
+            assert list(vars(namespace).items()) == _parsed(argv), argv
+
+    @pytest.mark.parametrize("path", _LEAVES)
+    def test_every_choice_of_every_leaf_is_read(self, path):
+        required = TestCommandRecords.REQUIRED.get(path, [])
+        for name, keywords in cli.COMMANDS[path][1]:
+            for choice in keywords.get("choices", ()):
+                argv = [*path, *(required if name not in required else []), name, choice]
+                assert list(vars(cli._exact(argv)).items()) == _parsed(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["rows", "--hyp", "phillips"],                    # abbreviated
+        ["rows", "--hypothesis=phillips"],                # --flag=value
+        ["rows", "--hypothesis", "phillips"] * 2,         # repeated
+        ["rows", "--hypothesis", "phillips", "--hypothesis", "ns1945"],
+        ["rows", "--hypothesis", "euclid"],               # not a choice
+        ["rows", "--hypothesis", "Phillips"],
+        ["rows"],                                         # missing required
+        ["pairs", "--from", "1;48"],
+        ["recip"],
+        ["recip", "2 05", "7 30"],                        # extra positional
+        ["rows", "--hypothesis", "phillips", "x"],
+        ["recip", "-1"],                                  # led by "-"
+        ["pairs", "--from", "-1", "--to", "2"],
+        ["pairs", "--from", "1", "--to"],
+        ["recip", "--", "2 05"],
+        ["--", "recip", "2 05"],
+        ["recip", "2 05", "-h"],
+        ["tablet", "verify", "--help"],
+        ["-h"],
+        ["tablet"],
+        ["tablet", "nonesuch"],
+        ["nonesuch"],
+        [],
+    ])
+    def test_other_forms_are_left_to_argparse(self, argv):
+        assert cli._exact(argv) is None
+
+    def test_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["plimpton", "tablet", "diff", "--edition", "joyce"])
+        namespace = cli._exact(None)
+        assert namespace is not None
+        assert list(vars(namespace).items()) == _parsed(None)
+        monkeypatch.setattr(sys, "argv", ["plimpton", "tablet", "diff", "--edition", "j"])
+        assert cli._exact(None) is None
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(drawn=_record_argv(), from_sys_argv=st.booleans())
+    def test_reads_argparse_s_namespace_or_declines(self, drawn, from_sys_argv):
+        argv, exact = drawn
+        with mock.patch.object(sys, "argv", ["plimpton", *argv]):
+            read = None if from_sys_argv else argv
+            namespace, parsed = cli._exact(read), _parsed(read)
+        assert (namespace is not None) == exact, argv
+        if namespace is not None:
+            assert list(vars(namespace).items()) == parsed, argv
+
+
 class TestRows:
     def test_friberg2007_has_38(self, capsys):
         _, out, _ = run(capsys, "rows", "--hypothesis", "friberg2007")
@@ -583,7 +715,10 @@ _FUZZ_VALUES = st.one_of(
 def _fuzz_argv(draw, parser):
     """An argv for ``parser`` built from its own arguments: each choice
     from its choices, every other value from _FUZZ_VALUES; a required
-    option is left out now and then, an optional one half the time."""
+    option is left out now and then, an optional one half the time.  Most
+    options are given as ``--flag value``; now and then one is abbreviated,
+    written ``--flag=value``, repeated or given a value led by "-", forms
+    that only argparse reads."""
     argv, subcommands = [], None
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -595,7 +730,10 @@ def _fuzz_argv(draw, parser):
         elif draw(st.integers(0, 9)) < (9 if action.required else 5):
             values = (st.sampled_from(action.choices) if action.choices
                       else _FUZZ_VALUES)
-            argv += [action.option_strings[0], draw(values)]
+            flag, value = action.option_strings[0], draw(values)
+            argv += draw(st.sampled_from([[flag, value]] * 16 + [
+                [flag[:-1], value], [f"{flag}={value}"], [flag, value] * 2,
+                [flag, "-" + value]]))
     if subcommands is not None:
         name = draw(st.sampled_from(sorted(subcommands.choices)))
         argv = [name] + draw(_fuzz_argv(subcommands.choices[name])) + argv
@@ -606,6 +744,10 @@ class TestFuzz:
     @settings(max_examples=100, deadline=2000, derandomize=True,
               database=None)
     @given(argv=_fuzz_argv(cli._build_parser()))
+    @example(argv=["rows", "--hyp", "phillips"])
+    @example(argv=["rows", "--hypothesis=phillips"])
+    @example(argv=["rows", "--hypothesis", "phillips", "--hypothesis", "ns1945"])
+    @example(argv=["pairs", "--from", "-1", "--to", "2"])
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1073,6 +1215,27 @@ class TestSetupReuse:
         first.pop()
         assert tablet.tablet_data("joyce") == expected
         assert tablet.tablet_data("robson") != expected  # row 15 differs
+
+    def test_exact_form_builds_no_parser(self, capsys, monkeypatch):
+        # argparse is built for help and for usage errors only, once
+        built = []
+        parser_init = cli._Parser.__init__
+
+        def counting_parser_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            parser_init(self, *args, **kwargs)
+
+        commands = bench_reproduce_commands(monkeypatch)
+        # a parser cache of its own, empty whatever ran before
+        monkeypatch.setattr(cli, "_build_parser", cache(cli._build_parser.__wrapped__))
+        monkeypatch.setattr(cli._Parser, "__init__", counting_parser_init)
+        for argv in commands:
+            # tablet verify of the joyce edition exits 2, with its report
+            assert run(capsys, *argv)[0] in (cli.EXIT_OK, cli.EXIT_DATA), argv
+        assert built == []
+        assert run(capsys, "--help")[0] == cli.EXIT_OK
+        assert run(capsys, "rows", "--hypothesis", "nonesuch")[0] == cli.EXIT_USAGE
+        assert built.count("plimpton") == 1
 
     def test_ten_calls_build_the_parser_and_read_the_tablet_once(
             self, capsys, monkeypatch):

@@ -103,3 +103,19 @@ def test_a_command_loads_no_fractions_decimal_or_numbers(argv):
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
                           *argv], capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "0 []"
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["rows", "--hypothesis", "phillips"], False),
+    (["rows", "--hypothesis=phillips"], True),
+], ids=["exact-form", "flag=value"])
+def test_only_a_form_argparse_reads_builds_the_parser_and_loads_shutil(argv, built):
+    # an argv of exact form is read straight from the command records; any
+    # other goes to argparse, whose help formatter imports shutil
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); from plimpton import cli; "
+            "out, err = sys.stdout, sys.stderr; sys.stdout = sys.stderr = io.StringIO(); "
+            "code = cli.main(sys.argv[2:]); sys.stdout, sys.stderr = out, err; "
+            "print(code, cli._build_parser.cache_info().currsize, 'shutil' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
+                          *argv], capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == f"0 {int(built)} {built}"
