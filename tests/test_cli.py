@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import importlib
 import io
 import json
 import os
@@ -30,6 +29,8 @@ from plimpton.sexagesimal import (
     reciprocal,
     render_sex,
 )
+from bench_oracle import bench_workloads
+from counting import counted
 from test_sexagesimal import power_passes, traced, valuation_passes
 
 
@@ -381,8 +382,8 @@ class TestExactReader:
     the namespace argparse would return, and declines every other argv, for
     argparse to read."""
 
-    def test_every_reproduce_command_is_read_exactly(self, monkeypatch):
-        commands = bench_reproduce_commands(monkeypatch)
+    def test_every_reproduce_command_is_read_exactly(self):
+        commands = bench_workloads().reproduce_commands()
         assert len(commands) == 129
         for argv in commands:
             namespace = cli._exact(argv)
@@ -799,19 +800,6 @@ def _expanded(cell):
             "denominator": str(value.denominator)}
 
 
-def bench_reproduce_commands(monkeypatch) -> list[list[str]]:
-    """The commands of the benchmark's reproduce workload, imported
-    read-only as tests/test_golden.py does: no bytecode is written into
-    bench/, and its modules are dropped again after."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    try:
-        return importlib.import_module("workloads").reproduce_commands()
-    finally:
-        for name in ("workloads", "checks", "oracle"):
-            sys.modules.pop(name, None)
-
-
 class TestJsonEmitter:
     """The CLI writes JSON with its own emitter; the standard library's
     json.dumps(..., indent=2) is the oracle for its bytes."""
@@ -837,8 +825,8 @@ class TestJsonEmitter:
                     "corrections": [], **extra}
         assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
 
-    def test_every_json_command_reads_back_as_written(self, capsys, monkeypatch):
-        commands = [argv for argv in bench_reproduce_commands(monkeypatch)
+    def test_every_json_command_reads_back_as_written(self, capsys):
+        commands = [argv for argv in bench_workloads().reproduce_commands()
                     if argv[-2:] == ["--format", "json"]]
         # the golden regular values, and one whose reciprocal's numerator
         # has 4,300 digits
@@ -857,40 +845,6 @@ class TestWorkCeilings:
     271 pairs once per process on first use, so a command after that
     builds none."""
 
-    @staticmethod
-    def count_built(monkeypatch, cls=ReciprocalPair) -> list:
-        built = []
-        init = cls.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting_init)
-        return built
-
-    @classmethod
-    def count_values(cls, monkeypatch) -> tuple[list, list]:
-        """The SexValues built by the checking constructor, and those the
-        library builds unchecked from its own integers."""
-        return (cls.count_built(monkeypatch, SexValue),
-                cls.count_calls(monkeypatch, sexagesimal._canonical))
-
-    @staticmethod
-    def count_calls(monkeypatch, fn=factor_2_3_5) -> list:
-        called = []
-
-        def counting(*args):
-            called.append(args)
-            return fn(*args)
-
-        # modules import these functions by name: count the call under each
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "plimpton"
-                    and getattr(module, fn.__name__, None) is fn):
-                monkeypatch.setattr(module, fn.__name__, counting)
-        return called
-
     SELECTING = [
         ("rows", "--hypothesis", "phillips"),
         ("rows", "--hypothesis", "bruins1949"),
@@ -903,40 +857,38 @@ class TestWorkCeilings:
     ]
 
     @pytest.mark.parametrize("argv", SELECTING)
-    def test_ceiling(self, capsys, monkeypatch, argv):
+    def test_ceiling(self, capsys, argv):
         # after one warm call: the listed pairs and a correction log's are
         # the index's, and P, Q and both members come with their triples
         assert run(capsys, *argv)[0] == 0
-        built = self.count_built(monkeypatch)
-        factored = self.count_calls(monkeypatch)
-        assert run(capsys, *argv)[0] == 0
+        with counted(ReciprocalPair, factor_2_3_5) as (built, factored):
+            assert run(capsys, *argv)[0] == 0
         assert built == []
         assert factored == []
 
     @pytest.mark.parametrize("argv", SELECTING)
-    def test_first_use_builds_each_four_place_pair_once(self, capsys, monkeypatch, argv):
+    def test_first_use_builds_each_four_place_pair_once(self, capsys, argv):
         # the 271 four-place T whose Tbar has at most four places; the start
         # pairs hold the index's objects, so they are cleared with it
         pairs._four_place_index.cache_clear()
         hypotheses._start_classes.cache_clear()
-        built = self.count_built(monkeypatch)
-        assert run(capsys, *argv)[0] == 0
+        with counted(ReciprocalPair) as (built,):
+            assert run(capsys, *argv)[0] == 0
         assert len(built) == 271
 
-    def test_index_first_use_builds_from_triples(self, monkeypatch):
+    def test_index_first_use_builds_from_triples(self):
         # each of the 271 pairs from its canonical triple: no reciprocal
         # divided out (432 divisions when the index looked up 60**k // m)
         # and no valuation stripping zero places (380 from padded mantissas)
         pairs._four_place_index.cache_clear()
         hypotheses._start_classes.cache_clear()
-        built = self.count_built(monkeypatch)
-        divided = self.count_calls(monkeypatch, reciprocal)
-        stripped = self.count_calls(monkeypatch, sexagesimal._valuation)
-        pairs._four_place_index()
+        with counted(ReciprocalPair, reciprocal,
+                     sexagesimal._valuation) as (built, divided, stripped):
+            pairs._four_place_index()
         assert len(built) == 271
         assert divided == stripped == []
 
-    def test_first_link_calls_no_reciprocal(self, capsys, monkeypatch):
+    def test_first_link_calls_no_reciprocal(self, capsys):
         # the standard table and the start pairs are the index's own pairs,
         # so the pairs built are the index's 271 and the linked pair, and
         # no reciprocal is called: the linked pair's Tbar comes from its
@@ -944,26 +896,36 @@ class TestWorkCeilings:
         # table pairs and a start pair per member, 58, were each built so)
         pairs._four_place_index.cache_clear()
         hypotheses._start_classes.cache_clear()
-        built = self.count_built(monkeypatch)
-        divided = self.count_calls(monkeypatch, reciprocal)
-        assert run(capsys, "link", "2 09 36")[0] == 0
+        with counted(ReciprocalPair, reciprocal) as (built, divided):
+            assert run(capsys, "link", "2 09 36")[0] == 0
         assert divided == []
         assert len(built) == 272
+
+    @pytest.mark.parametrize("argv,rows", [
+        *[pytest.param(("rows", "--hypothesis", tag), n, id=tag)
+          for tag, n in zip(THEORIES, (15, 15, 14, 15, 15, 38, 15), strict=True)],
+        pytest.param(("tablet", "diff"), 15, id="tablet diff"),
+    ])
+    def test_one_build_row_call_per_row(self, capsys, argv, rows):
+        # every theory's row rule runs from its THEORIES record; ns1945's
+        # calls build_row through hypotheses
+        with counted(build_row) as (built,):
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) == rows
 
     @pytest.mark.parametrize("argv,ceiling,checked", [
         (("rows", "--hypothesis", "phillips"), 75, 30),      # 182 by division
         (("rows", "--hypothesis", "friberg2007"), 190, 76),  # 456 by division
     ])
-    def test_rows_read_their_pairs_off_the_index(
-            self, capsys, monkeypatch, argv, ceiling, checked):
+    def test_rows_read_their_pairs_off_the_index(self, capsys, argv, ceiling, checked):
         # after one warm call the pairs are the index's, with no reciprocal
         # divided out again, and each row's X and Y come from one aligned
-        # pair: X, Y and A a row, built unchecked, and the printed S and D
-        # (seven a row when each call built its pairs)
+        # pair: X, Y and A a row, built unchecked by _canonical, and the
+        # printed S and D (seven a row when each call built its pairs)
         assert run(capsys, *argv)[0] == 0
-        built, canonical = self.count_values(monkeypatch)
-        divided = self.count_calls(monkeypatch, reciprocal)
-        assert run(capsys, *argv)[0] == 0
+        with counted(SexValue, sexagesimal._canonical,
+                     reciprocal) as (built, canonical, divided):
+            assert run(capsys, *argv)[0] == 0
         assert divided == []
         assert len(built) + len(canonical) <= ceiling
         assert len(built) <= checked
@@ -972,20 +934,20 @@ class TestWorkCeilings:
         ("rows", "--hypothesis", "phillips"),
         ("tablet", "diff", "--hypothesis", "bruins1949"),
     ])
-    def test_rows_align_each_pair_once(self, capsys, monkeypatch, argv):
+    def test_rows_align_each_pair_once(self, capsys, argv):
         # build_row aligns T and Tbar once and reads X, Y, S, D, A and the
         # factor off those integers (45 alignments by composition)
-        aligned = self.count_calls(monkeypatch, sexagesimal._aligned)
-        assert run(capsys, *argv)[0] == 0
+        with counted(sexagesimal._aligned) as (aligned,):
+            assert run(capsys, *argv)[0] == 0
         assert len(aligned) <= 15
 
-    def test_diff_compares_s_and_d_as_integers(self, capsys, monkeypatch):
+    def test_diff_compares_s_and_d_as_integers(self, capsys):
         # at most five values a row: T, Tbar, X, Y and A (105 with S and D
         # as values), once the first call has read the tablet; T and Tbar
         # are the index's, and X, Y and A are built unchecked
         assert run(capsys, "tablet", "diff")[0] == 0
-        built, canonical = self.count_values(monkeypatch)
-        assert run(capsys, "tablet", "diff")[0] == 0
+        with counted(SexValue, sexagesimal._canonical) as (built, canonical):
+            assert run(capsys, "tablet", "diff")[0] == 0
         assert len(built) + len(canonical) <= 75
         assert built == []
 
@@ -999,33 +961,26 @@ class TestWorkCeilings:
     ]
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    def test_extend_selects_its_table_once_per_use(self, capsys, monkeypatch, side):
+    def test_extend_selects_its_table_once_per_use(self, capsys, side):
         # one selection for the listed pairs, and on the log's first use in
         # a process one more for the rows it is built from
         hypotheses._printed_log.cache_clear()
-        selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
         counts = []
         for _ in range(2):
-            assert run(capsys, "extend", "--side", side)[0] == 0
+            with counted(pairs._four_place_pairs) as (selected,):
+                assert run(capsys, "extend", "--side", side)[0] == 0
             counts.append(len(selected))
-            selected.clear()
         assert counts == [2, 1]
 
     @pytest.mark.parametrize("argv", LOGGING)
-    def test_a_warm_log_selects_and_renders_nothing(self, capsys, monkeypatch, argv):
+    def test_a_warm_log_selects_and_renders_nothing(self, capsys, argv):
         # after one warm call the log is a filter of its table's cached
         # log: the listing's own selection is the only one, and no printed
         # member is rendered again
         assert run(capsys, *argv)[0] == 0
-        selected = self.count_calls(monkeypatch, pairs._four_place_pairs)
-        rendered = []
-
-        def counting_render(v):
-            rendered.append(v)
-            return render_sex(v)
-
-        monkeypatch.setattr(hypotheses, "render_sex", counting_render)
-        assert run(capsys, *argv)[0] == 0
+        with counted(pairs._four_place_pairs,
+                     (hypotheses, "render_sex")) as (selected, rendered):
+            assert run(capsys, *argv)[0] == 0
         assert len(selected) == 1
         assert rendered == []
 
@@ -1045,12 +1000,12 @@ class TestWorkCeilings:
                 read.append(self)
                 return str.strip(self, *args)
 
-        def counted(rows):
+        def counted_rows(rows):
             return [(label, Counted(t), Counted(tbar), *rest)
                     for label, t, tbar, *rest in rows]
 
         for table, (printed, *record) in list(hypotheses.PRINTED_TABLES.items()):
-            monkeypatch.setitem(hypotheses.PRINTED_TABLES, table, (counted(printed), *record))
+            monkeypatch.setitem(hypotheses.PRINTED_TABLES, table, (counted_rows(printed), *record))
         monkeypatch.setitem(hypotheses.PRINTED_VARIANTS, "extension-lower",
                             [(label, Counted(t)) for label, t in
                              hypotheses.PRINTED_VARIANTS["extension-lower"]])
@@ -1074,81 +1029,47 @@ class TestWorkCeilings:
 
     @pytest.mark.parametrize("tag", ["ns1945", "price1964", "buck1980",
                                      "friberg1981", "friberg2007"])
-    def test_pq_theories_factorize_nothing(self, capsys, monkeypatch, tag):
+    def test_pq_theories_factorize_nothing(self, capsys, tag):
         # P and Q come with their triples from the four-place table
-        factored = self.count_calls(monkeypatch)
-        assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
+        with counted(factor_2_3_5) as (factored,):
+            assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
         assert factored == []
 
-    def test_link_factorizes_its_input_once(self, capsys, monkeypatch):
+    def test_link_factorizes_its_input_once(self, capsys):
         # the standard table and the linked pairs are built from triples
-        factored = self.count_calls(monkeypatch)
-        assert run(capsys, "link", "2 09 36", "--format", "json")[0] == 0
+        with counted(factor_2_3_5) as (factored,):
+            assert run(capsys, "link", "2 09 36", "--format", "json")[0] == 0
         assert len(factored) <= 1
 
-    def test_link_builds_only_its_input_pair(self, capsys, monkeypatch):
+    def test_link_builds_only_its_input_pair(self, capsys):
         # the start pairs are built once per process, on the first link
         assert run(capsys, "link", "2 09 36")[0] == 0
-        built = self.count_built(monkeypatch)
-        assert run(capsys, "link", "2 09 36")[0] == 0
+        with counted(ReciprocalPair) as (built,):
+            assert run(capsys, "link", "2 09 36")[0] == 0
         assert len(built) == 1
 
     @pytest.mark.parametrize("tag", ["buck1980", "friberg1981"])
-    def test_pq_theories_convert_no_fraction(self, capsys, monkeypatch, tag):
+    def test_pq_theories_convert_no_fraction(self, capsys, tag):
         # the bounds on P/Q are integer tests: no candidate becomes a SexValue
-        converted = []
-
-        def counting_from_fraction(value):
-            converted.append(value)
-            return from_fraction(value)
-
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "plimpton"
-                    and getattr(module, "from_fraction", None) is from_fraction):
-                monkeypatch.setattr(module, "from_fraction", counting_from_fraction)
-        assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
+        with counted(from_fraction) as (converted,):
+            assert run(capsys, "rows", "--hypothesis", tag)[0] == 0
         assert converted == []
 
-    @staticmethod
-    def count_renders(monkeypatch) -> list:
-        rendered = []
-
-        def counting_render(v, *args):
-            rendered.append(v)
-            return render_sex(v, *args)
-
-        monkeypatch.setattr(cli, "render_sex", counting_render)
-        return rendered
-
-    @staticmethod
-    def count_fraction_reads(monkeypatch) -> list:
-        reads = []
-        fraction = SexValue.fraction.fget
-
-        def counting_fraction(self):
-            reads.append(self)
-            return fraction(self)
-
-        monkeypatch.setattr(SexValue, "fraction", property(counting_fraction))
-        return reads
-
     @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_rows_render_only_the_printed_columns(self, capsys, monkeypatch, fmt):
+    def test_rows_render_only_the_printed_columns(self, capsys, fmt):
         # A, S and D of 15 rows, and no value read as a Fraction
-        rendered = self.count_renders(monkeypatch)
-        reads = self.count_fraction_reads(monkeypatch)
-        assert run(capsys, "rows", "--hypothesis", "phillips",
-                   "--format", fmt)[0] == 0
+        with counted((cli, "render_sex"), (SexValue, "fraction")) as (rendered, reads):
+            assert run(capsys, "rows", "--hypothesis", "phillips",
+                       "--format", fmt)[0] == 0
         assert len(rendered) == 45
         assert reads == []
 
-    def test_rows_json_renders_every_value(self, capsys, monkeypatch):
+    def test_rows_json_renders_every_value(self, capsys):
         # T, Tbar, X, Y, S, D and A of 15 rows, their exact fractions taken
         # from mantissa and exponent, none read as a Fraction
-        rendered = self.count_renders(monkeypatch)
-        reads = self.count_fraction_reads(monkeypatch)
-        assert run(capsys, "rows", "--hypothesis", "phillips",
-                   "--format", "json")[0] == 0
+        with counted((cli, "render_sex"), (SexValue, "fraction")) as (rendered, reads):
+            assert run(capsys, "rows", "--hypothesis", "phillips",
+                       "--format", "json")[0] == 0
         assert len(rendered) == 105
         assert reads == []
 
@@ -1156,17 +1077,10 @@ class TestWorkCeilings:
         ("rows", "--hypothesis", "phillips", "--format", "json"),
         ("link", "2 09 36", "--format", "json"),
     ])
-    def test_json_skips_the_pure_python_encoder(self, capsys, monkeypatch, argv):
+    def test_json_skips_the_pure_python_encoder(self, capsys, argv):
         # json.dumps(..., indent=2) builds its encoder with _make_iterencode
-        made = []
-        make_iterencode = json.encoder._make_iterencode
-
-        def counting_make_iterencode(*args, **kwargs):
-            made.append(1)
-            return make_iterencode(*args, **kwargs)
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", counting_make_iterencode)
-        assert run(capsys, *argv)[0] == 0
+        with counted((json.encoder, "_make_iterencode")) as (made,):
+            assert run(capsys, *argv)[0] == 0
         assert made == []
 
     @pytest.mark.parametrize("argv", [
@@ -1177,9 +1091,9 @@ class TestWorkCeilings:
         ("pairs", "--from", "2;24", "--to", "1;48"),  # ends given high first
         ("link", "2 09 36", "--format", "json"),
     ])
-    def test_commands_compare_without_fractions(self, capsys, monkeypatch, argv):
-        reads = self.count_fraction_reads(monkeypatch)
-        assert run(capsys, *argv)[0] == 0
+    def test_commands_compare_without_fractions(self, capsys, argv):
+        with counted((SexValue, "fraction")) as (reads,):
+            assert run(capsys, *argv)[0] == 0
         assert reads == []
 
 
@@ -1218,44 +1132,23 @@ class TestSetupReuse:
 
     def test_exact_form_builds_no_parser(self, capsys, monkeypatch):
         # argparse is built for help and for usage errors only, once
-        built = []
-        parser_init = cli._Parser.__init__
-
-        def counting_parser_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            parser_init(self, *args, **kwargs)
-
-        commands = bench_reproduce_commands(monkeypatch)
+        commands = bench_workloads().reproduce_commands()
         # a parser cache of its own, empty whatever ran before
         monkeypatch.setattr(cli, "_build_parser", cache(cli._build_parser.__wrapped__))
-        monkeypatch.setattr(cli._Parser, "__init__", counting_parser_init)
-        for argv in commands:
-            # tablet verify of the joyce edition exits 2, with its report
-            assert run(capsys, *argv)[0] in (cli.EXIT_OK, cli.EXIT_DATA), argv
-        assert built == []
-        assert run(capsys, "--help")[0] == cli.EXIT_OK
-        assert run(capsys, "rows", "--hypothesis", "nonesuch")[0] == cli.EXIT_USAGE
-        assert built.count("plimpton") == 1
+        with counted(cli._Parser) as (built,):
+            for argv in commands:
+                # tablet verify of the joyce edition exits 2, with its report
+                assert run(capsys, *argv)[0] in (cli.EXIT_OK, cli.EXIT_DATA), argv
+            assert built == []
+            assert run(capsys, "--help")[0] == cli.EXIT_OK
+            assert run(capsys, "rows", "--hypothesis", "nonesuch")[0] == cli.EXIT_USAGE
+        assert [call.kwargs.get("prog") for call in built].count("plimpton") == 1
 
-    def test_ten_calls_build_the_parser_and_read_the_tablet_once(
-            self, capsys, monkeypatch):
-        top_parsers, reads = [], []
-        parser_init = cli._Parser.__init__
-        read_resource = tablet._read_resource
-
-        def counting_parser_init(self, *args, **kwargs):
-            if kwargs.get("prog") == "plimpton":  # not a subcommand's parser
-                top_parsers.append(1)
-            parser_init(self, *args, **kwargs)
-
-        def counting_read():
-            reads.append(1)
-            return read_resource()
-
-        monkeypatch.setattr(cli._Parser, "__init__", counting_parser_init)
-        monkeypatch.setattr(tablet, "_read_resource", counting_read)
-        for argv in [("tablet", "verify"), ("tablet", "diff"),
-                     ("tablet", "errors"), self.ROWS, ("recip", "2 05")] * 2:
-            assert run(capsys, *argv)[0] == 0
-        assert len(top_parsers) <= 1
+    def test_ten_calls_build_the_parser_and_read_the_tablet_once(self, capsys):
+        with counted(cli._Parser, (tablet, "_read_resource")) as (parsers, reads):
+            for argv in [("tablet", "verify"), ("tablet", "diff"),
+                         ("tablet", "errors"), self.ROWS, ("recip", "2 05")] * 2:
+                assert run(capsys, *argv)[0] == 0
+        # the top parser, not a subcommand's
+        assert [call.kwargs.get("prog") for call in parsers].count("plimpton") <= 1
         assert len(reads) <= 1

@@ -14,7 +14,6 @@ compared only on the version they were captured on, ``HELP_PYTHON``.
 
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -26,6 +25,7 @@ import pytest
 
 import plimpton
 from plimpton.cli import main
+from bench_oracle import bench_workloads
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 REPO = Path(__file__).resolve().parents[1]
@@ -147,18 +147,9 @@ def test_golden_covers_every_command(golden):
            for w in WIDTHS])
 
 
-def test_golden_covers_what_the_benchmark_times(monkeypatch):
-    # the benchmark's reproduce workload times these commands; its modules
-    # import their siblings by bare name, are dropped again after, and
-    # leave no bytecode in bench/
-    monkeypatch.syspath_prepend(str(REPO / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        for name in ("workloads", "checks", "oracle"):
-            sys.modules.pop(name, None)
-    assert workloads.reproduce_commands() == reproduce_commands()
+def test_golden_covers_what_the_benchmark_times():
+    # the benchmark's reproduce workload times these commands
+    assert bench_workloads().reproduce_commands() == reproduce_commands()
     assert len(reproduce_commands()) == 129
 
 

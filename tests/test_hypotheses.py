@@ -41,6 +41,7 @@ from plimpton.sexagesimal import (
 )
 from plimpton.tablet import diff_against, verify_properties
 from bench_oracle import oracle
+from counting import counted
 from test_pairs import regular_mantissas
 from test_sexagesimal import traced
 
@@ -527,48 +528,26 @@ class TestPrintedReadings:
         assert _log_as(table, printed) == expected + _variant_log(table)
 
     @pytest.mark.parametrize("table", list(PRINTED_TABLES))
-    def test_renders_only_the_logged_members(self, monkeypatch, table):
+    def test_renders_only_the_logged_members(self, table):
         # each logged member once, on the log's first use in a process;
         # a warm call renders none
-        rendered = []
-
-        def counting_render(v):
-            rendered.append(v)
-            return render_sex(v)
-
         hypotheses._printed_log.cache_clear()
-        monkeypatch.setattr(hypotheses, "render_sex", counting_render)
-        try:
-            counts = []
-            for _ in range(2):
+        counts = []
+        for _ in range(2):
+            with counted((hypotheses, "render_sex")) as (rendered,):
                 logged = _log(table)
-                counts.append(len(rendered))
-                rendered.clear()
-            assert counts == [len(logged), 0]
-        finally:
-            monkeypatch.undo()
-            hypotheses._printed_log.cache_clear()
+            counts.append(len(rendered))
+        assert counts == [len(logged), 0]
 
-    def test_reads_each_printed_member_once_per_process(self, monkeypatch):
+    def test_reads_each_printed_member_once_per_process(self):
         # 24 rows of two members, then the variant's one
-        read = []
-
-        def counting_parse(text):
-            read.append(text)
-            return parse_sex(text)
-
         hypotheses._printed_log.cache_clear()
-        monkeypatch.setattr(hypotheses, "parse_sex", counting_parse)
-        try:
-            counts = []
-            for _ in range(2):
+        counts = []
+        for _ in range(2):
+            with counted((hypotheses, "parse_sex")) as (read,):
                 _log("extension-lower")
-                counts.append(len(read))
-                read.clear()
-            assert counts == [49, 0]
-        finally:
-            monkeypatch.undo()
-            hypotheses._printed_log.cache_clear()
+            counts.append(len(read))
+        assert counts == [49, 0]
 
     def test_standard_15_is_the_phillips_theory(self):
         assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"][1:]

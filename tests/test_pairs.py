@@ -20,7 +20,7 @@ from plimpton.pairs import (
     _four_place_pairs,
     enumerate_pairs,
 )
-from plimpton import hypotheses, sexagesimal
+from plimpton import hypotheses
 from plimpton import pairs as pairs_module
 from plimpton.sexagesimal import (
     RegularNumber,
@@ -33,6 +33,7 @@ from plimpton.sexagesimal import (
     render_sex,
 )
 from bench_oracle import oracle
+from counting import counted
 from test_cli import run_python_bounded
 
 # The fifteen pairs of the tablet's range under the multiple-of-10 rule.
@@ -133,17 +134,10 @@ class TestReciprocalPair:
         for member in (p.T, p.Tbar):
             assert member.triple == factor_2_3_5(member.mantissa)
 
-    def test_factorizes_once(self, monkeypatch):
-        calls = []
-
-        def counting(n):
-            calls.append(n)
-            return factor_2_3_5(n)
-
-        monkeypatch.setattr(sexagesimal, "factor_2_3_5", counting)
+    def test_factorizes_once(self):
         for m in (144, 2 * 60**3, 500000, 1):
-            calls.clear()
-            ReciprocalPair.from_T_mantissa(m)
+            with counted(factor_2_3_5) as (calls,):
+                ReciprocalPair.from_T_mantissa(m)
             assert len(calls) == 1, m
 
     def test_tbar_sits_one_place_right(self):
@@ -313,25 +307,14 @@ class TestRegularEnumeration:
         for m, (_, triple) in MEMBERS.items():
             assert triple == factor_2_3_5(m)
 
-    def test_index_weighs_every_four_place_member(self, monkeypatch):
+    def test_index_weighs_every_four_place_member(self):
         # the index takes the complement of each of the 432 canonical
         # triples below 60**4 once, and _pair again of each of the 271 kept
-        weighed = []
-
-        def recording(*triple):
-            weighed.append(triple)
-            return complement(*triple)
-
-        complement = pairs_module._complement
-        monkeypatch.setattr(pairs_module, "_complement", recording)
         _four_place_index.cache_clear()
         hypotheses._start_classes.cache_clear()
-        try:
+        with counted((pairs_module, "_complement")) as (weighed,):
             _four_place_index()
-        finally:
-            _four_place_index.cache_clear()
-            hypotheses._start_classes.cache_clear()
-        assert set(weighed) == {triple for _, triple in MEMBERS.values()}
+        assert {call.args for call in weighed} == {triple for _, triple in MEMBERS.values()}
         assert len(weighed) == 432 + 271
 
 
