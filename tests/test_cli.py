@@ -913,22 +913,29 @@ class TestWorkCeilings:
             assert run(capsys, *argv)[0] == 0
         assert len(built) == rows
 
-    @pytest.mark.parametrize("argv,ceiling,checked", [
-        (("rows", "--hypothesis", "phillips"), 75, 30),      # 182 by division
-        (("rows", "--hypothesis", "friberg2007"), 190, 76),  # 456 by division
-    ])
-    def test_rows_read_their_pairs_off_the_index(self, capsys, argv, ceiling, checked):
+    @pytest.mark.parametrize("argv,values,checked,stripped", [
+        (("rows", "--hypothesis", "phillips"), 75, 30, 27),
+        (("rows", "--hypothesis", "friberg2007"), 190, 76, 67),
+        (("tablet", "diff"), 45, 0, 27),
+        (("pairs", "--criterion", "places4", "--from", "1;48", "--to", "2;24"), 2, 2, 0),
+        (("link", "2 09 36"), 3, 1, 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_values_built_after_a_warm_call(self, capsys, argv, values, checked, stripped):
         # after one warm call the pairs are the index's, with no reciprocal
-        # divided out again, and each row's X and Y come from one aligned
-        # pair: X, Y and A a row, built unchecked by _canonical, and the
-        # printed S and D (seven a row when each call built its pairs)
+        # divided out again.  A row's X, Y and A are built unchecked by
+        # _canonical from one aligned pair, and X's and Y's zero places are
+        # stripped once, by _valuation; rows print S and D as checked values,
+        # and tablet diff compares them as integers.  pairs parses its two
+        # ends; link parses its argument, finds its triple (one valuation
+        # each for 3 and 5) and builds its one pair from it
         assert run(capsys, *argv)[0] == 0
-        with counted(SexValue, sexagesimal._canonical,
-                     reciprocal) as (built, canonical, divided):
+        with counted(SexValue, sexagesimal._canonical, sexagesimal._valuation,
+                     reciprocal) as (built, canonical, valuations, divided):
             assert run(capsys, *argv)[0] == 0
         assert divided == []
-        assert len(built) + len(canonical) <= ceiling
+        assert len(built) + len(canonical) <= values
         assert len(built) <= checked
+        assert len(valuations) <= stripped
 
     @pytest.mark.parametrize("argv", [
         ("rows", "--hypothesis", "phillips"),
@@ -940,16 +947,6 @@ class TestWorkCeilings:
         with counted(sexagesimal._aligned) as (aligned,):
             assert run(capsys, *argv)[0] == 0
         assert len(aligned) <= 15
-
-    def test_diff_compares_s_and_d_as_integers(self, capsys):
-        # at most five values a row: T, Tbar, X, Y and A (105 with S and D
-        # as values), once the first call has read the tablet; T and Tbar
-        # are the index's, and X, Y and A are built unchecked
-        assert run(capsys, "tablet", "diff")[0] == 0
-        with counted(SexValue, sexagesimal._canonical) as (built, canonical):
-            assert run(capsys, "tablet", "diff")[0] == 0
-        assert len(built) + len(canonical) <= 75
-        assert built == []
 
     # the commands that write a correction log
     LOGGING = [

@@ -95,11 +95,12 @@ def test_importing_the_cli_loads_no_fractions_decimal_numbers_or_csv():
 ], ids=" ".join)
 def test_a_command_loads_no_fractions_decimal_or_numbers(argv):
     # the core computes on integers: only SexValue.fraction and
-    # from_fraction import fractions, and no command calls them
+    # from_fraction import fractions, and no command calls them; and a
+    # command in text format loads neither the csv nor the json writer
     code = ("import io, sys; sys.path.insert(0, sys.argv[1]); from plimpton.cli import main; "
             "out, sys.stdout = sys.stdout, io.StringIO(); code = main(sys.argv[2:]); "
-            "sys.stdout = out; "
-            "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+            "sys.stdout = out; print(code, sorted("
+            "{'fractions', 'decimal', 'numbers', 'csv', 'json'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
                           *argv], capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "0 []"
