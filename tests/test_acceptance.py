@@ -1,14 +1,15 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Criterion 7 checks the printed link column of the source table against the
-minimal chains that ``link_to_standard`` returns (their minimality is
-verified against an independent exponent-lattice oracle in
-test_hypotheses.py).  Every printed link is valid arithmetic, but the column
-is not minimal: rows 3, 5, 9 and 12 print strictly longer chains, and row
-14 prints a chain of minimal length that starts from (16 40, 3 36), a pair
-outside the standard table.  The criterion asserts exactly these
-differences, so it fails if either the column or the search changes.  See
-the repository README.
+minimal chains that ``link_to_standard`` returns.  Their minimality is
+checked in test_hypotheses.py: the steps of every four-place pair's chain
+equal its depth in ``_lattice_depths``, a breadth-first search over the
+lattice classes from the standard table.  Every printed link is valid
+arithmetic, but the column is not minimal: rows 3, 5, 9 and 12 print
+strictly longer chains, and row 14 prints a chain of minimal length that
+starts from (16 40, 3 36), a pair outside the standard table.  The
+criterion asserts exactly these differences, so it fails if either the
+column or the search changes.  See the repository README.
 """
 
 from fractions import Fraction
@@ -37,7 +38,8 @@ from plimpton.sexagesimal import (
     render_sex,
 )
 from plimpton.tablet import diff_against, error_annotations, tablet_data, verify_properties
-from test_pairs import MEMBERS, TABLET_RANGE, mult10_digits, regular_mantissas
+from bench_oracle import oracle
+from test_pairs import MEMBERS, PHILLIPS_15, TABLET_RANGE, as_fractions, oracle_pairs
 from test_rows import gcd_reduced
 
 
@@ -47,21 +49,12 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-PHILLIPS_TABLE = [
-    ("2 24", "25"), ("2 22 13 20", "25 18 45"), ("2 20 37 30", "25 36"),
-    ("2 18 53 20", "25 55 12"), ("2 15", "26 40"), ("2 13 20", "27"),
-    ("2 09 36", "27 46 40"), ("2 08", "28 07 30"), ("2 05", "28 48"),
-    ("2 01 30", "29 37 46 40"), ("2", "30"), ("1 55 12", "31 15"),
-    ("1 52 30", "32"), ("1 51 06 40", "32 24"), ("1 48", "33 20"),
-]
-
-
 def test_criterion_1_phillips_enumeration():
     got = [(render_sex(p.T.value), render_sex(p.Tbar.value))
            for p in phillips_pairs()]
     logged = [(c.label, c.printed, c.computed)
               for c in printed_corrections("standard-15", phillips_pairs())]
-    ok = (got == PHILLIPS_TABLE
+    ok = (got == PHILLIPS_15
           and logged == [("12", "1 55 2", "1 55 12")])
     _report(1, "phillips enumeration", ok, f"{len(got)} pairs")
 
@@ -256,38 +249,31 @@ def test_criterion_8_property_suite():
             "; ".join(map(str, problems[:3])))
 
 
+def mult10_digits(r):
+    """At most four places, and a four-place value ends in a multiple of 10."""
+    digits = oracle.digits60(r.mantissa)
+    return len(digits) < 4 or len(digits) == 4 and digits[-1] % 10 == 0
+
+
 def test_criterion_9_oracle_equivalence():
     # digit rule vs CRITERIA's on the oracle's four-place table of padded
     # values, all regulars <= 6 places (those of five or six are not in the
     # table); mult10 reads each member alone, so a member paired with
     # itself is the member's own test
     agree = True
-    for m in regular_mantissas(6):
+    for m in oracle.regular_mantissas(60**6):
         r = regular_from_int(m)
         if m in MEMBERS:
             agree &= CRITERIA["mult10"](MEMBERS[m], MEMBERS[m]) == mult10_digits(r)
         else:
             agree &= not mult10_digits(r)
 
-    # enumerate_pairs vs direct exponent sweep on the three ranges used
+    # enumerate_pairs vs the benchmark oracle's pairs on the three ranges used
     sweep_ok = True
     for lo_text, hi_text in (("1;48", "2;24"), ("2;24", "3;54 22 30"),
                              ("1;00 45", "1;48")):
         lo, hi = parse_sex(lo_text, "fixed"), parse_sex(hi_text, "fixed")
-        got = {p.T.mantissa
-               for p in enumerate_pairs("mult10", lo, hi)}
-        expected = set()
-        for a in range(25):
-            for b in range(16):
-                for c in range(12):
-                    m = 2**a * 3**b * 5**c
-                    if m >= 60**4 or m % 60 == 0:
-                        continue
-                    p = ReciprocalPair.from_T_mantissa(m)
-                    if (lo.fraction <= p.T.value.fraction <= hi.fraction
-                            and mult10_digits(p.T)
-                            and mult10_digits(p.Tbar)):
-                        expected.add(m)
-        sweep_ok &= got == expected
+        sweep_ok &= (as_fractions(enumerate_pairs("mult10", lo, hi))
+                     == oracle_pairs("mult10", lo.fraction, hi.fraction))
 
     _report(9, "oracle equivalence", agree and sweep_ok)

@@ -339,13 +339,14 @@ def _near_misses(choices) -> st.SearchStrategy:
 
 
 @st.composite
-def _record_argv(draw):
+def _record_argv(draw, values):
     """An argv drawn from the ``COMMANDS`` records, and whether it has exact
     form.  Most are a leaf path and its arguments in some order, each given
-    in full with a plain value or a choice; now and then a value is a near
-    miss or led by "-", an argument is left out, a flag is abbreviated,
-    written ``--flag=value`` or repeated, or a positional, "--", "-h" or
-    "--help" is added.  The rest name no leaf."""
+    in full with one of its choices or, where it has none, a value drawn
+    from ``values``; now and then a value is a near miss or led by "-", an
+    argument is left out, a flag is abbreviated, written ``--flag=value``
+    or repeated, or a positional, "--", "-h" or "--help" is added.  The
+    rest name no leaf."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from([
             [], ["tablet"], ["tablet", "nonesuch"], ["nonesuch"], ["rows-"], ["-h"],
@@ -354,9 +355,9 @@ def _record_argv(draw):
     exact, items = True, []
     for name, keywords in cli.COMMANDS[path][1]:
         choices, flag = keywords.get("choices"), name.startswith("-")
-        value = draw(st.sampled_from(choices) if choices else _PLAIN)
+        value = draw(st.sampled_from(choices) if choices else values)
         if draw(st.integers(0, 5)) == 0:
-            value = draw(st.one_of([_PLAIN, _DASHED] + [_near_misses(choices)] * bool(choices)))
+            value = draw(st.one_of([values, _DASHED] + [_near_misses(choices)] * bool(choices)))
         form = draw(st.sampled_from(["full"] * 12 + ["omitted", "twice"]
                                     + ["abbreviated", "="] * flag))
         if form == "omitted":
@@ -371,7 +372,7 @@ def _record_argv(draw):
             items.append(tokens * (1 + (form == "twice")))
     items = draw(st.permutations(items))
     if draw(st.integers(0, 5)) == 0:
-        extra = draw(st.one_of(_PLAIN, st.sampled_from(["--", "-h", "--help"])))
+        extra = draw(st.one_of(values, st.sampled_from(["--", "-h", "--help"])))
         items.insert(draw(st.integers(0, len(items))), [extra])
         exact = False
     return [*path, *(token for item in items for token in item)], exact
@@ -435,7 +436,7 @@ class TestExactReader:
         assert cli._exact(None) is None
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(drawn=_record_argv(), from_sys_argv=st.booleans())
+    @given(drawn=_record_argv(_PLAIN), from_sys_argv=st.booleans())
     def test_reads_argparse_s_namespace_or_declines(self, drawn, from_sys_argv):
         argv, exact = drawn
         with mock.patch.object(sys, "argv", ["plimpton", *argv]):
@@ -712,39 +713,10 @@ _FUZZ_VALUES = st.one_of(
 )
 
 
-@st.composite
-def _fuzz_argv(draw, parser):
-    """An argv for ``parser`` built from its own arguments: each choice
-    from its choices, every other value from _FUZZ_VALUES; a required
-    option is left out now and then, an optional one half the time.  Most
-    options are given as ``--flag value``; now and then one is abbreviated,
-    written ``--flag=value``, repeated or given a value led by "-", forms
-    that only argparse reads."""
-    argv, subcommands = [], None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            subcommands = action
-        elif isinstance(action, argparse._HelpAction):
-            continue
-        elif not action.option_strings:
-            argv.append(draw(_FUZZ_VALUES))
-        elif draw(st.integers(0, 9)) < (9 if action.required else 5):
-            values = (st.sampled_from(action.choices) if action.choices
-                      else _FUZZ_VALUES)
-            flag, value = action.option_strings[0], draw(values)
-            argv += draw(st.sampled_from([[flag, value]] * 16 + [
-                [flag[:-1], value], [f"{flag}={value}"], [flag, value] * 2,
-                [flag, "-" + value]]))
-    if subcommands is not None:
-        name = draw(st.sampled_from(sorted(subcommands.choices)))
-        argv = [name] + draw(_fuzz_argv(subcommands.choices[name])) + argv
-    return argv
-
-
 class TestFuzz:
     @settings(max_examples=100, deadline=2000, derandomize=True,
               database=None)
-    @given(argv=_fuzz_argv(cli._build_parser()))
+    @given(argv=_record_argv(_FUZZ_VALUES).map(lambda drawn: drawn[0]))
     @example(argv=["rows", "--hyp", "phillips"])
     @example(argv=["rows", "--hypothesis=phillips"])
     @example(argv=["rows", "--hypothesis", "phillips", "--hypothesis", "ns1945"])

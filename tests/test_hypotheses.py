@@ -42,7 +42,6 @@ from plimpton.sexagesimal import (
 from plimpton.tablet import diff_against, verify_properties
 from bench_oracle import oracle
 from counting import counted
-from test_pairs import regular_mantissas
 from test_sexagesimal import traced
 
 
@@ -101,7 +100,7 @@ class TestTheoryBounds:
     @pytest.mark.parametrize("tag", sorted(REFERENCE_BOUNDS))
     def test_integer_test_agrees_with_fraction_reference(self, tag):
         test = THEORIES[tag][3].args[3]
-        regs = regular_mantissas(4)
+        regs = oracle.regular_mantissas()
         checked = 0
         for q in (q for q in regs if q < 100):
             for p in (p for p in regs if q < p <= 3 * q and gcd(p, q) == 1):
@@ -136,7 +135,7 @@ def pq_walk(least_q, q_limit, p_limit, test):
     mantissas of at most four places: every coprime P > Q with least Q <= Q
     < Q limit, P < P limit, P/Q <= 3 and test(P, Q), by decreasing P/Q.
     The oracle of the theories' selection from the one enumeration."""
-    ms = regular_mantissas(4)
+    ms = oracle.regular_mantissas()
     triples = [factor_2_3_5(m) for m in ms]
     pairs = []
     for i in range(bisect_left(ms, least_q), bisect_left(ms, q_limit)):
@@ -189,7 +188,7 @@ class TestOneEnumeration:
     @pytest.mark.parametrize("tag", list(PQ_THEORIES))
     def test_every_selected_pair_is_in_the_table(self, tag):
         # the enumeration sees only pairs whose Tbar has at most four places
-        table = set(regular_mantissas(4))
+        table = set(oracle.regular_mantissas())
         for p in pq_walk(*THEORIES[tag][3].args):
             assert {p.T.mantissa, p.Tbar.mantissa} <= table, str(p)
 
@@ -604,17 +603,13 @@ class TestExtensions:
                 if label.lstrip("-").isdigit():
                     numbered.add(pair.T.mantissa)
                     numbered.add(pair.Tbar.mantissa)
-        def normalized(m):
-            while m % 60 == 0:
-                m //= 60
-            return m
         for side in ("lower", "upper"):
             for label, pair in printed_pairs(f"extension-{side}"):
                 if label.lstrip("-").isdigit():
                     continue
                 t = pair.T.mantissa
-                related = {normalized(t * k) for k in (2, 9)}
-                related |= {normalized(t * 60**3 // k) for k in (2, 9)
+                related = {oracle.strip60(t * k) for k in (2, 9)}
+                related |= {oracle.strip60(t * 60**3 // k) for k in (2, 9)
                             if (t * 60**3) % k == 0}
                 assert related & numbered, label
 
@@ -653,40 +648,6 @@ class TestStandardTableAndLinks:
         assert by_n[15].factor_ratio == (2, 1)
         assert by_n[15].start.T.mantissa == 54
 
-    def test_minimality_against_independent_oracle(self):
-        # exponent-lattice oracle: a pair state is the class of its T
-        # mantissa modulo the 60-lattice generated by (2, 1, 1)
-        def class_key(triple):
-            a, b, c = triple
-            return (a - 2 * c, b - c)
-
-        std_classes = {}
-        for p in standard_table():
-            for m in (p.T.mantissa, p.Tbar.mantissa):
-                key = class_key(factor_2_3_5(m))
-                std_classes.setdefault(key, m)
-
-        deltas = [(da, db, dc)
-                  for da in range(-7, 8) for db in range(-7, 8)
-                  for dc in range(-7, 8)]
-
-        def oracle_steps(pair):
-            target = class_key(factor_2_3_5(pair.T.mantissa))
-            if target in std_classes:
-                return 0
-            best = None
-            for key, (sa, sb, sc) in (
-                    (k, factor_2_3_5(m)) for k, m in std_classes.items()):
-                for da, db, dc in deltas:
-                    if class_key((sa + da, sb + db, sc + dc)) == target:
-                        w = abs(da) + abs(db) + abs(dc)
-                        best = w if best is None else min(best, w)
-            return best
-
-        for p in phillips_pairs():
-            chain = link_to_standard(p)
-            assert chain.steps == oracle_steps(p), str(p)
-
     def test_start_is_always_in_the_standard_table(self):
         states = {min(p.T.mantissa, p.Tbar.mantissa) for p in standard_table()}
         for p in phillips_pairs():
@@ -701,28 +662,16 @@ class TestStandardTableAndLinks:
 # Reference implementations of the link search, kept as oracles for the
 # closed form in ``link_to_standard``.
 
-def _strip60(m):
-    while m % 60 == 0:
-        m //= 60
-    return m
-
-
-def _recip_mantissa(m):
-    a, b, c = factor_2_3_5(m)
-    k = max((a + 1) // 2, b, c)
-    return _strip60(60**k // m)
-
-
 _NEIGHBOR_STEPS = [(2, (1, 0, 0)), (3, (0, 1, 0)), (5, (0, 0, 1))]
 
 
 def _neighbors(m):
     for prime, unit in _NEIGHBOR_STEPS:
-        yield _strip60(m * prime), unit, 1
+        yield oracle.strip60(m * prime), unit, 1
         mm = m
         while mm % prime:
             mm *= 60
-        yield _strip60(mm // prime), unit, -1
+        yield oracle.strip60(mm // prime), unit, -1
 
 
 def bfs_link(p):
@@ -731,15 +680,18 @@ def bfs_link(p):
     std = frozenset(min(q.T.mantissa, q.Tbar.mantissa)
                     for q in standard_table())
 
+    def recip(m):
+        return oracle.strip60(60 ** oracle.reciprocal_places(m) // m)
+
     def key(m):
-        return min(m, _recip_mantissa(m))
+        return min(m, recip(m))
 
     def chain_for(state, vec, member):
         # state * 2^-vec == the walked member of p (floating)
         if member == "T":
             start_m, factor = state, tuple(-e for e in vec)
         else:
-            start_m, factor = _recip_mantissa(state), vec
+            start_m, factor = recip(state), vec
         return LinkChain(ReciprocalPair.from_T_mantissa(start_m), factor)
 
     if key(p.T.mantissa) in std:
@@ -796,7 +748,7 @@ def loop_link(p):
 
 
 def _lattice_class(m):
-    a, b, c = factor_2_3_5(m)
+    a, b, c = oracle.factor235(m)
     return a - 2 * c, b - c
 
 
@@ -820,7 +772,7 @@ def _lattice_depths(radius=60):
 
 
 FOUR_PLACE_PAIRS = [ReciprocalPair.from_T_mantissa(m)
-                    for m in regular_mantissas(4)]
+                    for m in oracle.regular_mantissas()]
 
 # Start classes: both members of the 21 standard-table pairs.
 START_CLASSES = 42

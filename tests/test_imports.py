@@ -68,19 +68,28 @@ def test_every_export_has_a_caller():
             and not re.search(rf"\b{name}\b", bench)] == []
 
 
+def fresh_python(code: str, *argv: str) -> str:
+    """What ``code`` prints, stripped, in a fresh interpreter given the
+    directory that holds the package as sys.argv[1] and ``argv`` after it.
+    -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the test from writing
+    bytecode."""
+    return subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
+                           *argv], capture_output=True, text=True, timeout=60,
+                          check=True).stdout.strip()
+
+
 def test_importing_the_cli_loads_no_fractions_decimal_numbers_or_csv():
     # SexValue.fraction, from_fraction and the csv format import them when
     # used, and the JSON writer takes its string encoder from the C module
-    # _json, so json is not loaded either; a bare interpreter has loaded
-    # none of them
+    # _json, so json is not loaded either; no value class is a dataclass,
+    # and the transcription is read with open(); a bare interpreter has
+    # loaded none of them
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "lazy = {'fractions', 'decimal', 'numbers', 'csv', 'json'}; "
+            "lazy = {'fractions', 'decimal', 'numbers', 'csv', 'json', "
+            "'dataclasses', 'inspect', 'importlib.resources'}; "
             "before = sorted(lazy & set(sys.modules)); import plimpton.cli; "
             "print(before, sorted(lazy & set(sys.modules)))")
-    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the test from writing bytecode
-    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent)],
-                         capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[] []"
+    assert fresh_python(code) == "[] []"
 
 
 @pytest.mark.parametrize("argv", [
@@ -101,9 +110,7 @@ def test_a_command_loads_no_fractions_decimal_or_numbers(argv):
             "out, sys.stdout = sys.stdout, io.StringIO(); code = main(sys.argv[2:]); "
             "sys.stdout = out; print(code, sorted("
             "{'fractions', 'decimal', 'numbers', 'csv', 'json'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
-                          *argv], capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "0 []"
+    assert fresh_python(code, *argv) == "0 []"
 
 
 @pytest.mark.parametrize("argv,built", [
@@ -117,6 +124,4 @@ def test_only_a_form_argparse_reads_builds_the_parser_and_loads_shutil(argv, bui
             "out, err = sys.stdout, sys.stderr; sys.stdout = sys.stderr = io.StringIO(); "
             "code = cli.main(sys.argv[2:]); sys.stdout, sys.stderr = out, err; "
             "print(code, cli._build_parser.cache_info().currsize, 'shutil' in sys.modules)")
-    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent),
-                          *argv], capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == f"0 {int(built)} {built}"
+    assert fresh_python(code, *argv) == f"0 {int(built)} {built}"

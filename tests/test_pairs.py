@@ -28,7 +28,6 @@ from plimpton.sexagesimal import (
     SexagesimalError,
     factor_2_3_5,
     parse_sex,
-    reciprocal,
     regular_from_int,
     render_sex,
 )
@@ -64,17 +63,6 @@ def _pairs(kind):
     return enumerate_pairs(kind, lo, hi)
 
 
-# Independent oracles of the library's enumeration and rules: a direct
-# exponent sweep, and the rules read off a member's digits and triples.
-
-def regular_mantissas(places):
-    """Canonical regular mantissas of at most ``places`` digits, ascending."""
-    limit = 60**places
-    return sorted(n for a in range(6 * places) for b in range(4 * places)
-                  for c in range(3 * places)
-                  if (n := 2**a * 3**b * 5**c) < limit and n % 60)
-
-
 # The four-place members from the benchmark's oracle, as the index gives
 # them: each canonical regular mantissa below 60**4, ascending, mapped to
 # (padded, triple), padded being the mantissa with zero places to four digits.
@@ -82,16 +70,22 @@ MEMBERS = {m: (m * 60 ** (4 - oracle.places(m)), oracle.factor235(m))
            for m in oracle.regular_mantissas(60**4)}
 
 
-def mult10_digits(r):
-    """At most four places, and a four-place value ends in a multiple of 10."""
-    digits = oracle.digits60(r.mantissa)
-    return len(digits) < 4 or len(digits) == 4 and digits[-1] % 10 == 0
+@cache
+def _oracle_table(kind):
+    return oracle.pairs_between(kind, 0, 60)
 
 
-def bruins_excluded(p):
-    """One member has alpha+beta+gamma > 13 while the other has gamma > 3."""
-    return any(sum(a.triple) > 13 and b.gamma > 3
-               for a, b in ((p.T, p.Tbar), (p.Tbar, p.T)))
+def oracle_pairs(kind, lo, hi):
+    """The benchmark oracle's four-place pairs (T, Tbar) passing criterion
+    ``kind`` with lo <= T <= hi, as Fractions by decreasing T: one list of
+    the whole table per criterion, filtered by the range."""
+    return [(t, tbar) for t, tbar in _oracle_table(kind) if lo <= t <= hi]
+
+
+def as_fractions(pairs):
+    """Each pair as (T, Tbar), the oracle's form: Fractions in the fixed
+    reading."""
+    return [(p.T.value.fraction, p.Tbar.value.fraction) for p in pairs]
 
 
 # The criteria as member rules, the reference for CRITERIA's pair tests:
@@ -219,14 +213,7 @@ class TestReciprocalPair:
 
 
 def _canonical_mantissa(a, b, c):
-    # scale 2**a 3**b 5**c by powers of 60 to an integer not divisible by 60
-    f = Fraction(2)**a * Fraction(3)**b * Fraction(5)**c
-    while f.denominator != 1:
-        f *= 60
-    n = f.numerator
-    while n % 60 == 0:
-        n //= 60
-    return n
+    return oracle.floating_mantissa(Fraction(2)**a * Fraction(3)**b * Fraction(5)**c)
 
 
 class TestFromTriple:
@@ -276,8 +263,7 @@ class TestFromTriple:
 
 class TestRegularEnumeration:
     def test_one_place_regulars(self):
-        one_place = [m for m in MEMBERS if m < 60]
-        assert one_place == regular_mantissas(1) == [
+        assert [m for m in MEMBERS if m < 60] == [
             1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25,
             27, 30, 32, 36, 40, 45, 48, 50, 54]
 
@@ -288,14 +274,6 @@ class TestRegularEnumeration:
         assert all(m % 60 for m in ms)
         assert list(ms) == sorted(set(ms))
 
-    def test_brute_force_agreement(self):
-        # independent oracle: direct (alpha, beta, gamma) sweep
-        expected = sorted({
-            2**a * 3**b * 5**c
-            for a in range(25) for b in range(16) for c in range(12)
-            if 2**a * 3**b * 5**c < 60**4 and (2**a * 3**b * 5**c) % 60})
-        assert list(MEMBERS) == regular_mantissas(4) == expected
-
     def test_members_are_padded_to_four_places(self):
         # both members of every index entry, against the oracle's padding
         for t, tbar, pair in _four_place_index()[1]:
@@ -303,7 +281,6 @@ class TestRegularEnumeration:
 
     def test_triple_lookup_matches_factorization(self):
         # the oracle's four-place table against factorization
-        assert list(MEMBERS) == regular_mantissas(4)
         for m, (_, triple) in MEMBERS.items():
             assert triple == factor_2_3_5(m)
 
@@ -342,16 +319,6 @@ class TestPairCriteria:
 
 
 class TestCriteria:
-    def test_mult10_equals_padded_divisibility_up_to_six_places(self):
-        # the digit rule against CRITERIA's on the table's padded values; a
-        # mantissa of five or six places is not in the table and fails both
-        for m in regular_mantissas(6):
-            r = regular_from_int(m)
-            if m in MEMBERS:  # mult10 reads each member alone: pair it with itself
-                assert CRITERIA["mult10"](MEMBERS[m], MEMBERS[m]) == mult10_digits(r)
-            else:
-                assert oracle.places(m) > 4 and not mult10_digits(r)
-
     def test_phillips_enumeration_digit_exact(self):
         got = [(render_sex(p.T.value), render_sex(p.Tbar.value))
                for p in _pairs("mult10")]
@@ -361,11 +328,10 @@ class TestCriteria:
         assert len(_pairs("places4")) == 21
 
     def test_exclusions_are_the_same_six_both_ways(self):
-        by_difference = {p.T.mantissa for p in _pairs("places4")} \
-            - {p.T.mantissa for p in _pairs("mult10")}
-        by_bruins_rule = {p.T.mantissa for p in _pairs("places4")
-                          if bruins_excluded(p)}
-        listed = {pair.T.mantissa for _, pair in printed_pairs("excluded-pairs")}
+        by_difference = set(as_fractions(_pairs("places4"))) - set(as_fractions(_pairs("mult10")))
+        by_bruins_rule = {p for p in oracle_pairs("places4", oracle.TABLET_LOW, oracle.TABLET_HIGH)
+                          if not oracle.criterion_holds("bruins", p[0])}
+        listed = set(as_fractions(pair for _, pair in printed_pairs("excluded-pairs")))
         assert by_difference == by_bruins_rule == listed
         assert len(listed) == 6
 
@@ -374,7 +340,8 @@ class TestCriteria:
             [p.T.mantissa for p in _pairs("mult10")]
 
     def test_disjunctive_reading_excludes_more(self):
-        conj = sum(bruins_excluded(p) for p in _pairs("places4"))
+        conj = sum(not oracle.criterion_holds("bruins", p.T.value.fraction)
+                   for p in _pairs("places4"))
         # either member heavy (alpha+beta+gamma > 13) or deep (gamma > 3)
         disj = sum(any(sum(r.triple) > 13 or r.gamma > 3 for r in (p.T, p.Tbar))
                    for p in _pairs("places4"))
@@ -483,62 +450,6 @@ class TestFullList:
                    for a, b in zip(full, full[1:]))
 
 
-class TestOracleSweep:
-    """enumerate_pairs vs an independent exponent-sweep implementation."""
-
-    @pytest.mark.parametrize("lo,hi", [
-        ("1;48", "2;24"),
-        ("2;24", "3;54 22 30"),
-        ("1;00 45", "1;48"),
-    ])
-    def test_ranges(self, lo, hi):
-        lo_v, hi_v = parse_sex(lo, "fixed"), parse_sex(hi, "fixed")
-        got = {p.T.mantissa
-               for p in enumerate_pairs("mult10", lo_v, hi_v)}
-        expected = set()
-        for a in range(25):
-            for b in range(16):
-                for c in range(12):
-                    m = 2**a * 3**b * 5**c
-                    if m >= 60**4 or m % 60 == 0:
-                        continue
-                    p = ReciprocalPair.from_T_mantissa(m)
-                    if not (lo_v.fraction <= p.T.value.fraction <= hi_v.fraction):
-                        continue
-                    if mult10_digits(p.T) and mult10_digits(p.Tbar):
-                        expected.add(m)
-        assert got == expected
-
-
-# The build-all-then-filter enumeration, kept as the oracle of the fast
-# path: every four-place pair is built, sorted by its T as a Fraction, and
-# the criterion and range are tested on the built pair.
-
-@cache
-def _oracle_all() -> tuple[ReciprocalPair, ...]:
-    pairs = [ReciprocalPair.from_T_mantissa(m) for m in regular_mantissas(4)]
-    return tuple(sorted(pairs, key=lambda p: p.T.value.fraction, reverse=True))
-
-
-def _oracle_passes(kind, p):
-    if kind == "mult10":
-        return mult10_digits(p.T) and mult10_digits(p.Tbar)
-    if oracle.places(p.Tbar.mantissa) > 4:
-        return False
-    return kind == "places4" or not bruins_excluded(p)
-
-
-def _oracle(kind, lo, hi):
-    return [p for p in _oracle_all()
-            if lo.fraction <= p.T.value.fraction <= hi.fraction
-            and _oracle_passes(kind, p)]
-
-
-def _oracle_full_mult10():
-    return [p for p in _oracle_all()
-            if p.T.mantissa != 1 and _oracle_passes("mult10", p)]
-
-
 _fixed = st.one_of(
     # on the grid of padded four-place T, T * 60**3 an integer
     st.integers(0, 61 * 60**3).map(lambda n: SexValue(n, -3)),
@@ -565,29 +476,26 @@ class TestFastPathOracle:
     @example(kind="places4", a=SexValue(1, -3), b=SexValue(10**9))
     def test_enumerate_pairs_equals_oracle(self, kind, a, b):
         lo, hi = sorted((a, b), key=lambda v: v.fraction)
-        assert enumerate_pairs(kind, lo, hi) == _oracle(kind, lo, hi)
+        assert as_fractions(enumerate_pairs(kind, lo, hi)) == \
+            oracle_pairs(kind, lo.fraction, hi.fraction)
 
     def test_bound_past_the_fourth_place(self):
         lo = parse_sex("1;48 00 00 00 01", "fixed")
         hi = parse_sex("2;24", "fixed")
-        got = enumerate_pairs("mult10", lo, hi)
-        assert got == _oracle("mult10", lo, hi)
+        got = as_fractions(enumerate_pairs("mult10", lo, hi))
+        assert got == oracle_pairs("mult10", lo.fraction, hi.fraction)
         assert len(got) == 14
 
     def test_full_mult10_list(self):
-        full = full_mult10()
-        assert full == _oracle_full_mult10()
+        # the whole range but the self-reciprocal 1
+        full = as_fractions(full_mult10())
+        assert full == [p for p in oracle_pairs("mult10", 0, 60) if p[0] != 1]
         assert len(full) == 204
 
     @pytest.mark.parametrize("side,count", [("lower", 24), ("upper", 28)])
     def test_extension_sides_are_slices_of_the_full_list(self, side, count):
-        full = _oracle_full_mult10()
-        at = [p.T.value.fraction for p in full].index
-        if side == "lower":  # 3;54 22 30 down to above 2;24
-            expected = full[at(Fraction(843750, 60**3)):at(Fraction(12, 5))]
-        else:  # below 1;48 to the end
-            expected = full[at(Fraction(9, 5)) + 1:]
-        assert [pair for _, pair in printed_pairs(f"extension-{side}")] == expected
+        expected = oracle.extension_pairs(side)
+        assert as_fractions(pair for _, pair in printed_pairs(f"extension-{side}")) == expected
         assert len(expected) == count
 
 

@@ -1,11 +1,8 @@
 """The package's immutable value classes: construction, equality, hashing,
-repr, immutability, copying and pickling; and what importing the CLI loads."""
+repr, immutability, copying and pickling."""
 
 import copy
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +22,6 @@ from plimpton import (
 )
 from plimpton.sexagesimal import _Value
 from plimpton.tablet import RowDiff
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _samples():
@@ -150,12 +145,3 @@ class TestConstruction:
         with pytest.raises(TypeError, match=match):
             RowDiff(*args, **kwargs)
 
-
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_resources():
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import plimpton.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-            " & set(sys.modules)))")
-    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the test from writing bytecode
-    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(SRC)],
-                         capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
