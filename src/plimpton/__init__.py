@@ -31,7 +31,6 @@ from .hypotheses import (
     LinkChain,
     generate,
     link_to_standard,
-    phillips_pairs,
     printed_corrections,
     printed_pairs,
     standard_table,

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: the paths of ``COMMANDS``, each run by ``cmd_<path joined by "_">``.
-An argv of exact form (a command's path, then each flag in full, once, as
-``--flag value``) is read straight from ``COMMANDS``; every other argv,
-help and usage errors among them, goes to the argparse parser built from it.
+An argv of exact form (see :func:`_exact`) is read straight from
+``COMMANDS``; every other argv goes to the argparse parser built from it.
+Importing this module loads only what every command needs: ``csv`` here
+and ``fractions`` in ``sexagesimal`` are imported by the calls that use them.
 Output formats: text (default), json, and csv for every command but recip
 and link, which print one value.  Whenever computed values differ from the
 printed source tables, a correction log is emitted (stderr for text/csv,
@@ -93,7 +94,9 @@ def _sex_json(v: SexValue, indent: str) -> str:
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, on a line that
     ``indent`` (newline and spaces) opens; dict keys are str.  A ``SexValue``
-    is written by ``_sex_json``, an ``_Encoded`` text as it is."""
+    is written by ``_sex_json``, an ``_Encoded`` text as it is.  The CLI has
+    its own emitter because ``indent`` makes CPython's ``json`` fall back to
+    its pure-Python encoder; this one uses the C string encoder only."""
     inner = indent + "  "
     if isinstance(value, str):
         return value if type(value) is _Encoded else encode_basestring_ascii(value)

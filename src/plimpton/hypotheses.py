@@ -4,15 +4,10 @@ Each hypothesis produces an ordered list of row candidates from reciprocal
 pairs, chosen either by a criterion on both members or by a test of T read
 as P/Q in lowest terms.  Also here: the printed tables of pairs (the
 fifteen, the excluded six and the extensions above and below them) with the
-computed pairs each is checked against and the log of their misprints, each
-table's whole log computed once per process and only filtered by a listing,
-and the minimal chain linking any regular pair to the standard reciprocal
-table by doubling/tripling/quintupling steps.  Theories and printed tables are
-data: a theory's row rule or a printed table's rows, then the record (lo,
-hi, keep) of ``pairs._four_place_pairs``, a padded T range and a test of
-both members, that selects its pairs from the one shared set of pairs.  The
-standard table and link starts come from it too; links are computed in
-closed form on the exponent lattice.
+computed pairs each is checked against and the log of their misprints, and
+the minimal chain linking any regular pair to the standard reciprocal table
+(:func:`link_to_standard`).  Theories and printed tables are data: a row
+rule or printed rows, then a selection record of ``pairs._four_place_pairs``.
 """
 
 from __future__ import annotations
@@ -74,10 +69,10 @@ def _table1_row(p: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
 
 
 # Every theory, in survey order, as its row rule (pair, n, reduction) ->
-# RowCandidate, then its selection record (lo, hi, keep) of
-# pairs._four_place_pairs: either a pairs.CRITERIA test over the tablet's T
-# range, or a (P, Q) row test (see _pq).  ns1945's test is membership in
-# TABLE1_PQ; its rows keep the formulas' raw S and D (see _table1_row).
+# RowCandidate, then its selection record (see pairs._four_place_pairs):
+# either a pairs.CRITERIA test over the tablet's T range, or a (P, Q) row
+# test (see _pq).  ns1945's test is membership in TABLE1_PQ; its rows keep
+# the formulas' raw S and D (see _table1_row).
 # Each published bound on P/Q is an exact integer inequality in P > Q >= 1:
 # P/Q > sqrt(3) iff P**2 > 3 Q**2, P/Q < 1 + sqrt(2) iff (P - Q)**2 < 2 Q**2.
 # Friberg 1981 bounds Q/P by 5/9 and sqrt(2) - 1, the same as P/Q >= 9/5
@@ -94,10 +89,6 @@ THEORIES = {
     "friberg2007": (build_row, *_pq(1, 60, None, lambda p, q: 12 * p < 29 * q)),
     "phillips": (build_row, *PLIMPTON_PADDED, CRITERIA["mult10"]),
 }
-
-
-def phillips_pairs() -> list[ReciprocalPair]:
-    return _four_place_pairs(*THEORIES["phillips"][1:])
 
 
 def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
@@ -216,12 +207,12 @@ MINUS_17_VARIANT_PRINTED = [("-17", "3 29 10")]
 PRINTED_VARIANTS = {"extension-lower": MINUS_17_VARIANT_PRINTED}
 
 # Every printed table of pairs, by the name its correction log carries: its
-# rows as printed, (label, T, Tbar, ...), then the selection record (lo, hi,
-# keep) of the pairs it is checked against, by decreasing T.  The fifteen
-# are the phillips theory's pairs; the excluded pairs fail the
-# multiple-of-10 rule over the tablet's range; each extension passes it over
-# its own, lower from the printed top down to above the tablet's first row,
-# upper from below its last row down to above 1.
+# rows as printed, (label, T, Tbar, ...), then the selection record (see
+# pairs._four_place_pairs) of the pairs it is checked against, by decreasing
+# T.  The fifteen are the phillips theory's pairs; the excluded pairs fail
+# the multiple-of-10 rule over the tablet's range; each extension passes it
+# over its own, lower from the printed top down to above the tablet's first
+# row, upper from below its last row down to above 1.
 _mult10 = CRITERIA["mult10"]
 PRINTED_TABLES = {
     "standard-15": (PLIMPTON_PAIRS_PRINTED, *THEORIES["phillips"][1:]),

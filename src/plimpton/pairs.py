@@ -4,9 +4,8 @@ The central selection rule: a reciprocal pair belongs to the table when both
 members, padded with trailing zeros to four sexagesimal places, are divisible
 by 10.  The plain four-place table and Bruins's exponent-based exclusion are
 the alternative rules; all three are tests of both members, the entries of
-one table, ``CRITERIA``.  Every table of pairs is a record (lo, hi, keep):
-the pairs of padded T in [lo, hi] that pass keep, selected from the one set
-of four-place pairs (built once per process) that holds the standard table.
+one table, ``CRITERIA``.  Every table of pairs is one selection record of
+:func:`_four_place_pairs`.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def _place_count(mantissa: int) -> int:
 
 def _pair(triple: tuple[int, int, int], places: int) -> ReciprocalPair:
     """The pair whose T has this canonical triple and place count, units at
-    its first digit; Tbar, from the complement triple, has mantissas'
+    its first digit; Tbar, from :func:`_complement`'s triple, has mantissas'
     product 60**k, so its units place is places - 1 - k."""
     k, bar = _complement(*triple)
     return ReciprocalPair(RegularNumber(_canonical(_product(*triple), 1 - places), *triple),
@@ -97,12 +96,11 @@ def _pair(triple: tuple[int, int, int], places: int) -> ReciprocalPair:
 PLIMPTON_PADDED = (388800, 518400)
 
 
-# The selection rules, by the CLI's names.  Each tests a pair (T, Tbar),
-# both members given as (padded, triple): the mantissa padded with zero
-# places to four digits, and the exponent triple.  A member of more than
-# four places is in no table of pairs.  places4 is the plain four-place
-# table; bruins excludes a pair where either member has
-# alpha+beta+gamma > 13 while the other has gamma > 3.
+# The selection rules, by the CLI's names: the keep tests of a selection
+# record (see _four_place_pairs).  A member of more than four places is in
+# no table of pairs.  places4 is the plain four-place table; bruins excludes
+# a pair where either member has alpha+beta+gamma > 13 while the other has
+# gamma > 3.
 CRITERIA = {
     "mult10": lambda t, tbar: t[0] % 10 == 0 and tbar[0] % 10 == 0,
     "places4": lambda t, tbar: True,
@@ -114,11 +112,11 @@ CRITERIA = {
 @cache
 def _four_place_index() -> tuple[list[int], list[tuple]]:
     """Every four-place pair once, as (T, Tbar, pair) by ascending padded T,
-    with the padded values apart for bisection; a member is (padded, triple),
-    its mantissa padded with zero places to four digits.  Of the canonical
-    triples of T below 60**4, those whose complement is below 60**4 too are
-    built by :func:`_pair`, as in :meth:`ReciprocalPair.from_triple`.  Built
-    once per process on first use; callers share the pairs."""
+    each member as keep gets it (see :func:`_four_place_pairs`), with the
+    padded values apart for bisection.  Of the canonical triples of T below
+    60**4, those whose complement is below 60**4 too are built by
+    :func:`_pair`, as in :meth:`ReciprocalPair.from_triple`.  Built once per
+    process on first use; callers share the pairs."""
     index = []
     for a in range(24):  # 2**23 < 60**4 < 2**24
         for b in range(15):  # 3**14 < 60**4 < 3**15
@@ -138,9 +136,13 @@ def _four_place_index() -> tuple[list[int], list[tuple]]:
 
 
 def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
-    """The shared pairs of regular T of at most four places with lo <= padded
-    T <= hi and keep(T, Tbar) true, each member given as (padded, triple), by
-    decreasing T.  Only that range's entries are visited."""
+    """The pairs of the selection record (lo, hi, keep), by decreasing T: the
+    shared four-place pairs with lo <= padded T <= hi and keep(T, Tbar) true.
+    A member's padded value is its mantissa padded with zero places to four
+    digits (T * 60**3, units at T's first digit); keep gets each member as
+    (padded, exponent triple).  Every table of pairs is such a record: a
+    criterion over a range, a theory, a printed table.  Only the range's
+    entries are visited."""
     padded, index = _four_place_index()
     return [pair for t, tbar, pair in
             reversed(index[bisect_left(padded, lo):bisect_right(padded, hi)])

@@ -24,7 +24,8 @@ class SexagesimalError(ValueError):
 class _Value:
     """An immutable value whose fields are its ``__slots__``: built from all
     of them in slot order; equal and hashed by them within one type; copied
-    and pickled by them."""
+    and pickled by them.  Not a frozen dataclass, so that importing the
+    package loads neither ``dataclasses`` nor ``inspect``."""
 
     __slots__ = ()
 
@@ -340,8 +341,11 @@ def regular_from_int(n: int) -> RegularNumber:
 
 
 def _complement(alpha: int, beta: int, gamma: int) -> tuple[int, tuple[int, int, int]]:
-    """The least k with 2**alpha * 3**beta * 5**gamma dividing 60**k (all
-    three >= 0), and the exponent triple of the quotient, its reciprocal."""
+    """The package's one reciprocal formula.  For r = 2**alpha * 3**beta *
+    5**gamma, all three >= 0: the least k with r dividing 60**k, which is
+    max(ceil(alpha/2), beta, gamma), and the triple (2k - alpha, k - beta,
+    k - gamma) of 60**k / r, r's reciprocal up to powers of 60, a power
+    product, so no mantissa is divided, and canonical, as k is least."""
     k = max((alpha + 1) // 2, beta, gamma)
     return k, (2 * k - alpha, k - beta, k - gamma)
 
@@ -353,9 +357,8 @@ def _product(alpha: int, beta: int, gamma: int) -> int:
 
 def reciprocal(r: RegularNumber) -> RegularNumber:
     """The unique regular s with floating product r*s = 1, from r's triple
-    alone: the power product of its :func:`_complement`, with no division,
-    and canonical since k is minimal.  A triple of other than three ints
-    >= 0 is refused."""
+    by :func:`_complement`.  A triple of other than three ints >= 0 is
+    refused."""
     if type(r) is not RegularNumber:
         raise SexagesimalError(f"a reciprocal is defined for RegularNumbers, not {type(r).__name__}")
     a, b, c = r.triple

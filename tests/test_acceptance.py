@@ -9,7 +9,7 @@ arithmetic, but the column is not minimal: rows 3, 5, 9 and 12 print
 strictly longer chains, and row 14 prints a chain of minimal length that
 starts from (16 40, 3 36), a pair outside the standard table.  The
 criterion asserts exactly these differences, so it fails if either the
-column or the search changes.  See the repository README.
+column or the search changes.
 """
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from plimpton.hypotheses import (
     LinkChain,
     generate,
     link_to_standard,
-    phillips_pairs,
     printed_corrections,
     printed_pairs,
     standard_table,
@@ -50,10 +49,10 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_phillips_enumeration():
-    got = [(render_sex(p.T.value), render_sex(p.Tbar.value))
-           for p in phillips_pairs()]
+    pairs = [r.pair for r in generate("phillips")]
+    got = [(render_sex(p.T.value), render_sex(p.Tbar.value)) for p in pairs]
     logged = [(c.label, c.printed, c.computed)
-              for c in printed_corrections("standard-15", phillips_pairs())]
+              for c in printed_corrections("standard-15", pairs)]
     ok = (got == PHILLIPS_15
           and logged == [("12", "1 55 2", "1 55 12")])
     _report(1, "phillips enumeration", ok, f"{len(got)} pairs")
@@ -96,7 +95,7 @@ def test_criterion_4_friberg_2007():
     rows = generate("friberg2007")
     first15 = [r.pair.T.mantissa for r in rows[:15]]
     ok = (len(rows) == 38
-          and first15 == [p.T.mantissa for p in phillips_pairs()])
+          and first15 == [r.pair.T.mantissa for r in generate("phillips")])
     _report(4, "friberg 2007", ok, f"{len(rows)} pairs")
 
 
@@ -163,8 +162,8 @@ def _same_pair(a: ReciprocalPair, b: ReciprocalPair) -> bool:
 def test_criterion_7_linkage():
     table = standard_table()
     problems, differences, details, minimal = [], {}, [], {}
-    for (label, _, _, link), pair in zip(PLIMPTON_PAIRS_PRINTED,
-                                          phillips_pairs()):
+    for (label, _, _, link), (_, pair) in zip(PLIMPTON_PAIRS_PRINTED,
+                                               printed_pairs("standard-15")):
         n = int(label)
         chain = link_to_standard(pair)
         if n in MINIMAL_LINK_FACTORS:

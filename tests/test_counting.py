@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from plimpton import cli, sexagesimal
-from plimpton.hypotheses import PRINTED_TABLES, THEORIES, generate, phillips_pairs, printed_pairs
+from plimpton.hypotheses import PRINTED_TABLES, THEORIES, generate, printed_pairs
 from plimpton.pairs import CRITERIA
 from plimpton.rows import build_row
 from plimpton.sexagesimal import SexValue, parse_sex, render_sex
@@ -34,7 +34,7 @@ def test_every_module_binding_and_record_slot_is_counted_and_restored(raised):
 
     def inside(calls):
         for module in modules:
-            vars(module)["build_row"](phillips_pairs()[0], 1, "full")
+            vars(module)["build_row"](printed_pairs("standard-15")[0][1], 1, "full")
         printed_pairs("extension-upper")
         assert (len(calls[0]), bool(calls[1])) == (len(modules), True)
         generate("phillips")

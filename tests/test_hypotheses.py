@@ -21,7 +21,6 @@ from plimpton.hypotheses import (
     UPPER_EXTENSION_PRINTED,
     generate,
     link_to_standard,
-    phillips_pairs,
     printed_corrections,
     printed_pairs,
     standard_table,
@@ -177,7 +176,7 @@ class TestOneEnumeration:
 
         monkeypatch.setitem(THEORIES, "stub", (tagged_row, *THEORIES["phillips"][1:]))
         assert generate("stub", "tablet_faithful") == [
-            (n, p, "tablet_faithful") for n, p in enumerate(phillips_pairs(), 1)]
+            (n, p, "tablet_faithful") for n, (_, p) in enumerate(printed_pairs("standard-15"), 1)]
 
     @pytest.mark.parametrize("tag", list(PQ_THEORIES))
     def test_pq_theory_equals_the_q_by_p_walk(self, tag):
@@ -275,8 +274,8 @@ class TestPrintedFifteen:
         assert [(c.label, c.column, c.printed, c.computed)
                 for c in corrections] == [("12", "T", "1 55 2", "1 55 12")]
         corrected = {(c.label, c.column): c.computed for c in corrections}
-        for (label, t_text, tbar_text, _), pair in zip(
-                PLIMPTON_PAIRS_PRINTED, phillips_pairs()):
+        for (label, t_text, tbar_text, _), (_, pair) in zip(
+                PLIMPTON_PAIRS_PRINTED, printed_pairs("standard-15")):
             want_t = corrected.get((label, "T"), t_text)
             want_tbar = corrected.get((label, "Tbar"), tbar_text)
             assert render_sex(pair.T.value) == want_t
@@ -552,7 +551,7 @@ class TestPrintedReadings:
         assert PRINTED_TABLES["standard-15"][1:] == THEORIES["phillips"][1:]
         assert THEORIES["phillips"][0] is build_row
         assert [p for _, p in printed_pairs("standard-15")] == \
-            [r.pair for r in generate("phillips")] == phillips_pairs()
+            [r.pair for r in generate("phillips")]
 
 
 class TestExtensions:
@@ -627,19 +626,19 @@ class TestStandardTableAndLinks:
         assert len(states) == 21
 
     def test_in_table_rows(self):
-        chains = [link_to_standard(p) for p in phillips_pairs()]
-        in_table = [i + 1 for i, c in enumerate(chains) if c.in_table]
+        in_table = [int(label) for label, p in printed_pairs("standard-15")
+                    if link_to_standard(p).in_table]
         assert in_table == [1, 6, 11, 13]
 
     def test_chain_replay_reproduces_the_pair(self):
-        for p in phillips_pairs():
+        for _, p in printed_pairs("standard-15"):
             chain = link_to_standard(p)
             replayed = chain.replay()
             assert replayed.T.mantissa in (p.T.mantissa, p.Tbar.mantissa)
 
     def test_known_chains(self):
-        by_n = {i + 1: link_to_standard(p)
-                for i, p in enumerate(phillips_pairs())}
+        by_n = {int(label): link_to_standard(p)
+                for label, p in printed_pairs("standard-15")}
         assert str(by_n[7]) == "(54, 1 06 40) × (1/25, 25)"
         for n, magnitude in ((2, 27), (4, 125), (8, 2)):
             assert max(by_n[n].factor_ratio) == magnitude
@@ -650,7 +649,7 @@ class TestStandardTableAndLinks:
 
     def test_start_is_always_in_the_standard_table(self):
         states = {min(p.T.mantissa, p.Tbar.mantissa) for p in standard_table()}
-        for p in phillips_pairs():
+        for _, p in printed_pairs("standard-15"):
             chain = link_to_standard(p)
             key = min(chain.start.T.mantissa, chain.start.Tbar.mantissa)
             if chain.in_table:

@@ -14,8 +14,8 @@ from plimpton import (
     error_annotations,
     generate,
     link_to_standard,
-    phillips_pairs,
     printed_corrections,
+    printed_pairs,
     regular_from_int,
     tablet_data,
     verify_properties,
@@ -25,7 +25,7 @@ from plimpton.tablet import RowDiff
 
 
 def _samples():
-    pairs = phillips_pairs()
+    pairs = [pair for _, pair in printed_pairs("standard-15")]
     row = build_row(pairs[1], 2)
     record = tablet_data()[0]
     report = diff_against(generate("buck1980"), matching="similarity")
