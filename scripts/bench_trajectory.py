@@ -12,6 +12,9 @@ metric.  It also records the commit, the Python version, the line count of
 ``src/plimpton/*.py``, the seeds and seconds, and whether bytecode was
 written, so that files from different commits can be set side by side.
 The figures are timings of one machine: a trajectory, not a claim.
+
+It exits 1, after writing the file, if any run was not correct by the
+benchmark's oracle.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def _commit() -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="the name in BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, default=10, help="run seeds 1..N (default 10)")
@@ -97,7 +100,11 @@ def main(argv: list[str] | None = None) -> None:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(out)
+    incorrect = [w for w in WORKLOADS if not doc["workloads"][w]["correct"]]
+    if incorrect:
+        print(f"not correct: {', '.join(incorrect)}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

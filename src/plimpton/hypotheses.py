@@ -93,9 +93,10 @@ THEORIES = {
 
 def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
-    if tag not in THEORIES:
-        raise ValueError(f"unknown hypothesis {tag!r}")
-    row, *record = THEORIES[tag]
+    try:
+        row, *record = THEORIES[tag]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown hypothesis {tag!r}") from None
     return [row(p, n, reduction) for n, p in enumerate(_four_place_pairs(*record), 1)]
 
 
@@ -240,7 +241,7 @@ def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     label, in printed order."""
     try:
         printed, *record = PRINTED_TABLES[table]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown printed table {table!r}") from None
     pairs = _four_place_pairs(*record)
     if len(pairs) != len(printed):
@@ -284,7 +285,10 @@ def printed_corrections(table: str,
     among ``pairs``, in any order, matched by T's exponent triple: a listed
     pair only selects rows, and each printed member is checked against its
     own row's computed member."""
-    log = _printed_log(table)
+    try:
+        log = _printed_log(table)
+    except TypeError:  # the cache cannot key an unhashable name
+        raise ValueError(f"unknown printed table {table!r}") from None
     listed = set()
     for pair in pairs:
         if type(pair) is not ReciprocalPair:

@@ -164,12 +164,13 @@ def enumerate_pairs(kind: str, lower: SexValue,
     """All four-place pairs whose T lies in [lower, upper] (fixed reading,
     both ends inclusive) and that pass criterion ``kind``, a key of
     :data:`CRITERIA`, by decreasing T."""
-    if kind not in CRITERIA:
-        raise ValueError(f"unknown criterion kind {kind!r}")
+    try:
+        criterion = CRITERIA[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown criterion kind {kind!r}") from None
     if not (type(lower) is type(upper) is SexValue):
         raise SexagesimalError(f"the bounds must be SexValues, not "
                                f"{type(lower).__name__} and {type(upper).__name__}")
     if _exceeds(lower, upper):
         raise ValueError("empty range: lower bound exceeds upper bound")
-    return _four_place_pairs(_padded(lower, True), _padded(upper, False),
-                             CRITERIA[kind])
+    return _four_place_pairs(_padded(lower, True), _padded(upper, False), criterion)

@@ -1,5 +1,5 @@
-"""The summary that scripts/bench_trajectory.py writes per workload, on
-result lines made up here: no benchmark runs."""
+"""The summary that scripts/bench_trajectory.py writes per workload, and
+its exit code, on result lines made up here: no benchmark runs."""
 
 import importlib.util
 import json
@@ -44,3 +44,16 @@ def test_summary_of_one_run_and_of_an_incorrect_one(trajectory):
     assert one["metrics"]["ops_per_s"] == {"median": 4.0, "q1": 4.0, "q3": 4.0, "unit": "1/s"}
     mixed = trajectory.summarize([result_line(True, 50, 0, 2.0), result_line(False, 50, 0, 2.0)])
     assert mixed["correct"] is False
+
+
+@pytest.mark.parametrize("incorrect", [None, ("link", 2)])
+def test_main_writes_the_file_then_fails_on_an_incorrect_run(trajectory, monkeypatch,
+                                                              tmp_path, incorrect):
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(trajectory, "_run", lambda workload, seed, seconds: result_line(
+        (workload, seed) != incorrect, 10, 0, 1.0))
+    assert trajectory.main(["--pr", "t", "--seeds", "2", "--seconds", "1"]) == (
+        0 if incorrect is None else 1)
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert {w: s["correct"] for w, s in doc["workloads"].items()} == {
+        w: incorrect is None or w != incorrect[0] for w in trajectory.WORKLOADS}

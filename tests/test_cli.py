@@ -478,12 +478,19 @@ class TestTablet:
         assert sum("fail" in line for line in lines) == 1
         assert "11" in [l for l in lines if "fail" in l][0]
 
-    def test_diff(self, capsys):
-        code, out, _ = run(capsys, "tablet", "diff", "--hypothesis",
-                           "phillips", "--matching", "exact",
-                           "--edition", "robson")
-        assert code == 0
-        assert "15/15 exact" in out
+    # a theory of another row count than the tablet's is refused
+    DIFF = {"phillips": (0, "15/15 exact"),
+            "price1964": (2, "row-count mismatch: 14 generated vs 15 attested"),
+            "friberg2007": (2, "row-count mismatch: 38 generated vs 15 attested")}
+
+    @pytest.mark.parametrize("hypothesis", DIFF)
+    def test_diff(self, capsys, hypothesis):
+        code, expected = self.DIFF[hypothesis]
+        got, out, err = run(capsys, "tablet", "diff", "--hypothesis",
+                            hypothesis, "--matching", "exact",
+                            "--edition", "robson")
+        assert got == code
+        assert expected in (out if code == 0 else err)
 
     def test_errors(self, capsys):
         code, out, _ = run(capsys, "tablet", "errors", "--edition", "robson")

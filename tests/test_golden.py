@@ -1,5 +1,5 @@
-"""Golden output: the CLI and the scripts print exactly what they printed
-when ``golden_digests.json`` was captured.
+"""Golden output: the CLI prints exactly what it printed when
+``golden_digests.json`` was captured.
 
 Each command's (exit code, stdout, stderr) is hashed with sha256 and
 compared with the stored digest, so a refactor that changes one byte of
@@ -16,20 +16,15 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import plimpton
 from plimpton.cli import main
 from bench_oracle import bench_workloads
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
-REPO = Path(__file__).resolve().parents[1]
-SCRIPTS = ("extension_report.py", "regenerate_tablet.py")
 
 TABLET_RANGE = ["--from", "1;48", "--to", "2;24"]
 # 2**61 - 1 is prime: the non-regular path with a large cofactor
@@ -84,15 +79,6 @@ def run_cli(argv: list[str]) -> str:
     return _digest(code, out.getvalue(), err.getvalue())
 
 
-def run_script(name: str) -> str:
-    package_root = str(Path(plimpton.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(REPO / "scripts" / name)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    return _digest(done.returncode, done.stdout, done.stderr)
-
-
 def _key(argv: list[str]) -> str:
     return "plimpton " + " ".join(argv)
 
@@ -112,7 +98,6 @@ def current_digests() -> dict[str, str]:
     digests = {_key(argv): run_cli(argv) for argv in COMMANDS}
     digests.update({_help_key(w, argv): run_cli_at(w, argv)
                     for argv in HELP_COMMANDS + USAGE_COMMANDS for w in WIDTHS})
-    digests.update({f"scripts/{name}": run_script(name) for name in SCRIPTS})
     return digests
 
 
@@ -123,7 +108,7 @@ def golden() -> dict[str, str]:
 
 def test_golden_covers_every_command(golden):
     assert sorted(golden) == sorted(
-        [_key(argv) for argv in COMMANDS] + [f"scripts/{n}" for n in SCRIPTS]
+        [_key(argv) for argv in COMMANDS]
         + [_help_key(w, argv) for argv in HELP_COMMANDS + USAGE_COMMANDS
            for w in WIDTHS])
 
@@ -147,12 +132,6 @@ def test_help_and_usage_unchanged(golden, monkeypatch, argv, width):
     monkeypatch.setenv("COLUMNS", str(width))
     key = _help_key(width, argv)
     assert run_cli(argv) == golden[key], f"output changed: {key}"
-
-
-@pytest.mark.parametrize("name", SCRIPTS)
-def test_script_output_unchanged(golden, name):
-    assert run_script(name) == golden[f"scripts/{name}"], \
-        f"output changed: scripts/{name}"
 
 
 if __name__ == "__main__":
