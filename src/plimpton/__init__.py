@@ -8,7 +8,6 @@ from .sexagesimal import (
     factor_2_3_5,
     from_fraction,
     is_regular,
-    mul,
     parse_sex,
     reciprocal,
     regular_from_int,

@@ -34,6 +34,7 @@ from .sexagesimal import (
     ONE,
     SexValue,
     SexagesimalError,
+    _canonical,
     _exceeds,
     _ratio,
     _ratio_text,
@@ -228,7 +229,7 @@ def _row_record(c: RowCandidate, leading_one: bool) -> dict:
     if not leading_one:
         flags.append("leading_one_dropped")
     return {"label": str(c.n), "T": c.pair.T.value, "Tbar": c.pair.Tbar.value,
-            "X": c.xy.x, "Y": c.xy.y, "S": SexValue(c.s), "D": SexValue(c.d),
+            "X": c.xy.x, "Y": c.xy.y, "S": _canonical(c.s, 0), "D": _canonical(c.d, 0),
             "A": a, "flags": ";".join(flags)}
 
 

@@ -23,7 +23,7 @@ from .pairs import (
     _four_place_index,
     _four_place_pairs,
 )
-from .rows import RowCandidate, build_row
+from .rows import RowCandidate, _candidate, build_row
 from .sexagesimal import (
     RegularNumber,
     SexagesimalError,
@@ -40,6 +40,7 @@ TABLE1_PQ = [
     (20, 9), (54, 25), (32, 15), (25, 12), (81, 40),
     (2, 1), (48, 25), (15, 8), (50, 27), (9, 5),
 ]
+_TABLE1_PQ_SET = frozenset(TABLE1_PQ)  # ns1945's row test: one lookup per index entry
 
 
 def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test, t, tbar) -> bool:
@@ -65,7 +66,7 @@ def _table1_row(p: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
     row = build_row(p, n, reduction)
     k = gcd(row.s, row.d)
     g = 2 - row.s // k % 2
-    return RowCandidate(n, p, row.xy, row.s // k * g, row.d // k * g, row.a, 1, g == 1)
+    return _candidate(n, p, row.xy, row.s // k * g, row.d // k * g, row.a, 1, g == 1)
 
 
 # Every theory, in survey order, as its row rule (pair, n, reduction) ->
@@ -79,7 +80,7 @@ def _table1_row(p: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
 # and P/Q < 1 + sqrt(2).  Price's text misprints his upper bound 12/5 as
 # 2;25, which admits no further regular ratio (tests/test_hypotheses.py).
 THEORIES = {
-    "ns1945": (_table1_row, *_pq(1, 60, None, lambda p, q: (p, q) in TABLE1_PQ)),
+    "ns1945": (_table1_row, *_pq(1, 60, None, lambda p, q: (p, q) in _TABLE1_PQ_SET)),
     "bruins1949": (build_row, *PLIMPTON_PADDED, CRITERIA["bruins"]),
     "price1964": (build_row, *_pq(2, 60, None, lambda p, q: 9 * p > 16 * q and 5 * p <= 12 * q)),
     "buck1980": (build_row, *_pq(1, 100, 100,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd
 
 from .pairs import ReciprocalPair
-from .sexagesimal import SexagesimalError, _aligned, _canonical, _Value, mul
+from .sexagesimal import SexagesimalError, SexValue, _aligned, _canonical, _Value
 
 
 class XYPair(_Value):
@@ -22,6 +22,27 @@ class XYPair(_Value):
 class RowCandidate(_Value):
     # reduced: False when the scribal small-number form is kept
     __slots__ = ("n", "pair", "xy", "s", "d", "a", "reduction_factor", "reduced")
+
+
+_set_x, _set_y = XYPair._setters
+_set_n, _set_pair, _set_xy, _set_s, _set_d, _set_a, _set_factor, _set_reduced = \
+    RowCandidate._setters
+
+
+def _candidate(n: int, p: ReciprocalPair, xy: XYPair, s: int, d: int, a: SexValue,
+               factor: int, reduced: bool) -> RowCandidate:
+    """``RowCandidate(n, p, xy, s, d, a, factor, reduced)`` set slot by slot,
+    without the generic loop, for the fields a row rule derived itself."""
+    row = object.__new__(RowCandidate)
+    _set_n(row, n)
+    _set_pair(row, p)
+    _set_xy(row, xy)
+    _set_s(row, s)
+    _set_d(row, d)
+    _set_a(row, a)
+    _set_factor(row, factor)
+    _set_reduced(row, reduced)
+    return row
 
 
 # A scribe working in two-place cells has no reason to reduce numbers that
@@ -48,12 +69,15 @@ def build_row(p: ReciprocalPair, n: int = 0,
     if mtbar >= mt:
         raise SexagesimalError("pair is not in T > Tbar orientation")
     mx, my = 30 * (mt - mtbar), 30 * (mt + mtbar)  # X, Y at e - 1: a half is 30
-    xy = XYPair(_canonical(mx, e - 1), _canonical(my, e - 1))
+    x, y = _canonical(mx, e - 1), _canonical(my, e - 1)
+    xy = object.__new__(XYPair)
+    _set_x(xy, x)
+    _set_y(xy, y)
     # the factor is X and Y's gcd at the lesser of their canonical exponents
     g = gcd(mx, my)
-    s, d, factor = mx // g, my // g, g // 60 ** (min(xy.x.exponent, xy.y.exponent) + 1 - e)
-    a = mul(xy.y, xy.y)
+    s, d, factor = mx // g, my // g, g // 60 ** (min(x.exponent, y.exponent) + 1 - e)
+    a = _canonical(y.mantissa * y.mantissa, 2 * y.exponent)  # A = Y**2
     if (reduction == "tablet_faithful" and s * factor < _SCRIBAL_PLACE_LIMIT
             and d * factor < _SCRIBAL_PLACE_LIMIT):
-        return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
-    return RowCandidate(n, p, xy, s, d, a, factor, True)
+        return _candidate(n, p, xy, s * factor, d * factor, a, 1, False)
+    return _candidate(n, p, xy, s, d, a, factor, True)

@@ -98,8 +98,8 @@ class SexValue(_Value):
     @property
     def fraction(self) -> Fraction:
         """Fixed-reading value as an exact ``fractions.Fraction``."""
-        from fractions import Fraction
-        return Fraction(*_ratio(self))
+        import fractions
+        return fractions.Fraction(*_ratio(self))
 
     def __str__(self) -> str:
         return render_sex(self)
@@ -120,7 +120,10 @@ def _set_canonical(v: SexValue, mantissa: int, exponent: int) -> None:
 
 def _canonical(mantissa: int, exponent: int) -> SexValue:
     """``SexValue(mantissa, exponent)`` without its checks, for the ints
-    mantissa >= 0 and exponent that the library derived itself."""
+    mantissa >= 0 and exponent that the library derived itself, never a
+    caller's input: products, reciprocals, the members of a pair built from
+    triples, a row's X, Y and A (``rows.build_row``) and the S and D that the
+    CLI prints for a generated row."""
     v = object.__new__(SexValue)
     _set_canonical(v, mantissa, exponent)
     return v
@@ -162,8 +165,10 @@ def from_fraction(value: Fraction | int) -> SexValue:
     A float is refused (its binary value is rarely the number meant), and so is a bool."""
     if isinstance(value, (float, bool)):
         raise SexagesimalError(f"{value!r} is a {type(value).__name__}; pass an int or Fraction")
-    from fractions import Fraction
-    return _from_ratio(*Fraction(value).as_integer_ratio())
+    import fractions  # cheaper per call than a from-import
+    if type(value) is not fractions.Fraction:
+        value = fractions.Fraction(value)
+    return _from_ratio(*value.as_integer_ratio())
 
 
 # each base-60 place below the leading one, two characters wide

@@ -209,11 +209,11 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
             raise SexagesimalError(f"S and D must be non-negative ints, not {s!r} and {d!r}")
         # canonical A: field equality is fixed-reading equality
         ts, td = _int_value(row.s.corrected), _int_value(row.d.corrected)
-        cells = tuple(name for name, got, want in (("A", cand.a, row.a.corrected),
-                      ("S", s, ts), ("D", d, td)) if got != want)
-        if not cells:
+        if cand.a == row.a.corrected and s == ts and d == td:
             diffs.append(RowDiff(row.n, "exact", None, ()))
             continue
+        cells = tuple(name for name, got, want in (("A", cand.a, row.a.corrected),
+                      ("S", s, ts), ("D", d, td)) if got != want)
         if matching == "similarity" and "A" not in cells:
             if s > 0 and ts * d == td * s:  # ts/s == td/d
                 try:

@@ -117,6 +117,10 @@ def loop_from_fraction(value) -> SexValue:
     return SexValue(num // den, -k)
 
 
+class _FractionSubclass(Fraction):
+    """Read by from_fraction as the Fraction it is."""
+
+
 def tokenwise_parse_digits(text: str) -> list[int]:
     """_parse_digits with every token checked alone, without the table."""
     if not text:
@@ -470,6 +474,22 @@ class TestClosedFormFromFraction:
         assert outcome(from_fraction, value) == outcome(loop_from_fraction, value)
         # an integer argument too
         assert outcome(from_fraction, num) == outcome(loop_from_fraction, num)
+
+    @pytest.mark.parametrize("value", [
+        0, 7, -3, 10**30, Fraction(12, 5), Fraction(1, 7), Fraction(-1, 2),
+        _FractionSubclass(1, 2), _FractionSubclass(1, 7), _FractionSubclass(-5, 4),
+        Decimal("0.1"), Decimal("2.5"), Decimal("1E-70"), Decimal("-1"), Decimal("NaN"),
+        Decimal("Infinity"), "1/10", " 3/4 ", "0.125", "1/7", "-2", "abc", "", None, [1],
+    ], ids=repr)
+    def test_each_accepted_type_reads_as_its_fraction(self, value):
+        # whatever Fraction(value) reads, a Fraction subclass included, gives
+        # the same value, and whatever it refuses, the same error
+        def result(fn):
+            try:
+                return fn(value)
+            except (ValueError, TypeError, OverflowError) as e:
+                return type(e), str(e)
+        assert result(from_fraction) == result(loop_from_fraction)
 
     def test_the_cap_is_unchanged(self):
         assert from_fraction(Fraction(1, 2**128)) == SexValue(15**64, -64)
