@@ -40,7 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("reproduce", "link", "arith")
-METRICS = ("setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
+# each end-to-end metric's name and the direction BENCHMARK.json calls better
+BETTER = {m["name"]: m["better"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+METRICS = tuple(BETTER)
 
 
 def summarize(lines: list[str]) -> dict:
@@ -142,11 +145,9 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": summaries["change"],
     }
     if args.parent is not None:
-        better = {m["name"]: m["better"] for m in json.loads(
-            (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
         doc["parent"] = {"commit": _commit(args.parent), "src_lines": _src_lines(args.parent),
                          "workloads": summaries["parent"]}
-        doc["pairs"] = {w: compare(lines["parent"][w], lines["change"][w], better)
+        doc["pairs"] = {w: compare(lines["parent"][w], lines["change"][w], BETTER)
                         for w in WORKLOADS}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -21,7 +21,6 @@ from .pairs import (
 )
 from .rows import (
     RowCandidate,
-    XYPair,
     build_row,
 )
 from .hypotheses import (

@@ -229,7 +229,7 @@ def _row_record(c: RowCandidate, leading_one: bool) -> dict:
     if not leading_one:
         flags.append("leading_one_dropped")
     return {"label": str(c.n), "T": c.pair.T.value, "Tbar": c.pair.Tbar.value,
-            "X": c.xy.x, "Y": c.xy.y, "S": _canonical(c.s, 0), "D": _canonical(c.d, 0),
+            "X": c.x, "Y": c.y, "S": _canonical(c.s, 0), "D": _canonical(c.d, 0),
             "A": a, "flags": ";".join(flags)}
 
 
@@ -329,10 +329,10 @@ COMMANDS = {
         ("--leading-one", {"choices": ("on", "off"), "default": "on"}), _FORMAT]),
     ("tablet",): ({"help": "verify, diff or list scribal errors"}, []),
     ("tablet", "verify"): ({}, [_EDITION, _FORMAT, (
-        "--use", {"choices": ("corrected", "as_written"), "default": "corrected"})]),
+        "--use", {"choices": tablet.USES, "default": "corrected"})]),
     ("tablet", "diff"): ({}, [
         _EDITION, _FORMAT, ("--hypothesis", _HYPOTHESIS | {"default": "phillips"}),
-        ("--matching", {"choices": ("exact", "similarity"), "default": "exact"}),
+        ("--matching", {"choices": tablet.MATCHINGS, "default": "exact"}),
         ("--reduction", _REDUCTION | {"default": "tablet-faithful"})]),
     ("tablet", "errors"): ({}, [_EDITION, _FORMAT]),
     ("extend",): ({"help": "extension tables beyond the 15 rows"}, [

@@ -66,7 +66,7 @@ def _table1_row(p: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
     row = build_row(p, n, reduction)
     k = gcd(row.s, row.d)
     g = 2 - row.s // k % 2
-    return _candidate(n, p, row.xy, row.s // k * g, row.d // k * g, row.a, 1, g == 1)
+    return _candidate(n, p, row.x, row.y, row.s // k * g, row.d // k * g, row.a, 1, g == 1)
 
 
 # Every theory, in survey order, as its row rule (pair, n, reduction) ->

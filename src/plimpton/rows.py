@@ -13,30 +13,29 @@ from .pairs import ReciprocalPair
 from .sexagesimal import SexagesimalError, SexValue, _aligned, _canonical, _Value
 
 
-class XYPair(_Value):
-    """Fixed-reading pair with Y**2 - X**2 = 1 exactly."""
-
-    __slots__ = ("x", "y")
-
-
 class RowCandidate(_Value):
-    # reduced: False when the scribal small-number form is kept
-    __slots__ = ("n", "pair", "xy", "s", "d", "a", "reduction_factor", "reduced")
+    """One tablet row, its fields in derivation order; ``reduced`` is False
+    when the scribal small-number form is kept.  A row built by
+    :func:`build_row` has Y**2 - X**2 = 1; the public constructor checks
+    nothing of the kind."""
+
+    __slots__ = ("n", "pair", "x", "y", "s", "d", "a", "reduction_factor", "reduced")
 
 
-_set_x, _set_y = XYPair._setters
-_set_n, _set_pair, _set_xy, _set_s, _set_d, _set_a, _set_factor, _set_reduced = \
+_set_n, _set_pair, _set_x, _set_y, _set_s, _set_d, _set_a, _set_factor, _set_reduced = \
     RowCandidate._setters
 
 
-def _candidate(n: int, p: ReciprocalPair, xy: XYPair, s: int, d: int, a: SexValue,
-               factor: int, reduced: bool) -> RowCandidate:
-    """``RowCandidate(n, p, xy, s, d, a, factor, reduced)`` set slot by slot,
-    without the generic loop, for the fields a row rule derived itself."""
+def _candidate(n: int, p: ReciprocalPair, x: SexValue, y: SexValue, s: int, d: int,
+               a: SexValue, factor: int, reduced: bool) -> RowCandidate:
+    """``RowCandidate(n, p, x, y, s, d, a, factor, reduced)`` set slot by
+    slot, in order, without the generic loop: the one row builder, for the
+    fields a row rule derived itself."""
     row = object.__new__(RowCandidate)
     _set_n(row, n)
     _set_pair(row, p)
-    _set_xy(row, xy)
+    _set_x(row, x)
+    _set_y(row, y)
     _set_s(row, s)
     _set_d(row, d)
     _set_a(row, a)
@@ -70,14 +69,11 @@ def build_row(p: ReciprocalPair, n: int = 0,
         raise SexagesimalError("pair is not in T > Tbar orientation")
     mx, my = 30 * (mt - mtbar), 30 * (mt + mtbar)  # X, Y at e - 1: a half is 30
     x, y = _canonical(mx, e - 1), _canonical(my, e - 1)
-    xy = object.__new__(XYPair)
-    _set_x(xy, x)
-    _set_y(xy, y)
     # the factor is X and Y's gcd at the lesser of their canonical exponents
     g = gcd(mx, my)
     s, d, factor = mx // g, my // g, g // 60 ** (min(x.exponent, y.exponent) + 1 - e)
     a = _canonical(y.mantissa * y.mantissa, 2 * y.exponent)  # A = Y**2
     if (reduction == "tablet_faithful" and s * factor < _SCRIBAL_PLACE_LIMIT
             and d * factor < _SCRIBAL_PLACE_LIMIT):
-        return _candidate(n, p, xy, s * factor, d * factor, a, 1, False)
-    return _candidate(n, p, xy, s, d, a, factor, True)
+        return _candidate(n, p, x, y, s * factor, d * factor, a, 1, False)
+    return _candidate(n, p, x, y, s, d, a, factor, True)

@@ -26,6 +26,8 @@ from .sexagesimal import (
 )
 
 EDITIONS = ("joyce", "robson")
+USES = ("corrected", "as_written")
+MATCHINGS = ("exact", "similarity")
 
 _COLUMN_SPLIT = re.compile(r"\s{2,}")
 _MARKUP = re.compile(r"[\[\]()]")
@@ -147,7 +149,7 @@ def verify_properties(rows: list[TabletRowRecord],
     """The five arithmetic properties of the columns: column A strictly
     decreases down the rows, and every row passes each test of PROPERTIES.
     A failure lists the numbers of the rows that break the property."""
-    if use not in ("corrected", "as_written"):  # checked with no rows too
+    if use not in USES:  # checked with no rows too
         raise ValueError(f"use must be 'corrected' or 'as_written', not {use!r}")
     read = []  # each row's number, its A as (n, m), and its S and D as integers
     for r in rows:
@@ -193,7 +195,7 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
     Similarity matching also accepts (S, D) equal to the tablet's values up
     to a common regular factor, and reports that factor.
     """
-    if matching not in ("exact", "similarity"):
+    if matching not in MATCHINGS:
         raise ValueError(f"matching must be 'exact' or 'similarity', not {matching!r}")
     attested = tablet_data(edition)
     if len(candidates) != len(attested):

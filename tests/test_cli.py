@@ -20,7 +20,7 @@ from plimpton import cli, hypotheses, pairs, sexagesimal, tablet
 from plimpton.cli import main
 from plimpton.hypotheses import THEORIES
 from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs
-from plimpton.rows import RowCandidate, XYPair, build_row
+from plimpton.rows import RowCandidate, build_row
 from plimpton.sexagesimal import (
     SexValue,
     factor_2_3_5,
@@ -214,7 +214,8 @@ def _recorded(path: tuple[str, ...], name: str) -> dict:
 class TestCriterionVocabulary:
     """The criterion names are CRITERIA's keys everywhere: in the CLI's
     records and parser, in the hypotheses and in enumerate_pairs; the theory
-    names are THEORIES' keys in both options that take one."""
+    names are THEORIES' keys in both options that take one; the edition,
+    use and matching names are tablet's EDITIONS, USES and MATCHINGS."""
 
     def test_cli_choices_are_the_criteria(self):
         criterion = _option(cli._build_parser(), "criterion", "pairs")
@@ -227,6 +228,18 @@ class TestCriterionVocabulary:
         assert hypothesis.choices == tuple(THEORIES)
         assert _recorded(path, "--hypothesis")["choices"] == tuple(THEORIES)
         assert not hasattr(hypotheses, "HYPOTHESIS_TAGS")
+
+    @pytest.mark.parametrize("path,option,choices", [
+        (("tablet", "verify"), "--edition", tablet.EDITIONS),
+        (("tablet", "diff"), "--edition", tablet.EDITIONS),
+        (("tablet", "errors"), "--edition", tablet.EDITIONS),
+        (("tablet", "verify"), "--use", tablet.USES),
+        (("tablet", "diff"), "--matching", tablet.MATCHINGS),
+    ])
+    def test_cli_choices_are_the_tablet_vocabulary(self, path, option, choices):
+        action = _option(cli._build_parser(), option.removeprefix("--"), *path)
+        assert action.choices == choices
+        assert _recorded(path, option)["choices"] == choices
 
     def test_theories_name_criteria(self):
         # each theory's test is a CRITERIA entry or a (P, Q) row test, and
@@ -920,11 +933,11 @@ class TestWorkCeilings:
                              ids=" ".join)
     def test_row_records_are_set_by_their_slots(self, capsys, argv):
         # after one warm call: A is Y's mantissa squared, not a checked
-        # product, and a row and its X/Y pair skip the generic constructor
+        # product, and a row skips the generic constructor
         assert run(capsys, *argv)[0] == 0
-        with counted(sexagesimal.mul, RowCandidate, XYPair) as (products, rows, xy_pairs):
+        with counted(sexagesimal.mul, RowCandidate) as (products, rows):
             assert run(capsys, *argv)[0] == 0
-        assert products == rows == xy_pairs == []
+        assert products == rows == []
 
     @pytest.mark.parametrize("argv", [
         ("rows", "--hypothesis", "phillips"),

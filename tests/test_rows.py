@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from plimpton.hypotheses import TABLE1_PQ, generate
 from plimpton.pairs import ReciprocalPair, _four_place_pairs
-from plimpton.rows import RowCandidate, XYPair, build_row
+from plimpton.rows import RowCandidate, build_row
 from plimpton.sexagesimal import (
     RegularNumber,
     SexValue,
@@ -29,14 +29,14 @@ UNIT = ReciprocalPair.from_T_mantissa(1)         # (1, 1)
 
 class TestXY:
     def test_half_difference_half_sum(self):
-        xy = build_row(ROW1).xy
-        assert xy.x.fraction == Fraction(12, 5) / 2 - Fraction(5, 12) / 2
-        assert xy.y.fraction == Fraction(12, 5) / 2 + Fraction(5, 12) / 2
+        row = build_row(ROW1)
+        assert row.x.fraction == Fraction(12, 5) / 2 - Fraction(5, 12) / 2
+        assert row.y.fraction == Fraction(12, 5) / 2 + Fraction(5, 12) / 2
 
     def test_defining_identity(self):
         for m in (144, 2, 500000, 512000, 108):
-            xy = build_row(ReciprocalPair.from_T_mantissa(m)).xy
-            assert xy.y.fraction ** 2 - xy.x.fraction ** 2 == 1
+            row = build_row(ReciprocalPair.from_T_mantissa(m))
+            assert row.y.fraction ** 2 - row.x.fraction ** 2 == 1
 
     def test_degenerate_unit_pair_rejected(self):
         # (1, 1) would give X = 0: refused by orientation
@@ -45,7 +45,7 @@ class TestXY:
 
     def test_orientation_is_compared_in_the_fixed_reading(self):
         # (2, 30): Tbar's mantissa is the larger, its fixed value 1/2 is not
-        assert build_row(ROW11).xy.x == SexValue(45, -1)
+        assert build_row(ROW11).x == SexValue(45, -1)
         for p in (ROW1, ROW11, ROW4):
             with pytest.raises(SexagesimalError, match="orientation"):
                 build_row(ReciprocalPair(p.Tbar, p.T))
@@ -81,18 +81,18 @@ class TestReduction:
             m = 144
         row = build_row(ReciprocalPair.from_T_mantissa(m))
         k = 2**a * 3**b * 5**c
-        assert (row.s, row.d) == gcd_reduced(k * row.xy.x.fraction, k * row.xy.y.fraction)
+        assert (row.s, row.d) == gcd_reduced(k * row.x.fraction, k * row.y.fraction)
 
 
 class TestColumnA:
     def test_row4_eight_place_value(self):
         row = build_row(ROW4)
         assert render_sex(row.a) == "1 53 10 29 32 52 16"
-        assert sub(row.a, mul(row.xy.x, row.xy.x)) == SexValue(1)
+        assert sub(row.a, mul(row.x, row.x)) == SexValue(1)
 
     def test_a_is_y_squared(self):
         row = build_row(ROW1)
-        assert row.a == mul(row.xy.y, row.xy.y)
+        assert row.a == mul(row.y, row.y)
 
 
 def pq_pair(p, q):
@@ -192,8 +192,8 @@ def _composed_xy(p):
     return (t - tbar) / 2, (t + tbar) / 2
 
 
-def _fractions(xy):
-    return xy.x.fraction, xy.y.fraction
+def _fractions(row):
+    return row.x.fraction, row.y.fraction
 
 
 def _sex(f):
@@ -212,14 +212,14 @@ def _composed_row(p, n, reduction):
     if ((t + tbar) / 2) ** 2 - ((t - tbar) / 2) ** 2 != 1:
         raise SexagesimalError("(T, T̄) is not a reciprocal pair")
     x, y = _composed_xy(p)
-    xy, a = XYPair(_sex(x), _sex(y)), _sex(y * y)
+    sx, sy, a = _sex(x), _sex(y), _sex(y * y)
     s, d = gcd_reduced(x, y)
-    factor = x / s / Fraction(60) ** min(xy.x.exponent, xy.y.exponent)
+    factor = x / s / Fraction(60) ** min(sx.exponent, sy.exponent)
     assert factor.denominator == 1
     factor = int(factor)
     if reduction == "tablet_faithful" and s * factor < 3600 and d * factor < 3600:
-        return RowCandidate(n, p, xy, s * factor, d * factor, a, 1, False)
-    return RowCandidate(n, p, xy, s, d, a, factor, True)
+        return RowCandidate(n, p, sx, sy, s * factor, d * factor, a, 1, False)
+    return RowCandidate(n, p, sx, sy, s, d, a, factor, True)
 
 
 # two members, read as a pair is, with no pair built from them
@@ -246,8 +246,8 @@ class TestAgainstTheComposition:
         p = ReciprocalPair.from_triple(triple)
         assume(p.T.mantissa != 1)
         row = build_row(p, 7, reduction)
-        assert _fractions(row.xy) == _composed_xy(p)
-        assert row.a.fraction == row.xy.y.fraction ** 2
+        assert _fractions(row) == _composed_xy(p)
+        assert row.a.fraction == row.y.fraction ** 2
         assert row == _composed_row(p, 7, reduction)
 
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])

@@ -8,7 +8,7 @@ import pytest
 
 from plimpton import (
     SexValue,
-    XYPair,
+    TabletCell,
     build_row,
     diff_against,
     error_annotations,
@@ -34,7 +34,6 @@ def _samples():
         regular_from_int(54),
         pairs[1],
         printed_corrections("standard-15", pairs)[0],
-        row.xy,
         row,
         link_to_standard(pairs[1]),
         record.a,
@@ -59,7 +58,7 @@ def _fields(value):
 
 def test_every_value_class_is_sampled():
     assert set(SAMPLES) == {
-        "SexValue", "RegularNumber", "ReciprocalPair", "Correction", "XYPair",
+        "SexValue", "RegularNumber", "ReciprocalPair", "Correction",
         "RowCandidate", "LinkChain", "TabletCell", "TabletRowRecord",
         "PropertyResult", "RowDiff", "DiffReport", "ErrorAnnotation"}
 
@@ -118,9 +117,9 @@ class TestValueSemantics:
 class TestConstruction:
     def test_repr_form(self):
         assert repr(SexValue(3600)) == "SexValue(mantissa=1, exponent=2)"
-        assert repr(XYPair(SexValue(3), SexValue(5))) == (
-            "XYPair(x=SexValue(mantissa=3, exponent=0), "
-            "y=SexValue(mantissa=5, exponent=0))")
+        assert repr(TabletCell(SexValue(3), SexValue(5))) == (
+            "TabletCell(corrected=SexValue(mantissa=3, exponent=0), "
+            "as_written=SexValue(mantissa=5, exponent=0))")
 
     def test_sexvalue_is_canonical_however_built(self):
         assert SexValue(3600) == SexValue(1, 2)
