@@ -39,10 +39,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("reproduce", "link", "arith")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 # each end-to-end metric's name and the direction BENCHMARK.json calls better
-BETTER = {m["name"]: m["better"] for m in json.loads(
-    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 METRICS = tuple(BETTER)
 
 
@@ -65,19 +65,19 @@ def summarize(lines: list[str]) -> dict:
             "metrics": metrics}
 
 
-def compare(parent: list[str], change: list[str], better: dict[str, str]) -> dict:
+def compare(parent: list[str], change: list[str]) -> dict:
     """Per metric, the pairs of runs (parent[i], change[i]) that the change
     won and lost, and whether it meets the rule for a claimed gain."""
     before, after = summarize(parent)["metrics"], summarize(change)["metrics"]
     out = {}
     for name in METRICS:
-        sign = 1 if better[name] == "higher" else -1
+        sign = 1 if BETTER[name] == "higher" else -1
         gaps = [sign * (json.loads(c)["metrics"][name]["value"]
                         - json.loads(p)["metrics"][name]["value"])
                 for p, c in zip(parent, change, strict=True)]
         won, lost = sum(g > 0 for g in gaps), sum(g < 0 for g in gaps)
         was, now = before[name], after[name]
-        out[name] = {"better": better[name], "pairs": len(gaps), "won": won, "lost": lost,
+        out[name] = {"better": BETTER[name], "pairs": len(gaps), "won": won, "lost": lost,
                      "gain": 10 * won >= 9 * len(gaps)
                      and sign * (now["median"] - was["median"]) > was["q3"] - was["q1"]}
     return out
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.parent is not None:
         doc["parent"] = {"commit": _commit(args.parent), "src_lines": _src_lines(args.parent),
                          "workloads": summaries["parent"]}
-        doc["pairs"] = {w: compare(lines["parent"][w], lines["change"][w], BETTER)
+        doc["pairs"] = {w: compare(lines["parent"][w], lines["change"][w])
                         for w in WORKLOADS}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -61,10 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class DataError(Exception):
-    """Bad input values (as opposed to bad flags)."""
-
-
 def _decimal(field: str, value) -> str:
     """``str(value)`` in decimal.  Python bounds the digits of an int it
     converts to a string (4,300 by default); past that bound the field is a
@@ -72,9 +68,9 @@ def _decimal(field: str, value) -> str:
     try:
         return str(value)
     except ValueError:
-        raise DataError(f"{field} has more than {sys.get_int_max_str_digits()} "
-                        "decimal digits, the interpreter's limit for integer "
-                        "string conversion") from None
+        raise ValueError(f"{field} has more than {sys.get_int_max_str_digits()} "
+                         "decimal digits, the interpreter's limit for integer "
+                         "string conversion") from None
 
 
 class _Encoded(str):
@@ -180,9 +176,9 @@ def _parse_regular_arg(text: str):
                        if n % f == 0), None)
         if factor is None:
             cofactor = _decimal("not regular: cofactor", n)
-            raise DataError(f"not regular: cofactor {cofactor} has no prime "
-                            f"factor below {_FACTOR_BOUND}")
-        raise DataError(f"not regular: factor {factor}")
+            raise SexagesimalError(f"not regular: cofactor {cofactor} has no prime "
+                                   f"factor below {_FACTOR_BOUND}")
+        raise SexagesimalError(f"not regular: factor {factor}")
     return r
 
 
@@ -208,7 +204,7 @@ def cmd_pairs(args) -> int:
         lo = parse_sex(args.range_from, "fixed")
         hi = parse_sex(args.range_to, "fixed")
     except SexagesimalError as e:
-        raise DataError(f"malformed range: {e}")
+        raise SexagesimalError(f"malformed range: {e}")
     if _exceeds(lo, hi):
         lo, hi = hi, lo
     found = enumerate_pairs(args.criterion, lo, hi)
@@ -429,7 +425,7 @@ def _run(argv: list[str] | None) -> int:
     command = globals()["cmd_" + "_".join(path)]
     try:
         return command(args)
-    except (DataError, SexagesimalError, ValueError) as e:
+    except ValueError as e:  # SexagesimalError is one
         print(f"plimpton: error: {e}", file=sys.stderr)
         return EXIT_DATA
 

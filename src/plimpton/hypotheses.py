@@ -28,6 +28,7 @@ from .sexagesimal import (
     RegularNumber,
     SexagesimalError,
     _product,
+    _ratio,
     _ratio_text,
     _Value,
     parse_sex,
@@ -58,15 +59,15 @@ def _pq(*args):
     return 60**3 + 1, 3 * 60**3, partial(_pq_keep, *args)
 
 
-def _table1_row(p: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
-    """Table 1's row: the formulas' raw S = P**2 - Q**2, D = P**2 + Q**2 for
-    T = P/Q in lowest terms, whatever the reduction: the coprime S and D
-    times their gcd g, which is 2 when P and Q are both odd (the coprime S
-    is then even) and 1 otherwise."""
-    row = build_row(p, n, reduction)
-    k = gcd(row.s, row.d)
-    g = 2 - row.s // k % 2
-    return _candidate(n, p, row.x, row.y, row.s // k * g, row.d // k * g, row.a, 1, g == 1)
+def _table1_row(pair: ReciprocalPair, n: int, reduction: str) -> RowCandidate:
+    """Table 1's row, whatever the reduction: S = P**2 - Q**2 and D = P**2 +
+    Q**2 for T = P/Q in lowest terms, with X, Y and A as build_row derives
+    them.  The row counts as reduced when S and D are coprime: when P and Q
+    are not both odd."""
+    row = build_row(pair, n, reduction)
+    p, q = _ratio(pair.T.value)
+    s, d = p * p - q * q, p * p + q * q
+    return _candidate(n, pair, row.x, row.y, s, d, row.a, 1, gcd(s, d) == 1)
 
 
 # Every theory, in survey order, as its row rule (pair, n, reduction) ->
@@ -205,8 +206,7 @@ UPPER_EXTENSION_PRINTED = [
 # A cited earlier reconstruction gives row -17's T as 3 29 10; computation
 # confirms the tabulated 3 28 20 (the reciprocal of 17 16 48).  A table's
 # variant rows are logged after its own, each against its label's row.
-MINUS_17_VARIANT_PRINTED = [("-17", "3 29 10")]
-PRINTED_VARIANTS = {"extension-lower": MINUS_17_VARIANT_PRINTED}
+PRINTED_VARIANTS = {"extension-lower": [("-17", "3 29 10")]}
 
 # Every printed table of pairs, by the name its correction log carries: its
 # rows as printed, (label, T, Tbar, ...), then the selection record (see
@@ -221,9 +221,9 @@ PRINTED_TABLES = {
     "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, *PLIMPTON_PADDED,
                        lambda t, tbar: not _mult10(t, tbar)),
     # 2;24 < T <= 3;54 22 30
-    "extension-lower": (LOWER_EXTENSION_PRINTED, 518401, 843750, _mult10),
+    "extension-lower": (LOWER_EXTENSION_PRINTED, PLIMPTON_PADDED[1] + 1, 843750, _mult10),
     # 1 < T < 1;48
-    "extension-upper": (UPPER_EXTENSION_PRINTED, 216001, 388799, _mult10),
+    "extension-upper": (UPPER_EXTENSION_PRINTED, 60**3 + 1, PLIMPTON_PADDED[0] - 1, _mult10),
 }
 
 

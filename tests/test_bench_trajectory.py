@@ -70,10 +70,6 @@ def test_main_writes_the_file_then_fails_on_an_incorrect_run(trajectory, monkeyp
         w: incorrect is None or w != incorrect[0] for w in trajectory.WORKLOADS}
 
 
-BETTER = {m["name"]: m["better"] for m in json.loads(
-    (REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
-
-
 # the parent's median is 5 and its inclusive quartiles 4.25 and 5.75
 @pytest.mark.parametrize("ops,won,lost,gain", [
     # nine of ten pairs won, and the medians 13 and 5 differ by more than 1.5
@@ -86,7 +82,7 @@ BETTER = {m["name"]: m["better"] for m in json.loads(
 def test_compare_counts_pairs_and_applies_the_gain_rule(trajectory, ops, won, lost, gain):
     parent = [timed_line(ops_per_s=v) for v in (4, 4, 4, 5, 5, 5, 5, 6, 6, 6)]
     change = [timed_line(ops_per_s=v) for v in ops]
-    result = trajectory.compare(parent, change, BETTER)
+    result = trajectory.compare(parent, change)
     assert result["ops_per_s"] == {"better": "higher", "pairs": 10, "won": won, "lost": lost,
                                    "gain": gain}
     # every other metric ties in every pair
@@ -98,7 +94,7 @@ def test_compare_counts_pairs_and_applies_the_gain_rule(trajectory, ops, won, lo
 def test_compare_reads_lower_as_better_for_a_time(trajectory):
     parent = [timed_line(op_p50_ms=v) for v in (2, 2, 3)]
     change = [timed_line(op_p50_ms=1)] * 3
-    result = trajectory.compare(parent, change, BETTER)
+    result = trajectory.compare(parent, change)
     assert result["op_p50_ms"] == {"better": "lower", "pairs": 3, "won": 3, "lost": 0,
                                    "gain": True}
 

@@ -1,8 +1,8 @@
 """The CLI against the benchmark's independent oracle, ``bench/oracle.py``,
 which computes on integers and Fractions and imports nothing from plimpton:
 ``pairs`` over every criterion and any range, ``recip`` and ``link`` on
-regular values of up to ~40 places, and the rows of every theory whose row
-rule is ``build_row``, each run through ``main()``."""
+regular values of up to ~40 places, and the rows of every theory (ns1945's
+S and D against Table 1's formula), each run through ``main()``."""
 
 import contextlib
 import io
@@ -80,20 +80,22 @@ def test_cli_agrees_with_the_oracle(case):
     check(*args)
 
 
-# ns1945's rows keep Table 1's raw S and D and their flags (TestPQ checks
-# those), which the oracle's build_row does not give: only X, Y and A are
-# checked there
+# ns1945's rows keep Table 1's raw S = P**2 - Q**2 and D = P**2 + Q**2 for
+# T = P/Q in lowest terms, unreduced exactly when P and Q are both odd;
+# every other theory's S, D and flag are the oracle's build_row's
 @pytest.mark.parametrize("reduction", ["full", "tablet-faithful"])
 @pytest.mark.parametrize("tag", list(THEORIES))
 def test_rows_agree_with_the_oracle(tag, reduction):
-    derived = THEORIES[tag][0] is build_row
-    columns = ("X", "Y", "A", "S", "D") if derived else ("X", "Y", "A")
+    columns = ("X", "Y", "A", "S", "D")
     doc = json.loads(_out("rows", "--hypothesis", tag, "--reduction", reduction,
                           "--format", "json"))
     assert doc["rows"]
     for row in doc["rows"]:
-        want = oracle.build_row(_fraction(row["T"]), _fraction(row["Tbar"]), reduction)
+        t = _fraction(row["T"])
+        want = oracle.build_row(t, _fraction(row["Tbar"]), reduction)
+        if THEORIES[tag][0] is not build_row:
+            p, q = t.numerator, t.denominator
+            want |= {"S": p * p - q * q, "D": p * p + q * q, "unreduced": p % 2 == q % 2 == 1}
         assert {name: _fraction(row[name]) for name in columns} == \
             {name: want[name] for name in columns}, row["label"]
-        if derived:
-            assert ("unreduced_scribal_form" in row["flags"].split(";")) == want["unreduced"]
+        assert ("unreduced_scribal_form" in row["flags"].split(";")) == want["unreduced"]

@@ -291,6 +291,14 @@ class TestParseRender:
         with pytest.raises(SexagesimalError):
             parse_sex(bad, "fixed")
 
+    @pytest.mark.parametrize("text, mode, error, match", [
+        (";30", "fixed", SexagesimalError, "^empty digit string$"),  # no units digit
+        ("1 2", "octal", ValueError, "^unknown mode 'octal'$"),
+    ])
+    def test_parse_names_what_it_refuses(self, text, mode, error, match):
+        with pytest.raises(error, match=match):
+            parse_sex(text, mode)
+
     # Arabic-Indic 12, mathematical bold 7, superscript 2, fullwidth 12:
     # str.isdigit accepts them all, int() reads the first two as 12 and 7
     @pytest.mark.parametrize("digits", ["\u0661\u0662", "\U0001d7df", "\u00b2",
@@ -411,11 +419,18 @@ class TestRegulars:
         assert factor_2_3_5(512000) == (12, 0, 3)
         assert factor_2_3_5(7) is None
         assert factor_2_3_5(1) == (0, 0, 0)
+        assert factor_2_3_5(0) is None and factor_2_3_5(-8) is None
 
     def test_is_regular_uses_canonical_mantissa(self):
         assert is_regular(SexValue(7 * 60)) is None
         r = is_regular(SexValue(45))
         assert r.triple == (0, 2, 1)
+
+    def test_zero_and_non_regular_values_are_refused(self):
+        with pytest.raises(SexagesimalError, match="^regularity is defined for positive values$"):
+            is_regular(SexValue(0))
+        with pytest.raises(SexagesimalError, match="^7 is not regular$"):
+            regular_from_int(7)
 
     @pytest.mark.parametrize("n", [0.5, 2.0, True, False, Fraction(2), Decimal(2), "2", None])
     def test_factor_2_3_5_takes_only_an_int(self, n):

@@ -189,6 +189,12 @@ class TestVerification:
         with pytest.raises(ValueError, match="use must be 'corrected' or 'as_written', not 'bogus'"):
             verify_properties(rows, use="bogus")
 
+    def test_a_cell_refuses_an_unknown_use(self):
+        # verify_properties checks use before it reads a cell
+        with pytest.raises(ValueError,
+                           match="^use must be 'corrected' or 'as_written', not 'both'$"):
+            TabletCell(SexValue(3), None).value("both")
+
     def test_non_integer_side_is_a_domain_error(self):
         row = TabletRowRecord(1, TabletCell(SexValue(3), None),
                               TabletCell(SexValue(90, -1), None), TabletCell(SexValue(5), None))
@@ -348,6 +354,11 @@ class TestDiffComparesFixedValues:
                          s=c.s * 7, d=c.d * 7)
         row = diff_against(rows, "robson", "similarity").rows[4]
         assert (row.status, row.cells) == ("mismatch", ("S", "D"))
+
+    def test_an_unknown_matching_is_a_value_error(self):
+        with pytest.raises(ValueError,
+                           match="^matching must be 'exact' or 'similarity', not 'fuzzy'$"):
+            diff_against(generate("phillips"), "robson", "fuzzy")
 
     @pytest.mark.parametrize("matching", ["exact", "similarity"])
     @pytest.mark.parametrize("field", ["s", "d"])
