@@ -29,7 +29,7 @@ except ImportError:  # an interpreter without the C accelerator
 
 from . import hypotheses, pairs, tablet
 from .pairs import ReciprocalPair, enumerate_pairs
-from .rows import RowCandidate
+from .rows import REDUCTIONS, RowCandidate
 from .sexagesimal import (
     ONE,
     SexValue,
@@ -311,7 +311,7 @@ _FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
 _VALUE_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 _EDITION = ("--edition", {"choices": tablet.EDITIONS, "default": "robson"})
 _HYPOTHESIS = {"choices": tuple(hypotheses.THEORIES)}
-_REDUCTION = {"choices": ("full", "tablet-faithful")}
+_REDUCTION = {"choices": tuple(reduction.replace("_", "-") for reduction in REDUCTIONS)}
 
 COMMANDS = {
     ("recip",): ({"help": "reciprocal of a regular number"}, [_VALUE, _VALUE_FORMAT]),

@@ -44,12 +44,9 @@ TABLE1_PQ = [
 _TABLE1_PQ_SET = frozenset(TABLE1_PQ)  # ns1945's row test: one lookup per index entry
 
 
-def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test, t, tbar) -> bool:
-    """A (P, Q) theory's row as a test of a pair whose T is in (1, 3]:
-    T = P/Q in lowest terms, read off T's padded value, with
+def _pq_keep(least_q: int, q_limit: int, p_limit: int | None, test, t, tbar, p, q, pair) -> bool:
+    """A (P, Q) theory's row as a test of an index entry, T = P/Q in lowest terms in (1, 3]:
     least Q <= Q < Q limit, P < P limit (None: no limit) and test(P, Q)."""
-    g = gcd(t[0], 60**3)
-    p, q = t[0] // g, 60**3 // g
     return least_q <= q < q_limit and (p_limit is None or p < p_limit) and test(p, q)
 
 
@@ -219,7 +216,7 @@ _mult10 = CRITERIA["mult10"]
 PRINTED_TABLES = {
     "standard-15": (PLIMPTON_PAIRS_PRINTED, *THEORIES["phillips"][1:]),
     "excluded-pairs": (EXCLUDED_PAIRS_PRINTED, *PLIMPTON_PADDED,
-                       lambda t, tbar: not _mult10(t, tbar)),
+                       lambda t, tbar, p, q, pair: not _mult10(t, tbar, p, q, pair)),
     # 2;24 < T <= 3;54 22 30
     "extension-lower": (LOWER_EXTENSION_PRINTED, PLIMPTON_PADDED[1] + 1, 843750, _mult10),
     # 1 < T < 1;48

@@ -3,9 +3,9 @@
 The central selection rule: a reciprocal pair belongs to the table when both
 members, padded with trailing zeros to four sexagesimal places, are divisible
 by 10.  The plain four-place table and Bruins's exponent-based exclusion are
-the alternative rules; all three are tests of both members, the entries of
-one table, ``CRITERIA``.  Every table of pairs is one selection record of
-:func:`_four_place_pairs`.
+the alternative rules; all three, the entries of one table ``CRITERIA``, test
+one entry (t, tbar, p, q, pair) of the four-place index.  Every table of
+pairs is one selection record of :func:`_four_place_pairs`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .sexagesimal import (
     _complement,
     _exceeds,
     _product,
+    _ratio,
     _Value,
     regular_from_int,
     render_sex,
@@ -97,26 +98,27 @@ PLIMPTON_PADDED = (388800, 518400)
 
 
 # The selection rules, by the CLI's names: the keep tests of a selection
-# record (see _four_place_pairs).  A member of more than four places is in
-# no table of pairs.  places4 is the plain four-place table; bruins excludes
-# a pair where either member has alpha+beta+gamma > 13 while the other has
-# gamma > 3.
+# record (see _four_place_pairs), each a test of one index entry's fields.  A
+# member of more than four places is in no table of pairs.  places4 is the
+# plain four-place table; bruins excludes a pair where either member has
+# alpha+beta+gamma > 13 while the other has gamma > 3.
 CRITERIA = {
-    "mult10": lambda t, tbar: t[0] % 10 == 0 and tbar[0] % 10 == 0,
-    "places4": lambda t, tbar: True,
-    "bruins": lambda t, tbar: not (sum(t[1]) > 13 and tbar[1][2] > 3
-                                   or sum(tbar[1]) > 13 and t[1][2] > 3),
+    "mult10": lambda t, tbar, p, q, pair: t % 10 == 0 and tbar % 10 == 0,
+    "places4": lambda t, tbar, p, q, pair: True,
+    "bruins": lambda t, tbar, p, q, pair: not (pair.Tbar.gamma > 3 and sum(pair.T.triple) > 13
+                                               or pair.T.gamma > 3 and sum(pair.Tbar.triple) > 13),
 }
 
 
 @cache
 def _four_place_index() -> tuple[list[int], list[tuple]]:
-    """Every four-place pair once, as (T, Tbar, pair) by ascending padded T,
-    each member as keep gets it (see :func:`_four_place_pairs`), with the
-    padded values apart for bisection.  Of the canonical triples of T below
-    60**4, those whose complement is below 60**4 too are built by
-    :func:`_pair`, as in :meth:`ReciprocalPair.from_triple`.  Built once per
-    process on first use; callers share the pairs."""
+    """Every four-place pair once, as the entry (t, tbar, p, q, pair) by
+    ascending padded T, with the padded values apart for bisection: T and
+    Tbar padded to four places, T = P/Q in lowest terms (:func:`_ratio`) and
+    the pair, whose members hold their exponent triples.  The pairs are
+    built from the canonical triples of T below 60**4 whose complement is
+    below 60**4 too, by :func:`_pair` as in :meth:`ReciprocalPair.from_triple`.
+    Built once per process on first use; callers share the pairs."""
     index = []
     for a in range(24):  # 2**23 < 60**4 < 2**24
         for b in range(15):  # 3**14 < 60**4 < 3**15
@@ -127,26 +129,24 @@ def _four_place_index() -> tuple[list[int], list[tuple]]:
                 if m % 60 and (m_bar := _product(*_complement(a, b, c)[1])) < 60**4:
                     places = _place_count(m)
                     pair = _pair((a, b, c), places)
-                    index.append(((m * 60 ** (4 - places), pair.T.triple),
-                                  (m_bar * 60 ** (4 - _place_count(m_bar)), pair.Tbar.triple),
-                                  pair))
+                    index.append((m * 60 ** (4 - places), m_bar * 60 ** (4 - _place_count(m_bar)),
+                                  *_ratio(pair.T.value), pair))
                 m *= 5
-    index.sort(key=lambda entry: entry[0][0])
-    return [t[0] for t, _, _ in index], index
+    index.sort(key=lambda entry: entry[0])
+    return [entry[0] for entry in index], index
 
 
 def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
     """The pairs of the selection record (lo, hi, keep), by decreasing T: the
-    shared four-place pairs with lo <= padded T <= hi and keep(T, Tbar) true.
-    A member's padded value is its mantissa padded with zero places to four
-    digits (T * 60**3, units at T's first digit); keep gets each member as
-    (padded, exponent triple).  Every table of pairs is such a record: a
-    criterion over a range, a theory, a printed table.  Only the range's
-    entries are visited."""
+    shared four-place pairs with lo <= padded T <= hi whose index entry passes
+    keep(t, tbar, p, q, pair).  A member's padded value is its mantissa padded
+    with zero places to four digits (T * 60**3, units at T's first digit).
+    Every table of pairs is such a record: a criterion over a range, a theory,
+    a printed table.  Only the range's entries are visited."""
     padded, index = _four_place_index()
-    return [pair for t, tbar, pair in
+    return [pair for t, tbar, p, q, pair in
             reversed(index[bisect_left(padded, lo):bisect_right(padded, hi)])
-            if keep(t, tbar)]
+            if keep(t, tbar, p, q, pair)]
 
 
 def _padded(v: SexValue, up: bool) -> int:

@@ -12,6 +12,8 @@ from math import gcd
 from .pairs import ReciprocalPair
 from .sexagesimal import SexagesimalError, SexValue, _aligned, _canonical, _Value
 
+REDUCTIONS = ("full", "tablet_faithful")
+
 
 class RowCandidate(_Value):
     """One tablet row, its fields in derivation order; ``reduced`` is False
@@ -60,7 +62,7 @@ def build_row(p: ReciprocalPair, n: int = 0,
     ``reduction="tablet_faithful"`` keeps the unreduced mantissas whenever
     both already fit in two places; ``"full"`` always reduces.
     """
-    if reduction not in ("full", "tablet_faithful"):
+    if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction mode {reduction!r}")
     if type(p) is not ReciprocalPair:
         raise SexagesimalError(f"a row is built from a ReciprocalPair, not {type(p).__name__}")

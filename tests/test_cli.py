@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ from plimpton import cli, hypotheses, pairs, sexagesimal, tablet
 from plimpton.cli import main
 from plimpton.hypotheses import THEORIES
 from plimpton.pairs import CRITERIA, ReciprocalPair, enumerate_pairs
-from plimpton.rows import RowCandidate, build_row
+from plimpton.rows import REDUCTIONS, RowCandidate, build_row
 from plimpton.sexagesimal import (
     SexValue,
     SexagesimalError,
@@ -216,7 +217,8 @@ class TestCriterionVocabulary:
     """The criterion names are CRITERIA's keys everywhere: in the CLI's
     records and parser, in the hypotheses and in enumerate_pairs; the theory
     names are THEORIES' keys in both options that take one; the edition,
-    use and matching names are tablet's EDITIONS, USES and MATCHINGS."""
+    use and matching names are tablet's EDITIONS, USES and MATCHINGS; the
+    reduction names are rows' REDUCTIONS, each "_" written "-"."""
 
     def test_cli_choices_are_the_criteria(self):
         criterion = _option(cli._build_parser(), "criterion", "pairs")
@@ -236,6 +238,8 @@ class TestCriterionVocabulary:
         (("tablet", "errors"), "--edition", tablet.EDITIONS),
         (("tablet", "verify"), "--use", tablet.USES),
         (("tablet", "diff"), "--matching", tablet.MATCHINGS),
+        *[((path, "--reduction", tuple(r.replace("_", "-") for r in REDUCTIONS)))
+          for path in (("rows",), ("tablet", "diff"))],
     ])
     def test_cli_choices_are_the_tablet_vocabulary(self, path, option, choices):
         action = _option(cli._build_parser(), option.removeprefix("--"), *path)
@@ -950,6 +954,21 @@ class TestWorkCeilings:
         with counted(sexagesimal._aligned) as (aligned,):
             assert run(capsys, *argv)[0] == 0
         assert len(aligned) <= 15
+
+    @pytest.mark.parametrize("tag,gcds", [
+        ("price1964", 14), ("buck1980", 15), ("friberg1981", 15),
+        ("friberg2007", 38), ("ns1945", 44)])
+    def test_pq_theories_read_p_and_q_off_the_index(self, capsys, tag, gcds):
+        # after one warm call: each index entry holds T = P/Q in lowest
+        # terms, so a (P, Q) row test takes no gcd.  What is left is the
+        # rows' own: one per build_row, and per Table 1 row one for its P/Q
+        # (none for the integer T = 2) and one for S and D.  Reading P/Q off
+        # the padded T took one more per visited entry: 87, 88, 88, 111, 117
+        argv = ("rows", "--hypothesis", tag)
+        assert run(capsys, *argv)[0] == 0
+        with counted(gcd) as (taken,):
+            assert run(capsys, *argv)[0] == 0
+        assert len(taken) <= gcds
 
     # the commands that write a correction log
     LOGGING = [

@@ -100,9 +100,14 @@ MEMBER_RULES = {
 
 
 def both_ways(kind):
-    """Member rule ``kind`` as a test of (T, Tbar): both members pass it."""
+    """Member rule ``kind`` as a test of an index entry: both members of its
+    pair, read from the oracle's MEMBERS by their mantissas, pass it."""
     rule = MEMBER_RULES[kind]
-    return lambda t, tbar: rule(t, tbar) and rule(tbar, t)
+
+    def keep(t, tbar, p, q, pair):
+        t, tbar = MEMBERS[pair.T.mantissa], MEMBERS[pair.Tbar.mantissa]
+        return rule(t, tbar) and rule(tbar, t)
+    return keep
 
 
 def full_mult10():
@@ -276,9 +281,11 @@ class TestRegularEnumeration:
         assert list(ms) == sorted(set(ms))
 
     def test_members_are_padded_to_four_places(self):
-        # both members of every index entry, against the oracle's padding
-        for t, tbar, pair in _four_place_index()[1]:
-            assert (t, tbar) == (MEMBERS[pair.T.mantissa], MEMBERS[pair.Tbar.mantissa])
+        # both members of every index entry, against the oracle's padding,
+        # and P/Q as T's exact fraction in lowest terms
+        for t, tbar, p, q, pair in _four_place_index()[1]:
+            assert (t, tbar) == (MEMBERS[pair.T.mantissa][0], MEMBERS[pair.Tbar.mantissa][0])
+            assert (p, q) == pair.T.value.fraction.as_integer_ratio()
 
     def test_triple_lookup_matches_factorization(self):
         # the oracle's four-place table against factorization
@@ -300,7 +307,7 @@ class TestPairCriteria:
     """CRITERIA test both members of a pair at once: each against its member
     rule applied both ways, over every index entry that has a Tbar."""
 
-    ENTRIES = [(t, tbar) for t, tbar, _ in _four_place_index()[1]]
+    ENTRIES = _four_place_index()[1]
 
     def test_every_entry_with_a_tbar_and_every_criterion(self):
         assert len(self.ENTRIES) == 271
@@ -309,14 +316,14 @@ class TestPairCriteria:
     @pytest.mark.parametrize("kind", list(MEMBER_RULES))
     def test_criterion_is_its_member_rule_both_ways(self, kind):
         reference = both_ways(kind)
-        kept = [reference(t, tbar) for t, tbar in self.ENTRIES]
-        assert [CRITERIA[kind](t, tbar) for t, tbar in self.ENTRIES] == kept
+        kept = [reference(*entry) for entry in self.ENTRIES]
+        assert [CRITERIA[kind](*entry) for entry in self.ENTRIES] == kept
 
     def test_excluded_pairs_keep_is_the_complement_of_mult10(self):
         keep = PRINTED_TABLES["excluded-pairs"][3]
         reference = both_ways("mult10")
-        assert [keep(t, tbar) for t, tbar in self.ENTRIES] == \
-            [not reference(t, tbar) for t, tbar in self.ENTRIES]
+        assert [keep(*entry) for entry in self.ENTRIES] == \
+            [not reference(*entry) for entry in self.ENTRIES]
 
 
 class TestCriteria:
@@ -503,23 +510,25 @@ class TestFastPathOracle:
 
 
 # The scan over the whole four-place table that the bisected index replaced:
-# every member's padded T is tested against the range, and Tbar is found by
-# the oracle's division, 60**k // m.
+# every member's padded T is tested against the range, Tbar is found by the
+# oracle's division, 60**k // m, and P/Q is the padded T over 60**3.
 
 def _scan(lo, hi, keep):
     found = []
-    for m, t in MEMBERS.items():
+    for m, (t, triple) in MEMBERS.items():
         tbar = MEMBERS.get(60 ** oracle.reciprocal_places(m) // m)
-        if lo <= t[0] <= hi and tbar and keep(t, tbar):
-            found.append(t)
-    return [ReciprocalPair.from_triple(triple) for _, triple in sorted(found, reverse=True)]
+        if lo <= t <= hi and tbar:
+            pair = ReciprocalPair.from_triple(triple)
+            if keep(t, tbar[0], *Fraction(t, 60**3).as_integer_ratio(), pair):
+                found.append((t, pair))
+    return [pair for _, pair in sorted(found, key=lambda item: item[0], reverse=True)]
 
 
 def count_visits(lo, hi, keep) -> int:
     """How many index entries ``_four_place_pairs`` visits: the times it
     tests one with keep."""
     visits = []
-    _four_place_pairs(lo, hi, lambda t, tbar: visits.append(1) or keep(t, tbar))
+    _four_place_pairs(lo, hi, lambda *entry: visits.append(1) or keep(*entry))
     return len(visits)
 
 
@@ -543,20 +552,21 @@ class TestPairsFromTheIndex:
     def test_every_entry_with_a_tbar_equals_from_triple(self):
         _, index = _four_place_index()
         assert len(index) == 271
-        for (padded, triple), _, pair in index:
-            assert _four_place_pairs(padded, padded, lambda t, tbar: True) == \
+        for padded, *_, pair in index:
+            triple = MEMBERS[pair.T.mantissa][1]
+            assert _four_place_pairs(padded, padded, lambda *entry: True) == \
                 [pair] == [ReciprocalPair.from_triple(triple)], triple
 
     def test_selections_share_the_index_pairs(self):
         # two selections hold the same pair objects, built once
-        pairs = {id(pair) for _, _, pair in _four_place_index()[1]}
+        pairs = {id(pair) for *_, pair in _four_place_index()[1]}
         assert {id(p) for p in full_mult10()} <= pairs
         assert [id(p) for p in full_mult10()] == [id(p) for p in full_mult10()]
 
     def test_t_one_is_its_own_tbar(self):
         # Tbar = 1/T sits at places - 1 - k: one place right of T's first
         # digit everywhere but at T = 1, where k = 0
-        (pair,) = _four_place_pairs(60**3, 60**3, lambda t, tbar: True)
+        (pair,) = _four_place_pairs(60**3, 60**3, lambda *entry: True)
         assert pair == ReciprocalPair.from_triple((0, 0, 0))
         assert pair.T.value == pair.Tbar.value == SexValue(1)
 

@@ -253,7 +253,7 @@ class TestAgainstTheComposition:
     @pytest.mark.parametrize("reduction", ["full", "tablet_faithful"])
     def test_every_four_place_pair(self, reduction):
         # the 271 whose Tbar has four places too; (1, 1) has no orientation
-        pairs = _four_place_pairs(60**3, 60**4 - 1, lambda t, tbar: True)
+        pairs = _four_place_pairs(60**3, 60**4 - 1, lambda *entry: True)
         assert len(pairs) == 271
         for n, p in enumerate(pairs, 1):
             if p.T.mantissa == 1:
