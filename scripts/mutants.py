@@ -4,15 +4,19 @@
 Usage: python3 scripts/mutants.py
 
 A mutant is one exact text replaced in one file: ``MUTANTS`` holds each as
-(name, file, old text, new text, test node ids).  For each mutant in turn,
-``src/``, ``tests/`` and ``bench/`` are copied to a temporary directory.  The
-mutant is stale unless its old text occurs exactly once in its file there;
-otherwise the file is mutated and the named tests run in one child process
-with a timeout.  The mutant is killed when every named test fails, or the run
-times out; a node id counts as failed when it, or any case or test under it,
-fails or errs.  It survived when a named test passes, and it is stale too
-when pytest finds no test of a named id.  One child process runs at a time.
-It prints one line per mutant and exits 1 on a survivor or a stale mutant.
+(name, file, old text, new text, test node ids).  First every named test runs
+once on an unmutated copy of ``src/``, ``tests/`` and ``bench/``; unless each
+one passes there, nothing is mutated, since a failure would then say nothing of
+a mutant, and the script exits 2.  Then, for each mutant in turn, those
+directories are copied to a temporary directory.  The mutant is stale unless
+its old text occurs exactly once in its file there; otherwise the file is
+mutated and the named tests run in one child process with a timeout.  The
+mutant is killed when every named test fails, or the run times out; a node id
+counts as failed when it, or any case or test under it, fails or errs.  It
+survived when a named test passes.  A run that pytest ends with an exit code
+other than 0 or 1, or with failures it names in no summary line, is an error.
+One child process runs at a time.  It prints one line per mutant and exits 1
+unless every mutant is killed.
 """
 
 from __future__ import annotations
@@ -91,54 +95,95 @@ MUTANTS = [
 ]
 
 
-def _failed(report: str) -> list[str]:
-    """The node ids that pytest's short summary (-rfE) names as failed or
-    in error; a file's collection error names the file."""
+def _named(report: str, *outcomes: str) -> list[str]:
+    """The node ids that pytest's short summary (-rA or -rfE) names with one
+    of ``outcomes``, such as "PASSED", "FAILED" or "ERROR"; a file's
+    collection error names the file."""
     return [line.split()[1] for line in report.splitlines()
-            if line.startswith(("FAILED ", "ERROR "))]
+            if line.split(" ", 1)[0] in outcomes]
 
 
-def _fails(test: str, failed: list[str]) -> bool:
-    """Whether node id ``test`` failed: itself, a case or test under it, or
-    the file it is in, which failed to collect."""
+def _covers(test: str, ids: list[str]) -> bool:
+    """Whether node id ``test`` is among ``ids``: itself, a case or test
+    under it, or the file it is in, which failed to collect."""
     return any(f == test or f.startswith((test + "[", test + "::")) or test.startswith(f + "::")
-               for f in failed)
+               for f in ids)
+
+
+def unpassed(returncode: int, report: str, tests: list[str]) -> str | None:
+    """Why the named tests, run with -rA on an unmutated copy, did not all
+    pass, or None when each passed."""
+    if returncode != 0:
+        return f"pytest exited {returncode}: " + (report.strip().splitlines() or [""])[-1]
+    passed = _named(report, "PASSED")
+    missing = [test for test in tests if not _covers(test, passed)]
+    return ", ".join(missing) + " did not pass" if missing else None
+
+
+def verdict(returncode: int, report: str, tests: list[str]) -> str:
+    """A mutant's verdict, "killed", "survived" or "error", and why, from its
+    run of the named tests with -rfE."""
+    if returncode == 0:
+        return "survived: every named test passed"
+    failed = _named(report, "FAILED", "ERROR")
+    if returncode != 1 or not failed:
+        return f"error: pytest exited {returncode}" + ("" if failed else " with no failure summary")
+    passed = [test for test in tests if not _covers(test, failed)]
+    return "survived: " + ", ".join(passed) + " passed" if passed else f"killed: {len(failed)} failed"
+
+
+def _copy(tmp: str) -> Path:
+    root = Path(tmp)
+    for part in COPIED:
+        shutil.copytree(ROOT / part, root / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    return root
+
+
+def _pytest(root: Path, summary: str, tests: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", summary, *tests],
+        cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
+def baseline(tests: list[str]) -> str | None:
+    """Why the named tests do not all pass on an unmutated copy, or None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            done = _pytest(_copy(tmp), "-rA", tests)
+        except subprocess.TimeoutExpired:
+            return f"the tests ran past {TIMEOUT_S} s"
+    return unpassed(done.returncode, done.stdout + done.stderr, tests)
 
 
 def run(file: str, old: str, new: str, tests: list[str]) -> str:
-    """One mutant's verdict, "killed", "survived" or "stale", and why."""
+    """One mutant's verdict, "killed", "survived", "stale" or "error", and why."""
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for part in COPIED:
-            shutil.copytree(ROOT / part, root / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        root = _copy(tmp)
         path = root / file
         text = path.read_text(encoding="utf-8")
         if text.count(old) != 1:
             return f"stale: the old text occurs {text.count(old)} times in {file}"
         path.write_text(text.replace(old, new), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
-                cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            done = _pytest(root, "-rfE", tests)
         except subprocess.TimeoutExpired:
             return f"killed: the tests ran past {TIMEOUT_S} s"
-        failed = _failed(done.stdout)
-        passed = [test for test in tests if not _fails(test, failed)]
-        if not passed:
-            return f"killed: {len(failed)} failed"
-        if done.returncode in (4, 5):  # a named test pytest could not find: nothing ran
-            return "stale: " + (done.stdout + done.stderr).strip().splitlines()[-1]
-        return "survived: " + ", ".join(passed) + " passed"
+    return verdict(done.returncode, done.stdout, tests)
 
 
 def main() -> int:
+    why = baseline(list(dict.fromkeys(test for *_, tests in MUTANTS for test in tests)))
+    if why:
+        print(f"unmutated copy: {why}; no mutant was run", flush=True)
+        return 2
     bad = 0
     for name, file, old, new, tests in MUTANTS:
-        verdict = run(file, old, new, tests)
-        print(f"{name}: {verdict}", flush=True)
-        bad += not verdict.startswith("killed")
+        outcome = run(file, old, new, tests)
+        print(f"{name}: {outcome}", flush=True)
+        bad += not outcome.startswith("killed")
     return 1 if bad else 0
 
 

@@ -281,10 +281,13 @@ class TestRegularEnumeration:
         assert list(ms) == sorted(set(ms))
 
     def test_members_are_padded_to_four_places(self):
-        # both members of every index entry, against the oracle's padding,
-        # and P/Q as T's exact fraction in lowest terms
+        # both members of every index entry, padded value and exponent
+        # triple, against the oracle's, and P/Q as T's exact fraction in
+        # lowest terms
         for t, tbar, p, q, pair in _four_place_index()[1]:
             assert (t, tbar) == (MEMBERS[pair.T.mantissa][0], MEMBERS[pair.Tbar.mantissa][0])
+            assert (pair.T.triple, pair.Tbar.triple) == \
+                (MEMBERS[pair.T.mantissa][1], MEMBERS[pair.Tbar.mantissa][1])
             assert (p, q) == pair.T.value.fraction.as_integer_ratio()
 
     def test_triple_lookup_matches_factorization(self):
@@ -511,7 +514,8 @@ class TestFastPathOracle:
 
 # The scan over the whole four-place table that the bisected index replaced:
 # every member's padded T is tested against the range, Tbar is found by the
-# oracle's division, 60**k // m, and P/Q is the padded T over 60**3.
+# oracle's division, 60**k // m, and P/Q is the padded T over 60**3.  The
+# pair the keep reads holds the oracle's triples for T and Tbar.
 
 def _scan(lo, hi, keep):
     found = []
@@ -519,6 +523,7 @@ def _scan(lo, hi, keep):
         tbar = MEMBERS.get(60 ** oracle.reciprocal_places(m) // m)
         if lo <= t <= hi and tbar:
             pair = ReciprocalPair.from_triple(triple)
+            assert (pair.T.triple, pair.Tbar.triple) == (triple, tbar[1])
             if keep(t, tbar[0], *Fraction(t, 60**3).as_integer_ratio(), pair):
                 found.append((t, pair))
     return [pair for _, pair in sorted(found, key=lambda item: item[0], reverse=True)]
