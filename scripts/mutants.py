@@ -33,6 +33,7 @@ COPIED = ("src", "tests", "bench")
 TIMEOUT_S = 300
 
 PAIRS, HYPOTHESES, CLI = "src/plimpton/pairs.py", "src/plimpton/hypotheses.py", "src/plimpton/cli.py"
+ROWS = "src/plimpton/rows.py"
 
 MUTANTS = [
     # the four-place index entry (t, tbar, p, q, pair) and the rules that read it
@@ -91,6 +92,45 @@ MUTANTS = [
          "tests/test_cli.py::TestIntStringLimit::test_link_past_the_limit",
          "tests/test_cli.py::TestTablet::test_diff[price1964]",
          "tests/test_tablet.py::TestDataResource::test_a_short_transcription_is_a_value_error",
+     ]),
+    # the nearest-first scan of link_to_standard's start classes
+    ("the scan stops at a start as far as the fewest", HYPOTHESES,
+     "if abs(d1 - d2) > fewest:", "if abs(d1 - d2) >= fewest:", [
+         "tests/test_hypotheses.py::TestClosedFormLinks::test_same_chain_as_the_full_scan_on_every_four_place_pair",
+         "tests/test_hypotheses.py::TestClosedFormLinks::test_same_chain_as_the_scan_of_every_class",
+     ]),
+    ("the scan skips a start whose |d2| is the fewest", HYPOTHESES,
+     "if abs(d2) > fewest:", "if abs(d2) >= fewest:", [
+         "tests/test_hypotheses.py::TestClosedFormLinks::test_same_chain_as_the_full_scan_on_every_four_place_pair",
+         "tests/test_acceptance.py::test_criterion_7_linkage",
+     ]),
+    ("the scan never steps below u", HYPOTHESES,
+     "lo = hi = bisect_left(a_values, u)", "lo, hi = 0, bisect_left(a_values, u)", [
+         "tests/test_hypotheses.py::TestClosedFormLinks::test_same_chain_as_the_scan_of_every_class_at_the_edges",
+         "tests/test_acceptance.py::test_criterion_7_linkage",
+     ]),
+    # a row as one flat record
+    ("X and Y setters swapped", ROWS,
+     "_set_x(row, x)\n    _set_y(row, y)", "_set_x(row, y)\n    _set_y(row, x)", [
+         "tests/test_rows.py::TestXY::test_half_difference_half_sum",
+         "tests/test_acceptance.py::test_criterion_8_property_suite",
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[phillips-full]",
+     ]),
+    ("Table 1's row passes Y as X", HYPOTHESES,
+     "row.x, row.y, s, d", "row.y, row.x, s, d", [
+         "tests/test_acceptance.py::test_criterion_8_property_suite",
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[ns1945-full]",
+     ]),
+    ("build_row passes X as Y", ROWS,
+     "_candidate(n, p, x, y, s, d, a, factor, True)", "_candidate(n, p, x, x, s, d, a, factor, True)", [
+         "tests/test_rows.py::TestXY::test_half_difference_half_sum",
+         "tests/test_acceptance.py::test_criterion_8_property_suite",
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[phillips-full]",
+     ]),
+    ("a row record prints Y under X", CLI,
+     '"X": c.x,', '"X": c.y,', [
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[phillips-full]",
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[ns1945-tablet-faithful]",
      ]),
 ]
 

@@ -12,6 +12,7 @@ rule or printed rows, then a selection record of ``pairs._four_place_pairs``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from functools import cache, partial
 from math import gcd
@@ -358,11 +359,16 @@ def _lattice_class(r: RegularNumber) -> tuple[int, int]:
 
 
 @cache
-def _start_classes() -> dict[tuple[int, int], ReciprocalPair]:
+def _start_classes() -> tuple[dict[tuple[int, int], ReciprocalPair], list[int],
+                              list[tuple[int, int, ReciprocalPair]]]:
     """Lattice class -> the shared pair whose T is either member of a
-    standard-table pair (a member's reciprocal has the opposite class)."""
+    standard-table pair (a member's reciprocal has the opposite class); the
+    classes' a = s1 - s2, ascending; and (s1, s2, pair) in that order."""
     pairs = {pair.T.mantissa: pair for *_, pair in _four_place_index()[1]}
-    return {_lattice_class(r): pairs[r.mantissa] for p in standard_table() for r in (p.T, p.Tbar)}
+    starts = {_lattice_class(r): pairs[r.mantissa] for p in standard_table() for r in (p.T, p.Tbar)}
+    by_a = sorted(((s1, s2, start) for (s1, s2), start in starts.items()),
+                  key=lambda c: c[0] - c[1])
+    return starts, [s1 - s2 for s1, s2, _ in by_a], by_a
 
 
 def link_to_standard(p: ReciprocalPair) -> LinkChain:
@@ -380,6 +386,15 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     j = 0, -d2 and either side of -d1/2 reach the fewest steps and the
     tie-break's choice.
 
+    The starts are visited nearest first: by nondecreasing |u - a| for
+    u = t1 - t2 and a = s1 - s2, outward from where u falls among the
+    sorted a.  As d1 - d2 = u - a, a start's fewest steps are at least
+    |u - a| and |d2|, so the scan stops at the first start whose |u - a|
+    exceeds the fewest so far and skips one whose |d2| does: neither can
+    reach the final fewest, and every start that does is scored.  The
+    tie-break is a total order, start mantissas being distinct, so the
+    order of the visits does not change the chain.
+
     Ties at minimal length prefer the chain using the smaller primes
     (doubling over tripling over quintupling), then the lexicographically
     largest exponent triple, then the smallest start mantissa.
@@ -387,12 +402,26 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
     if type(p) is not ReciprocalPair:
         raise SexagesimalError(f"a link is defined for ReciprocalPairs, not {type(p).__name__}")
     t1, t2 = _lattice_class(p.T)  # Tbar's is the opposite, by the pair's type
-    starts = _start_classes()
+    starts, a_values, by_a = _start_classes()
     if (t1, t2) in starts:
         return LinkChain(p, (0, 0, 0))
+    u = t1 - t2
+    lo = hi = bisect_left(a_values, u)
     fewest, ties = None, []
-    for (s1, s2), start in starts.items():
+    while lo or hi < len(by_a):
+        # the nearer of the next start below u and the next at or above it
+        if lo and (hi == len(by_a) or u - a_values[lo - 1] < a_values[hi] - u):
+            lo -= 1
+            s1, s2, start = by_a[lo]
+        else:
+            s1, s2, start = by_a[hi]
+            hi += 1
         d1, d2 = t1 - s1, t2 - s2
+        if fewest is not None:
+            if abs(d1 - d2) > fewest:
+                break
+            if abs(d2) > fewest:
+                continue
         steps = max(abs(d1 - d2), abs(d2) + (d1 & 1))
         if fewest is None or steps < fewest:
             fewest, ties = steps, []
@@ -402,5 +431,6 @@ def link_to_standard(p: ReciprocalPair) -> LinkChain:
             if abs(d1 + 2 * j) + abs(d2 + j) + abs(j) == steps:
                 ties.append(((d1 + 2 * j, d2 + j, j), start))
     factor, start = min(ties, key=lambda c: (
-        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1].T.mantissa))
+        -abs(c[0][0]), -abs(c[0][1]), -abs(c[0][2]), -c[0][0], -c[0][1], -c[0][2],
+        c[1].T.mantissa))
     return LinkChain(start, factor)

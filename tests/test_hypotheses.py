@@ -749,6 +749,34 @@ def loop_link(p):
     return LinkChain(ReciprocalPair.from_triple(r.triple), factor)
 
 
+def scan_link(p):
+    """The closed form over every start class in the table's order, scoring
+    j = 0, -d2 and either side of -d1/2 only for the classes that reach the
+    fewest steps so far, with the documented tie-break; one step count per
+    class, at any exponents."""
+    def lattice_class(r):
+        return r.alpha - 2 * r.gamma, r.beta - r.gamma
+
+    starts = {lattice_class(r): r for q in standard_table() for r in (q.T, q.Tbar)}
+    t1, t2 = lattice_class(p.T)
+    if (t1, t2) in starts:
+        return LinkChain(p, (0, 0, 0))
+    fewest, ties = None, []
+    for (s1, s2), r in starts.items():
+        d1, d2 = t1 - s1, t2 - s2
+        steps = max(abs(d1 - d2), abs(d2) + (d1 & 1))
+        if fewest is None or steps < fewest:
+            fewest, ties = steps, []
+        elif steps > fewest:
+            continue
+        for j in {0, -d2, -d1 // 2, -(d1 // 2)}:
+            if abs(d1 + 2 * j) + abs(d2 + j) + abs(j) == steps:
+                ties.append(((d1 + 2 * j, d2 + j, j), r))
+    factor, r = min(ties, key=lambda c: (
+        tuple(-abs(e) for e in c[0]), tuple(-e for e in c[0]), c[1].mantissa))
+    return LinkChain(ReciprocalPair.from_triple(r.triple), factor)
+
+
 def _lattice_class(m):
     a, b, c = oracle.factor235(m)
     return a - 2 * c, b - c
@@ -787,9 +815,9 @@ def count_runs(p, prefix: str) -> int:
     return sum(n for line, n in ran.items() if line.startswith(prefix))
 
 
-# the line that computes the fewest steps from one start class, and the
-# line that scores one candidate j
-STEPS_LINE, SCORE_LINE = "steps = ", "if abs(d1 + 2 * j)"
+# the line that reads one start class, the line that computes the fewest
+# steps from it, and the line that scores one candidate j
+VISIT_LINE, STEPS_LINE, SCORE_LINE = "d1, d2 = ", "steps = ", "if abs(d1 + 2 * j)"
 
 
 def fewest_steps_expression():
@@ -858,6 +886,29 @@ class TestClosedFormLinks:
         p = ReciprocalPair.from_triple(triple)
         assert link_to_standard(p) == loop_link(p)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*[st.integers(-10**4, 10**4)] * 3))
+    def test_same_chain_as_the_scan_of_every_class(self, triple):
+        p = ReciprocalPair.from_triple(triple)
+        assert link_to_standard(p) == scan_link(p)
+
+    @pytest.mark.parametrize("triple, at", [
+        ((-7, 0, 0), 0),    # u = -7, below every start's a (-6 to 6)
+        ((0, 0, 9), 0),     # u = -9
+        ((7, 0, 0), 42),    # u = 7, above every start's a
+        ((30, -9, 0), 42),  # u = 39
+        ((10, 7, 0), 34),   # u = 3, the a of four starts
+        ((-6, -2, 0), 2),   # u = -4, the a of two starts
+        ((5, 5, 0), 19),    # u = 0, then a = -1 and a = 1 equally near
+    ])
+    def test_same_chain_as_the_scan_of_every_class_at_the_edges(self, triple, at):
+        p = ReciprocalPair.from_triple(triple)
+        t1, t2 = hypotheses._lattice_class(p.T)
+        _, a_values, _ = hypotheses._start_classes()
+        assert bisect_left(a_values, t1 - t2) == at
+        assert not link_to_standard(p).in_table
+        assert link_to_standard(p) == scan_link(p)
+
     @pytest.mark.parametrize("n", [23, 1000, 50000])
     def test_deep_powers_of_two(self, n):
         # 2**n has class (n, 0); the nearest start is 64 = 2**6, class
@@ -868,32 +919,47 @@ class TestClosedFormLinks:
         assert chain.factor == (n - 6, 0, 0) and chain.steps == n - 6
 
     def test_scores_at_most_four_candidates_per_start_class(self):
-        # one step count for each class; j = 0, -d2 and the integers either
-        # side of -d1/2 only for the classes that reach the fewest so far;
-        # a pair of the table itself scores none
-        deep = [ReciprocalPair.from_triple((e, 0, 0)) for e in (50000, -50000)]
-        for p in FOUR_PLACE_PAIRS + deep:
+        # one step count for each class visited, nearest first, and at most
+        # 42; j = 0, -d2 and the integers either side of -d1/2 only for the
+        # classes that reach the fewest so far; a pair of the table itself
+        # scores none.  1,556 step counts over the 390 pairs not in the
+        # table, where scanning every class made 16,380.
+        total = 0
+        for p in FOUR_PLACE_PAIRS:
             counted = count_runs(p, STEPS_LINE)
             scored = count_runs(p, SCORE_LINE)
             if link_to_standard(p).in_table:
                 assert counted == scored == 0, str(p)
             else:
-                assert counted == START_CLASSES, str(p)
-                assert 1 <= scored <= 4 * START_CLASSES, str(p)
+                assert 1 <= counted <= START_CLASSES, str(p)
+                assert 1 <= scored <= 4 * counted, str(p)
+                total += counted
+        assert total == 1556
+
+    @pytest.mark.parametrize("e", [50000, -50000])
+    def test_a_far_class_reads_two_start_classes(self, e):
+        # u = +-50000 lies beyond every start's a: the nearest start takes
+        # 49,994 steps, and the next is already farther than that; j = 0
+        # and j = -24,997 are scored there
+        p = ReciprocalPair.from_triple((e, 0, 0))
+        assert count_runs(p, VISIT_LINE) == 2
+        assert count_runs(p, STEPS_LINE) == 1
+        assert count_runs(p, SCORE_LINE) == 2
 
     def test_scores_few_candidates_over_the_four_place_pairs(self):
-        # 9,074 j scored over the 390 pairs not in the table; scoring every
-        # class's four candidates scored 53,141.  Counts do not jitter.
+        # 3,538 j scored over the 390 pairs not in the table; 9,074 when
+        # every class was scanned, and 53,141 scoring every class's four
+        # candidates.  Counts do not jitter.
         linked = [p for p in FOUR_PLACE_PAIRS if not link_to_standard(p).in_table]
         assert len(linked) == 390
-        assert sum(count_runs(p, SCORE_LINE) for p in linked) <= 9100
+        assert sum(count_runs(p, SCORE_LINE) for p in linked) <= 3538
 
     def test_ties_between_start_classes_go_to_the_tie_break(self):
         # 128 pairs not in the table reach their fewest steps from more than
         # one start class; for 110 of them the tie-break picks a class that
         # comes after the first such class in the table's order, so a class
         # at the fewest steps so far is scored, not skipped
-        starts = hypotheses._start_classes()
+        starts, _, _ = hypotheses._start_classes()
         tied = later = 0
         for p in FOUR_PLACE_PAIRS:
             chain = link_to_standard(p)
@@ -919,21 +985,34 @@ class TestClosedFormLinks:
         # each class maps to the pair whose T is that member: a standard
         # pair itself for its T's class, the pair turned round for Tbar's
         members = {r.mantissa for q in standard_table() for r in (q.T, q.Tbar)}
-        starts = hypotheses._start_classes()
+        cached = hypotheses._start_classes()
+        assert hypotheses._start_classes() is cached
+        starts, a_values, by_a = cached
         assert len(starts) == START_CLASSES
-        assert hypotheses._start_classes() is starts
         for cls, start in starts.items():
             assert hypotheses._lattice_class(start.T) == cls
             assert start.T.mantissa in members
             assert start == ReciprocalPair.from_triple(start.T.triple)
+        # the same classes and pairs, sorted by a = s1 - s2, with their a
+        assert len(by_a) == START_CLASSES and {c[:2] for c in by_a} == starts.keys()
+        assert all(start is starts[s1, s2] for s1, s2, start in by_a)
+        assert a_values == [s1 - s2 for s1, s2, _ in by_a] == sorted(a_values)
 
     def test_table_and_start_pairs_are_the_index_pairs(self):
         # one set of four-place pairs: each standard-table pair and each
-        # start pair is the object the shared index holds
+        # start pair, by class and in the sorted view, is the object the
+        # shared index holds; one cache holds the classes and the view, so
+        # once cleared with the index neither keeps the old index's pairs
         hypotheses._start_classes.cache_clear()
         held = {id(pair) for *_, pair in _four_place_index()[1]}
         assert [id(p) in held for p in standard_table()] == [True] * 29
-        assert [id(p) in held for p in hypotheses._start_classes().values()] == [True] * 42
+        assert [id(p) in held for p in hypotheses._start_classes()[0].values()] == [True] * 42
+        _four_place_index.cache_clear()
+        hypotheses._start_classes.cache_clear()
+        held = {id(pair) for *_, pair in _four_place_index()[1]}
+        starts, _, by_a = hypotheses._start_classes()
+        assert [id(p) in held for p in starts.values()] == [True] * 42
+        assert [id(p) in held for *_, p in by_a] == [True] * 42
 
 
 class TestLinkChainFactor:
