@@ -33,7 +33,7 @@ COPIED = ("src", "tests", "bench")
 TIMEOUT_S = 300
 
 PAIRS, HYPOTHESES, CLI = "src/plimpton/pairs.py", "src/plimpton/hypotheses.py", "src/plimpton/cli.py"
-ROWS = "src/plimpton/rows.py"
+ROWS, TABLET = "src/plimpton/rows.py", "src/plimpton/tablet.py"
 
 MUTANTS = [
     # the four-place index entry (t, tbar, p, q, pair) and the rules that read it
@@ -65,6 +65,18 @@ MUTANTS = [
          "tests/test_pairs.py::TestPairCriteria::test_criterion_is_its_member_rule_both_ways",
          "tests/test_acceptance.py::test_criterion_1_phillips_enumeration",
      ]),
+    ("the upper cut drops the entry at hi", PAIRS,
+     "bisect_left(index, (hi + 1,))", "bisect_left(index, (hi,))", [
+         "tests/test_cli.py::TestPairs::test_point_range",
+         "tests/test_acceptance.py::test_criterion_1_phillips_enumeration",
+     ]),
+    # one refusal of an unknown or unhashable name
+    ("a name is refused on KeyError only", PAIRS,
+     "except (KeyError, TypeError):", "except KeyError:", [
+         "tests/test_hypotheses.py::TestHypothesisCounts::test_unknown_tag_rejected",
+         "tests/test_pairs.py::TestCriteria::test_unknown_kind_rejected",
+         "tests/test_hypotheses.py::TestPrintedTables::test_unknown_table_rejected",
+     ]),
     # Table 1's row from its formula, and the CLI's data errors
     ("Table 1's P and Q swapped", HYPOTHESES,
      "p, q = _ratio(pair.T.value)", "q, p = _ratio(pair.T.value)", [
@@ -81,6 +93,12 @@ MUTANTS = [
      "s, d = p * p - q * q, p * p + q * q", "s, d = p * p - q * q, p * p + q * q + 2", [
          "tests/test_rows.py::TestPQ::test_triple_formulas_on_table1_rows",
          "tests/test_acceptance.py::test_criterion_8_property_suite",
+     ]),
+    ("Table 1's set without (9, 5)", HYPOTHESES,
+     "_TABLE1_PQ_SET = frozenset(TABLE1_PQ)", "_TABLE1_PQ_SET = frozenset(TABLE1_PQ) - {(9, 5)}", [
+         "tests/test_hypotheses.py::TestHypothesisCounts::test_row_counts",
+         "tests/test_hypotheses.py::TestAgreements::test_ns1945_uses_raw_formula_values",
+         "tests/test_hypotheses.py::TestAgreements::test_table1_order_matches_phillips_order",
      ]),
     ("Table 1's P/Q read from Tbar", HYPOTHESES,
      "p, q = _ratio(pair.T.value)", "p, q = _ratio(pair.Tbar.value)", [
@@ -131,6 +149,21 @@ MUTANTS = [
      '"X": c.x,', '"X": c.y,', [
          "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[phillips-full]",
          "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[ns1945-tablet-faithful]",
+     ]),
+    ("A built at Y's exponent", ROWS,
+     "y.mantissa * y.mantissa, 2 * y.exponent)", "y.mantissa * y.mantissa, y.exponent)", [
+         "tests/test_acceptance.py::test_criterion_2_tablet_regeneration",
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[bruins1949-full]",
+     ]),
+    ("S and D setters swapped", ROWS,
+     "_set_s(row, s)\n    _set_d(row, d)", "_set_s(row, d)\n    _set_d(row, s)", [
+         "tests/test_acceptance.py::test_criterion_2_tablet_regeneration",
+         "tests/test_cli_oracle.py::test_rows_agree_with_the_oracle[bruins1949-full]",
+     ]),
+    ("an exact row recorded as a mismatch", TABLET,
+     'RowDiff(row.n, "exact", None, ())', 'RowDiff(row.n, "mismatch", None, ())', [
+         "tests/test_tablet.py::TestDiff::test_phillips_faithful_is_exact_on_robson",
+         "tests/test_acceptance.py::test_criterion_2_tablet_regeneration",
      ]),
 ]
 

@@ -23,6 +23,7 @@ from .pairs import (
     ReciprocalPair,
     _four_place_index,
     _four_place_pairs,
+    _named,
 )
 from .rows import RowCandidate, _candidate, build_row
 from .sexagesimal import (
@@ -93,10 +94,7 @@ THEORIES = {
 
 def generate(tag: str, reduction: str = "full") -> list[RowCandidate]:
     """Row candidates under one hypothesis, ordered by decreasing T."""
-    try:
-        row, *record = THEORIES[tag]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown hypothesis {tag!r}") from None
+    row, *record = _named(THEORIES, tag, "hypothesis")
     return [row(p, n, reduction) for n, p in enumerate(_four_place_pairs(*record), 1)]
 
 
@@ -238,10 +236,7 @@ class Correction(_Value):
 def printed_pairs(table: str) -> list[tuple[str, ReciprocalPair]]:
     """The computed pairs of one printed table, each with its printed
     label, in printed order."""
-    try:
-        printed, *record = PRINTED_TABLES[table]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown printed table {table!r}") from None
+    printed, *record = _named(PRINTED_TABLES, table, "printed table")
     pairs = _four_place_pairs(*record)
     if len(pairs) != len(printed):
         raise ValueError(f"{table}: computed {len(pairs)} pairs, "
@@ -284,10 +279,8 @@ def printed_corrections(table: str,
     among ``pairs``, in any order, matched by T's exponent triple: a listed
     pair only selects rows, and each printed member is checked against its
     own row's computed member."""
-    try:
-        log = _printed_log(table)
-    except TypeError:  # the cache cannot key an unhashable name
-        raise ValueError(f"unknown printed table {table!r}") from None
+    _named(PRINTED_TABLES, table, "printed table")  # before _printed_log's cache hashes it
+    log = _printed_log(table)
     listed = set()
     for pair in pairs:
         if type(pair) is not ReciprocalPair:
@@ -348,7 +341,7 @@ def standard_table() -> list[ReciprocalPair]:
     """The conventional school list: the shared pairs whose T's canonical
     mantissa is a regular number 2 through 81, ascending.  (60 reads as the
     unit and is omitted: its canonical mantissa is 1.)"""
-    return sorted((pair for *_, pair in _four_place_index()[1] if 1 < pair.T.mantissa < 82),
+    return sorted((pair for *_, pair in _four_place_index() if 1 < pair.T.mantissa < 82),
                   key=lambda pair: pair.T.mantissa)
 
 
@@ -364,7 +357,7 @@ def _start_classes() -> tuple[dict[tuple[int, int], ReciprocalPair], list[int],
     """Lattice class -> the shared pair whose T is either member of a
     standard-table pair (a member's reciprocal has the opposite class); the
     classes' a = s1 - s2, ascending; and (s1, s2, pair) in that order."""
-    pairs = {pair.T.mantissa: pair for *_, pair in _four_place_index()[1]}
+    pairs = {pair.T.mantissa: pair for *_, pair in _four_place_index()}
     starts = {_lattice_class(r): pairs[r.mantissa] for p in standard_table() for r in (p.T, p.Tbar)}
     by_a = sorted(((s1, s2, start) for (s1, s2), start in starts.items()),
                   key=lambda c: c[0] - c[1])

@@ -4,13 +4,13 @@ The central selection rule: a reciprocal pair belongs to the table when both
 members, padded with trailing zeros to four sexagesimal places, are divisible
 by 10.  The plain four-place table and Bruins's exponent-based exclusion are
 the alternative rules; all three, the entries of one table ``CRITERIA``, test
-one entry (t, tbar, p, q, pair) of the four-place index.  Every table of
-pairs is one selection record of :func:`_four_place_pairs`.
+one entry (t, tbar, p, q, pair) of the four-place index, one list by padded
+T.  Every table of pairs is one selection record of :func:`_four_place_pairs`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache
 
 from .sexagesimal import (
@@ -110,15 +110,23 @@ CRITERIA = {
 }
 
 
+def _named(records: dict, name, what: str):
+    """``records[name]``; an unknown or unhashable name is a ValueError naming it."""
+    try:
+        return records[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} {name!r}") from None
+
+
 @cache
-def _four_place_index() -> tuple[list[int], list[tuple]]:
-    """Every four-place pair once, as the entry (t, tbar, p, q, pair) by
-    ascending padded T, with the padded values apart for bisection: T and
-    Tbar padded to four places, T = P/Q in lowest terms (:func:`_ratio`) and
-    the pair, whose members hold their exponent triples.  The pairs are
-    built from the canonical triples of T below 60**4 whose complement is
-    below 60**4 too, by :func:`_pair` as in :meth:`ReciprocalPair.from_triple`.
-    Built once per process on first use; callers share the pairs."""
+def _four_place_index() -> list[tuple]:
+    """Every four-place pair once, as the entry (t, tbar, p, q, pair) in one
+    list by ascending padded T: T and Tbar padded to four places, T = P/Q in
+    lowest terms (:func:`_ratio`) and the pair, whose members hold their
+    exponent triples.  The pairs are built from the canonical triples of T
+    below 60**4 whose complement is below 60**4 too, by :func:`_pair` as in
+    :meth:`ReciprocalPair.from_triple`.  Built once per process on first use;
+    callers share the pairs."""
     index = []
     for a in range(24):  # 2**23 < 60**4 < 2**24
         for b in range(15):  # 3**14 < 60**4 < 3**15
@@ -133,7 +141,7 @@ def _four_place_index() -> tuple[list[int], list[tuple]]:
                                   *_ratio(pair.T.value), pair))
                 m *= 5
     index.sort(key=lambda entry: entry[0])
-    return [entry[0] for entry in index], index
+    return index
 
 
 def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
@@ -142,10 +150,11 @@ def _four_place_pairs(lo: int, hi: int, keep) -> list[ReciprocalPair]:
     keep(t, tbar, p, q, pair).  A member's padded value is its mantissa padded
     with zero places to four digits (T * 60**3, units at T's first digit).
     Every table of pairs is such a record: a criterion over a range, a theory,
-    a printed table.  Only the range's entries are visited."""
-    padded, index = _four_place_index()
+    a printed table.  Only the range's entries are visited, cut by bisecting
+    the entries: (lo,) sorts just before one at lo, (hi + 1,) just after one at hi."""
+    index = _four_place_index()
     return [pair for t, tbar, p, q, pair in
-            reversed(index[bisect_left(padded, lo):bisect_right(padded, hi)])
+            reversed(index[bisect_left(index, (lo,)):bisect_left(index, (hi + 1,))])
             if keep(t, tbar, p, q, pair)]
 
 
@@ -164,10 +173,7 @@ def enumerate_pairs(kind: str, lower: SexValue,
     """All four-place pairs whose T lies in [lower, upper] (fixed reading,
     both ends inclusive) and that pass criterion ``kind``, a key of
     :data:`CRITERIA`, by decreasing T."""
-    try:
-        criterion = CRITERIA[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown criterion kind {kind!r}") from None
+    criterion = _named(CRITERIA, kind, "criterion kind")
     if not (type(lower) is type(upper) is SexValue):
         raise SexagesimalError(f"the bounds must be SexValues, not "
                                f"{type(lower).__name__} and {type(upper).__name__}")

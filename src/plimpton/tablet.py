@@ -45,11 +45,9 @@ class TabletCell(_Value):
                 and self.as_written != self.corrected)
 
     def value(self, use: str) -> SexValue:
-        if use == "corrected":
-            return self.corrected
-        if use == "as_written":
-            return self.as_written if self.as_written is not None else self.corrected
-        raise ValueError(f"use must be 'corrected' or 'as_written', not {use!r}")
+        if use not in USES:
+            raise ValueError(f"use must be 'corrected' or 'as_written', not {use!r}")
+        return self.corrected if use == "corrected" or self.as_written is None else self.as_written
 
 
 class TabletRowRecord(_Value):
@@ -156,6 +154,9 @@ def verify_properties(rows: list[TabletRowRecord],
         if type(r) is not TabletRowRecord:
             raise SexagesimalError(f"a verified row must be a TabletRowRecord, "
                                    f"not {type(r).__name__}")
+        for column, cell in (("A", r.a), ("S", r.s), ("D", r.d)):
+            if type(cell) is not TabletCell or type(cell.value(use)) is not SexValue:
+                raise SexagesimalError(f"row {r.n} column {column}: not a TabletCell of a SexValue")
         read.append((r.n, _ratio(r.a.value(use)), _int_value(r.s.value(use)),
                      _int_value(r.d.value(use))))
     # a row fails when its A, n/m, is not below the A above, n'/m': n*m' >= n'*m

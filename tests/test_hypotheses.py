@@ -39,7 +39,7 @@ from plimpton.sexagesimal import (
     render_sex,
     sub,
 )
-from plimpton.tablet import diff_against, verify_properties
+from plimpton.tablet import TabletCell, TabletRowRecord, diff_against, verify_properties
 from bench_oracle import oracle
 from counting import counted
 from test_sexagesimal import traced
@@ -389,9 +389,10 @@ class TestPrintedTables:
 
     @pytest.mark.parametrize("table", ["extension-sideways", "standard", "", ["x"]])
     def test_unknown_table_rejected(self, table):
-        with pytest.raises(ValueError, match="unknown printed table"):
+        match = "unknown printed table " + re.escape(repr(table))
+        with pytest.raises(ValueError, match=match):
             printed_pairs(table)
-        with pytest.raises(ValueError, match="unknown printed table"):
+        with pytest.raises(ValueError, match=match):
             printed_corrections(table, [])
 
     @pytest.mark.parametrize("rows", [5, 7])
@@ -1004,12 +1005,12 @@ class TestClosedFormLinks:
         # shared index holds; one cache holds the classes and the view, so
         # once cleared with the index neither keeps the old index's pairs
         hypotheses._start_classes.cache_clear()
-        held = {id(pair) for *_, pair in _four_place_index()[1]}
+        held = {id(pair) for *_, pair in _four_place_index()}
         assert [id(p) in held for p in standard_table()] == [True] * 29
         assert [id(p) in held for p in hypotheses._start_classes()[0].values()] == [True] * 42
         _four_place_index.cache_clear()
         hypotheses._start_classes.cache_clear()
-        held = {id(pair) for *_, pair in _four_place_index()[1]}
+        held = {id(pair) for *_, pair in _four_place_index()}
         starts, _, by_a = hypotheses._start_classes()
         assert [id(p) in held for p in starts.values()] == [True] * 42
         assert [id(p) in held for *_, p in by_a] == [True] * 42
@@ -1058,6 +1059,11 @@ class TestLinkChainFactor:
     (lambda: mul(1, 2), "a product is defined for SexValues, not int"),
     (lambda: sub(SexValue(1), 2), "a difference is defined for SexValues, not int"),
     (lambda: verify_properties([1]), "a verified row must be a TabletRowRecord, not int"),
+    (lambda: verify_properties([TabletRowRecord(1, 5, 5, 5)]),
+     "row 1 column A: not a TabletCell of a SexValue"),
+    (lambda: verify_properties([TabletRowRecord(3, TabletCell(SexValue(2), None), TabletCell(
+        SexValue(5), 5), TabletCell(SexValue(1), None))], "as_written"),
+     "row 3 column S: not a TabletCell of a SexValue"),
 ])
 def test_a_value_of_the_wrong_type_is_a_domain_error(call, match):
     # each raised AttributeError on the int's missing fields

@@ -284,7 +284,7 @@ class TestRegularEnumeration:
         # both members of every index entry, padded value and exponent
         # triple, against the oracle's, and P/Q as T's exact fraction in
         # lowest terms
-        for t, tbar, p, q, pair in _four_place_index()[1]:
+        for t, tbar, p, q, pair in _four_place_index():
             assert (t, tbar) == (MEMBERS[pair.T.mantissa][0], MEMBERS[pair.Tbar.mantissa][0])
             assert (pair.T.triple, pair.Tbar.triple) == \
                 (MEMBERS[pair.T.mantissa][1], MEMBERS[pair.Tbar.mantissa][1])
@@ -310,7 +310,7 @@ class TestPairCriteria:
     """CRITERIA test both members of a pair at once: each against its member
     rule applied both ways, over every index entry that has a Tbar."""
 
-    ENTRIES = _four_place_index()[1]
+    ENTRIES = _four_place_index()
 
     def test_every_entry_with_a_tbar_and_every_criterion(self):
         assert len(self.ENTRIES) == 271
@@ -555,8 +555,10 @@ class TestPairsFromTheIndex:
     uses: the pair must be the one from_triple builds."""
 
     def test_every_entry_with_a_tbar_equals_from_triple(self):
-        _, index = _four_place_index()
+        index = _four_place_index()
         assert len(index) == 271
+        # one list, strictly ascending in padded T: the cuts bisect it
+        assert [t for t, *_ in index] == sorted({t for t, *_ in index})
         for padded, *_, pair in index:
             triple = MEMBERS[pair.T.mantissa][1]
             assert _four_place_pairs(padded, padded, lambda *entry: True) == \
@@ -564,7 +566,7 @@ class TestPairsFromTheIndex:
 
     def test_selections_share_the_index_pairs(self):
         # two selections hold the same pair objects, built once
-        pairs = {id(pair) for *_, pair in _four_place_index()[1]}
+        pairs = {id(pair) for *_, pair in _four_place_index()}
         assert {id(p) for p in full_mult10()} <= pairs
         assert [id(p) for p in full_mult10()] == [id(p) for p in full_mult10()]
 
@@ -589,7 +591,7 @@ class TestBisectedIndex:
         # of the members whose padded T is in the range (of all 432), only
         # those whose Tbar has at most four places have an entry (of 271)
         assert sum(lo <= p <= hi for p in _PADDED) == members
-        assert sum(lo <= p <= hi for p in _four_place_index()[0]) == visits
+        assert sum(lo <= t <= hi for t, *_ in _four_place_index()) == visits
         assert count_visits(lo, hi, CRITERIA["mult10"]) == visits
 
     @settings(max_examples=300, deadline=None)
