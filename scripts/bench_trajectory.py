@@ -10,8 +10,9 @@ interpreter, the seeds in turn and every workload for each seed.  Per
 workload the file holds whether every run was correct, the failed share of
 the operations, and the median, quartiles and unit of each end-to-end
 metric.  It also records the commit, the Python version, the line count of
-``src/plimpton/*.py``, the seeds and seconds, and whether bytecode was
-written, so that files from different commits can be set side by side.
+``src/plimpton/*.py`` in all and per module, the seeds and seconds, and
+whether bytecode was written, so that files from different commits can be
+set side by side.
 Without ``--parent`` the figures are a trajectory, not a claim.
 
 ``--parent DIR`` names a checkout of the parent commit.  Each seed's run of
@@ -100,9 +101,12 @@ def _commit(root: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def _src_lines(root: Path) -> int:
-    return sum(len(f.read_text(encoding="utf-8").splitlines())
-               for f in sorted((root / "src" / "plimpton").glob("*.py")))
+def _src_lines(root: Path) -> dict:
+    """The line count of ``src/plimpton/*.py`` in all and per module, as the
+    fields ``src_lines`` and ``src_lines_by_module``."""
+    by_module = {f.stem: len(f.read_text(encoding="utf-8").splitlines())
+                 for f in sorted((root / "src" / "plimpton").glob("*.py"))}
+    return {"src_lines": sum(by_module.values()), "src_lines_by_module": by_module}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         "pr": args.pr,
         "commit": _commit(ROOT),
         "python": platform.python_version(),
-        "src_lines": _src_lines(ROOT),
+        **_src_lines(ROOT),
         "seeds": seeds,
         "seconds": args.seconds,
         "bytecode": {
@@ -145,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": summaries["change"],
     }
     if args.parent is not None:
-        doc["parent"] = {"commit": _commit(args.parent), "src_lines": _src_lines(args.parent),
+        doc["parent"] = {"commit": _commit(args.parent), **_src_lines(args.parent),
                          "workloads": summaries["parent"]}
         doc["pairs"] = {w: compare(lines["parent"][w], lines["change"][w])
                         for w in WORKLOADS}

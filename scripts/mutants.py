@@ -34,6 +34,7 @@ TIMEOUT_S = 300
 
 PAIRS, HYPOTHESES, CLI = "src/plimpton/pairs.py", "src/plimpton/hypotheses.py", "src/plimpton/cli.py"
 ROWS, TABLET = "src/plimpton/rows.py", "src/plimpton/tablet.py"
+SEXAGESIMAL = "src/plimpton/sexagesimal.py"
 
 MUTANTS = [
     # the four-place index entry (t, tbar, p, q, pair) and the rules that read it
@@ -164,6 +165,27 @@ MUTANTS = [
      'RowDiff(row.n, "exact", None, ())', 'RowDiff(row.n, "mismatch", None, ())', [
          "tests/test_tablet.py::TestDiff::test_phillips_faithful_is_exact_on_robson",
          "tests/test_acceptance.py::test_criterion_2_tablet_regeneration",
+     ]),
+    # one reader of the list arguments, and from_fraction's refusal of no number
+    ("the list reader refuses no non-iterable", PAIRS,
+     "    try:\n        iterator = iter(items)\n    except TypeError:\n"
+     "        raise SexagesimalError(f\"{what}s must be iterable, not {type(items).__name__}\") from None\n",
+     "    iterator = iter(items)\n", [
+         "tests/test_hypotheses.py::TestListArguments::test_a_non_iterable_is_a_domain_error",
+         "tests/test_totality.py::test_every_export_returns_or_refuses[diff_against]",
+     ]),
+    ("the list reader checks the first item only", PAIRS,
+     "for item in listed:", "for item in listed[:1]:", [
+         "tests/test_hypotheses.py::TestListArguments::test_a_wrong_item_after_a_right_one_is_a_domain_error",
+     ]),
+    ("the list reader hands back its argument", PAIRS,
+     "    return listed\n", "    return items\n", [
+         "tests/test_hypotheses.py::TestListArguments::test_a_generator_reads_as_its_list",
+     ]),
+    ("from_fraction lets OverflowError out", SEXAGESIMAL,
+     "except (TypeError, OverflowError, ZeroDivisionError):",
+     "except (TypeError, ZeroDivisionError):", [
+         "tests/test_sexagesimal.py::TestClosedFormFromFraction::test_each_accepted_type_reads_as_its_fraction",
      ]),
 ]
 

@@ -23,6 +23,7 @@ from .pairs import (
     ReciprocalPair,
     _four_place_index,
     _four_place_pairs,
+    _listed,
     _named,
 )
 from .rows import RowCandidate, _candidate, build_row
@@ -280,13 +281,8 @@ def printed_corrections(table: str,
     pair only selects rows, and each printed member is checked against its
     own row's computed member."""
     _named(PRINTED_TABLES, table, "printed table")  # before _printed_log's cache hashes it
-    log = _printed_log(table)
-    listed = set()
-    for pair in pairs:
-        if type(pair) is not ReciprocalPair:
-            raise SexagesimalError("every listed pair must be a ReciprocalPair")
-        listed.add(pair.T.triple)
-    return [c for key, c in log if key in listed]
+    listed = {pair.T.triple for pair in _listed(pairs, ReciprocalPair, "listed pair")}
+    return [c for key, c in _printed_log(table) if key in listed]
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,19 @@ def _named(records: dict, name, what: str):
         raise ValueError(f"unknown {what} {name!r}") from None
 
 
+def _listed(items, kind: type, what: str) -> list:
+    """``items`` read once into a list; refused unless iterable with every item a ``kind``."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise SexagesimalError(f"{what}s must be iterable, not {type(items).__name__}") from None
+    listed = list(iterator)  # a TypeError raised while iterating is not caught
+    for item in listed:
+        if type(item) is not kind:
+            raise SexagesimalError(f"a {what} must be a {kind.__name__}, not {type(item).__name__}")
+    return listed
+
+
 @cache
 def _four_place_index() -> list[tuple]:
     """Every four-place pair once, as the entry (t, tbar, p, q, pair) in one

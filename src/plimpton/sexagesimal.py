@@ -167,7 +167,10 @@ def from_fraction(value: Fraction | int) -> SexValue:
         raise SexagesimalError(f"{value!r} is a {type(value).__name__}; pass an int or Fraction")
     import fractions  # cheaper per call than a from-import
     if type(value) is not fractions.Fraction:
-        value = fractions.Fraction(value)
+        try:
+            value = fractions.Fraction(value)
+        except (TypeError, OverflowError, ZeroDivisionError):  # None, Decimal("Infinity"), "1/0"
+            raise SexagesimalError(f"{value!r} is not a number; pass an int or Fraction") from None
     return _from_ratio(*value.as_integer_ratio())
 
 

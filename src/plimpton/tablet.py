@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable
 from functools import cache
 from math import gcd, isqrt
 
+from .pairs import _listed
 from .rows import RowCandidate
 from .sexagesimal import (
     SexValue,
@@ -142,7 +144,7 @@ PROPERTIES = {
 }
 
 
-def verify_properties(rows: list[TabletRowRecord],
+def verify_properties(rows: Iterable[TabletRowRecord],
                       use: str = "corrected") -> list[PropertyResult]:
     """The five arithmetic properties of the columns: column A strictly
     decreases down the rows, and every row passes each test of PROPERTIES.
@@ -150,10 +152,7 @@ def verify_properties(rows: list[TabletRowRecord],
     if use not in USES:  # checked with no rows too
         raise ValueError(f"use must be 'corrected' or 'as_written', not {use!r}")
     read = []  # each row's number, its A as (n, m), and its S and D as integers
-    for r in rows:
-        if type(r) is not TabletRowRecord:
-            raise SexagesimalError(f"a verified row must be a TabletRowRecord, "
-                                   f"not {type(r).__name__}")
+    for r in _listed(rows, TabletRowRecord, "verified row"):
         for column, cell in (("A", r.a), ("S", r.s), ("D", r.d)):
             if type(cell) is not TabletCell or type(cell.value(use)) is not SexValue:
                 raise SexagesimalError(f"row {r.n} column {column}: not a TabletCell of a SexValue")
@@ -189,7 +188,7 @@ class DiffReport(_Value):
                 f"({self.edition} edition, {self.matching} matching)")
 
 
-def diff_against(candidates: list[RowCandidate], edition: str = "robson",
+def diff_against(candidates: Iterable[RowCandidate], edition: str = "robson",
                  matching: str = "exact") -> DiffReport:
     """Cell-by-cell comparison of generated rows with the corrected tablet.
 
@@ -199,14 +198,12 @@ def diff_against(candidates: list[RowCandidate], edition: str = "robson",
     if matching not in MATCHINGS:
         raise ValueError(f"matching must be 'exact' or 'similarity', not {matching!r}")
     attested = tablet_data(edition)
+    candidates = _listed(candidates, RowCandidate, "generated row")
     if len(candidates) != len(attested):
         raise ValueError(
             f"row-count mismatch: {len(candidates)} generated vs {len(attested)} attested")
     diffs = []
     for cand, row in zip(candidates, attested):
-        if type(cand) is not RowCandidate:
-            raise SexagesimalError(f"a generated row must be a RowCandidate, "
-                                   f"not {type(cand).__name__}")
         s, d = cand.s, cand.d
         if not (type(s) is type(d) is int and s >= 0 and d >= 0):  # bool too
             raise SexagesimalError(f"S and D must be non-negative ints, not {s!r} and {d!r}")

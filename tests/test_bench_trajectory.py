@@ -99,12 +99,23 @@ def test_compare_reads_lower_as_better_for_a_time(trajectory):
                                    "gain": True}
 
 
+def write_src(root, lines):
+    """A src/plimpton/ under root whose modules have these line counts."""
+    (root / "src" / "plimpton").mkdir(parents=True)
+    for module, count in lines.items():
+        (root / "src" / "plimpton" / f"{module}.py").write_text("x = 1\n" * count,
+                                                                encoding="utf-8")
+
+
 def test_parent_runs_alternate_and_join_the_file(trajectory, monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(
         (REPO / "BENCHMARK.json").read_text(encoding="utf-8"), encoding="utf-8")
     parent = tmp_path / "parent"
     (parent / "bench").mkdir(parents=True)
     (parent / "bench" / "run.py").touch()
+    write_src(tmp_path, {"__init__": 2, "pairs": 7})
+    write_src(parent, {"__init__": 2, "pairs": 5, "rows": 1})
+    (tmp_path / "src" / "plimpton" / "data.txt").write_text("not a module\n", encoding="utf-8")
     runs = []
 
     def fake_run(root, workload, seed, seconds):
@@ -121,6 +132,10 @@ def test_parent_runs_alternate_and_join_the_file(trajectory, monkeypatch, tmp_pa
                     for root in ((parent, tmp_path) if seed == 1 else (tmp_path, parent))]
     doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     assert doc["parent"]["commit"] == "parent"
+    # each side's src/plimpton/*.py, in all and per module
+    assert (doc["src_lines"], doc["src_lines_by_module"]) == (9, {"__init__": 2, "pairs": 7})
+    assert (doc["parent"]["src_lines"], doc["parent"]["src_lines_by_module"]) == (
+        8, {"__init__": 2, "pairs": 5, "rows": 1})
     for w in trajectory.WORKLOADS:
         assert doc["parent"]["workloads"][w]["metrics"]["ops_per_s"]["median"] == 1
         assert doc["workloads"][w]["metrics"]["ops_per_s"]["median"] == 2

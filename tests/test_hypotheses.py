@@ -39,7 +39,7 @@ from plimpton.sexagesimal import (
     render_sex,
     sub,
 )
-from plimpton.tablet import TabletCell, TabletRowRecord, diff_against, verify_properties
+from plimpton.tablet import TabletCell, TabletRowRecord, diff_against, tablet_data, verify_properties
 from bench_oracle import oracle
 from counting import counted
 from test_sexagesimal import traced
@@ -1053,7 +1053,7 @@ class TestLinkChainFactor:
 @pytest.mark.parametrize("call,match", [
     (lambda: build_row(1), "a row is built from a ReciprocalPair, not int"),
     (lambda: printed_corrections("standard-15", [1]),
-     "every listed pair must be a ReciprocalPair"),
+     "a listed pair must be a ReciprocalPair, not int"),
     (lambda: diff_against([1] * 15), "a generated row must be a RowCandidate, not int"),
     (lambda: render_sex(3), "rendering is defined for SexValues, not int"),
     (lambda: mul(1, 2), "a product is defined for SexValues, not int"),
@@ -1069,3 +1069,50 @@ def test_a_value_of_the_wrong_type_is_a_domain_error(call, match):
     # each raised AttributeError on the int's missing fields
     with pytest.raises(SexagesimalError, match=match):
         call()
+
+
+class TestListArguments:
+    """printed_corrections, verify_properties and diff_against read their list
+    argument through one reader: any iterable of the right values, read once,
+    and a domain error for anything else."""
+
+    CALLS = {
+        "printed_corrections": lambda items: printed_corrections("standard-15", items),
+        "verify_properties": verify_properties,
+        "diff_against": diff_against,
+    }
+    # one right list per function, whose result depends on its items, and
+    # their type: bottom up, the tablet's rows fail property 1
+    RIGHT = {
+        "printed_corrections": ([p for _, p in printed_pairs("standard-15")], "ReciprocalPair"),
+        "verify_properties": (tablet_data("robson")[::-1], "TabletRowRecord"),
+        "diff_against": (generate("phillips", "tablet_faithful"), "RowCandidate"),
+    }
+    WHAT = {"printed_corrections": "listed pair", "verify_properties": "verified row",
+            "diff_against": "generated row"}
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("items", [5, None, 1.5, ReciprocalPair.from_T_mantissa(2)],
+                             ids=["int", "None", "float", "pair"])
+    def test_a_non_iterable_is_a_domain_error(self, name, items):
+        # each raised TypeError: "'int' object is not iterable", or, from
+        # diff_against, "object of type 'int' has no len()"
+        with pytest.raises(SexagesimalError,
+                           match=f"^{self.WHAT[name]}s must be iterable, not {type(items).__name__}$"):
+            self.CALLS[name](items)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_wrong_item_after_a_right_one_is_a_domain_error(self, name):
+        right, kind = self.RIGHT[name]
+        with pytest.raises(SexagesimalError,
+                           match=f"^a {self.WHAT[name]} must be a {kind}, not int$"):
+            self.CALLS[name]([right[0], 1, *right[2:]])
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_generator_reads_as_its_list(self, name):
+        # diff_against raised TypeError on len() of a generator; its right
+        # list is the fifteen rows that match the tablet exactly
+        right, _ = self.RIGHT[name]
+        expected = self.CALLS[name](right)
+        assert expected and self.CALLS[name](item for item in right) == expected
+        assert self.CALLS[name](tuple(right)) == expected

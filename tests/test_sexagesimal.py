@@ -495,16 +495,23 @@ class TestClosedFormFromFraction:
         _FractionSubclass(1, 2), _FractionSubclass(1, 7), _FractionSubclass(-5, 4),
         Decimal("0.1"), Decimal("2.5"), Decimal("1E-70"), Decimal("-1"), Decimal("NaN"),
         Decimal("Infinity"), "1/10", " 3/4 ", "0.125", "1/7", "-2", "abc", "", None, [1],
+        # from_fraction passed on Fraction's TypeError, OverflowError and ZeroDivisionError
+        [], 1j, Decimal("-Infinity"), "1/0", "0/0",
     ], ids=repr)
     def test_each_accepted_type_reads_as_its_fraction(self, value):
         # whatever Fraction(value) reads, a Fraction subclass included, gives
-        # the same value, and whatever it refuses, the same error
-        def result(fn):
-            try:
-                return fn(value)
-            except (ValueError, TypeError, OverflowError) as e:
-                return type(e), str(e)
-        assert result(from_fraction) == result(loop_from_fraction)
+        # the same value, and whatever it refuses as malformed (ValueError),
+        # the same error; what it refuses as no number at all (TypeError,
+        # OverflowError, ZeroDivisionError) is a SexagesimalError
+        try:
+            Fraction(value)
+        except (TypeError, OverflowError, ZeroDivisionError):
+            with pytest.raises(SexagesimalError, match="is not a number; pass an int or Fraction"):
+                from_fraction(value)
+            return
+        except ValueError:
+            pass
+        assert outcome(from_fraction, value) == outcome(loop_from_fraction, value)
 
     def test_the_cap_is_unchanged(self):
         assert from_fraction(Fraction(1, 2**128)) == SexValue(15**64, -64)
